@@ -12,6 +12,7 @@ from .metrics import (
     classify,
     concentration,
     degree_assortativity,
+    dyad_scores,
     equidispersion_prediction,
     reciprocity,
     reciprocity_distribution,
@@ -43,6 +44,7 @@ __all__ = [
     "classify",
     "concentration",
     "degree_assortativity",
+    "dyad_scores",
     "equidisperse",
     "equidispersion_prediction",
     "four_regimes",

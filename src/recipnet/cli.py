@@ -21,13 +21,7 @@ from . import __version__
 from .errors import DegenerateInputError, DomainError, FormatError, UndefinedCorrelationError
 from .graph import WeightedDigraph
 from .ingest import aggregate_event_file, load_edge_list, save_snapshot
-from .metrics import (
-    DEFAULT_BIN_WIDTH,
-    concentration_scores,
-    degree_assortativity,
-    reciprocity_distribution,
-    reciprocity_records,
-)
+from .metrics import DEFAULT_BIN_WIDTH, concentration_scores, degree_assortativity, dyad_scores
 from .nullmodels import DEFAULT_SWAP_MULTIPLIER, RegimeConfig, equidisperse, maslov_sneppen_rewire
 from .report import (
     analyze,
@@ -45,24 +39,8 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_DEGENERATE = 4
 
-THREADS_ENV = "RECIPNET_THREADS"
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=_default_threads(),
-        help=f"worker threads for dyad sweeps (default ${THREADS_ENV} or 1)",
-    )
     p.add_argument("--strict", action="store_true", help="escalate warnings to errors")
     p.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
 
@@ -140,19 +118,19 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 def _cmd_reciprocity(args: argparse.Namespace) -> int:
     g = load_edge_list(args.graph, strict=args.strict)
-    records = reciprocity_records(g, threads=args.threads)
+    scores = dyad_scores(g)
     if args.records:
         with open(args.records, "w", encoding="utf-8", newline="") as f:
             f.write("a,b,w_ab,w_ba,p_ab,p_ba,r_value,dyad_class\n")
-            for rec in records:
+            for rec in scores.records():
                 d = rec.dyad
                 f.write(
                     f"{g.external_label(d.a)},{g.external_label(d.b)},"
                     f"{d.w_ab!r},{d.w_ba!r},{rec.p_ab!r},{rec.p_ba!r},"
                     f"{rec.r_value!r},{rec.dyad_class.value}\n"
                 )
-    hist = reciprocity_distribution(records, bin_width=args.bin_width)
-    if not records:
+    hist = scores.histogram(args.bin_width)
+    if not hist.total:
         _warn_or_raise(args.strict, "graph has no mutual dyads")
     _emit(
         {
@@ -255,7 +233,6 @@ def _cmd_regimes(args: argparse.Namespace) -> int:
                 seed=seed,
                 swap_multiplier=args.swap_multiplier,
                 bin_width=args.bin_width,
-                threads=args.threads,
             )
             comparisons.append(cmp)
             if replica == 0:
@@ -330,7 +307,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     g = load_edge_list(args.graph, strict=args.strict)
-    rep = analyze(g, regime=args.regime, seed=args.seed, bin_width=args.bin_width, threads=args.threads)
+    rep = analyze(g, regime=args.regime, seed=args.seed, bin_width=args.bin_width)
     if args.output:
         emit_report(rep, args.format, args.output)
     elif args.format == "json":

@@ -1,17 +1,24 @@
 """Weighted directed graph core: construction, dyad enumeration, dyad census.
 
-Vertices are dense integer ids ``0..V-1``. Graphs are immutable once built;
-use :class:`GraphBuilder` (aggregates parallel arcs, drops self-loops) or
-:meth:`WeightedDigraph.from_dense_arcs` (already-clean dense arc lists) to
-construct one. All read operations are safe to call from multiple threads.
+Vertices are dense integer ids ``0..V-1`` (Python or numpy integers). A graph
+is stored as read-only CSR arrays, ``indptr`` (row bounds per source vertex),
+``indices`` (targets, ascending within each row) and ``weights``, plus the
+per-vertex ``out_strength``. Graphs are immutable once built; use
+:class:`GraphBuilder` (aggregates parallel arcs, drops self-loops) or
+:meth:`WeightedDigraph.from_dense_arcs` / :meth:`WeightedDigraph.from_columns`
+(already-clean dense arcs, validated in bulk) to construct one. All read
+operations are safe to call from multiple threads.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator
+
+import numpy as np
 
 from .errors import DomainError, IntegrityError, MissingArcError
 
@@ -54,34 +61,79 @@ class DyadCensus:
 
 
 class WeightedDigraph:
-    """Immutable directed graph with strictly positive arc weights.
+    """Immutable directed graph with strictly positive, finite arc weights.
 
     Out-strengths are cached as the correctly rounded sum of each vertex's
     outgoing weights (``math.fsum``), which makes them independent of arc
     insertion order.
     """
 
-    __slots__ = ("_adj", "_out_strength", "_out_degree", "_arc_count", "_external_ids")
+    __slots__ = ("_indptr", "_indices", "_weights", "_out_strength", "_external_ids", "_reverse")
 
     def __init__(
         self,
-        adjacency: list[dict[int, float]],
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        weights: np.ndarray,
         external_ids: tuple[str, ...] | None = None,
     ) -> None:
-        # Internal constructor: adjacency is adopted, not copied. Callers are
-        # GraphBuilder / from_dense_arcs, which hand over freshly built dicts
-        # with ascending target order.
-        self._adj: tuple[dict[int, float], ...] = tuple(adjacency)
-        self._out_strength = tuple(
-            math.fsum(nbrs.values()) if nbrs else 0.0 for nbrs in self._adj
-        )
-        self._out_degree = tuple(len(nbrs) for nbrs in self._adj)
-        self._arc_count = sum(self._out_degree)
-        if external_ids is not None and len(external_ids) != len(self._adj):
+        # Internal constructor: the CSR arrays are adopted (and made
+        # read-only), not copied or checked. Callers are from_columns and
+        # transforms that keep a valid graph's topology and only replace its
+        # (positive, finite) weights; such graphs share indptr and indices.
+        for a in (indptr, indices, weights):
+            a.setflags(write=False)
+        self._indptr, self._indices, self._weights = indptr, indices, weights
+        w = weights.tolist()
+        bounds = indptr.tolist()
+        self._out_strength = np.array([math.fsum(w[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
+        if external_ids is not None and len(external_ids) != len(bounds) - 1:
             raise IntegrityError("external id table does not match vertex count")
         self._external_ids = external_ids
+        self._reverse: np.ndarray | None = None
 
     # -- construction -----------------------------------------------------
+
+    @classmethod
+    def from_columns(
+        cls,
+        vertex_count: int,
+        src: np.ndarray,
+        dst: np.ndarray,
+        weights: np.ndarray,
+        external_ids: tuple[str, ...] | None = None,
+    ) -> "WeightedDigraph":
+        """Build from parallel arrays of dense arc endpoints and weights.
+
+        Arcs must be unique per ordered pair, self-loop free and positively,
+        finitely weighted; the first violation in input order raises rather
+        than being repaired (use GraphBuilder for raw data that needs
+        aggregation).
+        """
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        weights = np.asarray(weights, dtype=np.float64)
+        checks = (
+            (src < 0) | (src >= vertex_count) | (dst < 0) | (dst >= vertex_count),
+            src == dst,
+            ~(np.isfinite(weights) & (weights > 0)),
+        )
+        for problem, bad in zip(("outside 0..V-1", "a self-loop", "not finite and positive"), checks):
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise DomainError(
+                    f"arc ({src[i]}, {dst[i]}) with weight {weights[i]} is {problem} (V={vertex_count})"
+                )
+        keys = src * vertex_count + dst
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        repeated = keys[1:] == keys[:-1]
+        if repeated.any():
+            i = int(order[np.argmax(repeated) + 1])
+            raise DomainError(f"duplicate arc ({src[i]}, {dst[i]})")
+        indptr = np.zeros(vertex_count + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=vertex_count), out=indptr[1:])
+        return cls(indptr, dst[order], weights[order], external_ids)
 
     @classmethod
     def from_dense_arcs(
@@ -90,76 +142,80 @@ class WeightedDigraph:
         arcs: Iterable[tuple[int, int, float]],
         external_ids: tuple[str, ...] | None = None,
     ) -> "WeightedDigraph":
-        """Build from arcs already keyed by dense vertex ids.
+        """Build from ``(src, dst, weight)`` triples already keyed by dense ids.
 
-        Arcs must be unique per ordered pair, self-loop free and positively
-        weighted; violations raise rather than being repaired (use
-        GraphBuilder for raw data that needs aggregation).
+        Same rules as :meth:`from_columns`.
         """
-        adj: list[dict[int, float]] = [{} for _ in range(vertex_count)]
-        for src, dst, weight in arcs:
-            if not (0 <= src < vertex_count and 0 <= dst < vertex_count):
-                raise DomainError(f"arc ({src}, {dst}) outside 0..{vertex_count - 1}")
-            if src == dst:
-                raise DomainError(f"self-loop at vertex {src}")
-            if not weight > 0:
-                raise DomainError(f"non-positive weight {weight} on arc ({src}, {dst})")
-            if dst in adj[src]:
-                raise DomainError(f"duplicate arc ({src}, {dst})")
-            adj[src][dst] = float(weight)
-        adj = [dict(sorted(nbrs.items())) for nbrs in adj]
-        return cls(adj, external_ids)
+        src, dst, weights = list(zip(*arcs)) or ([], [], [])
+        return cls.from_columns(vertex_count, src, dst, weights, external_ids)
 
     # -- basic accessors ---------------------------------------------------
 
     @property
     def vertex_count(self) -> int:
-        return len(self._adj)
+        return len(self._indptr) - 1
 
     @property
     def arc_count(self) -> int:
-        return self._arc_count
+        return len(self._indices)
 
-    def _check_vertex(self, v: int) -> None:
-        if not (isinstance(v, int) and 0 <= v < len(self._adj)):
-            raise DomainError(f"vertex id {v!r} outside 0..{len(self._adj) - 1}")
+    def _check_vertex(self, v: int) -> int:
+        try:
+            i = operator.index(v)
+        except TypeError:
+            i = -1
+        if not 0 <= i < self.vertex_count:
+            raise DomainError(f"vertex id {v!r} outside 0..{self.vertex_count - 1}")
+        return i
+
+    def _row(self, v: int) -> tuple[int, int]:
+        v = self._check_vertex(v)
+        return int(self._indptr[v]), int(self._indptr[v + 1])
+
+    def _find(self, src: int, dst: int) -> int:
+        """CSR position of the arc src -> dst, or -1 when there is none."""
+        lo, hi = self._row(src)
+        dst = self._check_vertex(dst)
+        i = lo + int(np.searchsorted(self._indices[lo:hi], dst))
+        return i if i < hi and self._indices[i] == dst else -1
+
+    def _reweighted(self, weights: np.ndarray) -> "WeightedDigraph":
+        """Same vertices, arcs and labels with new (positive, finite) weights in arcs() order."""
+        return WeightedDigraph(self._indptr, self._indices, weights, self._external_ids)
+
+    def _sources(self) -> np.ndarray:
+        """Source vertex of every arc, in CSR order."""
+        return np.repeat(np.arange(self.vertex_count, dtype=np.int64), np.diff(self._indptr))
 
     def out_strength(self, v: int) -> float:
         """Sum of weights on arcs leaving v (0.0 for a vertex with none)."""
-        self._check_vertex(v)
-        return self._out_strength[v]
+        return float(self._out_strength[self._check_vertex(v)])
 
     def out_degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return self._out_degree[v]
+        lo, hi = self._row(v)
+        return hi - lo
 
     def has_arc(self, src: int, dst: int) -> bool:
-        self._check_vertex(src)
-        self._check_vertex(dst)
-        return dst in self._adj[src]
+        return self._find(src, dst) >= 0
 
     def weight(self, src: int, dst: int) -> float:
-        self._check_vertex(src)
-        self._check_vertex(dst)
-        try:
-            return self._adj[src][dst]
-        except KeyError:
-            raise MissingArcError(f"no arc {src} -> {dst}") from None
+        i = self._find(src, dst)
+        if i < 0:
+            raise MissingArcError(f"no arc {src} -> {dst}")
+        return float(self._weights[i])
 
     def out_neighbors(self, v: int) -> Iterator[tuple[int, float]]:
         """(target, weight) pairs in ascending target order."""
-        self._check_vertex(v)
-        return iter(self._adj[v].items())
+        lo, hi = self._row(v)
+        return zip(self._indices[lo:hi].tolist(), self._weights[lo:hi].tolist())
 
     def arcs(self) -> Iterator[tuple[int, int, float]]:
         """All arcs in ascending (src, dst) order."""
-        for src, nbrs in enumerate(self._adj):
-            for dst, w in nbrs.items():
-                yield src, dst, w
+        return zip(self._sources().tolist(), self._indices.tolist(), self._weights.tolist())
 
     def external_label(self, v: int) -> str:
         """Original input label for a dense id (the id itself if none was given)."""
-        self._check_vertex(v)
+        v = self._check_vertex(v)
         if self._external_ids is None:
             return str(v)
         return self._external_ids[v]
@@ -167,6 +223,11 @@ class WeightedDigraph:
     @property
     def external_ids(self) -> tuple[str, ...] | None:
         return self._external_ids
+
+    def labels(self) -> list[str]:
+        """Every vertex's external label, in dense-id order."""
+        ids = self._external_ids
+        return list(map(str, range(self.vertex_count))) if ids is None else list(ids)
 
     # -- normalized weights ------------------------------------------------
 
@@ -178,19 +239,38 @@ class WeightedDigraph:
         when the arc does not exist.
         """
         w = self.weight(src, dst)
-        return w / self._out_strength[src]
+        return w / self.out_strength(src)
 
     # -- dyad analysis -----------------------------------------------------
 
+    def _reverse_arcs(self) -> np.ndarray:
+        """CSR position of each arc's reverse arc, -1 where there is none.
+
+        Arc keys ``src*V + dst`` ascend in CSR order, so each reversed key is
+        found by binary search (in sorted order, for locality). Computed once.
+        """
+        if self._reverse is None:
+            v = self.vertex_count
+            src = self._sources()
+            keys = src * v + self._indices
+            wanted = self._indices * v + src
+            order = np.argsort(wanted)
+            pos = np.empty_like(order)
+            pos[order] = np.searchsorted(keys, wanted[order])
+            pos = np.minimum(pos, max(len(keys) - 1, 0))
+            self._reverse = np.where(keys[pos] == wanted, pos, -1)
+        return self._reverse
+
+    def _mutual_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(a, b, w_ab, w_ba) of every mutual dyad, a < b, in (a, b) order."""
+        reverse = self._reverse_arcs()
+        src = self._sources()
+        sel = np.flatnonzero((reverse >= 0) & (src < self._indices))
+        return src[sel], self._indices[sel], self._weights[sel], self._weights[reverse[sel]]
+
     def mutual_dyads(self) -> Iterator[MutualDyad]:
         """Each unordered pair with arcs both ways, exactly once, (a, b)-sorted."""
-        adj = self._adj
-        for a, nbrs in enumerate(adj):
-            for b, w_ab in nbrs.items():
-                if b > a:
-                    w_ba = adj[b].get(a)
-                    if w_ba is not None:
-                        yield MutualDyad(a, b, w_ab, w_ba)
+        return map(MutualDyad, *(col.tolist() for col in self._mutual_arrays()))
 
     def dyad_census(self) -> DyadCensus:
         """Mutual/asymmetric/null counts over all unordered vertex pairs.
@@ -198,44 +278,33 @@ class WeightedDigraph:
         Null dyads are derived arithmetically from V and the other counts;
         pairs are never enumerated, so the census stays O(arcs).
         """
-        adj = self._adj
-        mutual = 0
-        for a, nbrs in enumerate(adj):
-            for b in nbrs:
-                if b > a and a in adj[b]:
-                    mutual += 1
-        asymmetric = self._arc_count - 2 * mutual
-        v = len(adj)
+        mutual = int(np.count_nonzero(self._reverse_arcs() >= 0)) // 2
+        asymmetric = self.arc_count - 2 * mutual
+        v = self.vertex_count
         null_dyads = v * (v - 1) // 2 - mutual - asymmetric
-        return DyadCensus(mutual, asymmetric, null_dyads, self._arc_count)
+        return DyadCensus(mutual, asymmetric, null_dyads, self.arc_count)
 
     # -- identity ------------------------------------------------------------
 
     def content_digest(self) -> str:
         """Stable sha256 over vertex labels and the sorted weighted arc list."""
-        h = hashlib.sha256()
-        h.update(f"V={self.vertex_count}\n".encode())
-        for v in range(self.vertex_count):
-            h.update(self.external_label(v).encode())
-            h.update(b"\n")
-        for src, dst, w in self.arcs():
-            h.update(f"{src},{dst},{w!r}\n".encode())
-        return h.hexdigest()
+        lines = [f"V={self.vertex_count}", *self.labels(), *(f"{s},{d},{w!r}" for s, d, w in self.arcs())]
+        return hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightedDigraph):
             return NotImplemented
-        if self.vertex_count != other.vertex_count or self._adj != other._adj:
-            return False
-        return all(
-            self.external_label(v) == other.external_label(v)
-            for v in range(self.vertex_count)
+        return (
+            np.array_equal(self._indptr, other._indptr)
+            and np.array_equal(self._indices, other._indices)
+            and np.array_equal(self._weights, other._weights)
+            and self.labels() == other.labels()
         )
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        return f"WeightedDigraph(vertices={self.vertex_count}, arcs={self._arc_count})"
+        return f"WeightedDigraph(vertices={self.vertex_count}, arcs={self.arc_count})"
 
 
 class GraphBuilder:
@@ -256,8 +325,8 @@ class GraphBuilder:
         self._vertices.add(label)
 
     def add_arc(self, src: Hashable, dst: Hashable, weight: float = 1.0) -> None:
-        if not weight > 0:
-            raise DomainError(f"non-positive weight {weight} on arc ({src!r}, {dst!r})")
+        if not (weight > 0 and math.isfinite(weight)):
+            raise DomainError(f"weight {weight} on arc ({src!r}, {dst!r}) is not finite and positive")
         if src == dst:
             self.self_loops_dropped += 1
             return
@@ -274,12 +343,9 @@ class GraphBuilder:
     def build(self) -> WeightedDigraph:
         labels = sorted(self._vertices)
         index = {label: i for i, label in enumerate(labels)}
-        adj: list[dict[int, float]] = [{} for _ in labels]
-        for (src, dst), w in self._weights.items():
-            adj[index[src]][index[dst]] = w
-        adj = [dict(sorted(nbrs.items())) for nbrs in adj]
-        if not labels or labels == list(range(len(labels))):
-            external: tuple[str, ...] | None = None
-        else:
-            external = tuple(str(label) for label in labels)
-        return WeightedDigraph(adj, external)
+        n = len(self._weights)
+        src = np.fromiter((index[s] for s, _ in self._weights), dtype=np.int64, count=n)
+        dst = np.fromiter((index[d] for _, d in self._weights), dtype=np.int64, count=n)
+        weights = np.fromiter(self._weights.values(), dtype=np.float64, count=n)
+        external = None if labels == list(range(len(labels))) else tuple(map(str, labels))
+        return WeightedDigraph.from_columns(len(labels), src, dst, weights, external)

@@ -5,11 +5,12 @@ containing a comma makes the line malformed):
 
 * events: header ``timestamp,caller,callee``; timestamp may be empty and is
   ignored by aggregation.
-* graph snapshot: header ``src,dst,weight``; optional leading provenance
-  lines starting with ``#`` (regime, seed, tool version) that parsers of the
-  data body skip. A sidecar ``<name>.vertices.csv`` with header
-  ``external_id,dense_id`` pins the dense-id mapping, including isolated
-  vertices.
+* graph snapshot: optional provenance lines starting with ``#`` (regime,
+  seed, tool version), then the header ``src,dst,weight``. After the header
+  every non-empty line is an arc, so a label may start with ``#``; no label
+  may contain a comma or a line break. A sidecar ``<name>.vertices.csv``
+  with header ``external_id,dense_id`` pins the dense-id mapping, including
+  isolated vertices.
 
 Aggregation is streaming: memory grows with the number of distinct arcs, not
 with the number of events.
@@ -17,13 +18,16 @@ with the number of events.
 
 from __future__ import annotations
 
+import bisect
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from . import __version__ as _version
-from .errors import DomainError, FormatError
+from .errors import FormatError
 from .graph import GraphBuilder, WeightedDigraph
 
 EVENT_HEADER = "timestamp,caller,callee"
@@ -53,13 +57,8 @@ class IngestStats:
     arcs: int = 0
 
 
-def _graph_from_counts(
-    counts: dict[tuple[str, str], int],
-    extra_vertices: Iterable[str] = (),
-) -> WeightedDigraph:
+def _graph_from_counts(counts: dict[tuple[str, str], int]) -> WeightedDigraph:
     builder = GraphBuilder()
-    for label in extra_vertices:
-        builder.add_vertex(label)
     for (caller, callee), n in counts.items():
         builder.add_arc(caller, callee, float(n))
     return builder.build()
@@ -171,24 +170,25 @@ def save_snapshot(
     Weights are written with ``repr`` so a load/save cycle is lossless. The
     provenance header records the tool version and, when given, the regime
     label, seed and any extra key=value pairs (e.g. swap statistics) that
-    produced the graph.
+    produced the graph. A vertex label containing a comma or a line break
+    cannot be represented and raises FormatError before anything is written.
     """
     path = Path(path)
-    lines = [f"# tool=recipnet/{_version}"]
+    labels = g.labels()
+    bad = next((s for s in labels if "," in s or "\n" in s or "\r" in s), None)
+    if bad is not None:
+        raise FormatError(f"vertex label {bad!r} contains a comma or line break")
+    head = [f"# tool=recipnet/{_version}"]
     if regime is not None:
-        lines.append(f"# regime={regime}")
+        head.append(f"# regime={regime}")
     if seed is not None:
-        lines.append(f"# seed={seed}")
-    for key, value in (extra_provenance or {}).items():
-        lines.append(f"# {key}={value}")
-    lines.append(GRAPH_HEADER)
-    for src, dst, w in g.arcs():
-        lines.append(f"{g.external_label(src)},{g.external_label(dst)},{w!r}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    side = [VERTEX_HEADER]
-    side.extend(f"{g.external_label(v)},{v}" for v in range(g.vertex_count))
-    sidecar_path(path).write_text("\n".join(side) + "\n", encoding="utf-8")
+        head.append(f"# seed={seed}")
+    head.extend(f"# {key}={value}" for key, value in (extra_provenance or {}).items())
+    head.append(GRAPH_HEADER)
+    body = (f"{labels[src]},{labels[dst]},{w!r}\n" for src, dst, w in g.arcs())
+    path.write_text("".join([*(line + "\n" for line in head), *body]), encoding="utf-8")
+    side = (f"{label},{v}\n" for v, label in enumerate(labels))
+    sidecar_path(path).write_text("".join([VERTEX_HEADER + "\n", *side]), encoding="utf-8")
 
 
 def _load_sidecar(path: Path) -> dict[str, int]:
@@ -218,26 +218,31 @@ def _load_sidecar(path: Path) -> dict[str, int]:
 def load_edge_list(path: str | Path, strict: bool = False) -> WeightedDigraph:
     """Load a graph snapshot, honoring its sidecar when present.
 
-    Duplicate (src, dst) rows aggregate with a warning (error in strict
-    mode); non-positive weights and header mismatches are always errors.
-    Without a sidecar, dense ids are assigned by sorting the distinct labels.
+    ``#`` provenance lines are recognised only before the header; after it
+    every non-empty line is an arc. Duplicate (src, dst) rows aggregate with a
+    warning (error in strict mode); non-positive or non-finite weights,
+    self-loops and header mismatches are always errors. Without a sidecar,
+    dense ids are assigned by sorting the distinct labels.
     """
     path = Path(path)
-    rows: list[tuple[str, str, float]] = []
-    seen: set[tuple[str, str]] = set()
-    duplicates = 0
+    srcs, dsts, weights = [], [], []  # one entry per arc row
+    blank_before: list[int] = []  # row index after each skipped blank line
+    inf = float("inf")
     with open(path, "r", encoding="utf-8", newline="") as f:
-        header = None
         for lineno, line in enumerate(f, start=1):
             text = line.rstrip("\r\n")
             if text.startswith("#"):
                 continue
-            if header is None:
-                if text != GRAPH_HEADER:
-                    raise FormatError(f"expected header {GRAPH_HEADER!r}, got {text!r}")
-                header = text
-                continue
+            if text != GRAPH_HEADER:
+                raise FormatError(f"expected header {GRAPH_HEADER!r}, got {text!r}")
+            break
+        else:
+            raise FormatError(f"{path}: missing header line")
+        first_row = lineno + 1
+        for lineno, line in enumerate(f, start=first_row):
+            text = line.rstrip("\r\n")
             if not text:
+                blank_before.append(len(srcs))
                 continue
             fields = text.split(",")
             if len(fields) != 3:
@@ -247,42 +252,41 @@ def load_edge_list(path: str | Path, strict: bool = False) -> WeightedDigraph:
                 w = float(w_text)
             except ValueError:
                 raise FormatError(f"{path}:{lineno}: weight {w_text!r} is not a number") from None
-            if not w > 0:
-                raise FormatError(f"{path}:{lineno}: non-positive weight {w}")
+            if not 0.0 < w < inf:
+                kind = "non-positive" if w <= 0 else "non-finite"
+                raise FormatError(f"{path}:{lineno}: {kind} weight {w}")
             if src == dst:
                 raise FormatError(f"{path}:{lineno}: self-loop at {src!r}")
-            key = (src, dst)
-            if key in seen:
-                if strict:
-                    raise FormatError(f"{path}:{lineno}: duplicate arc {src!r} -> {dst!r}")
-                duplicates += 1
-            seen.add(key)
-            rows.append((src, dst, w))
-        if header is None:
-            raise FormatError(f"{path}: missing header line")
-    if duplicates:
-        warnings.warn(f"{path}: aggregated {duplicates} duplicate arc rows", stacklevel=2)
+            srcs.append(src)
+            dsts.append(dst)
+            weights.append(w)
 
     side = sidecar_path(path)
-    builder = GraphBuilder()
     if side.exists():
-        mapping = _load_sidecar(side)
-        order = sorted(mapping, key=mapping.get)
-        for src, dst, w in rows:
-            if src not in mapping or dst not in mapping:
-                raise FormatError(f"{path}: arc references id missing from sidecar")
-        # Dense ids come from the sidecar, not from sorting: feed the builder
-        # the dense ints directly and restore labels afterwards.
-        for dense in range(len(order)):
-            builder.add_vertex(dense)
-        for src, dst, w in rows:
-            builder.add_arc(mapping[src], mapping[dst], w)
-        g = builder.build()
-        if order == [str(i) for i in range(len(order))]:
-            return g
-        return WeightedDigraph.from_dense_arcs(
-            g.vertex_count, g.arcs(), external_ids=tuple(order)
-        )
-    for src, dst, w in rows:
-        builder.add_arc(src, dst, w)
-    return builder.build()
+        index = _load_sidecar(side)
+        labels = sorted(index, key=index.get)
+    else:
+        labels = sorted({*srcs, *dsts})
+        index = {label: i for i, label in enumerate(labels)}
+    n, v = len(srcs), len(labels)
+    try:
+        src_ids = np.fromiter(map(index.__getitem__, srcs), dtype=np.int64, count=n)
+        dst_ids = np.fromiter(map(index.__getitem__, dsts), dtype=np.int64, count=n)
+    except KeyError:
+        raise FormatError(f"{path}: arc references id missing from sidecar") from None
+    w_col = np.array(weights, dtype=np.float64)
+
+    keys = src_ids * v + dst_ids
+    order = np.argsort(keys, kind="stable")
+    repeats = order[1:][keys[order][1:] == keys[order][:-1]]  # later rows of a repeated key
+    if len(repeats):
+        if strict:
+            row = int(repeats.min())
+            lineno = first_row + row + bisect.bisect_right(blank_before, row)
+            raise FormatError(f"{path}:{lineno}: duplicate arc {srcs[row]!r} -> {dsts[row]!r}")
+        warnings.warn(f"{path}: aggregated {len(repeats)} duplicate arc rows", stacklevel=2)
+        keys, inverse = np.unique(keys, return_inverse=True)
+        src_ids, dst_ids = np.divmod(keys, v)
+        w_col = np.bincount(inverse, weights=w_col)  # sums each key's rows in file order
+    external = None if labels == [str(i) for i in range(v)] else tuple(labels)
+    return WeightedDigraph.from_columns(v, src_ids, dst_ids, w_col, external)

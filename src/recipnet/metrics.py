@@ -5,18 +5,22 @@ directed communication probabilities), its three-class interpretation,
 the closed-form score under equidispersed weights, Herfindahl-style weight
 concentration per vertex, and degree assortativity across linked dyads.
 
-All functions are pure reads of an immutable graph and can be fanned out
-across threads; bulk sweeps aggregate in canonical dyad order so results are
-bit-stable regardless of thread count.
+Bulk sweeps work on the graph's CSR arrays: :func:`dyad_scores` scores every
+mutual dyad at once, in canonical (a, b) order, and per-dyad record objects
+are built only when a caller asks for them. The scalar functions
+(:func:`reciprocity`, :func:`concentration`) are the reference the sweeps
+are tested against; logs and squares go through ``math.log`` and ``**`` in
+both, so sweep and scalar results agree bit for bit. All functions are pure
+reads of an immutable graph.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from itertools import repeat
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -37,6 +41,12 @@ class DyadClass(Enum):
     RECIPROCAL = "reciprocal"
     PARTIALLY_RECIPROCAL = "partially_reciprocal"
     NON_RECIPROCAL = "non_reciprocal"
+
+
+#: Array code of each class: its position in DyadClass, which searchsorted
+#: on the two boundaries reproduces.
+_CLASSES = tuple(DyadClass)
+_CLASS_BOUNDS = np.array([RECIPROCAL_MAX, PARTIAL_MAX])
 
 
 @dataclass(frozen=True)
@@ -105,30 +115,51 @@ def reciprocity(g: WeightedDigraph, dyad: MutualDyad | tuple[int, int]) -> Recip
     p_ab = w_ab / g.out_strength(a)
     p_ba = w_ba / g.out_strength(b)
     r = abs(math.log(p_ab) - math.log(p_ba))
-    return ReciprocityRecord(
-        dyad=MutualDyad(a, b, w_ab, w_ba),
-        p_ab=p_ab,
-        p_ba=p_ba,
-        r_value=r,
-        dyad_class=classify(r),
-    )
+    return ReciprocityRecord(MutualDyad(a, b, w_ab, w_ba), p_ab, p_ba, r, classify(r))
 
 
-def reciprocity_records(g: WeightedDigraph, threads: int = 1) -> list[ReciprocityRecord]:
-    """Score every mutual dyad, in canonical (a, b) order.
+class DyadScores(NamedTuple):
+    """Every mutual dyad's score as parallel arrays, in canonical (a, b) order.
 
-    With ``threads > 1`` the dyad list is chunked across a thread pool and the
-    per-chunk results concatenated in chunk order, so output is identical to
-    the sequential sweep.
+    ``dyad_class`` holds each dyad's position in :class:`DyadClass`.
     """
-    dyads = list(g.mutual_dyads())
-    if threads <= 1 or len(dyads) < 2 * threads:
-        return [reciprocity(g, d) for d in dyads]
-    chunk = (len(dyads) + threads - 1) // threads
-    parts = [dyads[i : i + chunk] for i in range(0, len(dyads), chunk)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = pool.map(lambda part: [reciprocity(g, d) for d in part], parts)
-        return [rec for part in results for rec in part]
+
+    a: np.ndarray
+    b: np.ndarray
+    w_ab: np.ndarray
+    w_ba: np.ndarray
+    p_ab: np.ndarray
+    p_ba: np.ndarray
+    r_value: np.ndarray
+    dyad_class: np.ndarray
+
+    def records(self) -> list[ReciprocityRecord]:
+        return [
+            ReciprocityRecord(MutualDyad(a, b, w_ab, w_ba), p_ab, p_ba, r, _CLASSES[c])
+            for a, b, w_ab, w_ba, p_ab, p_ba, r, c in zip(*(col.tolist() for col in self))
+        ]
+
+    def histogram(self, bin_width: float = DEFAULT_BIN_WIDTH) -> ReciprocityHistogram:
+        return _histogram(self.r_value, self.dyad_class, bin_width)
+
+
+def _log(p: np.ndarray) -> np.ndarray:
+    # math.log, not np.log: the two differ in the last bit for some inputs.
+    return np.fromiter(map(math.log, p.tolist()), dtype=np.float64, count=len(p))
+
+
+def dyad_scores(g: WeightedDigraph) -> DyadScores:
+    """Score every mutual dyad of ``g`` at once (same values as :func:`reciprocity`)."""
+    a, b, w_ab, w_ba = g._mutual_arrays()
+    p_ab = w_ab / g._out_strength[a]
+    p_ba = w_ba / g._out_strength[b]
+    r = np.abs(_log(p_ab) - _log(p_ba))
+    return DyadScores(a, b, w_ab, w_ba, p_ab, p_ba, r, np.searchsorted(_CLASS_BOUNDS, r))
+
+
+def reciprocity_records(g: WeightedDigraph) -> list[ReciprocityRecord]:
+    """Score every mutual dyad, in canonical (a, b) order, as record objects."""
+    return dyad_scores(g).records()
 
 
 def classify(r_value: float) -> DyadClass:
@@ -169,41 +200,43 @@ def concentration(g: WeightedDigraph, v: int) -> ConcentrationScore:
     return ConcentrationScore(vertex=v, h=h, h_star=h_star)
 
 
+def concentration_arrays(g: WeightedDigraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(vertex, h, h_star) for every vertex with out-degree >= 2, ascending.
+
+    Same values as :func:`concentration`: ``**`` squares, fsum per vertex.
+    """
+    k = np.diff(g._indptr)
+    shares = g._weights / g._out_strength[g._sources()]
+    squares = list(map(pow, shares.tolist(), repeat(2)))
+    bounds = g._indptr.tolist()
+    vertices = np.flatnonzero(k >= 2)
+    h = np.array([math.fsum(squares[bounds[v] : bounds[v + 1]]) for v in vertices.tolist()])
+    inv_k = 1.0 / k[vertices]
+    return vertices, h, (h - inv_k) / (1.0 - inv_k)
+
+
 def concentration_scores(g: WeightedDigraph) -> list[ConcentrationScore]:
     """Scores for every vertex with out-degree >= 2, ascending vertex order."""
-    return [concentration(g, v) for v in range(g.vertex_count) if g.out_degree(v) >= 2]
+    return list(map(ConcentrationScore, *(col.tolist() for col in concentration_arrays(g))))
 
 
 def _mutual_backbone_pairs(g: WeightedDigraph) -> tuple[np.ndarray, np.ndarray, int]:
-    degree = np.zeros(g.vertex_count, dtype=np.int64)
-    edges: list[tuple[int, int]] = []
-    for d in g.mutual_dyads():
-        edges.append((d.a, d.b))
-        degree[d.a] += 1
-        degree[d.b] += 1
-    if not edges:
-        return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.float64), 0
-    e = np.asarray(edges, dtype=np.int64)
-    x = (degree[e[:, 0]] - 1).astype(np.float64)
-    y = (degree[e[:, 1]] - 1).astype(np.float64)
+    a, b, _, _ = g._mutual_arrays()
+    degree = np.bincount(a, minlength=g.vertex_count) + np.bincount(b, minlength=g.vertex_count)
+    x = (degree[a] - 1).astype(np.float64)
+    y = (degree[b] - 1).astype(np.float64)
     # Both orientations per dyad, so the correlation is endpoint-symmetric.
-    return np.concatenate([x, y]), np.concatenate([y, x]), 2 * len(edges)
+    return np.concatenate([x, y]), np.concatenate([y, x]), 2 * len(a)
 
 
 def _full_arc_pairs(g: WeightedDigraph) -> tuple[np.ndarray, np.ndarray, int]:
-    neighbor_sets: list[set[int]] = [set() for _ in range(g.vertex_count)]
-    arcs: list[tuple[int, int]] = []
-    for src, dst, _ in g.arcs():
-        arcs.append((src, dst))
-        neighbor_sets[src].add(dst)
-        neighbor_sets[dst].add(src)
-    if not arcs:
-        return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.float64), 0
-    degree = np.asarray([len(s) for s in neighbor_sets], dtype=np.int64)
-    e = np.asarray(arcs, dtype=np.int64)
-    x = (degree[e[:, 0]] - 1).astype(np.float64)
-    y = (degree[e[:, 1]] - 1).astype(np.float64)
-    return x, y, len(arcs)
+    src, dst, v = g._sources(), g._indices, g.vertex_count
+    # Undirected neighbors: out plus in, less the mutual partners counted twice.
+    mutual_out = src[g._reverse_arcs() >= 0]
+    degree = np.bincount(np.concatenate([src, dst]), minlength=v) - np.bincount(mutual_out, minlength=v)
+    x = (degree[src] - 1).astype(np.float64)
+    y = (degree[dst] - 1).astype(np.float64)
+    return x, y, len(src)
 
 
 def degree_assortativity(g: WeightedDigraph, mutual_only: bool = True) -> AssortativityResult:
@@ -253,42 +286,21 @@ class ReciprocityHistogram:
         ]
 
 
+def _histogram(r: np.ndarray, classes: np.ndarray, bin_width: float) -> ReciprocityHistogram:
+    if not bin_width > 0:
+        raise DomainError(f"bin width must be positive, got {bin_width}")
+    counts = tuple(np.bincount((r // bin_width).astype(np.int64)).tolist())
+    by_class = np.bincount(classes, minlength=len(_CLASSES)).tolist()
+    shares = tuple(c / len(r) for c in by_class) if len(r) else (0.0, 0.0, 0.0)
+    return ReciprocityHistogram(bin_width, counts, len(r), shares)
+
+
 def reciprocity_distribution(
     records: Iterable[ReciprocityRecord],
     bin_width: float = DEFAULT_BIN_WIDTH,
 ) -> ReciprocityHistogram:
     """Bin reciprocity scores and tally the three class shares."""
-    if not bin_width > 0:
-        raise DomainError(f"bin width must be positive, got {bin_width}")
-    counts: list[int] = []
-    by_class = {c: 0 for c in DyadClass}
-    total = 0
-    for rec in records:
-        idx = int(rec.r_value // bin_width)
-        if idx >= len(counts):
-            counts.extend([0] * (idx + 1 - len(counts)))
-        counts[idx] += 1
-        by_class[rec.dyad_class] += 1
-        total += 1
-    if total:
-        proportions = (
-            by_class[DyadClass.RECIPROCAL] / total,
-            by_class[DyadClass.PARTIALLY_RECIPROCAL] / total,
-            by_class[DyadClass.NON_RECIPROCAL] / total,
-        )
-    else:
-        proportions = (0.0, 0.0, 0.0)
-    return ReciprocityHistogram(
-        bin_width=bin_width,
-        counts=tuple(counts),
-        total=total,
-        class_proportions=proportions,
-    )
-
-
-def mean_median_r(records: Sequence[ReciprocityRecord]) -> tuple[float | None, float | None]:
-    """Mean and median score over a record sweep; (None, None) when empty."""
-    if not records:
-        return None, None
-    values = np.fromiter((rec.r_value for rec in records), dtype=np.float64, count=len(records))
-    return float(values.mean()), float(np.median(values))
+    records = list(records)
+    r = np.array([rec.r_value for rec in records], dtype=np.float64)
+    classes = np.array([_CLASSES.index(rec.dyad_class) for rec in records], dtype=np.int64)
+    return _histogram(r, classes, bin_width)

@@ -27,6 +27,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DomainError, IntegrityError, UndefinedCorrelationError
 from .graph import WeightedDigraph
 from .metrics import degree_assortativity
@@ -80,14 +82,6 @@ class RegimeSet:
         ]
 
 
-REGIME_LABELS = (
-    "observed",
-    "observed_equidispersed",
-    "rewired",
-    "rewired_equidispersed",
-)
-
-
 def equidisperse(g: WeightedDigraph) -> WeightedDigraph:
     """Replace every arc weight from v with out_strength(v)/out_degree(v).
 
@@ -95,19 +89,8 @@ def equidisperse(g: WeightedDigraph) -> WeightedDigraph:
     normalized weight equals 1/out-degree, so each mutual dyad's reciprocity
     score depends only on the two out-degrees.
     """
-    arcs = []
-    for v in range(g.vertex_count):
-        k = g.out_degree(v)
-        if k == 0:
-            continue
-        share = g.out_strength(v) / k
-        for dst, _ in g.out_neighbors(v):
-            arcs.append((v, dst, share))
-    return WeightedDigraph.from_dense_arcs(g.vertex_count, arcs, g.external_ids)
-
-
-def _mutual_backbone(g: WeightedDigraph) -> list[tuple[int, int]]:
-    return [(d.a, d.b) for d in g.mutual_dyads()]
+    src = g._sources()
+    return g._reweighted(g._out_strength[src] / np.bincount(src)[src])
 
 
 def reattach_weights(
@@ -124,32 +107,25 @@ def reattach_weights(
     if rewired.vertex_count != original.vertex_count:
         raise IntegrityError("vertex counts differ between rewired and original graphs")
     v_count = original.vertex_count
-    orig_partners: list[list[int]] = [[] for _ in range(v_count)]
-    for a, b in _mutual_backbone(original):
-        orig_partners[a].append(b)
-        orig_partners[b].append(a)
-    new_partners: list[list[int]] = [[] for _ in range(v_count)]
-    mutual_pairs = set()
-    for a, b in _mutual_backbone(rewired):
-        new_partners[a].append(b)
-        new_partners[b].append(a)
-        mutual_pairs.add((a, b))
-    arcs: list[tuple[int, int, float]] = []
-    for v in range(v_count):
-        if len(orig_partners[v]) != len(new_partners[v]):
-            raise IntegrityError(
-                f"mutual degree of vertex {v} changed: "
-                f"{len(orig_partners[v])} -> {len(new_partners[v])}"
-            )
-        weights = [original.weight(v, u) for u in orig_partners[v]]
-        rng.shuffle(weights)
-        arcs.extend((v, u, w) for u, w in zip(new_partners[v], weights))
-        # One-way arcs keep their endpoints and weights.
-        for dst, w in rewired.out_neighbors(v):
-            key = (v, dst) if v < dst else (dst, v)
-            if key not in mutual_pairs:
-                arcs.append((v, dst, w))
-    return WeightedDigraph.from_dense_arcs(v_count, arcs, rewired.external_ids)
+    # Mutual arcs in CSR order: grouped by source, partners ascending.
+    orig_mutual = original._reverse_arcs() >= 0
+    new_mutual = rewired._reverse_arcs() >= 0
+    orig_deg = np.bincount(original._sources()[orig_mutual], minlength=v_count)
+    new_deg = np.bincount(rewired._sources()[new_mutual], minlength=v_count)
+    if (orig_deg != new_deg).any():
+        v = int(np.argmax(orig_deg != new_deg))
+        raise IntegrityError(f"mutual degree of vertex {v} changed: {orig_deg[v]} -> {new_deg[v]}")
+    weights = original._weights[orig_mutual].tolist()
+    bounds = np.concatenate([[0], np.cumsum(orig_deg)]).tolist()
+    # One shuffle per vertex, in vertex order (lists shorter than 2 draw nothing).
+    for v in np.flatnonzero(orig_deg >= 2).tolist():
+        part = weights[bounds[v] : bounds[v + 1]]
+        rng.shuffle(part)
+        weights[bounds[v] : bounds[v + 1]] = part
+    # One-way arcs keep their endpoints and weights.
+    new_weights = rewired._weights.copy()
+    new_weights[new_mutual] = weights
+    return rewired._reweighted(new_weights)
 
 
 def maslov_sneppen_rewire(
@@ -171,26 +147,23 @@ def maslov_sneppen_rewire(
         cfg = RegimeConfig(destroy_assortativity=True, impose_equidispersion=False)
     if rng is None:
         rng = random.Random(cfg.seed)
-    edges = _mutual_backbone(g)
+    a_col, b_col, _, _ = g._mutual_arrays()
+    edges = list(zip(a_col.tolist(), b_col.tolist()))
     edge_count = len(edges)
     if edge_count < 2:
         raise DomainError("rewiring needs at least 2 mutual dyads")
 
     adjacency: list[set[int]] = [set() for _ in range(g.vertex_count)]
-    edge_set: set[tuple[int, int]] = set()
     for a, b in edges:
         adjacency[a].add(b)
         adjacency[b].add(a)
-        edge_set.add((a, b))
 
     # Pairs carrying a one-way arc are off limits for new backbone edges:
     # landing on one would merge it into a mutual dyad and change the census.
-    blocked: set[tuple[int, int]] = set()
-    if keep_one_way:
-        for src, dst, _ in g.arcs():
-            key = (src, dst) if src < dst else (dst, src)
-            if key not in edge_set:
-                blocked.add(key)
+    one_way = (g._reverse_arcs() < 0) & keep_one_way
+    one_src, one_dst = g._sources()[one_way], g._indices[one_way]
+    lo, hi = np.minimum(one_src, one_dst), np.maximum(one_src, one_dst)
+    blocked = set(zip(lo.tolist(), hi.tolist()))
 
     # The degree sequence is invariant under swaps, so the Pearson correlation
     # over endpoint pairs reduces to a running sum of excess-degree products.
@@ -230,12 +203,6 @@ def maslov_sneppen_rewire(
                 e1 = (a, d) if a < d else (d, a)
                 e2 = (c, b) if c < b else (b, c)
                 if e1 != e2 and e1 not in blocked and e2 not in blocked:
-                    old1 = (a, b) if a < b else (b, a)
-                    old2 = (c, d) if c < d else (d, c)
-                    edge_set.discard(old1)
-                    edge_set.discard(old2)
-                    edge_set.add(e1)
-                    edge_set.add(e2)
                     adjacency[a].discard(b)
                     adjacency[b].discard(a)
                     adjacency[c].discard(d)
@@ -262,17 +229,15 @@ def maslov_sneppen_rewire(
             warning="no acceptable swap found; graph returned unchanged",
         )
 
-    arcs: list[tuple[int, int, float]] = []
-    for a, b in edges:
-        arcs.append((a, b, 1.0))
-        arcs.append((b, a, 1.0))
-    if keep_one_way:
-        mutual_before = set(_mutual_backbone(g))
-        for src, dst, w in g.arcs():
-            key = (src, dst) if src < dst else (dst, src)
-            if key not in mutual_before:
-                arcs.append((src, dst, w))
-    skeleton = WeightedDigraph.from_dense_arcs(g.vertex_count, arcs, g.external_ids)
+    e = np.array(edges, dtype=np.int64)
+    ones = np.ones(edge_count)
+    skeleton = WeightedDigraph.from_columns(
+        g.vertex_count,
+        np.concatenate([e[:, 0], e[:, 1], one_src]),
+        np.concatenate([e[:, 1], e[:, 0], one_dst]),
+        np.concatenate([ones, ones, g._weights[one_way]]),
+        g.external_ids,
+    )
     result = reattach_weights(skeleton, g, rng)
 
     try:
@@ -285,23 +250,6 @@ def maslov_sneppen_rewire(
         accepted_swaps=accepted,
         residual_assortativity=residual,
     )
-
-
-def apply_regime(
-    g: WeightedDigraph,
-    cfg: RegimeConfig,
-    rng: random.Random | None = None,
-    keep_one_way: bool = True,
-) -> tuple[WeightedDigraph, RewireOutcome | None]:
-    """Build one comparison network; (False, False) returns the input as is."""
-    outcome = None
-    out = g
-    if cfg.destroy_assortativity:
-        outcome = maslov_sneppen_rewire(g, cfg, rng, keep_one_way=keep_one_way)
-        out = outcome.graph
-    if cfg.impose_equidispersion:
-        out = equidisperse(out)
-    return out, outcome
 
 
 def four_regimes(

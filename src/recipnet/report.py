@@ -21,11 +21,9 @@ from .graph import DyadCensus, WeightedDigraph
 from .metrics import (
     AssortativityResult,
     ReciprocityHistogram,
-    concentration_scores,
+    concentration_arrays,
     degree_assortativity,
-    mean_median_r,
-    reciprocity_distribution,
-    reciprocity_records,
+    dyad_scores,
     DEFAULT_BIN_WIDTH,
 )
 from .nullmodels import DEFAULT_SWAP_MULTIPLIER, RegimeSet, RewireOutcome, four_regimes
@@ -90,25 +88,19 @@ def analyze(
     regime: str = "observed",
     seed: int | None = None,
     bin_width: float = DEFAULT_BIN_WIDTH,
-    threads: int = 1,
 ) -> AnalysisReport:
-    """Run the full per-network measurement sweep."""
-    records = reciprocity_records(g, threads=threads)
-    histogram = reciprocity_distribution(records, bin_width=bin_width)
-    mean_r, median_r = mean_median_r(records)
+    """Run the full per-network measurement sweep on the graph's arrays."""
+    scores = dyad_scores(g)
+    histogram = scores.histogram(bin_width)
+    r = scores.r_value
+    mean_r, median_r = (float(r.mean()), float(np.median(r))) if len(r) else (None, None)
     try:
         assort: AssortativityResult | None = degree_assortativity(g, mutual_only=True)
     except (UndefinedCorrelationError, DomainError):
         # Too few pairs or zero degree variance: report the rest without r.
         assort = None
-    scores = concentration_scores(g)
-    if scores:
-        values = np.asarray([s.h_star for s in scores])
-        quantiles = tuple(
-            (q, float(np.quantile(values, q))) for q in H_STAR_QUANTILES
-        )
-    else:
-        quantiles = ()
+    h_star = concentration_arrays(g)[2]
+    quantiles = tuple((q, float(np.quantile(h_star, q))) for q in H_STAR_QUANTILES) if len(h_star) else ()
     return AnalysisReport(
         census=g.dyad_census(),
         vertex_count=g.vertex_count,
@@ -170,12 +162,11 @@ def run_regime_comparison(
     seed: int = 0,
     swap_multiplier: int = DEFAULT_SWAP_MULTIPLIER,
     bin_width: float = DEFAULT_BIN_WIDTH,
-    threads: int = 1,
 ) -> RegimeComparison:
     """Build the four comparison networks, analyze each, judge the ordering."""
     regimes = four_regimes(g, seed=seed, swap_multiplier=swap_multiplier)
     reports = {
-        label: analyze(graph, regime=label, seed=seed, bin_width=bin_width, threads=threads)
+        label: analyze(graph, regime=label, seed=seed, bin_width=bin_width)
         for label, graph in regimes.items()
     }
     means = {label: rep.mean_r for label, rep in reports.items()}

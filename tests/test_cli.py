@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -228,3 +232,20 @@ class TestExitCodes:
             )
             == EXIT_VALIDATION
         )
+
+
+def test_cli_import_stays_light():
+    # Start-up cost: the CLI must not pull in heavy or unused modules.
+    heavy = ("scipy", "networkx", "concurrent.futures")
+    code = f"import sys, recipnet.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    cmd = [sys.executable, "-c", code]
+    out = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_threads_flag_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        main(["census", str(tmp_path / "g.csv"), "--threads", "2"])
+    assert "--threads" in capsys.readouterr().err

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -205,3 +206,34 @@ class TestConstruction:
     def test_mutual_dyad_validates_orientation(self):
         with pytest.raises(DomainError):
             MutualDyad(2, 1, 1.0, 1.0)
+
+
+class TestVertexIds:
+    def test_numpy_integer_ids_accepted(self):
+        b = GraphBuilder()
+        b.add_arc("x", "y", 2.0)
+        b.add_arc("y", "x", 1.0)
+        g = b.build()
+        assert g.out_degree(np.int64(0)) == 1
+        assert g.weight(np.int64(0), np.int64(1)) == 2.0
+        assert g.external_label(np.int64(1)) == "y"
+
+    def test_non_integer_ids_rejected(self):
+        g = WeightedDigraph.from_dense_arcs(2, [(0, 1, 1.0)])
+        for bad in (0.0, np.float64(0.0), "0", None, np.int64(2)):
+            with pytest.raises(DomainError):
+                g.out_degree(bad)
+
+
+class TestNonFiniteWeights:
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf])
+    def test_from_dense_arcs_rejects(self, bad):
+        with pytest.raises(DomainError):
+            WeightedDigraph.from_dense_arcs(2, [(0, 1, 1.0), (1, 0, bad)])
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_builder_rejects(self, bad):
+        b = GraphBuilder()
+        with pytest.raises(DomainError):
+            b.add_arc("a", "b", bad)
+        assert b.distinct_arcs == 0

@@ -6,6 +6,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recipnet.errors import FormatError
 from recipnet.graph import GraphBuilder
@@ -202,3 +204,65 @@ class TestSnapshots:
         loaded = load_edge_list(path)
         assert loaded.weight(0, 1) == graph.weight(0, 1)
         assert loaded.weight(1, 0) == graph.weight(1, 0)
+
+
+class TestHostileInput:
+    def test_non_finite_weight_rejected_with_line_number(self, tmp_path):
+        path = tmp_path / "graph.csv"
+        for text in ("inf", "nan", "-inf"):
+            path.write_text(f"# seed=1\nsrc,dst,weight\na,b,1\nb,a,{text}\n", encoding="utf-8")
+            with pytest.raises(FormatError, match=r"graph\.csv:4: "):
+                load_edge_list(path)
+
+    def test_hash_label_after_header_is_an_arc(self, tmp_path):
+        path = tmp_path / "graph.csv"
+        path.write_text("# tool=x\nsrc,dst,weight\n#a,b,1\nb,#a,2\nc,b,3\n", encoding="utf-8")
+        g = load_edge_list(path)
+        assert g.arc_count == 3
+        assert g.external_ids == ("#a", "b", "c")
+
+    def test_hash_label_round_trip(self, tmp_path):
+        b = GraphBuilder()
+        b.add_arc("#x", "y", 1.0)
+        b.add_arc("y", "#x", 2.0)
+        b.add_arc("z", "#x", 3.0)
+        g = b.build()
+        path = tmp_path / "graph.csv"
+        save_snapshot(g, path)
+        assert load_edge_list(path) == g
+
+    @pytest.mark.parametrize("label", ["a,b", "a\nb", "a\rb", "x\n"])
+    def test_unwritable_label_rejected_before_writing(self, tmp_path, label):
+        b = GraphBuilder()
+        b.add_arc(label, "ok", 1.0)
+        path = tmp_path / "graph.csv"
+        with pytest.raises(FormatError):
+            save_snapshot(b.build(), path)
+        assert not path.exists()
+        assert not sidecar_path(path).exists()
+
+    @given(
+        st.lists(
+            st.text(alphabet="#,\n 0123456789", max_size=4), min_size=2, max_size=6, unique=True
+        ),
+        st.lists(
+            st.tuples(st.integers(0, 5), st.integers(0, 5), st.floats(1e-300, 1e300)),
+            max_size=15,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_save_load_identity_or_up_front_error(self, tmp_path_factory, labels, arcs):
+        b = GraphBuilder()
+        for label in labels:
+            b.add_vertex(label)
+        for i, j, w in arcs:
+            b.add_arc(labels[i % len(labels)], labels[j % len(labels)], w)
+        g = b.build()
+        path = tmp_path_factory.mktemp("hostile") / "graph.csv"
+        if any("," in s or "\n" in s for s in labels):
+            with pytest.raises(FormatError):
+                save_snapshot(g, path)
+            assert not path.exists()
+        else:
+            save_snapshot(g, path)
+            assert load_edge_list(path) == g

@@ -137,12 +137,11 @@ class TestReciprocity:
             after = reciprocity(scaled, (d.a, d.b)).r_value
             assert abs(before - after) <= 1e-12 * max(1.0, before)
 
-    def test_records_sweep_matches_singles_and_threads(self):
+    def test_records_sweep_matches_singles(self):
         g = random_digraph(random.Random(21), 60, mutual_bias=0.8)
-        seq = reciprocity_records(g)
-        par = reciprocity_records(g, threads=4)
-        assert seq == par
-        assert [r.dyad for r in seq] == list(g.mutual_dyads())
+        swept = reciprocity_records(g)
+        assert [r.dyad for r in swept] == list(g.mutual_dyads())
+        assert swept == [reciprocity(g, (rec.dyad.a, rec.dyad.b)) for rec in swept]
 
 
 class TestClassify:
