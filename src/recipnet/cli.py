@@ -39,10 +39,13 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_DEGENERATE = 4
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+def _common_flags(p: argparse.ArgumentParser, seed: bool = False, fmt: bool = False) -> None:
+    """--strict everywhere; --seed and --format only where the command reads them."""
     p.add_argument("--strict", action="store_true", help="escalate warnings to errors")
-    p.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
+    if seed:
+        p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    if fmt:
+        p.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -60,13 +63,19 @@ def _warn_or_raise(strict: bool, message: str) -> None:
 
 
 class _OutputLock:
-    """Guards an output directory against concurrent CLI runs."""
+    """Guards an output directory against concurrent CLI runs.
+
+    The lockfile holds the owner's pid; a lockfile whose pid no longer
+    exists is reclaimed, anything else blocks.
+    """
 
     def __init__(self, directory: Path) -> None:
         self._path = directory / ".recipnet.lock"
         self._fd: int | None = None
 
     def __enter__(self) -> "_OutputLock":
+        if self._holder_is_dead():  # left behind by a crashed run
+            self._path.unlink(missing_ok=True)
         try:
             self._fd = os.open(self._path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
@@ -76,6 +85,18 @@ class _OutputLock:
             ) from None
         os.write(self._fd, str(os.getpid()).encode())
         return self
+
+    def _holder_is_dead(self) -> bool:
+        """True only if the lockfile names a pid that no longer exists."""
+        try:
+            pid = int(self._path.read_text())
+            if pid > 0:
+                os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        except (OSError, ValueError, OverflowError):
+            pass
+        return False
 
     def __exit__(self, *exc: object) -> None:
         if self._fd is not None:
@@ -369,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--swap-multiplier", type=int, default=DEFAULT_SWAP_MULTIPLIER)
-    _common_flags(p)
+    _common_flags(p, seed=True)
     p.set_defaults(func=_cmd_rewire)
 
     p = sub.add_parser("regimes", help="four-network comparison with ordering verdict")
@@ -384,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="repeat with consecutive seeds and summarize spread across runs",
     )
-    _common_flags(p)
+    _common_flags(p, seed=True, fmt=True)
     p.set_defaults(func=_cmd_regimes)
 
     p = sub.add_parser("synth", help="generate a synthetic network")
@@ -393,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree-dist", default="poisson:8", help="powerlaw:G, poisson:M or regular:K")
     p.add_argument("--assortativity", type=float, default=0.0)
     p.add_argument("--dispersion", type=float, default=0.0)
-    _common_flags(p)
+    _common_flags(p, seed=True)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("report", help="full analysis report for one graph")
@@ -401,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.add_argument("--regime", default="observed", help="regime label for provenance")
     p.add_argument("--bin-width", type=float, default=DEFAULT_BIN_WIDTH)
-    _common_flags(p)
+    _common_flags(p, seed=True, fmt=True)
     p.set_defaults(func=_cmd_report)
 
     return parser

@@ -22,7 +22,6 @@ import bisect
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -33,13 +32,6 @@ from .graph import GraphBuilder, WeightedDigraph
 EVENT_HEADER = "timestamp,caller,callee"
 GRAPH_HEADER = "src,dst,weight"
 VERTEX_HEADER = "external_id,dense_id"
-
-
-@dataclass(frozen=True)
-class CallEvent:
-    caller: str
-    callee: str
-    timestamp: float | None = None
 
 
 @dataclass
@@ -57,67 +49,17 @@ class IngestStats:
     arcs: int = 0
 
 
-def _graph_from_counts(counts: dict[tuple[str, str], int]) -> WeightedDigraph:
-    builder = GraphBuilder()
-    for (caller, callee), n in counts.items():
-        builder.add_arc(caller, callee, float(n))
-    return builder.build()
-
-
-def aggregate_events(
-    events: Iterable[CallEvent],
-    strict: bool = False,
-) -> tuple[WeightedDigraph, IngestStats]:
-    """Count events per ordered (caller, callee) pair into arc weights.
-
-    Self-calls are dropped and counted (in strict mode they abort). The
-    result is independent of event order: arc weights are sums and the dense
-    id mapping comes from sorting the distinct ids.
-    """
-    stats = IngestStats()
-    counts: dict[tuple[str, str], int] = {}
-    for ev in events:
-        stats.events_read += 1
-        if ev.caller == ev.callee:
-            if strict:
-                raise FormatError(f"self-call for id {ev.caller!r}")
-            stats.self_calls_dropped += 1
-            continue
-        key = (ev.caller, ev.callee)
-        counts[key] = counts.get(key, 0) + 1
-    g = _graph_from_counts(counts)
-    stats.vertices = g.vertex_count
-    stats.arcs = g.arc_count
-    return g, stats
-
-
-def read_events(path: str | Path, strict: bool = False) -> Iterator[CallEvent]:
-    """Parse an events file, skipping (or aborting on, in strict mode) bad lines."""
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        header = f.readline().rstrip("\r\n")
-        if header != EVENT_HEADER:
-            raise FormatError(f"expected header {EVENT_HEADER!r}, got {header!r}")
-        for lineno, line in enumerate(f, start=2):
-            fields = line.rstrip("\r\n").split(",")
-            if len(fields) != 3 or not fields[1] or not fields[2]:
-                if strict:
-                    raise FormatError(f"{path}:{lineno}: malformed event line")
-                continue
-            ts_text, caller, callee = fields
-            ts = float(ts_text) if ts_text else None
-            yield CallEvent(caller=caller, callee=callee, timestamp=ts)
-
-
 def aggregate_event_file(
     path: str | Path,
     strict: bool = False,
 ) -> tuple[WeightedDigraph, IngestStats]:
-    """One-pass parse-and-aggregate of an events file.
+    """Count events per ordered (caller, callee) pair into arc weights, in one pass.
 
-    Equivalent to ``aggregate_events(read_events(path))`` but avoids building
-    an event object per line, which matters at tens of millions of events.
+    Malformed lines and self-calls are dropped and counted (in strict mode
+    they abort); the timestamp field is not parsed. The result is
+    independent of line order: arc weights are sums and the dense id mapping
+    comes from sorting the distinct ids.
     """
-    stats = IngestStats()
     counts: dict[tuple[str, str], int] = {}
     get = counts.get
     with open(path, "r", encoding="utf-8", newline="") as f:
@@ -144,13 +86,11 @@ def aggregate_event_file(
                 continue
             key = (caller, callee)
             counts[key] = get(key, 0) + 1
-    stats.events_read = read
-    stats.self_calls_dropped = dropped
-    stats.malformed_lines = malformed
-    g = _graph_from_counts(counts)
-    stats.vertices = g.vertex_count
-    stats.arcs = g.arc_count
-    return g, stats
+    builder = GraphBuilder()
+    for (caller, callee), n in counts.items():
+        builder.add_arc(caller, callee, float(n))
+    g = builder.build()
+    return g, IngestStats(read, dropped, malformed, g.vertex_count, g.arc_count)
 
 
 def sidecar_path(path: str | Path) -> Path:

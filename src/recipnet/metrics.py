@@ -112,10 +112,10 @@ def reciprocity(g: WeightedDigraph, dyad: MutualDyad | tuple[int, int]) -> Recip
         raise MissingArcError(f"pair ({a}, {b}) is not mutual; reciprocity is undefined")
     w_ab = g.weight(a, b)
     w_ba = g.weight(b, a)
-    p_ab = w_ab / g.out_strength(a)
-    p_ba = w_ba / g.out_strength(b)
-    r = abs(math.log(p_ab) - math.log(p_ba))
-    return ReciprocityRecord(MutualDyad(a, b, w_ab, w_ba), p_ab, p_ba, r, classify(r))
+    s_a = g.out_strength(a)
+    s_b = g.out_strength(b)
+    r = reciprocity_value(w_ab, w_ba, s_a, s_b)
+    return ReciprocityRecord(MutualDyad(a, b, w_ab, w_ba), w_ab / s_a, w_ba / s_b, r, classify(r))
 
 
 class DyadScores(NamedTuple):

@@ -17,21 +17,22 @@ empty the set of dyads the reciprocity analysis is about. One-way arcs are
 carried through unchanged by default (they still contribute to vertex
 strength) and can be dropped with ``keep_one_way=False``.
 
-All randomness comes from a caller-supplied or seed-constructed
-``random.Random`` (Mersenne Twister); one seed reproduces a whole regime
-construction bit for bit.
+The swap loop itself is :func:`_swap_chain`, shared with the synthetic
+generator, which uses it to plant assortativity instead of removing it.
+
+All randomness comes from a caller-supplied or seed-constructed numpy
+``Generator`` (PCG64, as in the synthetic generator); one seed reproduces a
+whole regime construction bit for bit.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, IntegrityError, UndefinedCorrelationError
+from .errors import DomainError, IntegrityError
 from .graph import WeightedDigraph
-from .metrics import degree_assortativity
 
 #: Rewiring stops early once |assortativity| of the evolving backbone drops
 #: below this, checked every edge_count/10 attempts.
@@ -96,7 +97,7 @@ def equidisperse(g: WeightedDigraph) -> WeightedDigraph:
 def reattach_weights(
     rewired: WeightedDigraph,
     original: WeightedDigraph,
-    rng: random.Random,
+    rng: np.random.Generator,
 ) -> WeightedDigraph:
     """Permute each vertex's original mutual out-weights onto its new neighbors.
 
@@ -110,124 +111,146 @@ def reattach_weights(
     # Mutual arcs in CSR order: grouped by source, partners ascending.
     orig_mutual = original._reverse_arcs() >= 0
     new_mutual = rewired._reverse_arcs() >= 0
-    orig_deg = np.bincount(original._sources()[orig_mutual], minlength=v_count)
+    orig_src = original._sources()[orig_mutual]
+    orig_deg = np.bincount(orig_src, minlength=v_count)
     new_deg = np.bincount(rewired._sources()[new_mutual], minlength=v_count)
     if (orig_deg != new_deg).any():
         v = int(np.argmax(orig_deg != new_deg))
         raise IntegrityError(f"mutual degree of vertex {v} changed: {orig_deg[v]} -> {new_deg[v]}")
-    weights = original._weights[orig_mutual].tolist()
-    bounds = np.concatenate([[0], np.cumsum(orig_deg)]).tolist()
-    # One shuffle per vertex, in vertex order (lists shorter than 2 draw nothing).
-    for v in np.flatnonzero(orig_deg >= 2).tolist():
-        part = weights[bounds[v] : bounds[v + 1]]
-        rng.shuffle(part)
-        weights[bounds[v] : bounds[v + 1]] = part
+    # Sorting by (source, random key) shuffles every vertex's weights at once.
+    order = np.lexsort((rng.random(len(orig_src)), orig_src))
     # One-way arcs keep their endpoints and weights.
     new_weights = rewired._weights.copy()
-    new_weights[new_mutual] = weights
+    new_weights[new_mutual] = original._weights[orig_mutual][order]
     return rewired._reweighted(new_weights)
+
+
+def _swap_chain(
+    edges: list[tuple[int, int]],
+    vertex_count: int,
+    rng: np.random.Generator,
+    budget: int,
+    target: float,
+    tolerance: float,
+    check_every: int,
+    blocked: frozenset[tuple[int, int]] = frozenset(),
+    toward_target: bool = False,
+) -> tuple[list[tuple[int, int]], int, int, float | None]:
+    """Degree-preserving edge swaps on an undirected edge list (a < b per edge).
+
+    Each attempt picks two edges (a-b), (c-d) uniformly, orients each by a
+    coin flip, and proposes (a-d), (c-b). A proposal is invalid if it would
+    create a self-loop or a duplicate edge or land on a ``blocked`` pair.
+    Every valid proposal is accepted, unless ``toward_target`` is set: then
+    only proposals that bring the degree assortativity r closer to
+    ``target`` are. Randomness is drawn ``check_every`` attempts at a time;
+    after each such chunk the chain stops once |r - target| < ``tolerance``,
+    and it never runs past ``budget`` attempts.
+
+    Degrees never change, so Newman's r (the Pearson correlation of the
+    endpoint degrees, each edge counted both ways; using excess degrees
+    instead does not change it) follows from a running sum of degree
+    products. Exact integer sums make the returned r the
+    correctly rounded value for the final edge list, or None when every
+    endpoint has the same degree. Returns (edges, attempted, accepted, r).
+    """
+    edges = list(edges)
+    present = set(edges)
+    m = len(edges)
+    deg = np.bincount(np.array(edges, dtype=np.int64).ravel(), minlength=vertex_count).tolist()
+    n = 2 * m
+    s1 = sum(deg[a] + deg[b] for a, b in edges)
+    denom = n * sum(deg[a] ** 2 + deg[b] ** 2 for a, b in edges) - s1 * s1
+    sxy = sum(deg[a] * deg[b] for a, b in edges)
+
+    def r_of(s: int) -> float | None:
+        return (2 * n * s - s1 * s1) / denom if denom > 0 else None
+
+    if toward_target and denom <= 0:  # r is undefined, so no swap can move it
+        return edges, 0, 0, None
+    # r rises linearly with the running sum; this sum gives r == target.
+    s_target = (target * denom + s1 * s1) / (2 * n) if denom > 0 else 0.0
+
+    attempted = accepted = 0
+    while attempted < budget:
+        chunk = min(check_every, budget - attempted)
+        picks = rng.integers(0, m, (chunk, 2)).tolist()
+        flips = (rng.random((chunk, 2)) < 0.5).tolist()
+        attempted += chunk
+        for (i1, i2), (f1, f2) in zip(picks, flips):
+            if i1 == i2:
+                continue
+            a, b = edges[i1]
+            c, d = edges[i2]
+            if f1:
+                a, b = b, a
+            if f2:
+                c, d = d, c
+            if a == d or c == b:
+                continue
+            e1 = (a, d) if a < d else (d, a)
+            e2 = (c, b) if c < b else (b, c)
+            if e1 == e2 or e1 in present or e2 in present or e1 in blocked or e2 in blocked:
+                continue
+            # Replacing (a-b), (c-d) by (a-d), (c-b) moves the sum of degree products by:
+            new_sxy = sxy + (deg[a] - deg[c]) * (deg[d] - deg[b])
+            if toward_target and abs(new_sxy - s_target) >= abs(sxy - s_target):
+                continue
+            present.remove(edges[i1])
+            present.remove(edges[i2])
+            present.add(e1)
+            present.add(e2)
+            edges[i1] = e1
+            edges[i2] = e2
+            sxy = new_sxy
+            accepted += 1
+        r = r_of(sxy)
+        if r is not None and abs(r - target) < tolerance:
+            break
+    return edges, attempted, accepted, r_of(sxy)
 
 
 def maslov_sneppen_rewire(
     g: WeightedDigraph,
     cfg: RegimeConfig | None = None,
-    rng: random.Random | None = None,
+    rng: np.random.Generator | None = None,
     keep_one_way: bool = True,
 ) -> RewireOutcome:
     """Degree-preserving randomization of the mutual-dyad backbone.
 
-    Repeatedly picks two backbone edges (a-b), (c-d) uniformly and proposes
-    (a-d), (c-b); a proposal is rejected if it would create a self-loop or a
-    duplicate edge. The per-vertex degree sequence is untouched. Directed
-    weights are put back with :func:`reattach_weights` using the same RNG.
-    Runs for ``swap_multiplier * edge_count`` attempts, stopping early once
-    the backbone's assortativity is neutral (|r| < 0.005).
+    Runs :func:`_swap_chain` on the backbone, accepting every valid swap, for
+    ``swap_multiplier * edge_count`` attempts, stopping early once the
+    backbone's assortativity is neutral (|r| < 0.005). Directed weights are
+    put back with :func:`reattach_weights` using the same RNG.
     """
     if cfg is None:
         cfg = RegimeConfig(destroy_assortativity=True, impose_equidispersion=False)
     if rng is None:
-        rng = random.Random(cfg.seed)
+        rng = np.random.default_rng(cfg.seed)
     a_col, b_col, _, _ = g._mutual_arrays()
-    edges = list(zip(a_col.tolist(), b_col.tolist()))
-    edge_count = len(edges)
+    edge_count = len(a_col)
     if edge_count < 2:
         raise DomainError("rewiring needs at least 2 mutual dyads")
-
-    adjacency: list[set[int]] = [set() for _ in range(g.vertex_count)]
-    for a, b in edges:
-        adjacency[a].add(b)
-        adjacency[b].add(a)
 
     # Pairs carrying a one-way arc are off limits for new backbone edges:
     # landing on one would merge it into a mutual dyad and change the census.
     one_way = (g._reverse_arcs() < 0) & keep_one_way
     one_src, one_dst = g._sources()[one_way], g._indices[one_way]
     lo, hi = np.minimum(one_src, one_dst), np.maximum(one_src, one_dst)
-    blocked = set(zip(lo.tolist(), hi.tolist()))
 
-    # The degree sequence is invariant under swaps, so the Pearson correlation
-    # over endpoint pairs reduces to a running sum of excess-degree products.
-    degree = [len(s) for s in adjacency]
-    x = [d - 1 for d in degree]
-    n_pairs = 2 * edge_count
-    sum_x = sum(x[a] + x[b] for a, b in edges)
-    sum_x2 = sum(x[a] ** 2 + x[b] ** 2 for a, b in edges)
-    mean = sum_x / n_pairs
-    var = sum_x2 / n_pairs - mean * mean
-    sum_xy = sum(x[a] * x[b] for a, b in edges)
-
-    def current_r() -> float | None:
-        if var <= 0.0:
-            return None
-        return (2 * sum_xy / n_pairs - mean * mean) / var
-
-    budget = cfg.swap_multiplier * edge_count
-    check_every = max(1, edge_count // 10)
-    attempted = 0
-    accepted = 0
-    randrange = rng.randrange
-    coin = rng.random
-    while attempted < budget:
-        attempted += 1
-        i1 = randrange(edge_count)
-        i2 = randrange(edge_count)
-        if i1 != i2:
-            a, b = edges[i1]
-            c, d = edges[i2]
-            if coin() < 0.5:
-                a, b = b, a
-            if coin() < 0.5:
-                c, d = d, c
-            # New edges: a-d and c-b.
-            if a != d and c != b and d not in adjacency[a] and b not in adjacency[c]:
-                e1 = (a, d) if a < d else (d, a)
-                e2 = (c, b) if c < b else (b, c)
-                if e1 != e2 and e1 not in blocked and e2 not in blocked:
-                    adjacency[a].discard(b)
-                    adjacency[b].discard(a)
-                    adjacency[c].discard(d)
-                    adjacency[d].discard(c)
-                    adjacency[a].add(d)
-                    adjacency[d].add(a)
-                    adjacency[c].add(b)
-                    adjacency[b].add(c)
-                    edges[i1] = e1
-                    edges[i2] = e2
-                    sum_xy += x[a] * x[d] + x[c] * x[b] - x[a] * x[b] - x[c] * x[d]
-                    accepted += 1
-        if attempted % check_every == 0:
-            r = current_r()
-            if r is not None and abs(r) < EARLY_STOP_R:
-                break
-
+    edges, attempted, accepted, residual = _swap_chain(
+        list(zip(a_col.tolist(), b_col.tolist())),
+        g.vertex_count,
+        rng,
+        budget=cfg.swap_multiplier * edge_count,
+        target=0.0,
+        tolerance=EARLY_STOP_R,
+        check_every=max(1, edge_count // 10),
+        blocked=frozenset(zip(lo.tolist(), hi.tolist())),
+    )
     if accepted == 0:
-        return RewireOutcome(
-            graph=g,
-            attempted_swaps=attempted,
-            accepted_swaps=0,
-            residual_assortativity=current_r(),
-            warning="no acceptable swap found; graph returned unchanged",
-        )
+        warning = "no acceptable swap found; graph returned unchanged"
+        return RewireOutcome(g, attempted, 0, residual, warning)
 
     e = np.array(edges, dtype=np.int64)
     ones = np.ones(edge_count)
@@ -238,18 +261,7 @@ def maslov_sneppen_rewire(
         np.concatenate([ones, ones, g._weights[one_way]]),
         g.external_ids,
     )
-    result = reattach_weights(skeleton, g, rng)
-
-    try:
-        residual = degree_assortativity(result, mutual_only=True).r
-    except UndefinedCorrelationError:
-        residual = None
-    return RewireOutcome(
-        graph=result,
-        attempted_swaps=attempted,
-        accepted_swaps=accepted,
-        residual_assortativity=residual,
-    )
+    return RewireOutcome(reattach_weights(skeleton, g, rng), attempted, accepted, residual)
 
 
 def four_regimes(

@@ -1,17 +1,19 @@
 """Synthetic mutual-dyad networks with tunable assortativity and dispersion.
 
 The generator builds an undirected configuration-model backbone, nudges its
-degree assortativity toward a target with accept/reject edge swaps, turns
-every edge into a mutual dyad, and finally draws each vertex's outgoing
-weights from a concentration-controlled random split of a drawn strength.
+degree assortativity toward a target with degree-preserving edge swaps (the
+rewiring kernel ``nullmodels._swap_chain``, accepting only swaps that bring
+r closer to the target), turns every edge into a mutual dyad, and finally
+draws each vertex's outgoing weights from a concentration-controlled random
+split of a drawn strength.
 
 The ``dispersion`` knob targets the mean normalized concentration score
 directly: the split is Dirichlet with per-vertex alpha = (1-d)/(d*k), whose
 expected normalized Herfindahl score equals d. dispersion 0 is an exact
 equal split; dispersion 1 puts essentially all weight on one neighbor.
 
-Everything is driven by one numpy PCG64 generator, so a seed fully
-determines the output graph.
+Everything is driven by one numpy PCG64 generator (the same family the
+null models use), so a seed fully determines the output graph.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 
 from .errors import DomainError
 from .graph import WeightedDigraph
+from .nullmodels import _swap_chain
 
 _TUNING_MULTIPLIER = 30
 _TUNING_TOLERANCE = 0.01
@@ -168,83 +171,6 @@ def _place_leftovers(
             break
 
 
-def _tune_assortativity(
-    edges: list[tuple[int, int]],
-    vertex_count: int,
-    target: float,
-    rng: np.random.Generator,
-) -> tuple[list[tuple[int, int]], float | None]:
-    """Greedy degree-preserving swaps driving the backbone's r toward target."""
-    adjacency: list[set[int]] = [set() for _ in range(vertex_count)]
-    for a, b in edges:
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    degree = [len(s) for s in adjacency]
-    x = [d - 1 for d in degree]
-    m = len(edges)
-    if m < 2:
-        return edges, None
-    n_pairs = 2 * m
-    mean = sum(x[a] + x[b] for a, b in edges) / n_pairs
-    var = sum(x[a] ** 2 + x[b] ** 2 for a, b in edges) / n_pairs - mean * mean
-    if var <= 0.0:
-        return edges, None
-    sum_xy = sum(x[a] * x[b] for a, b in edges)
-
-    def r_of(s_xy: float) -> float:
-        return (2 * s_xy / n_pairs - mean * mean) / var
-
-    budget = _TUNING_MULTIPLIER * m
-    # Batch the random draws; per-call Generator overhead dominates otherwise.
-    idx = rng.integers(0, m, size=2 * budget)
-    flips = rng.random(size=2 * budget)
-    pos = 0
-    for _ in range(budget):
-        current = r_of(sum_xy)
-        if abs(current - target) <= _TUNING_TOLERANCE:
-            break
-        i1 = int(idx[pos])
-        i2 = int(idx[pos + 1])
-        f1 = flips[pos]
-        f2 = flips[pos + 1]
-        pos += 2
-        if i1 == i2:
-            continue
-        a, b = edges[i1]
-        c, d = edges[i2]
-        if f1 < 0.5:
-            a, b = b, a
-        if f2 < 0.5:
-            c, d = d, c
-        if a == d or c == b or d in adjacency[a] or b in adjacency[c]:
-            continue
-        e1 = (a, d) if a < d else (d, a)
-        e2 = (c, b) if c < b else (b, c)
-        if e1 == e2:
-            continue
-        new_xy = sum_xy + x[a] * x[d] + x[c] * x[b] - x[a] * x[b] - x[c] * x[d]
-        if abs(r_of(new_xy) - target) >= abs(current - target):
-            continue
-        adjacency[a].discard(b)
-        adjacency[b].discard(a)
-        adjacency[c].discard(d)
-        adjacency[d].discard(c)
-        adjacency[a].add(d)
-        adjacency[d].add(a)
-        adjacency[c].add(b)
-        adjacency[b].add(c)
-        edges[i1] = e1
-        edges[i2] = e2
-        sum_xy = new_xy
-    achieved = r_of(sum_xy)
-    if abs(achieved - target) > _TUNING_TOLERANCE:
-        warnings.warn(
-            f"assortativity target {target} not reached; achieved {achieved:.4f}",
-            stacklevel=3,
-        )
-    return edges, achieved
-
-
 def _split_weights(
     strength: float,
     k: int,
@@ -278,7 +204,19 @@ def generate(cfg: SynthConfig) -> WeightedDigraph:
     edges = _stub_match(degrees, rng)
     if len(edges) < 1:
         raise DomainError("degree sequence produced no edges")
-    edges, _ = _tune_assortativity(edges, cfg.vertex_count, cfg.target_assortativity, rng)
+    m, target = len(edges), cfg.target_assortativity
+    edges, _, _, r = _swap_chain(
+        edges,
+        cfg.vertex_count,
+        rng,
+        budget=_TUNING_MULTIPLIER * m,
+        target=target,
+        tolerance=_TUNING_TOLERANCE,
+        check_every=max(1, m // 10),
+        toward_target=True,
+    )
+    if r is not None and abs(r - target) > _TUNING_TOLERANCE:
+        warnings.warn(f"assortativity target {target} not reached; achieved {r:.4f}", stacklevel=2)
 
     partners: list[list[int]] = [[] for _ in range(cfg.vertex_count)]
     for a, b in edges:

@@ -203,6 +203,20 @@ class TestPipeline:
         code = main(["regimes", str(synth_out), "--outdir", str(outdir)])
         assert code == EXIT_VALIDATION
 
+    def test_regimes_reclaims_lock_of_dead_process(self, tmp_path, capsys):
+        synth_out = tmp_path / "s.csv"
+        main(["synth", "-o", str(synth_out), "--vertices", "100", "--degree-dist", "poisson:4"])
+        capsys.readouterr()
+        outdir = tmp_path / "reg"
+        outdir.mkdir()
+        dead = subprocess.Popen([sys.executable, "-c", "pass"])
+        dead.wait()
+        (outdir / ".recipnet.lock").write_text(str(dead.pid))
+        assert main(["regimes", str(synth_out), "--outdir", str(outdir)]) == EXIT_OK
+        assert not (outdir / ".recipnet.lock").exists()
+        (outdir / ".recipnet.lock").write_text(str(os.getpid()))
+        assert main(["regimes", str(synth_out), "--outdir", str(outdir)]) == EXIT_VALIDATION
+
     def test_report_json_and_csv(self, capsys, graph_file, tmp_path):
         code, payload = run_json(capsys, ["report", str(graph_file)])
         assert code == EXIT_OK
@@ -243,6 +257,21 @@ def test_cli_import_stays_light():
     cmd = [sys.executable, "-c", code]
     out = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "g.csv", "--format", "csv"],
+        ["census", "g.csv", "--seed", "1"],
+        ["rewire", "g.csv", "-o", "r.csv", "--format", "csv"],
+        ["ingest", "e.csv", "-o", "g.csv", "--seed", "1"],
+    ],
+)
+def test_seed_and_format_only_where_read(argv, capsys):
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_threads_flag_is_gone(tmp_path, capsys):

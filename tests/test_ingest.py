@@ -11,15 +11,7 @@ from hypothesis import strategies as st
 
 from recipnet.errors import FormatError
 from recipnet.graph import GraphBuilder
-from recipnet.ingest import (
-    CallEvent,
-    aggregate_event_file,
-    aggregate_events,
-    load_edge_list,
-    read_events,
-    save_snapshot,
-    sidecar_path,
-)
+from recipnet.ingest import aggregate_event_file, load_edge_list, save_snapshot, sidecar_path
 
 from conftest import random_digraph
 
@@ -28,41 +20,46 @@ def write_events(path, rows, header="timestamp,caller,callee"):
     path.write_text(header + "\n" + "".join(r + "\n" for r in rows), encoding="utf-8")
 
 
+def aggregate_rows(tmp_path, rows, strict=False):
+    """aggregate_event_file on a temporary events file holding ``rows``."""
+    path = tmp_path / "events.csv"
+    write_events(path, rows)
+    return aggregate_event_file(path, strict=strict)
+
+
 class TestAggregateEvents:
-    def test_repeated_events_accumulate(self):
-        g, stats = aggregate_events([CallEvent("a", "b")] * 3)
+    def test_repeated_events_accumulate(self, tmp_path):
+        g, stats = aggregate_rows(tmp_path, ["1,a,b"] * 3)
         assert g.arc_count == 1
         assert g.weight(0, 1) == 3.0
         assert stats.events_read == 3
 
-    def test_mutual_pair(self):
-        g, stats = aggregate_events([CallEvent("a", "b"), CallEvent("b", "a")])
+    def test_mutual_pair(self, tmp_path):
+        g, stats = aggregate_rows(tmp_path, ["1,a,b", "2,b,a"])
         assert g.dyad_census().mutual == 1
         assert g.weight(0, 1) == 1.0
         assert g.weight(1, 0) == 1.0
 
-    def test_self_calls_dropped_and_counted(self):
-        g, stats = aggregate_events(
-            [CallEvent("a", "a"), CallEvent("a", "b"), CallEvent("a", "a")]
-        )
+    def test_self_calls_dropped_and_counted(self, tmp_path):
+        g, stats = aggregate_rows(tmp_path, ["1,a,a", "2,a,b", "3,a,a"])
         assert stats.self_calls_dropped == 2
         assert stats.events_read == 3
         assert g.arc_count == 1
 
-    def test_strict_mode_aborts_on_self_call(self):
+    def test_strict_mode_aborts_on_self_call(self, tmp_path):
         with pytest.raises(FormatError):
-            aggregate_events([CallEvent("a", "a")], strict=True)
+            aggregate_rows(tmp_path, ["1,a,a"], strict=True)
 
-    def test_order_invariant(self):
-        events = [CallEvent(str(i % 7), str((i * 3) % 5 + 7)) for i in range(50)]
-        g1, _ = aggregate_events(events)
-        g2, _ = aggregate_events(list(reversed(events)))
+    def test_order_invariant(self, tmp_path):
+        rows = [f"{i},{i % 7},{(i * 3) % 5 + 7}" for i in range(50)]
+        g1, _ = aggregate_rows(tmp_path, rows)
+        g2, _ = aggregate_rows(tmp_path, list(reversed(rows)))
         assert g1 == g2
 
-    def test_accounting_identity(self):
-        events = [CallEvent("a", "b"), CallEvent("a", "a"), CallEvent("b", "a")]
-        g, stats = aggregate_events(events)
+    def test_accounting_identity(self, tmp_path):
+        g, stats = aggregate_rows(tmp_path, ["1,a,b", "2,a,a", "3,b,a", "garbage"])
         total_weight = sum(w for _, _, w in g.arcs())
+        assert stats.malformed_lines == 1
         assert stats.events_read == total_weight + stats.self_calls_dropped + stats.malformed_lines
 
 
@@ -111,13 +108,17 @@ class TestEventFiles:
             aggregate_event_file(path)
 
     def test_fast_path_equals_event_stream_path(self, tmp_path):
+        """Empty or non-numeric timestamps are ignored; self-calls are dropped."""
         path = tmp_path / "events.csv"
-        write_events(path, ["1,a,b", ",b,a", "2,a,b", "3,c,c"])
-        g_fast, stats_fast = aggregate_event_file(path)
-        g_slow, stats_slow = aggregate_events(read_events(path))
-        assert g_fast == g_slow
-        assert stats_fast.self_calls_dropped == stats_slow.self_calls_dropped
-        assert g_fast.weight(0, 1) == 2.0
+        write_events(path, ["1,a,b", ",b,a", "2,a,b", "3,c,c", "x,b,a"])
+        g, stats = aggregate_event_file(path)
+        builder = GraphBuilder()
+        builder.add_arc("a", "b", 2.0)
+        builder.add_arc("b", "a", 2.0)
+        assert g == builder.build()
+        assert g.labels() == ["a", "b"]
+        assert (stats.events_read, stats.self_calls_dropped, stats.malformed_lines) == (5, 1, 0)
+        assert (stats.vertices, stats.arcs) == (2, 2)
 
 
 class TestSnapshots:

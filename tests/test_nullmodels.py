@@ -6,6 +6,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -82,22 +83,25 @@ class TestEquidisperse:
             assert abs(reciprocity(eq, d).r_value - predicted) <= 1e-9
 
 
-class _ScriptedRandom(random.Random):
-    """Deterministic sequence of randrange/random results for forcing swaps."""
+class _ScriptedGenerator:
+    """Stand-in for np.random.Generator: scripted integers/random results, then a real one."""
 
-    def __new__(cls, *args):
-        return super().__new__(cls, 0)
+    def __init__(self, integers, randoms):
+        self._ints = [np.asarray(x) for x in integers]
+        self._rands = [np.asarray(x) for x in randoms]
+        self._rng = np.random.default_rng(0)
 
-    def __init__(self, randranges, randoms):
-        super().__init__(0)
-        self._rr = list(randranges)
-        self._rand = list(randoms)
+    @staticmethod
+    def _next(script, size):
+        out = script.pop(0)
+        assert out.shape == np.empty(size).shape, (out.shape, size)
+        return out
 
-    def randrange(self, *args):  # type: ignore[override]
-        return self._rr.pop(0) if self._rr else super().randrange(*args)
+    def integers(self, low, high, size):
+        return self._next(self._ints, size) if self._ints else self._rng.integers(low, high, size)
 
-    def random(self):  # type: ignore[override]
-        return self._rand.pop(0) if self._rand else super().random()
+    def random(self, size):
+        return self._next(self._rands, size) if self._rands else self._rng.random(size)
 
 
 class TestRewire:
@@ -105,15 +109,24 @@ class TestRewire:
         arcs = [(1, 2, 1.0), (2, 1, 1.0), (3, 4, 1.0), (4, 3, 1.0)]
         g = WeightedDigraph.from_dense_arcs(5, arcs)
         cfg = RegimeConfig(True, False, seed=0, swap_multiplier=1)
-        # Two attempts in the budget: the first picks edges 0 and 1 with no
-        # orientation flips, turning (1,2),(3,4) into (1,4),(3,2); the second
-        # picks the same edge twice and is rejected.
-        rng = _ScriptedRandom([0, 1, 0, 0], [0.9, 0.9])
+        # Two attempts in the budget, drawn one per chunk: the first picks
+        # edges 0 and 1 with no orientation flips, turning (1,2),(3,4) into
+        # (1,4),(3,2); the second picks the same edge twice and is rejected.
+        rng = _ScriptedGenerator([[[0, 1]], [[0, 0]]], [[[0.9, 0.9]], [[0.9, 0.9]]])
         out = maslov_sneppen_rewire(g, cfg, rng=rng)
         pairs = {(d.a, d.b) for d in out.graph.mutual_dyads()}
         assert pairs == {(1, 4), (2, 3)}
         assert backbone_degrees(out.graph) == backbone_degrees(g)
         assert out.accepted_swaps == 1
+
+    def test_forced_swap_follows_orientation_flip(self):
+        arcs = [(1, 2, 1.0), (2, 1, 1.0), (3, 4, 1.0), (4, 3, 1.0)]
+        g = WeightedDigraph.from_dense_arcs(5, arcs)
+        cfg = RegimeConfig(True, False, seed=0, swap_multiplier=1)
+        # Only the second edge is flipped, to (4,3): the swap yields (1,3),(4,2).
+        rng = _ScriptedGenerator([[[0, 1]], [[0, 0]]], [[[0.9, 0.1]], [[0.9, 0.9]]])
+        out = maslov_sneppen_rewire(g, cfg, rng=rng)
+        assert {(d.a, d.b) for d in out.graph.mutual_dyads()} == {(1, 3), (2, 4)}
 
     def test_swap_creating_duplicate_is_rejected(self):
         # Mutual triangle: every proposal collides with an existing edge.
@@ -169,6 +182,24 @@ class TestRewire:
         assert out.residual_assortativity is not None
         assert abs(out.residual_assortativity) < 0.05
 
+    def test_residual_is_backbone_assortativity_of_result(self):
+        rnd = random.Random(61)
+        for seed in range(5):
+            g = random_digraph(rnd, 60, arc_fraction=0.08, mutual_bias=0.6)
+            assert g.dyad_census().asymmetric > 0
+            out = maslov_sneppen_rewire(g, RegimeConfig(True, False, seed=seed, swap_multiplier=3))
+            assert out.accepted_swaps > 0
+            expected = degree_assortativity(out.graph, mutual_only=True).r
+            assert abs(out.residual_assortativity - expected) <= 1e-12
+
+    def test_neutral_graph_is_still_randomized(self):
+        g = random_digraph(random.Random(12), 80, arc_fraction=0.06, mutual_bias=0.9)
+        neutral = maslov_sneppen_rewire(g, RegimeConfig(True, False, seed=1, swap_multiplier=50)).graph
+        assert abs(degree_assortativity(neutral).r) < 0.005
+        out = maslov_sneppen_rewire(neutral, RegimeConfig(True, False, seed=2))
+        assert out.accepted_swaps > 0
+        assert out.graph != neutral
+
     def test_one_way_arcs_carried_through(self):
         arcs = [(0, 1, 2.0), (1, 0, 3.0), (2, 3, 4.0), (3, 2, 5.0), (0, 4, 7.0)]
         g = WeightedDigraph.from_dense_arcs(5, arcs)
@@ -191,7 +222,7 @@ class TestReattachWeights:
         for a, b in [(0, 1), (0, 3), (1, 2)]:
             skeleton_arcs += [(a, b, 1.0), (b, a, 1.0)]
         skeleton = WeightedDigraph.from_dense_arcs(4, skeleton_arcs)
-        out = reattach_weights(skeleton, orig, random.Random(0))
+        out = reattach_weights(skeleton, orig, np.random.default_rng(0))
         assert sorted(w for _, u, w in [(0, u, w) for u, w in out.out_neighbors(0)]) == [1.0, 5.0]
         assert out.out_strength(0) == orig.out_strength(0)
 
@@ -199,16 +230,26 @@ class TestReattachWeights:
         orig = WeightedDigraph.from_dense_arcs(
             3, [(0, 1, 2.0), (1, 0, 2.0), (0, 2, 2.0), (2, 0, 2.0)]
         )
-        out = reattach_weights(orig, orig, random.Random(5))
+        out = reattach_weights(orig, orig, np.random.default_rng(5))
         assert out == orig
 
     @given(mutual_graphs())
     @settings(max_examples=60)
     def test_multisets_preserved(self, g):
-        out = reattach_weights(g, g, random.Random(11))
+        out = reattach_weights(g, g, np.random.default_rng(11))
         assert mutual_weight_multisets(out) == mutual_weight_multisets(g)
         for v in range(g.vertex_count):
             assert out.out_strength(v) == pytest.approx(g.out_strength(v), abs=1e-12)
+
+    def test_every_order_is_drawn(self):
+        orig = WeightedDigraph.from_dense_arcs(
+            4, [(0, 1, 1.0), (1, 0, 1.0), (0, 2, 2.0), (2, 0, 1.0), (0, 3, 3.0), (3, 0, 1.0)]
+        )
+        orders = set()
+        for seed in range(60):
+            out = reattach_weights(orig, orig, np.random.default_rng(seed))
+            orders.add(tuple(w for _, w in out.out_neighbors(0)))
+        assert len(orders) == 6
 
     def test_degree_mismatch_raises(self):
         orig = WeightedDigraph.from_dense_arcs(4, [(0, 1, 1.0), (1, 0, 1.0)])
@@ -216,7 +257,7 @@ class TestReattachWeights:
             4, [(0, 1, 1.0), (1, 0, 1.0), (2, 3, 1.0), (3, 2, 1.0)]
         )
         with pytest.raises(IntegrityError):
-            reattach_weights(other, orig, random.Random(0))
+            reattach_weights(other, orig, np.random.default_rng(0))
 
 
 class TestRegimes:
