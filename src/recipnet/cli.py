@@ -39,9 +39,12 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_DEGENERATE = 4
 
-def _common_flags(p: argparse.ArgumentParser, seed: bool = False, fmt: bool = False) -> None:
-    """--strict everywhere; --seed and --format only where the command reads them."""
-    p.add_argument("--strict", action="store_true", help="escalate warnings to errors")
+def _common_flags(
+    p: argparse.ArgumentParser, strict: bool = False, seed: bool = False, fmt: bool = False
+) -> None:
+    """--strict, --seed and --format, each only where the command reads it."""
+    if strict:
+        p.add_argument("--strict", action="store_true", help="escalate warnings to errors")
     if seed:
         p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     if fmt:
@@ -106,12 +109,15 @@ class _OutputLock:
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     g, stats = aggregate_event_file(args.events, strict=args.strict)
-    save_snapshot(g, args.output)
+    accounting = {
+        "events_read": stats.events_read,
+        "self_calls_dropped": stats.self_calls_dropped,
+        "malformed_lines": stats.malformed_lines,
+    }
+    save_snapshot(g, args.output, extra_provenance=accounting)
     _emit(
         {
-            "events_read": stats.events_read,
-            "self_calls_dropped": stats.self_calls_dropped,
-            "malformed_lines": stats.malformed_lines,
+            **accounting,
             "vertices": stats.vertices,
             "arcs": stats.arcs,
             "snapshot": str(args.output),
@@ -349,13 +355,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="aggregate an event log into a graph snapshot")
     p.add_argument("events", help="events CSV (timestamp,caller,callee)")
     p.add_argument("-o", "--output", required=True, help="snapshot path (graph CSV)")
-    _common_flags(p)
+    _common_flags(p, strict=True)
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("census", help="mutual/asymmetric/null dyad counts")
     p.add_argument("graph")
     p.add_argument("-o", "--output")
-    _common_flags(p)
+    _common_flags(p, strict=True)
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("reciprocity", help="per-dyad reciprocity distribution")
@@ -363,34 +369,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.add_argument("--records", help="also write per-dyad records CSV here")
     p.add_argument("--bin-width", type=float, default=DEFAULT_BIN_WIDTH)
-    _common_flags(p)
+    _common_flags(p, strict=True)
     p.set_defaults(func=_cmd_reciprocity)
 
     p = sub.add_parser("concentration", help="per-vertex weight concentration")
     p.add_argument("graph")
     p.add_argument("-o", "--output")
     p.add_argument("--records", help="also write per-vertex scores CSV here")
-    _common_flags(p)
+    _common_flags(p, strict=True)
     p.set_defaults(func=_cmd_concentration)
 
     p = sub.add_parser("assortativity", help="degree assortativity across linked dyads")
     p.add_argument("graph")
     p.add_argument("-o", "--output")
     p.add_argument("--arcs", choices=("mutual", "full"), default="mutual")
-    _common_flags(p)
+    _common_flags(p, strict=True)
     p.set_defaults(func=_cmd_assortativity)
 
     p = sub.add_parser("equidisperse", help="equal-split weight transform")
     p.add_argument("graph")
     p.add_argument("-o", "--output", required=True)
-    _common_flags(p)
+    _common_flags(p, strict=True)
     p.set_defaults(func=_cmd_equidisperse)
 
     p = sub.add_parser("rewire", help="degree-preserving backbone randomization")
     p.add_argument("graph")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--swap-multiplier", type=int, default=DEFAULT_SWAP_MULTIPLIER)
-    _common_flags(p, seed=True)
+    _common_flags(p, strict=True, seed=True)
     p.set_defaults(func=_cmd_rewire)
 
     p = sub.add_parser("regimes", help="four-network comparison with ordering verdict")
@@ -405,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="repeat with consecutive seeds and summarize spread across runs",
     )
-    _common_flags(p, seed=True, fmt=True)
+    _common_flags(p, strict=True, seed=True, fmt=True)
     p.set_defaults(func=_cmd_regimes)
 
     p = sub.add_parser("synth", help="generate a synthetic network")
@@ -422,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.add_argument("--regime", default="observed", help="regime label for provenance")
     p.add_argument("--bin-width", type=float, default=DEFAULT_BIN_WIDTH)
-    _common_flags(p, seed=True, fmt=True)
+    _common_flags(p, strict=True, seed=True, fmt=True)
     p.set_defaults(func=_cmd_report)
 
     return parser

@@ -4,7 +4,8 @@ Vertices are dense integer ids ``0..V-1`` (Python or numpy integers). A graph
 is stored as read-only CSR arrays, ``indptr`` (row bounds per source vertex),
 ``indices`` (targets, ascending within each row) and ``weights``, plus the
 per-vertex ``out_strength``. Graphs are immutable once built; use
-:class:`GraphBuilder` (aggregates parallel arcs, drops self-loops) or
+:class:`GraphBuilder` (aggregates parallel arcs, drops self-loops),
+:meth:`WeightedDigraph.from_labelled` (one weight per labelled pair) or
 :meth:`WeightedDigraph.from_dense_arcs` / :meth:`WeightedDigraph.from_columns`
 (already-clean dense arcs, validated in bulk) to construct one. All read
 operations are safe to call from multiple threads.
@@ -16,7 +17,7 @@ import hashlib
 import math
 import operator
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator
+from typing import Hashable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -148,6 +149,29 @@ class WeightedDigraph:
         """
         src, dst, weights = list(zip(*arcs)) or ([], [], [])
         return cls.from_columns(vertex_count, src, dst, weights, external_ids)
+
+    @classmethod
+    def from_labelled(
+        cls,
+        weights: Mapping[tuple[Hashable, Hashable], float],
+        vertices: Iterable[Hashable] = (),
+    ) -> "WeightedDigraph":
+        """Build from one weight per distinct ``(src, dst)`` label pair.
+
+        Dense ids come from sorting the distinct labels (arc endpoints plus
+        ``vertices``, which may add isolated ones), so the graph does not
+        depend on mapping order. Labels other than exactly ``0..V-1`` are kept
+        as ``str`` external ids. Same arc rules as :meth:`from_columns`.
+        """
+        first, second = operator.itemgetter(0), operator.itemgetter(1)
+        labels = sorted({*vertices, *map(first, weights), *map(second, weights)})
+        index = {label: i for i, label in enumerate(labels)}.__getitem__
+        n = len(weights)
+        src = np.fromiter(map(index, map(first, weights)), dtype=np.int64, count=n)
+        dst = np.fromiter(map(index, map(second, weights)), dtype=np.int64, count=n)
+        w = np.fromiter(weights.values(), dtype=np.float64, count=n)
+        external = None if labels == list(range(len(labels))) else tuple(map(str, labels))
+        return cls.from_columns(len(labels), src, dst, w, external)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -341,11 +365,4 @@ class GraphBuilder:
         return len(self._weights)
 
     def build(self) -> WeightedDigraph:
-        labels = sorted(self._vertices)
-        index = {label: i for i, label in enumerate(labels)}
-        n = len(self._weights)
-        src = np.fromiter((index[s] for s, _ in self._weights), dtype=np.int64, count=n)
-        dst = np.fromiter((index[d] for _, d in self._weights), dtype=np.int64, count=n)
-        weights = np.fromiter(self._weights.values(), dtype=np.float64, count=n)
-        external = None if labels == list(range(len(labels))) else tuple(map(str, labels))
-        return WeightedDigraph.from_columns(len(labels), src, dst, weights, external)
+        return WeightedDigraph.from_labelled(self._weights, self._vertices)

@@ -12,26 +12,32 @@ containing a comma makes the line malformed):
   with header ``external_id,dense_id`` pins the dense-id mapping, including
   isolated vertices.
 
-Aggregation is streaming: memory grows with the number of distinct arcs, not
-with the number of events.
+Aggregation streams the event file in batches of lines: memory is bounded by
+the distinct ``caller,callee`` line texts of arcs (one per arc and line-break
+style) plus one batch, not by the number of events.
 """
 
 from __future__ import annotations
 
 import bisect
 import warnings
+from collections import Counter
 from dataclasses import dataclass
+from itertools import islice, repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__ as _version
 from .errors import FormatError
-from .graph import GraphBuilder, WeightedDigraph
+from .graph import WeightedDigraph
 
 EVENT_HEADER = "timestamp,caller,callee"
 GRAPH_HEADER = "src,dst,weight"
 VERTEX_HEADER = "external_id,dense_id"
+
+_BATCH = 1 << 13  # event lines read and counted per C-level pass
 
 
 @dataclass
@@ -49,6 +55,28 @@ class IngestStats:
     arcs: int = 0
 
 
+def _fields(tail: str) -> list[str] | None:
+    """``[caller, callee]`` of an event line's text after its first comma.
+
+    ``tail`` may end in the line break. None means the line is malformed: it
+    has no comma, not exactly three fields, or an empty caller or callee.
+    """
+    fields = tail.rstrip("\r\n").split(",")
+    if len(fields) != 2 or not fields[0] or not fields[1]:
+        return None
+    return fields
+
+
+def _raise_first_bad_line(lines: list[str], first_lineno: int, path: str | Path) -> None:
+    """Raise the strict-mode error for the first malformed or self-call line of ``lines``."""
+    for lineno, line in enumerate(lines, start=first_lineno):
+        fields = _fields(line.partition(",")[2])
+        if fields is None:
+            raise FormatError(f"{path}: malformed event line {lineno}")
+        if fields[0] == fields[1]:
+            raise FormatError(f"{path}: self-call for id {fields[0]!r}")
+
+
 def aggregate_event_file(
     path: str | Path,
     strict: bool = False,
@@ -56,40 +84,47 @@ def aggregate_event_file(
     """Count events per ordered (caller, callee) pair into arc weights, in one pass.
 
     Malformed lines and self-calls are dropped and counted (in strict mode
-    they abort); the timestamp field is not parsed. The result is
-    independent of line order: arc weights are sums and the dense id mapping
-    comes from sorting the distinct ids.
+    the first one in file order aborts); the timestamp field is not parsed.
+    The result is independent of line order: arc weights are sums and the
+    dense id mapping comes from sorting the distinct ids.
+
+    Lines are counted by their text after the first comma (``caller,callee``
+    plus the line break) in C-level passes over batches of lines. Python
+    checks only the texts a batch sees for the first time, and drops those
+    of malformed and self-call lines from the count at once, so memory is
+    bounded by the distinct arc texts plus one batch of lines, not by the
+    number of events. In strict mode the first batch with a bad text holds
+    the file's first bad line, so only that batch is rescanned.
     """
-    counts: dict[tuple[str, str], int] = {}
-    get = counts.get
+    counts: Counter[str] = Counter()
+    tail_of = itemgetter(2)  # of str.partition: the text after the first comma
+    comma = repeat(",")
+    read = dropped = malformed = 0
     with open(path, "r", encoding="utf-8", newline="") as f:
         header = f.readline().rstrip("\r\n")
         if header != EVENT_HEADER:
             raise FormatError(f"expected header {EVENT_HEADER!r}, got {header!r}")
-        read = 0
-        dropped = 0
-        malformed = 0
-        for line in f:
-            read += 1
-            fields = line.rstrip("\r\n").split(",")
-            if len(fields) != 3 or not fields[1] or not fields[2]:
+        while lines := list(islice(f, _BATCH)):
+            seen = len(counts)
+            counts.update(map(tail_of, map(str.partition, lines, comma)))
+            # Texts new in this batch are the last ones in the (insertion-ordered) dict.
+            for tail in list(islice(reversed(counts), len(counts) - seen)):
+                fields = _fields(tail)
+                if fields is not None and fields[0] != fields[1]:
+                    continue
                 if strict:
-                    raise FormatError(f"{path}: malformed event line {read + 1}")
-                malformed += 1
-                continue
-            caller = fields[1]
-            callee = fields[2]
-            if caller == callee:
-                if strict:
-                    raise FormatError(f"{path}: self-call for id {caller!r}")
-                dropped += 1
-                continue
-            key = (caller, callee)
-            counts[key] = get(key, 0) + 1
-    builder = GraphBuilder()
-    for (caller, callee), n in counts.items():
-        builder.add_arc(caller, callee, float(n))
-    g = builder.build()
+                    _raise_first_bad_line(lines, read + 2, path)
+                if fields is None:
+                    malformed += counts.pop(tail)
+                else:
+                    dropped += counts.pop(tail)
+            read += len(lines)
+    pairs: dict[tuple[str, str], int] = {}
+    for tail, n in counts.items():
+        caller, callee = _fields(tail)  # type: ignore[misc]  # only arc texts are left
+        pairs[caller, callee] = pairs.get((caller, callee), 0) + n
+    del counts  # the line texts are not needed by the graph build; free them first
+    g = WeightedDigraph.from_labelled(pairs)
     return g, IngestStats(read, dropped, malformed, g.vertex_count, g.arc_count)
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from recipnet.cli import EXIT_DEGENERATE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
-from recipnet.ingest import load_edge_list
+from recipnet.ingest import aggregate_event_file, load_edge_list
 
 
 @pytest.fixture
@@ -44,6 +44,18 @@ class TestPipeline:
         assert payload["events_read"] == 8
         assert payload["self_calls_dropped"] == 1
         assert out.exists()
+
+    def test_ingest_snapshot_records_accounting(self, capsys, tmp_path):
+        events = tmp_path / "events.csv"
+        events.write_text("timestamp,caller,callee\n1,a,b\n2,b,a\n3,a,a\nbad\n4,a,b\n")
+        out = tmp_path / "g.csv"
+        assert main(["ingest", str(events), "-o", str(out)]) == EXIT_OK
+        head = out.read_text().splitlines()[1:4]
+        assert head == ["# events_read=5", "# self_calls_dropped=1", "# malformed_lines=1"]
+        g, _ = aggregate_event_file(events)
+        loaded = load_edge_list(out)
+        assert loaded == g
+        assert loaded.external_ids == g.external_ids == ("a", "b")
 
     def test_census(self, capsys, graph_file):
         code, payload = run_json(capsys, ["census", str(graph_file)])
@@ -266,9 +278,11 @@ def test_cli_import_stays_light():
         ["census", "g.csv", "--seed", "1"],
         ["rewire", "g.csv", "-o", "r.csv", "--format", "csv"],
         ["ingest", "e.csv", "-o", "g.csv", "--seed", "1"],
+        ["synth", "-o", "s.csv", "--vertices", "10", "--strict"],
     ],
 )
 def test_seed_and_format_only_where_read(argv, capsys):
+    # --strict too: synth never escalates anything, so it does not take the flag.
     with pytest.raises(SystemExit):
         main(argv)
     assert "unrecognized arguments" in capsys.readouterr().err

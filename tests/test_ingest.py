@@ -3,15 +3,24 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recipnet import ingest
 from recipnet.errors import FormatError
 from recipnet.graph import GraphBuilder
-from recipnet.ingest import aggregate_event_file, load_edge_list, save_snapshot, sidecar_path
+from recipnet.ingest import (
+    IngestStats,
+    aggregate_event_file,
+    load_edge_list,
+    save_snapshot,
+    sidecar_path,
+)
 
 from conftest import random_digraph
 
@@ -119,6 +128,113 @@ class TestEventFiles:
         assert g.labels() == ["a", "b"]
         assert (stats.events_read, stats.self_calls_dropped, stats.malformed_lines) == (5, 1, 0)
         assert (stats.vertices, stats.arcs) == (2, 2)
+
+
+def reference_aggregate(path, strict=False):
+    """The per-line aggregation loop that aggregate_event_file replaced, kept as its oracle."""
+    counts: dict[tuple[str, str], int] = {}
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        header = f.readline().rstrip("\r\n")
+        if header != "timestamp,caller,callee":
+            raise FormatError(f"expected header {'timestamp,caller,callee'!r}, got {header!r}")
+        read = dropped = malformed = 0
+        for line in f:
+            read += 1
+            fields = line.rstrip("\r\n").split(",")
+            if len(fields) != 3 or not fields[1] or not fields[2]:
+                if strict:
+                    raise FormatError(f"{path}: malformed event line {read + 1}")
+                malformed += 1
+                continue
+            caller, callee = fields[1], fields[2]
+            if caller == callee:
+                if strict:
+                    raise FormatError(f"{path}: self-call for id {caller!r}")
+                dropped += 1
+                continue
+            counts[(caller, callee)] = counts.get((caller, callee), 0) + 1
+    builder = GraphBuilder()
+    for (caller, callee), n in counts.items():
+        builder.add_arc(caller, callee, float(n))
+    g = builder.build()
+    return g, IngestStats(read, dropped, malformed, g.vertex_count, g.arc_count)
+
+
+def outcome(aggregate, path, strict):
+    """(graph, external ids, stats) of a run, or the message of the FormatError it raised."""
+    try:
+        g, stats = aggregate(path, strict=strict)
+    except FormatError as exc:
+        return str(exc)
+    return g, g.external_ids, stats
+
+
+# Fields of generated event lines: empty, ASCII, non-ASCII and digit labels.
+event_fields = st.sampled_from(["", "a", "b", "0", "1", "10", "é", "日本", "x y"])
+event_lines = st.tuples(
+    st.lists(event_fields, min_size=0, max_size=5),  # 0 fields is a blank line
+    st.sampled_from(["\n", "\r\n", "\r"]),
+)
+
+
+class TestAgainstReferenceLoop:
+    @given(
+        st.lists(event_lines, max_size=40),
+        st.booleans(),  # drop the final line break
+        st.sampled_from(["\n", "\r\n", "\r"]),  # header line break
+        st.sampled_from([1, 2, 3, 7, ingest._BATCH]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equal_graph_stats_and_errors(self, tmp_path_factory, lines, cut_end, head_end, batch):
+        text = "timestamp,caller,callee" + head_end
+        text += "".join(",".join(fields) + end for fields, end in lines)
+        if cut_end:
+            text = text.rstrip("\r\n")
+        path = tmp_path_factory.mktemp("events") / "events.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(ingest, "_BATCH", batch):
+            for strict in (False, True):
+                want = outcome(reference_aggregate, path, strict)
+                got = outcome(aggregate_event_file, path, strict)
+                assert got == want
+
+    @pytest.mark.parametrize("self_call_first", [False, True])
+    def test_strict_reports_first_offence_beyond_first_batch(self, tmp_path, self_call_first):
+        rows = [f"{i},u{i},v{i}" for i in range(3 * ingest._BATCH)]
+        first, second = ingest._BATCH + 5, 2 * ingest._BATCH + 9
+        malformed, self_call = f"{first},u,v,w", f"{first},s{first},s{first}"
+        rows[first], rows[second] = (self_call, "oops") if self_call_first else (malformed, "9,t,t")
+        path = tmp_path / "events.csv"
+        write_events(path, rows)
+        want = outcome(reference_aggregate, path, True)
+        assert want == (
+            f"{path}: self-call for id 's{first}'"
+            if self_call_first
+            else f"{path}: malformed event line {first + 2}"
+        )
+        assert outcome(aggregate_event_file, path, True) == want
+        g, stats = aggregate_event_file(path)
+        assert (stats.malformed_lines, stats.self_calls_dropped) == (1, 1)
+        assert stats.arcs == 3 * ingest._BATCH - 2
+
+    def test_malformed_lines_do_not_accumulate(self, tmp_path):
+        def peak(n):
+            path = tmp_path / f"bad{n}.csv"
+            write_events(path, [f"{i},u{i},v{i},w{i}" for i in range(n)])
+            tracemalloc.start()
+            try:
+                g, stats = aggregate_event_file(path)
+                return tracemalloc.get_traced_memory()[1], stats
+            finally:
+                tracemalloc.stop()
+
+        batch = 1000
+        with mock.patch.object(ingest, "_BATCH", batch):
+            small, small_stats = peak(8 * batch)
+            large, large_stats = peak(32 * batch)
+        assert (small_stats.malformed_lines, large_stats.malformed_lines) == (8 * batch, 32 * batch)
+        assert large_stats.arcs == 0
+        assert large < 1.25 * small, f"peak {large} B for 4x the lines vs {small} B"
 
 
 class TestSnapshots:
