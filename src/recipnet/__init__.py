@@ -19,7 +19,6 @@ from .metrics import (
     reciprocity_records,
 )
 from .nullmodels import (
-    RegimeConfig,
     RegimeSet,
     RewireOutcome,
     equidisperse,
@@ -37,7 +36,6 @@ __all__ = [
     "MutualDyad",
     "ReciprocityHistogram",
     "ReciprocityRecord",
-    "RegimeConfig",
     "RegimeSet",
     "RewireOutcome",
     "WeightedDigraph",

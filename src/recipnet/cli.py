@@ -12,17 +12,17 @@ escalated by --strict.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .errors import DegenerateInputError, DomainError, FormatError, UndefinedCorrelationError
-from .graph import WeightedDigraph
 from .ingest import aggregate_event_file, load_edge_list, save_snapshot
 from .metrics import DEFAULT_BIN_WIDTH, concentration_scores, degree_assortativity, dyad_scores
-from .nullmodels import DEFAULT_SWAP_MULTIPLIER, RegimeConfig, equidisperse, maslov_sneppen_rewire
+from .nullmodels import DEFAULT_SWAP_MULTIPLIER, equidisperse, maslov_sneppen_rewire
 from .report import (
     analyze,
     comparison_to_dict,
@@ -215,13 +215,7 @@ def _cmd_equidisperse(args: argparse.Namespace) -> int:
 
 def _cmd_rewire(args: argparse.Namespace) -> int:
     g = load_edge_list(args.graph, strict=args.strict)
-    cfg = RegimeConfig(
-        destroy_assortativity=True,
-        impose_equidispersion=False,
-        seed=args.seed,
-        swap_multiplier=args.swap_multiplier,
-    )
-    outcome = maslov_sneppen_rewire(g, cfg)
+    outcome = maslov_sneppen_rewire(g, np.random.default_rng(args.seed), args.swap_multiplier)
     if outcome.warning:
         _warn_or_raise(args.strict, outcome.warning)
     save_snapshot(
@@ -248,6 +242,8 @@ def _cmd_rewire(args: argparse.Namespace) -> int:
 
 
 def _cmd_regimes(args: argparse.Namespace) -> int:
+    if args.replicas < 1:
+        raise DomainError("replicas must be a positive integer")
     g = load_edge_list(args.graph, strict=args.strict)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -287,8 +287,8 @@ class ReciprocityHistogram:
 
 
 def _histogram(r: np.ndarray, classes: np.ndarray, bin_width: float) -> ReciprocityHistogram:
-    if not bin_width > 0:
-        raise DomainError(f"bin width must be positive, got {bin_width}")
+    if not (bin_width > 0 and math.isfinite(bin_width)):
+        raise DomainError(f"bin width must be finite and positive, got {bin_width}")
     counts = tuple(np.bincount((r // bin_width).astype(np.int64)).tolist())
     by_class = np.bincount(classes, minlength=len(_CLASSES)).tolist()
     shares = tuple(c / len(r) for c in by_class) if len(r) else (0.0, 0.0, 0.0)

@@ -14,15 +14,16 @@ Three transforms, composable into a 2x2 family of comparison networks:
 Rewiring deliberately operates on the mutual-dyad backbone rather than the
 raw directed arc set: naive directed-arc swaps would destroy mutuality and
 empty the set of dyads the reciprocity analysis is about. One-way arcs are
-carried through unchanged by default (they still contribute to vertex
-strength) and can be dropped with ``keep_one_way=False``.
+carried through unchanged (they still contribute to vertex strength), and no
+backbone edge is rewired onto a pair that carries one.
 
 The swap loop itself is :func:`_swap_chain`, shared with the synthetic
 generator, which uses it to plant assortativity instead of removing it.
 
-All randomness comes from a caller-supplied or seed-constructed numpy
-``Generator`` (PCG64, as in the synthetic generator); one seed reproduces a
-whole regime construction bit for bit.
+All randomness comes from one numpy ``Generator`` (PCG64, as in the
+synthetic generator): the rewire takes it from its caller, and
+``four_regimes`` builds it from a seed, so one seed reproduces a whole regime
+construction bit for bit.
 """
 
 from __future__ import annotations
@@ -39,20 +40,6 @@ from .graph import WeightedDigraph
 EARLY_STOP_R = 0.005
 
 DEFAULT_SWAP_MULTIPLIER = 10
-
-
-@dataclass(frozen=True)
-class RegimeConfig:
-    """One cell of the 2x2 comparison: which structure to keep or destroy."""
-
-    destroy_assortativity: bool
-    impose_equidispersion: bool
-    seed: int = 0
-    swap_multiplier: int = DEFAULT_SWAP_MULTIPLIER
-
-    def __post_init__(self) -> None:
-        if self.swap_multiplier < 1:
-            raise DomainError("swap multiplier must be a positive integer")
 
 
 @dataclass
@@ -212,9 +199,8 @@ def _swap_chain(
 
 def maslov_sneppen_rewire(
     g: WeightedDigraph,
-    cfg: RegimeConfig | None = None,
-    rng: np.random.Generator | None = None,
-    keep_one_way: bool = True,
+    rng: np.random.Generator,
+    swap_multiplier: int = DEFAULT_SWAP_MULTIPLIER,
 ) -> RewireOutcome:
     """Degree-preserving randomization of the mutual-dyad backbone.
 
@@ -223,10 +209,8 @@ def maslov_sneppen_rewire(
     backbone's assortativity is neutral (|r| < 0.005). Directed weights are
     put back with :func:`reattach_weights` using the same RNG.
     """
-    if cfg is None:
-        cfg = RegimeConfig(destroy_assortativity=True, impose_equidispersion=False)
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+    if swap_multiplier < 1:
+        raise DomainError("swap multiplier must be a positive integer")
     a_col, b_col, _, _ = g._mutual_arrays()
     edge_count = len(a_col)
     if edge_count < 2:
@@ -234,7 +218,7 @@ def maslov_sneppen_rewire(
 
     # Pairs carrying a one-way arc are off limits for new backbone edges:
     # landing on one would merge it into a mutual dyad and change the census.
-    one_way = (g._reverse_arcs() < 0) & keep_one_way
+    one_way = g._reverse_arcs() < 0
     one_src, one_dst = g._sources()[one_way], g._indices[one_way]
     lo, hi = np.minimum(one_src, one_dst), np.maximum(one_src, one_dst)
 
@@ -242,7 +226,7 @@ def maslov_sneppen_rewire(
         list(zip(a_col.tolist(), b_col.tolist())),
         g.vertex_count,
         rng,
-        budget=cfg.swap_multiplier * edge_count,
+        budget=swap_multiplier * edge_count,
         target=0.0,
         tolerance=EARLY_STOP_R,
         check_every=max(1, edge_count // 10),
@@ -268,7 +252,6 @@ def four_regimes(
     g: WeightedDigraph,
     seed: int = 0,
     swap_multiplier: int = DEFAULT_SWAP_MULTIPLIER,
-    keep_one_way: bool = True,
 ) -> RegimeSet:
     """All four comparison networks from one observed graph.
 
@@ -276,13 +259,7 @@ def four_regimes(
     equidispersed and dispersion-keeping variants differ only in their
     weights, never in topology.
     """
-    cfg = RegimeConfig(
-        destroy_assortativity=True,
-        impose_equidispersion=False,
-        seed=seed,
-        swap_multiplier=swap_multiplier,
-    )
-    outcome = maslov_sneppen_rewire(g, cfg, keep_one_way=keep_one_way)
+    outcome = maslov_sneppen_rewire(g, np.random.default_rng(seed), swap_multiplier)
     return RegimeSet(
         observed=g,
         observed_equidispersed=equidisperse(g),

@@ -26,7 +26,7 @@ from .metrics import (
     dyad_scores,
     DEFAULT_BIN_WIDTH,
 )
-from .nullmodels import DEFAULT_SWAP_MULTIPLIER, RegimeSet, RewireOutcome, four_regimes
+from .nullmodels import DEFAULT_SWAP_MULTIPLIER, RegimeSet, four_regimes
 
 SCHEMA_VERSION = 1
 
@@ -79,7 +79,6 @@ class RegimeComparison:
     verdict: OrderingVerdict
     seed: int
     swap_multiplier: int
-    rewire_outcome: RewireOutcome
     regimes: RegimeSet
 
 
@@ -175,7 +174,6 @@ def run_regime_comparison(
         verdict=_ordering_verdict(means),
         seed=seed,
         swap_multiplier=swap_multiplier,
-        rewire_outcome=regimes.rewire_outcome,
         regimes=regimes,
     )
 
@@ -224,15 +222,16 @@ def report_to_dict(report: AnalysisReport) -> dict[str, Any]:
 
 
 def comparison_to_dict(cmp: RegimeComparison) -> dict[str, Any]:
+    outcome = cmp.regimes.rewire_outcome
     return {
         "schema": SCHEMA_VERSION,
         "seed": cmp.seed,
         "swap_multiplier": cmp.swap_multiplier,
         "rewire": {
-            "attempted_swaps": cmp.rewire_outcome.attempted_swaps,
-            "accepted_swaps": cmp.rewire_outcome.accepted_swaps,
-            "residual_assortativity": cmp.rewire_outcome.residual_assortativity,
-            "warning": cmp.rewire_outcome.warning,
+            "attempted_swaps": outcome.attempted_swaps,
+            "accepted_swaps": outcome.accepted_swaps,
+            "residual_assortativity": outcome.residual_assortativity,
+            "warning": outcome.warning,
         },
         "reports": {label: report_to_dict(rep) for label, rep in cmp.reports.items()},
         "verdict": {

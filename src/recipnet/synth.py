@@ -28,6 +28,7 @@ from .graph import WeightedDigraph
 from .nullmodels import _swap_chain
 
 _TUNING_MULTIPLIER = 30
+_STRENGTH_SIGMA = 0.75
 _TUNING_TOLERANCE = 0.01
 _RESAMPLE_TRIES = 100
 _MIN_SPLIT = 1e-12
@@ -64,7 +65,6 @@ class SynthConfig:
     target_assortativity: float = 0.0
     dispersion: float = 0.0
     seed: int = 0
-    strength_sigma: float = 0.75
 
     def __post_init__(self) -> None:
         if self.vertex_count < 2:
@@ -228,7 +228,7 @@ def generate(cfg: SynthConfig) -> WeightedDigraph:
         k = len(partners[v])
         if k == 0:
             continue
-        strength = k * float(rng.lognormal(mean=0.0, sigma=cfg.strength_sigma))
+        strength = k * float(rng.lognormal(mean=0.0, sigma=_STRENGTH_SIGMA))
         weights = _split_weights(strength, k, cfg.dispersion, rng)
         arcs.extend((v, u, float(w)) for u, w in zip(sorted(partners[v]), weights))
     return WeightedDigraph.from_dense_arcs(cfg.vertex_count, arcs)

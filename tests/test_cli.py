@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,9 @@ from pathlib import Path
 import pytest
 
 from recipnet.cli import EXIT_DEGENERATE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
-from recipnet.ingest import aggregate_event_file, load_edge_list
+from recipnet.ingest import aggregate_event_file, load_edge_list, save_snapshot
+
+from conftest import random_digraph
 
 
 @pytest.fixture
@@ -258,6 +262,67 @@ class TestExitCodes:
             )
             == EXIT_VALIDATION
         )
+
+    def test_zero_replicas_rejected_before_outdir_exists(self, graph_file, tmp_path, capsys):
+        outdir = tmp_path / "reg"
+        code = main(["regimes", str(graph_file), "--outdir", str(outdir), "--replicas", "0"])
+        assert code == EXIT_VALIDATION
+        assert "replicas must be a positive integer" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("command", ["report", "reciprocity", "regimes"])
+    def test_infinite_bin_width_rejected(self, command, graph_file, tmp_path, capsys):
+        argv = [command, str(graph_file), "--bin-width", "inf"]
+        if command == "regimes":
+            argv += ["--outdir", str(tmp_path / "reg")]
+        assert main(argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "bin width must be finite and positive" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["rewire", "regimes"])
+    def test_zero_swap_multiplier_rejected(self, command, graph_file, tmp_path, capsys):
+        argv = [command, str(graph_file), "--swap-multiplier", "0"]
+        argv += ["-o", str(tmp_path / "rw.csv")] if command == "rewire" else ["--outdir", str(tmp_path / "reg")]
+        assert main(argv) == EXIT_VALIDATION
+        assert "swap multiplier must be a positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "rw.csv").exists()
+
+
+#: sha256 of every file `rewire --seed 7` and `regimes --save-graphs --seed 7`
+#: write for the graph in test_seeded_outputs_are_pinned. A change to these
+#: bytes changes what one seed produces and must be named as such.
+PINNED_SHA256 = {
+    "rw.csv": "3a272a922002ecb5a8879578b7afacb6532202b7c13aafdc8c0b3dd9b4bf1a20",
+    "rw.vertices.csv": "2944110e7129f8608b65cd66d13dba860c592967ca6afd46390e82552a26ba01",
+    "comparison.json": "a8352ecbb2221a42ef86f3ade8928138b8fb9cb08a742915bc9cb096511ccf49",
+    "observed.graph.csv": "7e300aa3917d5dca570acbcb5f6f3d8430866cf35da1b5413084979289b79cb8",
+    "observed.graph.vertices.csv": "2944110e7129f8608b65cd66d13dba860c592967ca6afd46390e82552a26ba01",
+    "observed.json": "769e251d651044532efe933e06ac4cdfa91a70a827413fa98a8c527677b0481a",
+    "observed_equidispersed.graph.csv": "5acda60690d0dc40631c43dedd8fc2031a1ce1d52e7d6e9cc3d6d39750564db2",
+    "observed_equidispersed.graph.vertices.csv": "2944110e7129f8608b65cd66d13dba860c592967ca6afd46390e82552a26ba01",
+    "observed_equidispersed.json": "2105814f1287b54472b0d83050e4a9a9121f811c8927b94335471f219e9d021b",
+    "rewired.graph.csv": "4bf193837f50f2208f711cdf4e44fe51f9f0c765655c75b0d176a676ed0f599b",
+    "rewired.graph.vertices.csv": "2944110e7129f8608b65cd66d13dba860c592967ca6afd46390e82552a26ba01",
+    "rewired.json": "256811fff760aca6a58178767e156d77209df4dd444fc448fc9ebcc5aa420816",
+    "rewired_equidispersed.graph.csv": "8f9b0ad87c0e080dec52fa8e5dc86d5431758f04616ee4a1fbd65bad7d794b96",
+    "rewired_equidispersed.graph.vertices.csv": "2944110e7129f8608b65cd66d13dba860c592967ca6afd46390e82552a26ba01",
+    "rewired_equidispersed.json": "4064073092288b60f21afec0c8839742e89ad9f35ac9bfba817b0fde1b0dd01f",
+}
+
+
+def test_seeded_outputs_are_pinned(tmp_path, capsys):
+    # stdlib random only, so the input does not depend on the synthetic generator;
+    # 158 mutual dyads and 63 one-way arcs, so blocked landings are exercised.
+    g = random_digraph(random.Random(2011), 80, arc_fraction=0.06, mutual_bias=0.7)
+    save_snapshot(g, tmp_path / "g.csv")
+    (tmp_path / "rw").mkdir()
+    rewire = ["rewire", str(tmp_path / "g.csv"), "-o", str(tmp_path / "rw" / "rw.csv")]
+    assert main([*rewire, "--seed", "7"]) == EXIT_OK
+    regimes = ["regimes", str(tmp_path / "g.csv"), "--outdir", str(tmp_path / "reg")]
+    assert main([*regimes, "--seed", "7", "--save-graphs"]) == EXIT_OK
+    written = [*(tmp_path / "rw").iterdir(), *(tmp_path / "reg").iterdir()]
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written} == PINNED_SHA256
 
 
 def test_cli_import_stays_light():

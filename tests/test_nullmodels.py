@@ -14,7 +14,6 @@ from recipnet.errors import DomainError, IntegrityError
 from recipnet.graph import WeightedDigraph
 from recipnet.metrics import degree_assortativity, equidispersion_prediction, reciprocity
 from recipnet.nullmodels import (
-    RegimeConfig,
     equidisperse,
     four_regimes,
     maslov_sneppen_rewire,
@@ -108,12 +107,11 @@ class TestRewire:
     def test_forced_swap_on_two_disjoint_edges(self):
         arcs = [(1, 2, 1.0), (2, 1, 1.0), (3, 4, 1.0), (4, 3, 1.0)]
         g = WeightedDigraph.from_dense_arcs(5, arcs)
-        cfg = RegimeConfig(True, False, seed=0, swap_multiplier=1)
         # Two attempts in the budget, drawn one per chunk: the first picks
         # edges 0 and 1 with no orientation flips, turning (1,2),(3,4) into
         # (1,4),(3,2); the second picks the same edge twice and is rejected.
         rng = _ScriptedGenerator([[[0, 1]], [[0, 0]]], [[[0.9, 0.9]], [[0.9, 0.9]]])
-        out = maslov_sneppen_rewire(g, cfg, rng=rng)
+        out = maslov_sneppen_rewire(g, rng, swap_multiplier=1)
         pairs = {(d.a, d.b) for d in out.graph.mutual_dyads()}
         assert pairs == {(1, 4), (2, 3)}
         assert backbone_degrees(out.graph) == backbone_degrees(g)
@@ -122,10 +120,9 @@ class TestRewire:
     def test_forced_swap_follows_orientation_flip(self):
         arcs = [(1, 2, 1.0), (2, 1, 1.0), (3, 4, 1.0), (4, 3, 1.0)]
         g = WeightedDigraph.from_dense_arcs(5, arcs)
-        cfg = RegimeConfig(True, False, seed=0, swap_multiplier=1)
         # Only the second edge is flipped, to (4,3): the swap yields (1,3),(4,2).
         rng = _ScriptedGenerator([[[0, 1]], [[0, 0]]], [[[0.9, 0.1]], [[0.9, 0.9]]])
-        out = maslov_sneppen_rewire(g, cfg, rng=rng)
+        out = maslov_sneppen_rewire(g, rng, swap_multiplier=1)
         assert {(d.a, d.b) for d in out.graph.mutual_dyads()} == {(1, 3), (2, 4)}
 
     def test_swap_creating_duplicate_is_rejected(self):
@@ -136,8 +133,7 @@ class TestRewire:
                 if a != b:
                     arcs.append((a, b, float(a + b + 1)))
         g = WeightedDigraph.from_dense_arcs(3, arcs)
-        cfg = RegimeConfig(True, False, seed=5, swap_multiplier=20)
-        out = maslov_sneppen_rewire(g, cfg)
+        out = maslov_sneppen_rewire(g, np.random.default_rng(5), swap_multiplier=20)
         assert out.accepted_swaps == 0
         assert out.warning is not None
         assert out.graph is g
@@ -145,22 +141,20 @@ class TestRewire:
     def test_too_few_edges_rejected(self):
         g = WeightedDigraph.from_dense_arcs(2, [(0, 1, 1.0), (1, 0, 1.0)])
         with pytest.raises(DomainError):
-            maslov_sneppen_rewire(g, RegimeConfig(True, False))
+            maslov_sneppen_rewire(g, np.random.default_rng(0))
 
     def test_degree_sequence_preserved(self):
         rnd = random.Random(77)
         for seed in range(5):
             g = random_digraph(rnd, 40, arc_fraction=0.08, mutual_bias=0.8)
-            cfg = RegimeConfig(True, False, seed=seed, swap_multiplier=5)
-            out = maslov_sneppen_rewire(g, cfg)
+            out = maslov_sneppen_rewire(g, np.random.default_rng(seed), swap_multiplier=5)
             assert sorted(backbone_degrees(out.graph)) == sorted(backbone_degrees(g))
             assert backbone_degrees(out.graph) == backbone_degrees(g)
 
     def test_same_seed_is_bit_reproducible(self):
         g = random_digraph(random.Random(8), 50, mutual_bias=0.8)
-        cfg = RegimeConfig(True, False, seed=123, swap_multiplier=5)
-        out1 = maslov_sneppen_rewire(g, cfg)
-        out2 = maslov_sneppen_rewire(g, cfg)
+        out1 = maslov_sneppen_rewire(g, np.random.default_rng(123), swap_multiplier=5)
+        out2 = maslov_sneppen_rewire(g, np.random.default_rng(123), swap_multiplier=5)
         assert out1.graph == out2.graph
         assert (out1.attempted_swaps, out1.accepted_swaps) == (
             out2.attempted_swaps,
@@ -178,7 +172,7 @@ class TestRewire:
         g = generate(cfg_synth)
         before = degree_assortativity(g).r
         assert before >= 0.3
-        out = maslov_sneppen_rewire(g, RegimeConfig(True, False, seed=9, swap_multiplier=10))
+        out = maslov_sneppen_rewire(g, np.random.default_rng(9), swap_multiplier=10)
         assert out.residual_assortativity is not None
         assert abs(out.residual_assortativity) < 0.05
 
@@ -187,29 +181,25 @@ class TestRewire:
         for seed in range(5):
             g = random_digraph(rnd, 60, arc_fraction=0.08, mutual_bias=0.6)
             assert g.dyad_census().asymmetric > 0
-            out = maslov_sneppen_rewire(g, RegimeConfig(True, False, seed=seed, swap_multiplier=3))
+            out = maslov_sneppen_rewire(g, np.random.default_rng(seed), swap_multiplier=3)
             assert out.accepted_swaps > 0
             expected = degree_assortativity(out.graph, mutual_only=True).r
             assert abs(out.residual_assortativity - expected) <= 1e-12
 
     def test_neutral_graph_is_still_randomized(self):
         g = random_digraph(random.Random(12), 80, arc_fraction=0.06, mutual_bias=0.9)
-        neutral = maslov_sneppen_rewire(g, RegimeConfig(True, False, seed=1, swap_multiplier=50)).graph
+        neutral = maslov_sneppen_rewire(g, np.random.default_rng(1), swap_multiplier=50).graph
         assert abs(degree_assortativity(neutral).r) < 0.005
-        out = maslov_sneppen_rewire(neutral, RegimeConfig(True, False, seed=2))
+        out = maslov_sneppen_rewire(neutral, np.random.default_rng(2))
         assert out.accepted_swaps > 0
         assert out.graph != neutral
 
     def test_one_way_arcs_carried_through(self):
         arcs = [(0, 1, 2.0), (1, 0, 3.0), (2, 3, 4.0), (3, 2, 5.0), (0, 4, 7.0)]
         g = WeightedDigraph.from_dense_arcs(5, arcs)
-        cfg = RegimeConfig(True, False, seed=1, swap_multiplier=3)
-        out = maslov_sneppen_rewire(g, cfg)
+        out = maslov_sneppen_rewire(g, np.random.default_rng(1), swap_multiplier=3)
         if out.accepted_swaps:
             assert out.graph.weight(0, 4) == 7.0
-        dropped = maslov_sneppen_rewire(g, cfg, keep_one_way=False)
-        if dropped.accepted_swaps:
-            assert not dropped.graph.has_arc(0, 4)
 
 
 class TestReattachWeights:
