@@ -19,10 +19,8 @@ from .metrics import (
     reciprocity_records,
 )
 from .nullmodels import (
-    RegimeSet,
     RewireOutcome,
     equidisperse,
-    four_regimes,
     maslov_sneppen_rewire,
     reattach_weights,
 )
@@ -36,7 +34,6 @@ __all__ = [
     "MutualDyad",
     "ReciprocityHistogram",
     "ReciprocityRecord",
-    "RegimeSet",
     "RewireOutcome",
     "WeightedDigraph",
     "classify",
@@ -45,7 +42,6 @@ __all__ = [
     "dyad_scores",
     "equidisperse",
     "equidispersion_prediction",
-    "four_regimes",
     "maslov_sneppen_rewire",
     "reattach_weights",
     "reciprocity",

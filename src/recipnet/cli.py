@@ -28,6 +28,7 @@ from .report import (
     comparison_to_dict,
     emit_report,
     json_bytes,
+    replicas_to_dict,
     report_to_dict,
     run_regime_comparison,
     write_report_csv,
@@ -245,65 +246,33 @@ def _cmd_regimes(args: argparse.Namespace) -> int:
     if args.replicas < 1:
         raise DomainError("replicas must be a positive integer")
     g = load_edge_list(args.graph, strict=args.strict)
+    seeds = range(args.seed, args.seed + args.replicas)
+    comparisons = run_regime_comparison(g, seeds, args.swap_multiplier, args.bin_width)
+    first = comparisons[0]
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     with _OutputLock(outdir):
-        comparisons = []
-        for replica in range(args.replicas):
-            seed = args.seed + replica
-            cmp = run_regime_comparison(
-                g,
-                seed=seed,
-                swap_multiplier=args.swap_multiplier,
-                bin_width=args.bin_width,
-            )
-            comparisons.append(cmp)
-            if replica == 0:
-                for label, rep in cmp.reports.items():
-                    emit_report(rep, args.format, outdir / f"{label}.{args.format}")
-                (outdir / "comparison.json").write_bytes(json_bytes(comparison_to_dict(cmp)))
-                if args.save_graphs:
-                    for label, graph in cmp.regimes.items():
-                        save_snapshot(
-                            graph, outdir / f"{label}.graph.csv", regime=label, seed=seed
-                        )
-            else:
-                (outdir / f"comparison.seed{seed}.json").write_bytes(
-                    json_bytes(comparison_to_dict(cmp))
-                )
+        for label, rep in first.reports.items():
+            emit_report(rep, args.format, outdir / f"{label}.{args.format}")
+        (outdir / "comparison.json").write_bytes(json_bytes(comparison_to_dict(first)))
+        if args.save_graphs:
+            for label, graph in first.graphs.items():
+                save_snapshot(graph, outdir / f"{label}.graph.csv", regime=label, seed=first.seed)
+        for cmp in comparisons[1:]:
+            (outdir / f"comparison.seed{cmp.seed}.json").write_bytes(json_bytes(comparison_to_dict(cmp)))
         if args.replicas > 1:
-            (outdir / "replicas.json").write_bytes(json_bytes(_replica_summary(comparisons)))
-        if comparisons[0].verdict.degenerate:
-            _warn_or_raise(args.strict, comparisons[0].verdict.description)
+            (outdir / "replicas.json").write_bytes(json_bytes(replicas_to_dict(comparisons)))
+        if first.verdict.degenerate:
+            _warn_or_raise(args.strict, first.verdict.description)
     _emit(
         {
             "outdir": str(outdir),
             "replicas": args.replicas,
-            "verdict": comparisons[0].verdict.description,
+            "verdict": first.verdict.description,
         },
         None,
     )
     return EXIT_OK
-
-
-def _replica_summary(comparisons: list) -> dict:
-    """Cross-replica mean and spread of each cell's mean score (error bars)."""
-    labels = list(comparisons[0].reports)
-    cells = {}
-    for label in labels:
-        values = [c.verdict.means[label] for c in comparisons]
-        clean = [v for v in values if v is not None]
-        n = len(clean)
-        mean = sum(clean) / n if n else None
-        std = (sum((v - mean) ** 2 for v in clean) / n) ** 0.5 if n else None
-        cells[label] = {"per_seed": values, "mean": mean, "std": std}
-    return {
-        "schema": 1,
-        "seeds": [c.seed for c in comparisons],
-        "cells": cells,
-        "verdicts": [c.verdict.description for c in comparisons],
-        "final_ordering_count": sum(1 for c in comparisons if c.verdict.final_ordering),
-    }
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:

@@ -37,7 +37,7 @@ EVENT_HEADER = "timestamp,caller,callee"
 GRAPH_HEADER = "src,dst,weight"
 VERTEX_HEADER = "external_id,dense_id"
 
-_BATCH = 1 << 13  # event lines read and counted per C-level pass
+_BATCH = 1 << 13  # lines per C-level pass: event lines read, snapshot lines written
 
 
 @dataclass
@@ -161,7 +161,10 @@ def save_snapshot(
     head.extend(f"# {key}={value}" for key, value in (extra_provenance or {}).items())
     head.append(GRAPH_HEADER)
     body = (f"{labels[src]},{labels[dst]},{w!r}\n" for src, dst, w in g.arcs())
-    path.write_text("".join([*(line + "\n" for line in head), *body]), encoding="utf-8")
+    with path.open("w", encoding="utf-8") as f:
+        f.write("".join(line + "\n" for line in head))
+        while batch := "".join(islice(body, _BATCH)):  # one batch of arc lines in memory
+            f.write(batch)
     side = (f"{label},{v}\n" for v, label in enumerate(labels))
     sidecar_path(path).write_text("".join([VERTEX_HEADER + "\n", *side]), encoding="utf-8")
 

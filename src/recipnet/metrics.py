@@ -35,6 +35,8 @@ RECIPROCAL_MAX = math.log(1.5)
 PARTIAL_MAX = math.log(9.0)
 
 DEFAULT_BIN_WIDTH = 0.1
+#: A bin width that would need more bins than this is rejected, not allocated.
+_MAX_BINS = 10_000
 
 
 class DyadClass(Enum):
@@ -289,6 +291,8 @@ class ReciprocityHistogram:
 def _histogram(r: np.ndarray, classes: np.ndarray, bin_width: float) -> ReciprocityHistogram:
     if not (bin_width > 0 and math.isfinite(bin_width)):
         raise DomainError(f"bin width must be finite and positive, got {bin_width}")
+    if len(r) and r.max() // bin_width >= _MAX_BINS:
+        raise DomainError(f"bin width {bin_width} would need more than {_MAX_BINS} histogram bins")
     counts = tuple(np.bincount((r // bin_width).astype(np.int64)).tolist())
     by_class = np.bincount(classes, minlength=len(_CLASSES)).tolist()
     shares = tuple(c / len(r) for c in by_class) if len(r) else (0.0, 0.0, 0.0)

@@ -21,14 +21,14 @@ The swap loop itself is :func:`_swap_chain`, shared with the synthetic
 generator, which uses it to plant assortativity instead of removing it.
 
 All randomness comes from one numpy ``Generator`` (PCG64, as in the
-synthetic generator): the rewire takes it from its caller, and
-``four_regimes`` builds it from a seed, so one seed reproduces a whole regime
-construction bit for bit.
+synthetic generator) that the caller supplies, so one seed reproduces a
+rewiring, weights included, bit for bit. The four-network comparison built
+from these transforms lives in :mod:`recipnet.report`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,25 +49,6 @@ class RewireOutcome:
     accepted_swaps: int
     residual_assortativity: float | None
     warning: str | None = None
-
-
-@dataclass(frozen=True)
-class RegimeSet:
-    """The four comparison networks built from one observed graph."""
-
-    observed: WeightedDigraph
-    observed_equidispersed: WeightedDigraph
-    rewired: WeightedDigraph
-    rewired_equidispersed: WeightedDigraph
-    rewire_outcome: RewireOutcome = field(compare=False)
-
-    def items(self) -> list[tuple[str, WeightedDigraph]]:
-        return [
-            ("observed", self.observed),
-            ("observed_equidispersed", self.observed_equidispersed),
-            ("rewired", self.rewired),
-            ("rewired_equidispersed", self.rewired_equidispersed),
-        ]
 
 
 def equidisperse(g: WeightedDigraph) -> WeightedDigraph:
@@ -119,7 +100,6 @@ def _swap_chain(
     budget: int,
     target: float,
     tolerance: float,
-    check_every: int,
     blocked: frozenset[tuple[int, int]] = frozenset(),
     toward_target: bool = False,
 ) -> tuple[list[tuple[int, int]], int, int, float | None]:
@@ -130,9 +110,9 @@ def _swap_chain(
     create a self-loop or a duplicate edge or land on a ``blocked`` pair.
     Every valid proposal is accepted, unless ``toward_target`` is set: then
     only proposals that bring the degree assortativity r closer to
-    ``target`` are. Randomness is drawn ``check_every`` attempts at a time;
-    after each such chunk the chain stops once |r - target| < ``tolerance``,
-    and it never runs past ``budget`` attempts.
+    ``target`` are. Randomness is drawn max(1, m // 10) attempts at a time
+    for m edges; after each such chunk the chain stops once
+    |r - target| < ``tolerance``, and it never runs past ``budget`` attempts.
 
     Degrees never change, so Newman's r (the Pearson correlation of the
     endpoint degrees, each edge counted both ways; using excess degrees
@@ -160,7 +140,7 @@ def _swap_chain(
 
     attempted = accepted = 0
     while attempted < budget:
-        chunk = min(check_every, budget - attempted)
+        chunk = min(max(1, m // 10), budget - attempted)
         picks = rng.integers(0, m, (chunk, 2)).tolist()
         flips = (rng.random((chunk, 2)) < 0.5).tolist()
         attempted += chunk
@@ -229,7 +209,6 @@ def maslov_sneppen_rewire(
         budget=swap_multiplier * edge_count,
         target=0.0,
         tolerance=EARLY_STOP_R,
-        check_every=max(1, edge_count // 10),
         blocked=frozenset(zip(lo.tolist(), hi.tolist())),
     )
     if accepted == 0:
@@ -247,23 +226,3 @@ def maslov_sneppen_rewire(
     )
     return RewireOutcome(reattach_weights(skeleton, g, rng), attempted, accepted, residual)
 
-
-def four_regimes(
-    g: WeightedDigraph,
-    seed: int = 0,
-    swap_multiplier: int = DEFAULT_SWAP_MULTIPLIER,
-) -> RegimeSet:
-    """All four comparison networks from one observed graph.
-
-    A single rewiring pass (one seed) backs both rewired cells, so the
-    equidispersed and dispersion-keeping variants differ only in their
-    weights, never in topology.
-    """
-    outcome = maslov_sneppen_rewire(g, np.random.default_rng(seed), swap_multiplier)
-    return RegimeSet(
-        observed=g,
-        observed_equidispersed=equidisperse(g),
-        rewired=outcome.graph,
-        rewired_equidispersed=equidisperse(outcome.graph),
-        rewire_outcome=outcome,
-    )

@@ -1,5 +1,8 @@
 """Analysis reports and the four-network regime comparison.
 
+:func:`run_regime_comparison` builds the four networks from the transforms
+in :mod:`recipnet.nullmodels`, analyzes each and judges their ordering.
+
 Reports are plain dataclasses with stable JSON/CSV serializations: identical
 inputs produce byte-identical output (keys sorted, floats via repr, no
 timestamps), which the comparison pipeline relies on for reproducibility
@@ -9,7 +12,8 @@ checks.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, TextIO
 
@@ -26,7 +30,7 @@ from .metrics import (
     dyad_scores,
     DEFAULT_BIN_WIDTH,
 )
-from .nullmodels import DEFAULT_SWAP_MULTIPLIER, RegimeSet, four_regimes
+from .nullmodels import DEFAULT_SWAP_MULTIPLIER, RewireOutcome, equidisperse, maslov_sneppen_rewire
 
 SCHEMA_VERSION = 1
 
@@ -75,11 +79,14 @@ class OrderingVerdict:
 
 @dataclass(frozen=True)
 class RegimeComparison:
+    """One seed's four networks (in cell order), their reports and verdict."""
+
     reports: dict[str, AnalysisReport]
     verdict: OrderingVerdict
     seed: int
     swap_multiplier: int
-    regimes: RegimeSet
+    graphs: dict[str, WeightedDigraph]
+    rewire: RewireOutcome
 
 
 def analyze(
@@ -158,24 +165,29 @@ def _ordering_verdict(means: dict[str, float | None]) -> OrderingVerdict:
 
 def run_regime_comparison(
     g: WeightedDigraph,
-    seed: int = 0,
+    seeds: Iterable[int],
     swap_multiplier: int = DEFAULT_SWAP_MULTIPLIER,
     bin_width: float = DEFAULT_BIN_WIDTH,
-) -> RegimeComparison:
-    """Build the four comparison networks, analyze each, judge the ordering."""
-    regimes = four_regimes(g, seed=seed, swap_multiplier=swap_multiplier)
-    reports = {
-        label: analyze(graph, regime=label, seed=seed, bin_width=bin_width)
-        for label, graph in regimes.items()
-    }
-    means = {label: rep.mean_r for label, rep in reports.items()}
-    return RegimeComparison(
-        reports=reports,
-        verdict=_ordering_verdict(means),
-        seed=seed,
-        swap_multiplier=swap_multiplier,
-        regimes=regimes,
-    )
+) -> list[RegimeComparison]:
+    """Build the four comparison networks, analyze each and judge the ordering, per seed.
+
+    The observed cells do not depend on the seed: they are built and analyzed
+    once, and each seed's copy of their reports differs only in its
+    provenance seed. One rewiring pass per seed backs both rewired cells, so
+    they differ only in their weights, never in topology.
+    """
+    observed = {"observed": g, "observed_equidispersed": equidisperse(g)}
+    base = {label: analyze(graph, label, bin_width=bin_width) for label, graph in observed.items()}
+    comparisons = []
+    for seed in seeds:
+        outcome = maslov_sneppen_rewire(g, np.random.default_rng(seed), swap_multiplier)
+        graphs = dict(observed, rewired=outcome.graph, rewired_equidispersed=equidisperse(outcome.graph))
+        reports = {k: replace(r, provenance=replace(r.provenance, seed=seed)) for k, r in base.items()}
+        for label in ("rewired", "rewired_equidispersed"):
+            reports[label] = analyze(graphs[label], label, seed, bin_width)
+        verdict = _ordering_verdict({label: rep.mean_r for label, rep in reports.items()})
+        comparisons.append(RegimeComparison(reports, verdict, seed, swap_multiplier, graphs, outcome))
+    return comparisons
 
 
 # -- serialization ----------------------------------------------------------
@@ -222,7 +234,7 @@ def report_to_dict(report: AnalysisReport) -> dict[str, Any]:
 
 
 def comparison_to_dict(cmp: RegimeComparison) -> dict[str, Any]:
-    outcome = cmp.regimes.rewire_outcome
+    outcome = cmp.rewire
     return {
         "schema": SCHEMA_VERSION,
         "seed": cmp.seed,
@@ -241,6 +253,25 @@ def comparison_to_dict(cmp: RegimeComparison) -> dict[str, Any]:
             "degenerate": cmp.verdict.degenerate,
             "description": cmp.verdict.description,
         },
+    }
+
+
+def replicas_to_dict(comparisons: list[RegimeComparison]) -> dict[str, Any]:
+    """Cross-replica mean and spread of each cell's mean score (error bars)."""
+    cells = {}
+    for label in comparisons[0].reports:
+        values = [c.verdict.means[label] for c in comparisons]
+        clean = [v for v in values if v is not None]
+        n = len(clean)
+        mean = sum(clean) / n if n else None
+        std = (sum((v - mean) ** 2 for v in clean) / n) ** 0.5 if n else None
+        cells[label] = {"per_seed": values, "mean": mean, "std": std}
+    return {
+        "schema": SCHEMA_VERSION,
+        "seeds": [c.seed for c in comparisons],
+        "cells": cells,
+        "verdicts": [c.verdict.description for c in comparisons],
+        "final_ordering_count": sum(1 for c in comparisons if c.verdict.final_ordering),
     }
 
 

@@ -212,7 +212,6 @@ def generate(cfg: SynthConfig) -> WeightedDigraph:
         budget=_TUNING_MULTIPLIER * m,
         target=target,
         tolerance=_TUNING_TOLERANCE,
-        check_every=max(1, m // 10),
         toward_target=True,
     )
     if r is not None and abs(r - target) > _TUNING_TOLERANCE:

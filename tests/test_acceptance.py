@@ -206,7 +206,7 @@ def test_criterion_07_regime_ordering_reproduced():
         g = generate(
             SynthConfig(5000, DegreeSpec("powerlaw", 2.5), 0.33, 0.3, seed=seed)
         )
-        cmp = run_regime_comparison(g, seed=seed, swap_multiplier=10)
+        [cmp] = run_regime_comparison(g, [seed], swap_multiplier=10)
         assert cmp.verdict.final_ordering, (seed, cmp.verdict.means)
         assert cmp.verdict.partial_ordering
         most_reciprocal = cmp.reports["observed_equidispersed"].class_proportions

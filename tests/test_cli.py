@@ -8,10 +8,12 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from recipnet import report
 from recipnet.cli import EXIT_DEGENERATE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from recipnet.ingest import aggregate_event_file, load_edge_list, save_snapshot
 
@@ -279,6 +281,19 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "bin width must be finite and positive" in captured.err
         assert captured.out == ""
+        assert not (tmp_path / "reg").exists()
+
+    @pytest.mark.parametrize("command", ["report", "reciprocity", "regimes"])
+    def test_bin_width_needing_too_many_bins_rejected(self, command, graph_file, tmp_path, capsys):
+        # The top score on graph_file is ln 1.5 = 0.405, so this width needs 20,274 bins.
+        argv = [command, str(graph_file), "--bin-width", "2e-5"]
+        if command == "regimes":
+            argv += ["--outdir", str(tmp_path / "reg")]
+        assert main(argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "would need more than 10000 histogram bins" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "reg").exists()
 
     @pytest.mark.parametrize("command", ["rewire", "regimes"])
     def test_zero_swap_multiplier_rejected(self, command, graph_file, tmp_path, capsys):
@@ -287,6 +302,20 @@ class TestExitCodes:
         assert main(argv) == EXIT_VALIDATION
         assert "swap multiplier must be a positive integer" in capsys.readouterr().err
         assert not (tmp_path / "rw.csv").exists()
+        assert not (tmp_path / "reg").exists()
+
+    def test_regimes_builds_observed_cells_once(self, graph_file, tmp_path, capsys, monkeypatch):
+        calls = Counter()
+        for name in ("analyze", "equidisperse"):
+            def counted(*args, _real=getattr(report, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(report, name, counted)
+        argv = ["regimes", str(graph_file), "--outdir", str(tmp_path / "reg"), "--replicas", "3"]
+        assert main(argv) == EXIT_OK
+        # Per replica only the two rewired cells are built and analyzed.
+        assert calls == {"analyze": 2 + 2 * 3, "equidisperse": 1 + 3}
 
 
 #: sha256 of every file `rewire --seed 7` and `regimes --save-graphs --seed 7`
@@ -309,6 +338,14 @@ PINNED_SHA256 = {
     "rewired_equidispersed.graph.vertices.csv": "2944110e7129f8608b65cd66d13dba860c592967ca6afd46390e82552a26ba01",
     "rewired_equidispersed.json": "4064073092288b60f21afec0c8839742e89ad9f35ac9bfba817b0fde1b0dd01f",
 }
+#: The same for `regimes --save-graphs --seed 7 --replicas 3`: seed 7 writes the
+#: files above, seeds 8 and 9 add one comparison each, replicas.json sums up.
+PINNED_REPLICAS_SHA256 = {
+    **{name: digest for name, digest in PINNED_SHA256.items() if not name.startswith("rw")},
+    "comparison.seed8.json": "8a36e09555ee7ce87d00a1d40e52496fb8fe427e231a56036dcf0436e9462e48",
+    "comparison.seed9.json": "67ae82db6c217e7703748bea7371a0716369d0c3d27bf6141731d9476d9039a4",
+    "replicas.json": "5e70d56b01a4a78d9dbaee8851d862b919bbf2b7e114edb620389c8eee906121",
+}
 
 
 def test_seeded_outputs_are_pinned(tmp_path, capsys):
@@ -323,6 +360,10 @@ def test_seeded_outputs_are_pinned(tmp_path, capsys):
     assert main([*regimes, "--seed", "7", "--save-graphs"]) == EXIT_OK
     written = [*(tmp_path / "rw").iterdir(), *(tmp_path / "reg").iterdir()]
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written} == PINNED_SHA256
+    replicas = ["regimes", str(tmp_path / "g.csv"), "--outdir", str(tmp_path / "reg3")]
+    assert main([*replicas, "--seed", "7", "--replicas", "3", "--save-graphs"]) == EXIT_OK
+    written = (tmp_path / "reg3").iterdir()
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written} == PINNED_REPLICAS_SHA256
 
 
 def test_cli_import_stays_light():

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recipnet import ingest
+from recipnet import __version__, ingest
 from recipnet.errors import FormatError
-from recipnet.graph import GraphBuilder
+from recipnet.graph import GraphBuilder, WeightedDigraph
 from recipnet.ingest import (
     IngestStats,
     aggregate_event_file,
@@ -272,6 +272,21 @@ class TestSnapshots:
         assert loaded == g
         assert loaded.vertex_count == 3
         assert loaded.external_label(2) == "mallory"
+
+    def test_save_writes_exact_text_across_batches(self, tmp_path):
+        v = 100
+        arcs = [(a, b, (a * v + b + 1) / 7) for a in range(v) for b in range(v) if a != b]
+        assert len(arcs) > ingest._BATCH
+        labels = tuple(f"v{i}" for i in range(v))
+        g = WeightedDigraph.from_dense_arcs(v, arcs, labels)
+        path = tmp_path / "graph.csv"
+        save_snapshot(g, path, regime="rewired", seed=3, extra_provenance={"accepted_swaps": 9})
+        head = f"# tool=recipnet/{__version__}\n# regime=rewired\n# seed=3\n# accepted_swaps=9\n"
+        body = "".join(f"v{a},v{b},{w!r}\n" for a, b, w in arcs)
+        assert path.read_text(encoding="utf-8") == head + "src,dst,weight\n" + body
+        side = "".join(f"v{i},{i}\n" for i in range(v))
+        assert sidecar_path(path).read_text(encoding="utf-8") == "external_id,dense_id\n" + side
+        assert load_edge_list(path) == g
 
     def test_provenance_header_ignored(self, tmp_path):
         path = tmp_path / "graph.csv"

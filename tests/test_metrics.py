@@ -352,3 +352,10 @@ class TestDistribution:
     def test_bad_bin_width(self):
         with pytest.raises(DomainError):
             reciprocity_distribution([], bin_width=0.0)
+
+    def test_bin_count_is_capped(self):
+        # 1249.875 / 0.125 == 9999 exactly: the top score opens the 10,000th bin.
+        hist = reciprocity_distribution(self._records([0.0, 1249.875]), bin_width=0.125)
+        assert len(hist.counts) == 10_000
+        with pytest.raises(DomainError, match="more than 10000 histogram bins"):
+            reciprocity_distribution(self._records([0.0, 1250.0]), bin_width=0.125)

@@ -13,12 +13,8 @@ from hypothesis import given, settings
 from recipnet.errors import DomainError, IntegrityError
 from recipnet.graph import WeightedDigraph
 from recipnet.metrics import degree_assortativity, equidispersion_prediction, reciprocity
-from recipnet.nullmodels import (
-    equidisperse,
-    four_regimes,
-    maslov_sneppen_rewire,
-    reattach_weights,
-)
+from recipnet.nullmodels import equidisperse, maslov_sneppen_rewire, reattach_weights
+from recipnet.report import run_regime_comparison
 from recipnet.synth import DegreeSpec, SynthConfig, generate
 
 from conftest import mutual_graphs, random_digraph
@@ -253,7 +249,7 @@ class TestReattachWeights:
 class TestRegimes:
     def test_identity_cell_returns_input(self):
         g = random_digraph(random.Random(4), 30, mutual_bias=0.8)
-        out = four_regimes(g, seed=0, swap_multiplier=1).observed
+        out = run_regime_comparison(g, [0], swap_multiplier=1)[0].graphs["observed"]
         assert out is g
         before = [reciprocity(g, d).r_value for d in g.mutual_dyads()]
         after = [reciprocity(out, d).r_value for d in out.mutual_dyads()]
@@ -261,32 +257,31 @@ class TestRegimes:
 
     def test_four_regimes_structure(self):
         g = random_digraph(random.Random(14), 60, mutual_bias=0.8)
-        regimes = four_regimes(g, seed=2, swap_multiplier=5)
-        labels = [label for label, _ in regimes.items()]
+        regimes = run_regime_comparison(g, [2], swap_multiplier=5)[0].graphs
+        labels = list(regimes)
         assert labels == [
             "observed",
             "observed_equidispersed",
             "rewired",
             "rewired_equidispersed",
         ]
-        assert regimes.observed is g
+        assert regimes["observed"] is g
         # Both rewired cells share one backbone.
-        rw_pairs = {(d.a, d.b) for d in regimes.rewired.mutual_dyads()}
-        rw_eq_pairs = {(d.a, d.b) for d in regimes.rewired_equidispersed.mutual_dyads()}
+        rw_pairs = {(d.a, d.b) for d in regimes["rewired"].mutual_dyads()}
+        rw_eq_pairs = {(d.a, d.b) for d in regimes["rewired_equidispersed"].mutual_dyads()}
         assert rw_pairs == rw_eq_pairs
 
     def test_rewired_equidispersed_hits_closed_form(self):
         g = random_digraph(random.Random(25), 50, mutual_bias=0.8)
-        regimes = four_regimes(g, seed=7, swap_multiplier=5)
-        eq = regimes.rewired_equidispersed
+        eq = run_regime_comparison(g, [7], swap_multiplier=5)[0].graphs["rewired_equidispersed"]
         for d in eq.mutual_dyads():
             predicted = equidispersion_prediction(eq.out_degree(d.a), eq.out_degree(d.b))
             assert abs(reciprocity(eq, d).r_value - predicted) <= 1e-9
 
     def test_equidispersed_cell_strengths_match_observed(self):
         g = random_digraph(random.Random(33), 40, mutual_bias=0.9)
-        regimes = four_regimes(g, seed=1, swap_multiplier=5)
+        eq = run_regime_comparison(g, [1], swap_multiplier=5)[0].graphs["observed_equidispersed"]
         for v in range(g.vertex_count):
-            assert regimes.observed_equidispersed.out_strength(v) == pytest.approx(
+            assert eq.out_strength(v) == pytest.approx(
                 g.out_strength(v), rel=1e-9
             )

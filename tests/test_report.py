@@ -101,14 +101,14 @@ class TestSerialization:
 
 class TestRegimeComparison:
     def test_degenerate_ties_verdict(self):
-        cmp = run_regime_comparison(toy_reciprocal_graph(), seed=1, swap_multiplier=3)
+        [cmp] = run_regime_comparison(toy_reciprocal_graph(), [1], swap_multiplier=3)
         assert cmp.verdict.degenerate
         assert cmp.verdict.description == "degenerate: ties"
         assert all(m == 0.0 for m in cmp.verdict.means.values())
 
     def test_synthetic_graph_orders_correctly(self):
         g = generate(SynthConfig(1200, DegreeSpec("powerlaw", 2.5), 0.33, 0.3, seed=4))
-        cmp = run_regime_comparison(g, seed=4, swap_multiplier=10)
+        [cmp] = run_regime_comparison(g, [4], swap_multiplier=10)
         assert not cmp.verdict.degenerate
         assert cmp.verdict.partial_ordering
         assert set(cmp.reports) == {
@@ -125,14 +125,14 @@ class TestRegimeComparison:
 
     def test_comparison_deterministic_per_seed(self):
         g = generate(SynthConfig(400, DegreeSpec("poisson", 6.0), 0.3, 0.3, seed=2))
-        b1 = json_bytes(comparison_to_dict(run_regime_comparison(g, seed=5)))
-        b2 = json_bytes(comparison_to_dict(run_regime_comparison(g, seed=5)))
+        b1 = json_bytes(comparison_to_dict(run_regime_comparison(g, [5])[0]))
+        b2 = json_bytes(comparison_to_dict(run_regime_comparison(g, [5])[0]))
         assert b1 == b2
 
     def test_different_seed_changes_rewired_histogram(self):
         g = generate(SynthConfig(400, DegreeSpec("poisson", 6.0), 0.3, 0.3, seed=2))
-        c1 = run_regime_comparison(g, seed=5)
-        c2 = run_regime_comparison(g, seed=6)
+        [c1] = run_regime_comparison(g, [5])
+        [c2] = run_regime_comparison(g, [6])
         assert (
             c1.reports["rewired"].histogram.counts
             != c2.reports["rewired"].histogram.counts
