@@ -248,6 +248,9 @@ def _cmd_regimes(args: argparse.Namespace) -> int:
     g = load_edge_list(args.graph, strict=args.strict)
     seeds = range(args.seed, args.seed + args.replicas)
     comparisons = run_regime_comparison(g, seeds, args.swap_multiplier, args.bin_width)
+    for cmp in comparisons:
+        if cmp.rewire["warning"]:
+            _warn_or_raise(args.strict, f"rewire with seed {cmp.seed}: {cmp.rewire['warning']}")
     first = comparisons[0]
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -14,7 +14,9 @@ containing a comma makes the line malformed):
 
 Aggregation streams the event file in batches of lines: memory is bounded by
 the distinct ``caller,callee`` line texts of arcs (one per arc and line-break
-style) plus one batch, not by the number of events.
+style) plus one batch, not by the number of events. Loading a snapshot reads
+it in batches too: memory is bounded by one batch of lines, the distinct
+labels and the arc arrays, not by per-arc Python objects.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import bisect
 import warnings
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import islice, repeat
 from operator import itemgetter
@@ -37,7 +40,7 @@ EVENT_HEADER = "timestamp,caller,callee"
 GRAPH_HEADER = "src,dst,weight"
 VERTEX_HEADER = "external_id,dense_id"
 
-_BATCH = 1 << 13  # lines per C-level pass: event lines read, snapshot lines written
+_BATCH = 1 << 13  # lines per C-level pass: event and snapshot lines read, snapshot lines written
 
 
 @dataclass
@@ -169,28 +172,93 @@ def save_snapshot(
     sidecar_path(path).write_text("".join([VERTEX_HEADER + "\n", *side]), encoding="utf-8")
 
 
+def _raise_first_bad_vertex_line(texts: list[str], path: Path) -> None:
+    """Raise the error for the first malformed sidecar line of ``texts`` (lines 2 onwards)."""
+    seen: set[str] = set()
+    for lineno, text in enumerate(texts, start=2):
+        fields = text.split(",")
+        if len(fields) != 2:
+            raise FormatError(f"{path}:{lineno}: malformed vertex line")
+        label, dense_text = fields
+        try:
+            int(dense_text)
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: dense id {dense_text!r} is not an integer") from None
+        if label in seen:
+            raise FormatError(f"{path}:{lineno}: duplicate external id {label!r}")
+        seen.add(label)
+
+
 def _load_sidecar(path: Path) -> dict[str, int]:
-    mapping: dict[str, int] = {}
+    """External id -> dense id, parsed in C-level passes; a bad file is rescanned for its first bad line."""
     with open(path, "r", encoding="utf-8", newline="") as f:
         header = f.readline().rstrip("\r\n")
         if header != VERTEX_HEADER:
             raise FormatError(f"expected header {VERTEX_HEADER!r} in {path}, got {header!r}")
-        for lineno, line in enumerate(f, start=2):
-            fields = line.rstrip("\r\n").split(",")
-            if len(fields) != 2:
-                raise FormatError(f"{path}:{lineno}: malformed vertex line")
-            label, dense_text = fields
-            try:
-                dense = int(dense_text)
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: dense id {dense_text!r} is not an integer") from None
-            if label in mapping:
-                raise FormatError(f"{path}:{lineno}: duplicate external id {label!r}")
-            mapping[label] = dense
+        texts = list(map(str.rstrip, f, repeat("\r\n")))
+    mapping: dict[str, int] = {}
+    n = len(texts)
+    fields = ",\n,".join(texts).split(",")  # "\n" fields end the rows, as in _arc_columns
+    if len(fields) == 3 * n - 1 and fields[2::3].count("\n") == n - 1:
+        with suppress(ValueError):  # a dense id that is not an integer
+            mapping = dict(zip(fields[0::3], map(int, fields[1::3])))
+    if len(mapping) != n:  # a malformed line, a bad dense id or a duplicate label
+        _raise_first_bad_vertex_line(texts, path)
     dense_ids = sorted(mapping.values())
     if dense_ids != list(range(len(dense_ids))):
         raise FormatError(f"{path}: dense ids are not contiguous 0..V-1")
     return mapping
+
+
+class _FirstSeenIds(dict):
+    """Label -> id; a label not yet present gets the next id, ``len(self)``."""
+
+    def __missing__(self, label: str) -> int:
+        self[label] = i = len(self)
+        return i
+
+
+def _raise_first_bad_arc_line(texts: list[str], first_lineno: int, path: Path) -> None:
+    """Raise the error for the first malformed arc line of ``texts`` (lines without line breaks)."""
+    inf = float("inf")
+    for lineno, text in enumerate(texts, start=first_lineno):
+        if not text:
+            continue
+        fields = text.split(",")
+        if len(fields) != 3:
+            raise FormatError(f"{path}:{lineno}: expected 3 fields, got {len(fields)}")
+        src, dst, w_text = fields
+        try:
+            w = float(w_text)
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: weight {w_text!r} is not a number") from None
+        if not 0.0 < w < inf:
+            kind = "non-positive" if w <= 0 else "non-finite"
+            raise FormatError(f"{path}:{lineno}: {kind} weight {w}")
+        if src == dst:
+            raise FormatError(f"{path}:{lineno}: self-loop at {src!r}")
+
+
+def _arc_columns(arcs: list[str], ids: _FirstSeenIds) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(src ids, dst ids, weights) of non-empty arc line texts; None if any line is bad.
+
+    Splits, parses and checks in C-level passes. A ``"\n"`` field, which no
+    line text contains, ends each row: every row has three fields exactly
+    when the n - 1 row ends sit at fields 3, 7, 11, ...
+    """
+    n = len(arcs)
+    fields = ",\n,".join(arcs).split(",")
+    if len(fields) != 4 * n - 1 or fields[3::4].count("\n") != n - 1:
+        return None
+    try:
+        w = np.fromiter(map(float, fields[2::4]), dtype=np.float64, count=n)
+    except ValueError:
+        return None
+    src = np.fromiter(map(ids.__getitem__, fields[0::4]), dtype=np.int64, count=n)
+    dst = np.fromiter(map(ids.__getitem__, fields[1::4]), dtype=np.int64, count=n)
+    if ((src == dst) | ~((w > 0) & (w < np.inf))).any():
+        return None
+    return src, dst, w
 
 
 def load_edge_list(path: str | Path, strict: bool = False) -> WeightedDigraph:
@@ -199,13 +267,33 @@ def load_edge_list(path: str | Path, strict: bool = False) -> WeightedDigraph:
     ``#`` provenance lines are recognised only before the header; after it
     every non-empty line is an arc. Duplicate (src, dst) rows aggregate with a
     warning (error in strict mode); non-positive or non-finite weights,
-    self-loops and header mismatches are always errors. Without a sidecar,
-    dense ids are assigned by sorting the distinct labels.
+    self-loops and header mismatches are always errors, reported for the
+    first offending line in file order. Without a sidecar, dense ids are
+    assigned by sorting the distinct labels.
+
+    The body is read in batches of lines, each split, mapped and checked in
+    C-level passes: labels are looked up in the sidecar's mapping (without a
+    sidecar they get provisional ids in first-seen order, remapped once per
+    vertex at the end), weights are parsed with ``float``, and the checks are
+    array masks. Only a batch whose mask fires is rescanned line by line, to
+    report the exact line. No per-arc text outlives its batch, so memory is
+    bounded by one batch of lines, the distinct labels and the arc arrays.
     """
     path = Path(path)
-    srcs, dsts, weights = [], [], []  # one entry per arc row
+    side = sidecar_path(path)
+    ids = _FirstSeenIds()
+    side_error: Exception | None = None
+    has_side = side.exists()
+    if has_side:
+        try:  # its dense ids are the ids; its errors rank below the body's, so they wait
+            ids.update(_load_sidecar(side))
+        except (OSError, ValueError) as exc:
+            side_error = exc
+    v = len(ids)  # a label the sidecar lacks gets an id >= v
+    empty = np.empty(0, np.int64)
+    batches = [(empty, empty, np.empty(0))]  # (src ids, dst ids, weights) per batch
     blank_before: list[int] = []  # row index after each skipped blank line
-    inf = float("inf")
+    rows = 0
     with open(path, "r", encoding="utf-8", newline="") as f:
         for lineno, line in enumerate(f, start=1):
             text = line.rstrip("\r\n")
@@ -216,43 +304,37 @@ def load_edge_list(path: str | Path, strict: bool = False) -> WeightedDigraph:
             break
         else:
             raise FormatError(f"{path}: missing header line")
-        first_row = lineno + 1
-        for lineno, line in enumerate(f, start=first_row):
-            text = line.rstrip("\r\n")
-            if not text:
-                blank_before.append(len(srcs))
-                continue
-            fields = text.split(",")
-            if len(fields) != 3:
-                raise FormatError(f"{path}:{lineno}: expected 3 fields, got {len(fields)}")
-            src, dst, w_text = fields
-            try:
-                w = float(w_text)
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: weight {w_text!r} is not a number") from None
-            if not 0.0 < w < inf:
-                kind = "non-positive" if w <= 0 else "non-finite"
-                raise FormatError(f"{path}:{lineno}: {kind} weight {w}")
-            if src == dst:
-                raise FormatError(f"{path}:{lineno}: self-loop at {src!r}")
-            srcs.append(src)
-            dsts.append(dst)
-            weights.append(w)
+        first_row = lineno = lineno + 1
+        while lines := list(islice(f, _BATCH)):
+            texts = list(map(str.rstrip, lines, repeat("\r\n")))
+            arcs = texts
+            if "" in texts:
+                blanks = [i for i, text in enumerate(texts) if not text]
+                blank_before.extend(rows + i - k for k, i in enumerate(blanks))
+                arcs = list(filter(None, texts))
+            if arcs:
+                columns = _arc_columns(arcs, ids)
+                if columns is None:
+                    _raise_first_bad_arc_line(texts, lineno, path)
+                batches.append(columns)  # type: ignore[arg-type]  # the rescan raised otherwise
+            rows += len(arcs)
+            lineno += len(lines)
+    src_ids, dst_ids, w_col = map(np.concatenate, zip(*batches))
+    del batches  # free the batch arrays (and below, the label dict) before the sort
 
-    side = sidecar_path(path)
-    if side.exists():
-        index = _load_sidecar(side)
-        labels = sorted(index, key=index.get)
-    else:
-        labels = sorted({*srcs, *dsts})
-        index = {label: i for i, label in enumerate(labels)}
-    n, v = len(srcs), len(labels)
-    try:
-        src_ids = np.fromiter(map(index.__getitem__, srcs), dtype=np.int64, count=n)
-        dst_ids = np.fromiter(map(index.__getitem__, dsts), dtype=np.int64, count=n)
-    except KeyError:
-        raise FormatError(f"{path}: arc references id missing from sidecar") from None
-    w_col = np.array(weights, dtype=np.float64)
+    if side_error is not None:
+        raise side_error
+    if has_side:
+        if len(ids) > v:
+            raise FormatError(f"{path}: arc references id missing from sidecar")
+        labels = sorted(ids, key=ids.__getitem__)
+    else:  # dense ids follow the sorted labels: remap the first-seen ids, once per vertex
+        labels = sorted(ids)
+        v = len(labels)
+        dense = np.empty(v, dtype=np.int64)
+        dense[np.fromiter(map(ids.__getitem__, labels), dtype=np.int64, count=v)] = np.arange(v)
+        src_ids, dst_ids = dense[src_ids], dense[dst_ids]
+    del ids
 
     keys = src_ids * v + dst_ids
     order = np.argsort(keys, kind="stable")
@@ -261,7 +343,8 @@ def load_edge_list(path: str | Path, strict: bool = False) -> WeightedDigraph:
         if strict:
             row = int(repeats.min())
             lineno = first_row + row + bisect.bisect_right(blank_before, row)
-            raise FormatError(f"{path}:{lineno}: duplicate arc {srcs[row]!r} -> {dsts[row]!r}")
+            src, dst = labels[src_ids[row]], labels[dst_ids[row]]
+            raise FormatError(f"{path}:{lineno}: duplicate arc {src!r} -> {dst!r}")
         warnings.warn(f"{path}: aggregated {len(repeats)} duplicate arc rows", stacklevel=2)
         keys, inverse = np.unique(keys, return_inverse=True)
         src_ids, dst_ids = np.divmod(keys, v)

@@ -30,9 +30,9 @@ from .metrics import (
     dyad_scores,
     DEFAULT_BIN_WIDTH,
 )
-from .nullmodels import DEFAULT_SWAP_MULTIPLIER, RewireOutcome, equidisperse, maslov_sneppen_rewire
+from .nullmodels import DEFAULT_SWAP_MULTIPLIER, equidisperse, maslov_sneppen_rewire
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2  # 2: input_digest is content digest v2 (binary CSR encoding)
 
 H_STAR_QUANTILES = (0.10, 0.25, 0.50, 0.75, 0.90)
 
@@ -79,14 +79,22 @@ class OrderingVerdict:
 
 @dataclass(frozen=True)
 class RegimeComparison:
-    """One seed's four networks (in cell order), their reports and verdict."""
+    """One seed's reports (in cell order), verdict and rewire statistics.
+
+    ``graphs`` holds the four networks for the first seed of a
+    :func:`run_regime_comparison` run only, the one ``regimes --save-graphs``
+    writes; it is empty for every later seed, so R replicas keep two rewired
+    graphs alive rather than 2R. ``rewire`` holds the swap counts, residual
+    assortativity and warning of the seed's rewiring, as written to
+    ``comparison.json``.
+    """
 
     reports: dict[str, AnalysisReport]
     verdict: OrderingVerdict
     seed: int
     swap_multiplier: int
     graphs: dict[str, WeightedDigraph]
-    rewire: RewireOutcome
+    rewire: dict[str, Any]
 
 
 def analyze(
@@ -174,7 +182,8 @@ def run_regime_comparison(
     The observed cells do not depend on the seed: they are built and analyzed
     once, and each seed's copy of their reports differs only in its
     provenance seed. One rewiring pass per seed backs both rewired cells, so
-    they differ only in their weights, never in topology.
+    they differ only in their weights, never in topology. Only the first
+    seed's comparison keeps its graphs (see :class:`RegimeComparison`).
     """
     observed = {"observed": g, "observed_equidispersed": equidisperse(g)}
     base = {label: analyze(graph, label, bin_width=bin_width) for label, graph in observed.items()}
@@ -186,7 +195,14 @@ def run_regime_comparison(
         for label in ("rewired", "rewired_equidispersed"):
             reports[label] = analyze(graphs[label], label, seed, bin_width)
         verdict = _ordering_verdict({label: rep.mean_r for label, rep in reports.items()})
-        comparisons.append(RegimeComparison(reports, verdict, seed, swap_multiplier, graphs, outcome))
+        rewire = {
+            "attempted_swaps": outcome.attempted_swaps,
+            "accepted_swaps": outcome.accepted_swaps,
+            "residual_assortativity": outcome.residual_assortativity,
+            "warning": outcome.warning,
+        }
+        kept = {} if comparisons else graphs  # only the first seed's graphs are ever saved
+        comparisons.append(RegimeComparison(reports, verdict, seed, swap_multiplier, kept, rewire))
     return comparisons
 
 
@@ -234,17 +250,11 @@ def report_to_dict(report: AnalysisReport) -> dict[str, Any]:
 
 
 def comparison_to_dict(cmp: RegimeComparison) -> dict[str, Any]:
-    outcome = cmp.rewire
     return {
         "schema": SCHEMA_VERSION,
         "seed": cmp.seed,
         "swap_multiplier": cmp.swap_multiplier,
-        "rewire": {
-            "attempted_swaps": outcome.attempted_swaps,
-            "accepted_swaps": outcome.accepted_swaps,
-            "residual_assortativity": outcome.residual_assortativity,
-            "warning": outcome.warning,
-        },
+        "rewire": cmp.rewire,
         "reports": {label: report_to_dict(rep) for label, rep in cmp.reports.items()},
         "verdict": {
             "means": cmp.verdict.means,

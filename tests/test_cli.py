@@ -238,7 +238,7 @@ class TestPipeline:
     def test_report_json_and_csv(self, capsys, graph_file, tmp_path):
         code, payload = run_json(capsys, ["report", str(graph_file)])
         assert code == EXIT_OK
-        assert payload["schema"] == 1
+        assert payload["schema"] == 2
         out = tmp_path / "rep.csv"
         assert main(["report", str(graph_file), "--format", "csv", "-o", str(out)]) == EXIT_OK
         assert out.read_text().startswith("metric,value")
@@ -304,6 +304,23 @@ class TestExitCodes:
         assert not (tmp_path / "rw.csv").exists()
         assert not (tmp_path / "reg").exists()
 
+    def test_regimes_strict_escalates_rewire_that_did_nothing(self, graph_file, tmp_path, capsys):
+        # graph_file is a mutual triangle: every swap is rejected.
+        outdir = tmp_path / "reg"
+        code = main(["regimes", str(graph_file), "--outdir", str(outdir), "--seed", "3", "--strict"])
+        assert code == EXIT_DEGENERATE
+        assert "rewire with seed 3: no acceptable swap found" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_regimes_warns_of_rewire_that_did_nothing(self, graph_file, tmp_path, capsys):
+        outdir = tmp_path / "reg"
+        code = main(["regimes", str(graph_file), "--outdir", str(outdir), "--replicas", "2"])
+        assert code == EXIT_OK
+        err = capsys.readouterr().err
+        for seed in (0, 1):
+            assert f"warning: rewire with seed {seed}: no acceptable swap found; graph returned unchanged" in err
+        assert (outdir / "comparison.json").exists()
+
     def test_regimes_builds_observed_cells_once(self, graph_file, tmp_path, capsys, monkeypatch):
         calls = Counter()
         for name in ("analyze", "equidisperse"):
@@ -324,27 +341,30 @@ class TestExitCodes:
 PINNED_SHA256 = {
     "rw.csv": "3a272a922002ecb5a8879578b7afacb6532202b7c13aafdc8c0b3dd9b4bf1a20",
     "rw.vertices.csv": "2944110e7129f8608b65cd66d13dba860c592967ca6afd46390e82552a26ba01",
-    "comparison.json": "a8352ecbb2221a42ef86f3ade8928138b8fb9cb08a742915bc9cb096511ccf49",
+    "comparison.json": "a88554cfdcc7a4bf2dcbce46b4564462a02a0553e6f12d96a2152f0e04e6cf1c",
     "observed.graph.csv": "7e300aa3917d5dca570acbcb5f6f3d8430866cf35da1b5413084979289b79cb8",
     "observed.graph.vertices.csv": "2944110e7129f8608b65cd66d13dba860c592967ca6afd46390e82552a26ba01",
-    "observed.json": "769e251d651044532efe933e06ac4cdfa91a70a827413fa98a8c527677b0481a",
+    "observed.json": "11fba5480f182186458ae9a82a05addbb9dcb3d3d3bc7f0cc65896d5ceda3a3b",
     "observed_equidispersed.graph.csv": "5acda60690d0dc40631c43dedd8fc2031a1ce1d52e7d6e9cc3d6d39750564db2",
     "observed_equidispersed.graph.vertices.csv": "2944110e7129f8608b65cd66d13dba860c592967ca6afd46390e82552a26ba01",
-    "observed_equidispersed.json": "2105814f1287b54472b0d83050e4a9a9121f811c8927b94335471f219e9d021b",
+    "observed_equidispersed.json": "f0da4050fda71f6f3371813cefc87f6796f7ca63631b19b041604e140bba448e",
     "rewired.graph.csv": "4bf193837f50f2208f711cdf4e44fe51f9f0c765655c75b0d176a676ed0f599b",
     "rewired.graph.vertices.csv": "2944110e7129f8608b65cd66d13dba860c592967ca6afd46390e82552a26ba01",
-    "rewired.json": "256811fff760aca6a58178767e156d77209df4dd444fc448fc9ebcc5aa420816",
+    "rewired.json": "678f902adad7fb6ade28f3dfd11d3f682fe748d1fe0cac2f482b0353c5402f7f",
     "rewired_equidispersed.graph.csv": "8f9b0ad87c0e080dec52fa8e5dc86d5431758f04616ee4a1fbd65bad7d794b96",
     "rewired_equidispersed.graph.vertices.csv": "2944110e7129f8608b65cd66d13dba860c592967ca6afd46390e82552a26ba01",
-    "rewired_equidispersed.json": "4064073092288b60f21afec0c8839742e89ad9f35ac9bfba817b0fde1b0dd01f",
+    "rewired_equidispersed.json": "6201d8fada7e15b8753a693443d091a01bf0ebfb8c6cb9fe8418184748be87c9",
 }
-#: The same for `regimes --save-graphs --seed 7 --replicas 3`: seed 7 writes the
-#: files above, seeds 8 and 9 add one comparison each, replicas.json sums up.
+#: The same for `regimes --save-graphs --seed 7 --replicas 5`: seed 7 writes the
+#: files above, seeds 8 to 11 add one comparison each, replicas.json sums up.
+#: Only seed 7's graphs are kept and saved; later replicas drop theirs.
 PINNED_REPLICAS_SHA256 = {
     **{name: digest for name, digest in PINNED_SHA256.items() if not name.startswith("rw")},
-    "comparison.seed8.json": "8a36e09555ee7ce87d00a1d40e52496fb8fe427e231a56036dcf0436e9462e48",
-    "comparison.seed9.json": "67ae82db6c217e7703748bea7371a0716369d0c3d27bf6141731d9476d9039a4",
-    "replicas.json": "5e70d56b01a4a78d9dbaee8851d862b919bbf2b7e114edb620389c8eee906121",
+    "comparison.seed8.json": "b658c38a697a80c9bc671ab5f2561cef8a3586bb35a2bb0172b5017946b7bad4",
+    "comparison.seed9.json": "afcf23316f4d22d18d73ccbd933a4a65c92376e9371453950576ae4b06b7a3b3",
+    "comparison.seed10.json": "c0ab7cca4c1b3bbe00bd6130a42c4f2c2e27e0b3c46ed5f4b85a94128eceb78c",
+    "comparison.seed11.json": "29356fbdba266e1c96ad2eb397cb4af8113bca287b8613ff30dc98867cffc531",
+    "replicas.json": "1b0e33935b87121e478f622fc39e1fda031a8f1243afaa320d79ec1bf200c9f8",
 }
 
 
@@ -360,9 +380,9 @@ def test_seeded_outputs_are_pinned(tmp_path, capsys):
     assert main([*regimes, "--seed", "7", "--save-graphs"]) == EXIT_OK
     written = [*(tmp_path / "rw").iterdir(), *(tmp_path / "reg").iterdir()]
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written} == PINNED_SHA256
-    replicas = ["regimes", str(tmp_path / "g.csv"), "--outdir", str(tmp_path / "reg3")]
-    assert main([*replicas, "--seed", "7", "--replicas", "3", "--save-graphs"]) == EXIT_OK
-    written = (tmp_path / "reg3").iterdir()
+    replicas = ["regimes", str(tmp_path / "g.csv"), "--outdir", str(tmp_path / "reg5")]
+    assert main([*replicas, "--seed", "7", "--replicas", "5", "--save-graphs"]) == EXIT_OK
+    written = (tmp_path / "reg5").iterdir()
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written} == PINNED_REPLICAS_SHA256
 
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -237,3 +239,107 @@ class TestNonFiniteWeights:
         with pytest.raises(DomainError):
             b.add_arc("a", "b", bad)
         assert b.distinct_arcs == 0
+
+
+def reference_digest(g: WeightedDigraph) -> str:
+    """Digest v2 spelled out with struct: tag, V, label lengths, label text, CSR arrays."""
+    labels = g.labels()
+    data = [b"recipnet-digest-v2\0", struct.pack(f"<{1 + len(labels)}q", len(labels), *map(len, labels))]
+    data.append("".join(labels).encode("utf-8"))
+    indptr, indices, weights = g._indptr.tolist(), g._indices.tolist(), g._weights.tolist()
+    data.append(struct.pack(f"<{len(indptr)}q{len(indices)}q{len(weights)}d", *indptr, *indices, *weights))
+    return hashlib.sha256(b"".join(data)).hexdigest()
+
+
+@st.composite
+def labelled_graphs(draw) -> WeightedDigraph:
+    """Small graphs with no labels, the labels "0".."V-1", or arbitrary distinct text labels."""
+    g = draw(small_graphs(max_vertices=6))
+    v = g.vertex_count
+    kind = draw(st.sampled_from(["none", "digits", "text"]))
+    labels = {
+        "none": None,
+        "digits": tuple(map(str, range(v))),
+        "text": tuple(draw(st.lists(st.text(max_size=3), min_size=v, max_size=v, unique=True))),
+    }[kind]
+    src, dst, w = map(np.array, zip(*g.arcs())) if g.arc_count else ([], [], [])
+    return WeightedDigraph.from_columns(v, src, dst, w, labels)
+
+
+def with_arcs(g: WeightedDigraph, arcs, labels=None) -> WeightedDigraph:
+    return WeightedDigraph.from_dense_arcs(g.vertex_count, arcs, labels if labels is not None else g.external_ids)
+
+
+class TestContentDigest:
+    @given(labelled_graphs())
+    @settings(max_examples=100)
+    def test_cached_value_equals_fresh_computation(self, g):
+        first = g.content_digest()
+        assert g.content_digest() == first == reference_digest(g)
+        assert g._reweighted(g._weights).content_digest() == first  # a new object starts uncached
+
+    @given(labelled_graphs(), labelled_graphs())
+    @settings(max_examples=150)
+    def test_equal_graphs_iff_equal_digests(self, g1, g2):
+        assert (g1 == g2) == (g1.content_digest() == g2.content_digest())
+
+    @given(labelled_graphs(), st.randoms(use_true_random=False))
+    @settings(max_examples=100)
+    def test_rebuilt_graph_shares_digest(self, g, rnd):
+        arcs = list(g.arcs())
+        rnd.shuffle(arcs)
+        copy = with_arcs(g, arcs)
+        assert copy == g
+        assert copy.content_digest() == g.content_digest()
+
+    @given(small_graphs())
+    @settings(max_examples=50)
+    def test_no_external_ids_equals_digit_labels(self, g):
+        digits = with_arcs(g, list(g.arcs()), tuple(map(str, range(g.vertex_count))))
+        assert g.external_ids is None
+        assert digits == g
+        assert digits.content_digest() == g.content_digest()
+
+    @given(labelled_graphs(), st.data())
+    @settings(max_examples=100)
+    def test_one_ulp_weight_change_changes_digest(self, g, data):
+        if not g.arc_count:
+            return
+        arcs = list(g.arcs())
+        i = data.draw(st.integers(0, len(arcs) - 1))
+        s, d, w = arcs[i]
+        arcs[i] = (s, d, float(np.nextafter(w, data.draw(st.sampled_from([0.0, math.inf])))))
+        changed = with_arcs(g, arcs)
+        assert changed != g
+        assert changed.content_digest() != g.content_digest()
+
+    @given(labelled_graphs(), st.data())
+    @settings(max_examples=100)
+    def test_moved_arc_changes_digest(self, g, data):
+        present = {(s, d) for s, d, _ in g.arcs()}
+        free = [(s, d) for s in range(g.vertex_count) for d in range(g.vertex_count) if s != d and (s, d) not in present]
+        if not present or not free:
+            return
+        arcs = list(g.arcs())
+        i = data.draw(st.integers(0, len(arcs) - 1))
+        arcs[i] = (*data.draw(st.sampled_from(free)), arcs[i][2])
+        moved = with_arcs(g, arcs)
+        assert moved != g
+        assert moved.content_digest() != g.content_digest()
+
+    @given(labelled_graphs(), st.data())
+    @settings(max_examples=100)
+    def test_label_swap_changes_digest(self, g, data):
+        labels = g.labels()
+        i, j = data.draw(st.lists(st.integers(0, len(labels) - 1), min_size=2, max_size=2, unique=True))
+        labels[i], labels[j] = labels[j], labels[i]
+        swapped = with_arcs(g, list(g.arcs()), tuple(labels))
+        assert swapped != g
+        assert swapped.content_digest() != g.content_digest()
+
+    def test_labels_that_join_to_the_same_text_differ(self):
+        arcs = [(0, 1, 1.0)]
+        g1 = WeightedDigraph.from_dense_arcs(2, arcs, ("a\nb", "c"))
+        g2 = WeightedDigraph.from_dense_arcs(2, arcs, ("a", "b\nc"))
+        assert g1 != g2
+        assert g1.content_digest() != g2.content_digest()

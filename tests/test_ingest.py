@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import bisect
 import random
 import tracemalloc
+import warnings
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -237,6 +240,138 @@ class TestAgainstReferenceLoop:
         assert large < 1.25 * small, f"peak {large} B for 4x the lines vs {small} B"
 
 
+def reference_load(path, strict=False):
+    """The per-line snapshot loop that load_edge_list replaced, kept as its oracle."""
+    path = Path(path)
+    srcs, dsts, weights = [], [], []
+    blank_before = []
+    inf = float("inf")
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        for lineno, line in enumerate(f, start=1):
+            text = line.rstrip("\r\n")
+            if text.startswith("#"):
+                continue
+            if text != "src,dst,weight":
+                raise FormatError(f"expected header {'src,dst,weight'!r}, got {text!r}")
+            break
+        else:
+            raise FormatError(f"{path}: missing header line")
+        first_row = lineno + 1
+        for lineno, line in enumerate(f, start=first_row):
+            text = line.rstrip("\r\n")
+            if not text:
+                blank_before.append(len(srcs))
+                continue
+            fields = text.split(",")
+            if len(fields) != 3:
+                raise FormatError(f"{path}:{lineno}: expected 3 fields, got {len(fields)}")
+            src, dst, w_text = fields
+            try:
+                w = float(w_text)
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: weight {w_text!r} is not a number") from None
+            if not 0.0 < w < inf:
+                kind = "non-positive" if w <= 0 else "non-finite"
+                raise FormatError(f"{path}:{lineno}: {kind} weight {w}")
+            if src == dst:
+                raise FormatError(f"{path}:{lineno}: self-loop at {src!r}")
+            srcs.append(src)
+            dsts.append(dst)
+            weights.append(w)
+
+    side = sidecar_path(path)
+    if side.exists():
+        index = {}
+        with open(side, "r", encoding="utf-8", newline="") as f:
+            header = f.readline().rstrip("\r\n")
+            if header != "external_id,dense_id":
+                raise FormatError(f"expected header {'external_id,dense_id'!r} in {side}, got {header!r}")
+            for lineno, line in enumerate(f, start=2):
+                fields = line.rstrip("\r\n").split(",")
+                if len(fields) != 2:
+                    raise FormatError(f"{side}:{lineno}: malformed vertex line")
+                label, dense_text = fields
+                try:
+                    dense = int(dense_text)
+                except ValueError:
+                    raise FormatError(f"{side}:{lineno}: dense id {dense_text!r} is not an integer") from None
+                if label in index:
+                    raise FormatError(f"{side}:{lineno}: duplicate external id {label!r}")
+                index[label] = dense
+        if sorted(index.values()) != list(range(len(index))):
+            raise FormatError(f"{side}: dense ids are not contiguous 0..V-1")
+        labels = sorted(index, key=index.get)
+    else:
+        labels = sorted({*srcs, *dsts})
+        index = {label: i for i, label in enumerate(labels)}
+    if any(label not in index for label in (*srcs, *dsts)):
+        raise FormatError(f"{path}: arc references id missing from sidecar")
+    summed = {}
+    for row, key in enumerate(zip(srcs, dsts)):
+        if key in summed:
+            if strict:
+                lineno = first_row + row + bisect.bisect_right(blank_before, row)
+                raise FormatError(f"{path}:{lineno}: duplicate arc {key[0]!r} -> {key[1]!r}")
+            summed[key] += weights[row]
+        else:
+            summed[key] = weights[row]
+    if len(summed) < len(srcs):
+        warnings.warn(f"{path}: aggregated {len(srcs) - len(summed)} duplicate arc rows")
+    external = None if labels == [str(i) for i in range(len(labels))] else tuple(labels)
+    arcs = [(index[s], index[d], w) for (s, d), w in summed.items()]
+    return WeightedDigraph.from_dense_arcs(len(labels), arcs, external)
+
+
+def load_outcome(load, path, strict):
+    """(graph, external ids, warning texts) of a load, or the message of the FormatError it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            g = load(path, strict=strict)
+        except FormatError as exc:
+            return str(exc)
+    return g, g.external_ids, [str(w.message) for w in caught]
+
+
+SNAPSHOT_LABELS = ["a", "b", "c", "#x", "0", "1", "2", "é", "x y"]
+GOOD_WEIGHTS = ["1", "2.5", "1e-300", "1_0", " 4 ", "0.1"]
+BAD_WEIGHTS = ["0", "-1", "inf", "-inf", "nan", "x", ""]
+line_ends = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def snapshot_files(draw):
+    """(snapshot text, sidecar text or None) covering the cases the loader must reject or repair."""
+    clean = draw(st.booleans())  # only rows the loader accepts (duplicates aside)
+    labels = st.sampled_from(SNAPSHOT_LABELS[: draw(st.integers(2, len(SNAPSHOT_LABELS)))])
+    weights = st.sampled_from(GOOD_WEIGHTS if clean else GOOD_WEIGHTS + BAD_WEIGHTS)
+    arc = st.tuples(labels, labels, weights)
+    if clean:
+        arc = arc.filter(lambda row: row[0] != row[1])
+    if clean:
+        other = st.sampled_from(["", "#x,a,1"])
+    else:  # numeric fields, so rows of 2 and 4 fields could pass for two of 3 if misread
+        fields = st.lists(st.sampled_from(["0", "1", "2", "a", "2.5", ""]), min_size=1, max_size=5)
+        other = st.one_of(st.sampled_from(["", "#note"]), fields.map(",".join))
+    rows = draw(st.lists(st.tuples(st.one_of(arc.map(",".join), other), line_ends), max_size=30))
+    head = draw(st.lists(st.sampled_from(["# tool=recipnet/0", "# seed=3", "#"]), max_size=2))
+    text = "".join(h + draw(line_ends) for h in head) + "src,dst,weight" + draw(line_ends)
+    text += "".join(row + end for row, end in rows)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    sidecar = draw(st.sampled_from([None, "all", "some", "bad"]))
+    if sidecar is None:
+        return text, None
+    table = draw(st.permutations(SNAPSHOT_LABELS))
+    if sidecar == "some":  # arcs may reference ids the sidecar lacks
+        table = table[: draw(st.integers(0, len(table)))]
+    lines = [f"{label},{i}" for i, label in enumerate(table)]
+    if sidecar == "bad":  # rows of 3 and 1 fields could pass for two of 2 if misread
+        for bad in draw(st.lists(st.sampled_from(["a,x", "a", "a,0", "z,99", "b,1,0", "1"]), min_size=1, max_size=2)):
+            lines.insert(draw(st.integers(0, len(lines))), bad)
+    return text, "external_id,dense_id" + "".join(draw(line_ends) + line for line in lines) + "\n"
+
+
 class TestSnapshots:
     def test_documented_example(self, tmp_path):
         path = tmp_path / "graph.csv"
@@ -336,6 +471,76 @@ class TestSnapshots:
         loaded = load_edge_list(path)
         assert loaded.weight(0, 1) == graph.weight(0, 1)
         assert loaded.weight(1, 0) == graph.weight(1, 0)
+
+
+class TestLoadAgainstReferenceLoop:
+    @given(snapshot_files(), st.sampled_from([1, 2, 3, 7, ingest._BATCH]))
+    @settings(max_examples=400, deadline=None)
+    def test_equal_graph_warnings_and_errors(self, tmp_path_factory, files, batch):
+        text, sidecar = files
+        path = tmp_path_factory.mktemp("snapshot") / "graph.csv"
+        path.write_bytes(text.encode("utf-8"))
+        if sidecar is not None:
+            sidecar_path(path).write_bytes(sidecar.encode("utf-8"))
+        with mock.patch.object(ingest, "_BATCH", batch):
+            for strict in (False, True):
+                assert load_outcome(load_edge_list, path, strict) == load_outcome(reference_load, path, strict)
+
+    def test_rows_of_four_and_two_fields_are_not_read_as_two_arcs(self, tmp_path):
+        path = tmp_path / "graph.csv"
+        path.write_text("src,dst,weight\n0,1,2,1\n2,1\n", encoding="utf-8")
+        want = f"{path}:2: expected 3 fields, got 4"
+        assert load_outcome(reference_load, path, False) == want
+        assert load_outcome(load_edge_list, path, False) == want
+
+    def test_sidecar_rows_of_three_and_one_fields_are_not_read_as_two(self, tmp_path):
+        path = tmp_path / "graph.csv"
+        path.write_text("src,dst,weight\na,b,1\n", encoding="utf-8")
+        sidecar_path(path).write_text("external_id,dense_id\na,0\nb,1,2\n3\n", encoding="utf-8")
+        want = f"{sidecar_path(path)}:3: malformed vertex line"
+        assert load_outcome(reference_load, path, False) == want
+        assert load_outcome(load_edge_list, path, False) == want
+
+    def test_load_memory_per_arc_stays_near_the_arrays(self, tmp_path):
+        """No per-arc text is kept: peak memory grows by the arc arrays alone.
+
+        At the peak an arc costs about 100 bytes (batch and joined columns,
+        sort keys, the graph's arrays and its strength sums); keeping a Python
+        string per label occurrence, as the per-line loop did, costs about
+        260.
+        """
+        v = 400
+        pairs = [(a, b) for a in range(v) for b in range(v) if a != b]
+
+        def peak(n):
+            path = tmp_path / f"g{n}.csv"
+            path.write_text("src,dst,weight\n" + "".join(f"u{a},u{b},1.5\n" for a, b in pairs[:n]))
+            tracemalloc.start()
+            try:
+                assert load_edge_list(path).arc_count == n
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with mock.patch.object(ingest, "_BATCH", 1000):
+            small, large = peak(20_000), peak(80_000)
+        per_arc = (large - small) / 60_000
+        assert per_arc < 150, f"{per_arc:.0f} B of peak memory per extra arc"
+
+    def test_strict_duplicate_beyond_first_batch_reports_its_line(self, tmp_path):
+        batch = 64
+        rows = [f"u{i},v{i},1" for i in range(3 * batch)]
+        rows[2 * batch + 5] = "u7,v7,2"  # repeats row 7
+        rows.insert(batch + 3, "")  # a blank line shifts every later line number
+        path = tmp_path / "graph.csv"
+        path.write_text("# seed=1\nsrc,dst,weight\n" + "".join(r + "\n" for r in rows), encoding="utf-8")
+        want = f"{path}:{2 * batch + 5 + 4}: duplicate arc 'u7' -> 'v7'"
+        with mock.patch.object(ingest, "_BATCH", batch):
+            assert load_outcome(reference_load, path, True) == want
+            assert load_outcome(load_edge_list, path, True) == want
+            g, _, caught = load_outcome(load_edge_list, path, False)
+        assert caught == [f"{path}: aggregated 1 duplicate arc rows"]
+        assert g.arc_count == 3 * batch - 1
 
 
 class TestHostileInput:

@@ -93,7 +93,7 @@ class TestSerialization:
         rep = analyze(g)
         emit_report(rep, "json", tmp_path / "r.json")
         emit_report(rep, "csv", tmp_path / "r.csv")
-        assert json.loads((tmp_path / "r.json").read_bytes())["schema"] == 1
+        assert json.loads((tmp_path / "r.json").read_bytes())["schema"] == 2
         assert (tmp_path / "r.csv").read_text().startswith("metric,value")
         with pytest.raises(ValueError):
             emit_report(rep, "xml", tmp_path / "r.xml")
@@ -142,3 +142,11 @@ class TestRegimeComparison:
             c1.reports["observed"].histogram.counts
             == c2.reports["observed"].histogram.counts
         )
+
+    def test_only_first_seed_keeps_its_graphs(self):
+        g = generate(SynthConfig(400, DegreeSpec("poisson", 6.0), 0.3, 0.3, seed=2))
+        comparisons = run_regime_comparison(g, [5, 6, 7])
+        assert set(comparisons[0].graphs) == set(comparisons[0].reports)
+        assert [c.graphs for c in comparisons[1:]] == [{}, {}]
+        # The later seeds' statistics survive without their graphs.
+        assert all(c.rewire["accepted_swaps"] > 0 for c in comparisons)
