@@ -229,16 +229,7 @@ def _cmd_rewire(args: argparse.Namespace) -> int:
             "accepted_swaps": outcome.accepted_swaps,
         },
     )
-    _emit(
-        {
-            "attempted_swaps": outcome.attempted_swaps,
-            "accepted_swaps": outcome.accepted_swaps,
-            "residual_assortativity": outcome.residual_assortativity,
-            "warning": outcome.warning,
-            "snapshot": str(args.output),
-        },
-        None,
-    )
+    _emit({**outcome.stats(), "snapshot": str(args.output)}, None)
     return EXIT_OK
 
 
@@ -301,6 +292,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    if any(c in args.regime for c in ",\r\n"):  # the CSV report format has no quoting
+        raise FormatError(f"regime label {args.regime!r} contains a comma or line break")
     g = load_edge_list(args.graph, strict=args.strict)
     rep = analyze(g, regime=args.regime, seed=args.seed, bin_width=args.bin_width)
     if args.output:

@@ -29,6 +29,7 @@ from these transforms lives in :mod:`recipnet.report`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -49,6 +50,15 @@ class RewireOutcome:
     accepted_swaps: int
     residual_assortativity: float | None
     warning: str | None = None
+
+    def stats(self) -> dict[str, Any]:
+        """The swap counts, residual assortativity and warning, as outputs record them."""
+        return {
+            "attempted_swaps": self.attempted_swaps,
+            "accepted_swaps": self.accepted_swaps,
+            "residual_assortativity": self.residual_assortativity,
+            "warning": self.warning,
+        }
 
 
 def equidisperse(g: WeightedDigraph) -> WeightedDigraph:
@@ -94,23 +104,23 @@ def reattach_weights(
 
 
 def _swap_chain(
-    edges: list[tuple[int, int]],
+    edges: np.ndarray,
     vertex_count: int,
     rng: np.random.Generator,
     budget: int,
     target: float,
     tolerance: float,
-    blocked: frozenset[tuple[int, int]] = frozenset(),
+    blocked: np.ndarray = np.empty(0, dtype=np.int64),
     toward_target: bool = False,
-) -> tuple[list[tuple[int, int]], int, int, float | None]:
-    """Degree-preserving edge swaps on an undirected edge list (a < b per edge).
+) -> tuple[np.ndarray, int, int, float | None]:
+    """Degree-preserving edge swaps on an ``(m, 2)`` int64 edge array (a < b per row).
 
     Each attempt picks two edges (a-b), (c-d) uniformly, orients each by a
     coin flip, and proposes (a-d), (c-b). A proposal is invalid if it would
-    create a self-loop or a duplicate edge or land on a ``blocked`` pair.
-    Every valid proposal is accepted, unless ``toward_target`` is set: then
-    only proposals that bring the degree assortativity r closer to
-    ``target`` are. Randomness is drawn max(1, m // 10) attempts at a time
+    create a self-loop or a duplicate edge or land on a ``blocked`` pair
+    (keys a * vertex_count + b, a < b; none of them an edge). Every valid
+    proposal is accepted, unless ``toward_target`` is set: then only
+    proposals that bring the degree assortativity r closer to ``target`` are. Randomness is drawn max(1, m // 10) attempts at a time
     for m edges; after each such chunk the chain stops once
     |r - target| < ``tolerance``, and it never runs past ``budget`` attempts.
 
@@ -118,17 +128,20 @@ def _swap_chain(
     endpoint degrees, each edge counted both ways; using excess degrees
     instead does not change it) follows from a running sum of degree
     products. Exact integer sums make the returned r the
-    correctly rounded value for the final edge list, or None when every
-    endpoint has the same degree. Returns (edges, attempted, accepted, r).
+    correctly rounded value for the final edge array, or None when every
+    endpoint has the same degree. Returns (edges, attempted, accepted, r),
+    the edges in the input's row order.
     """
-    edges = list(edges)
-    present = set(edges)
+    v = vertex_count
     m = len(edges)
-    deg = np.bincount(np.array(edges, dtype=np.int64).ravel(), minlength=vertex_count).tolist()
+    # Python ints (object dtype) keep the degree sums exact at any size.
+    deg = np.bincount(edges.ravel(), minlength=v).astype(object)
+    du, dv = deg[edges[:, 0]], deg[edges[:, 1]]
     n = 2 * m
-    s1 = sum(deg[a] + deg[b] for a, b in edges)
-    denom = n * sum(deg[a] ** 2 + deg[b] ** 2 for a, b in edges) - s1 * s1
-    sxy = sum(deg[a] * deg[b] for a, b in edges)
+    s1 = int((du + dv).sum())
+    denom = n * int((du * du + dv * dv).sum()) - s1 * s1
+    sxy = int((du * dv).sum())
+    deg = deg.tolist()
 
     def r_of(s: int) -> float | None:
         return (2 * n * s - s1 * s1) / denom if denom > 0 else None
@@ -138,6 +151,11 @@ def _swap_chain(
     # r rises linearly with the running sum; this sum gives r == target.
     s_target = (target * denom + s1 * s1) / (2 * n) if denom > 0 else 0.0
 
+    # Edge i is keys[i] = a * v + b; taken holds the edges' keys and the
+    # blocked ones, which never leave it because they are never edges.
+    keys = (edges[:, 0] * v + edges[:, 1]).tolist()
+    taken = set(keys)
+    taken.update(blocked.tolist())
     attempted = accepted = 0
     while attempted < budget:
         chunk = min(max(1, m // 10), budget - attempted)
@@ -147,34 +165,35 @@ def _swap_chain(
         for (i1, i2), (f1, f2) in zip(picks, flips):
             if i1 == i2:
                 continue
-            a, b = edges[i1]
-            c, d = edges[i2]
+            k1, k2 = keys[i1], keys[i2]
+            a, b = divmod(k1, v)
+            c, d = divmod(k2, v)
             if f1:
                 a, b = b, a
             if f2:
                 c, d = d, c
             if a == d or c == b:
                 continue
-            e1 = (a, d) if a < d else (d, a)
-            e2 = (c, b) if c < b else (b, c)
-            if e1 == e2 or e1 in present or e2 in present or e1 in blocked or e2 in blocked:
+            e1 = a * v + d if a < d else d * v + a
+            e2 = c * v + b if c < b else b * v + c
+            if e1 == e2 or e1 in taken or e2 in taken:
                 continue
             # Replacing (a-b), (c-d) by (a-d), (c-b) moves the sum of degree products by:
             new_sxy = sxy + (deg[a] - deg[c]) * (deg[d] - deg[b])
             if toward_target and abs(new_sxy - s_target) >= abs(sxy - s_target):
                 continue
-            present.remove(edges[i1])
-            present.remove(edges[i2])
-            present.add(e1)
-            present.add(e2)
-            edges[i1] = e1
-            edges[i2] = e2
+            taken.remove(k1)
+            taken.remove(k2)
+            taken.add(e1)
+            taken.add(e2)
+            keys[i1] = e1
+            keys[i2] = e2
             sxy = new_sxy
             accepted += 1
         r = r_of(sxy)
         if r is not None and abs(r - target) < tolerance:
             break
-    return edges, attempted, accepted, r_of(sxy)
+    return np.column_stack(np.divmod(np.array(keys, dtype=np.int64), v)), attempted, accepted, r_of(sxy)
 
 
 def maslov_sneppen_rewire(
@@ -200,22 +219,21 @@ def maslov_sneppen_rewire(
     # landing on one would merge it into a mutual dyad and change the census.
     one_way = g._reverse_arcs() < 0
     one_src, one_dst = g._sources()[one_way], g._indices[one_way]
-    lo, hi = np.minimum(one_src, one_dst), np.maximum(one_src, one_dst)
+    blocked = np.minimum(one_src, one_dst) * g.vertex_count + np.maximum(one_src, one_dst)
 
-    edges, attempted, accepted, residual = _swap_chain(
-        list(zip(a_col.tolist(), b_col.tolist())),
+    e, attempted, accepted, residual = _swap_chain(
+        np.column_stack((a_col, b_col)),
         g.vertex_count,
         rng,
         budget=swap_multiplier * edge_count,
         target=0.0,
         tolerance=EARLY_STOP_R,
-        blocked=frozenset(zip(lo.tolist(), hi.tolist())),
+        blocked=blocked,
     )
     if accepted == 0:
         warning = "no acceptable swap found; graph returned unchanged"
         return RewireOutcome(g, attempted, 0, residual, warning)
 
-    e = np.array(edges, dtype=np.int64)
     ones = np.ones(edge_count)
     skeleton = WeightedDigraph.from_columns(
         g.vertex_count,

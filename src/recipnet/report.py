@@ -195,14 +195,8 @@ def run_regime_comparison(
         for label in ("rewired", "rewired_equidispersed"):
             reports[label] = analyze(graphs[label], label, seed, bin_width)
         verdict = _ordering_verdict({label: rep.mean_r for label, rep in reports.items()})
-        rewire = {
-            "attempted_swaps": outcome.attempted_swaps,
-            "accepted_swaps": outcome.accepted_swaps,
-            "residual_assortativity": outcome.residual_assortativity,
-            "warning": outcome.warning,
-        }
         kept = {} if comparisons else graphs  # only the first seed's graphs are ever saved
-        comparisons.append(RegimeComparison(reports, verdict, seed, swap_multiplier, kept, rewire))
+        comparisons.append(RegimeComparison(reports, verdict, seed, swap_multiplier, kept, outcome.stats()))
     return comparisons
 
 

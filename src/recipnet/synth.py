@@ -1,11 +1,11 @@
 """Synthetic mutual-dyad networks with tunable assortativity and dispersion.
 
-The generator builds an undirected configuration-model backbone, nudges its
-degree assortativity toward a target with degree-preserving edge swaps (the
-rewiring kernel ``nullmodels._swap_chain``, accepting only swaps that bring
-r closer to the target), turns every edge into a mutual dyad, and finally
-draws each vertex's outgoing weights from a concentration-controlled random
-split of a drawn strength.
+The generator builds an undirected configuration-model backbone as an
+``(m, 2)`` edge array, nudges its degree assortativity toward a target with
+degree-preserving edge swaps (the rewiring kernel ``nullmodels._swap_chain``,
+accepting only swaps that bring r closer to the target), turns every edge
+into a mutual dyad, and finally splits each vertex's drawn strength over its
+out-arcs at random, one Dirichlet batch per distinct out-degree.
 
 The ``dispersion`` knob targets the mean normalized concentration score
 directly: the split is Dirichlet with per-vertex alpha = (1-d)/(d*k), whose
@@ -18,6 +18,7 @@ null models use), so a seed fully determines the output graph.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -46,8 +47,10 @@ class DegreeSpec:
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
             raise DomainError(f"unknown degree distribution {self.kind!r}")
-        if self.param <= 0:
-            raise DomainError("degree distribution parameter must be positive")
+        if not (math.isfinite(self.param) and self.param > 0):
+            raise DomainError("degree distribution parameter must be finite and positive")
+        if self.kind == "regular" and self.param != int(self.param):
+            raise DomainError(f"regular degree must be an integer, got {self.param!r}")
 
     @classmethod
     def parse(cls, text: str) -> "DegreeSpec":
@@ -106,90 +109,59 @@ def _draw_degrees(cfg: SynthConfig, rng: np.random.Generator) -> np.ndarray:
     raise DomainError("could not draw a feasible degree sequence")
 
 
-def _stub_match(degrees: np.ndarray, rng: np.random.Generator) -> list[tuple[int, int]]:
-    """Configuration-model matching with repair rounds for colliding stubs.
+def _stub_match(degrees: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Configuration-model matching in one pass: an ``(m, 2)`` edge array, a < b.
 
-    Self-pairs and duplicate pairs are thrown back and re-shuffled until they
-    pair up or no progress is possible, so degrees are exact except in
-    pathological leftovers (e.g. several stubs of one hub remaining).
+    The stubs are shuffled once and paired in order. The first copy of each
+    pair is kept; self-pairs and repeated pairs go to :func:`_place_leftovers`,
+    so degrees are exact except in pathological leftovers (e.g. several
+    stubs of one hub remaining). Rows are sorted.
     """
-    stubs = np.repeat(np.arange(len(degrees), dtype=np.int64), degrees)
-    edges: set[tuple[int, int]] = set()
-    for _ in range(_RESAMPLE_TRIES):
-        rng.shuffle(stubs)
-        leftovers: list[int] = []
-        it = iter(stubs.tolist())
-        progress = False
-        for a, b in zip(it, it):
-            if a == b:
-                leftovers.append(a)
-                leftovers.append(b)
-                continue
-            key = (a, b) if a < b else (b, a)
-            if key in edges:
-                leftovers.append(a)
-                leftovers.append(b)
-                continue
-            edges.add(key)
-            progress = True
-        if not leftovers or not progress:
-            if leftovers:
-                _place_leftovers(leftovers, edges, rng)
-            break
-        stubs = np.asarray(leftovers, dtype=np.int64)
-    return sorted(edges)
+    v = len(degrees)
+    stubs = np.repeat(np.arange(v, dtype=np.int64), degrees)
+    rng.shuffle(stubs)
+    pairs = stubs.reshape(-1, 2)
+    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+    keys = lo * v + hi
+    keep = np.zeros(len(keys), dtype=bool)
+    keep[np.unique(keys, return_index=True)[1]] = True
+    keep &= lo != hi
+    keys = _place_leftovers(pairs[~keep].ravel(), keys[keep], v, rng)
+    return np.column_stack(np.divmod(np.sort(keys), v))
 
 
 def _place_leftovers(
-    leftovers: list[int],
-    edges: set[tuple[int, int]],
+    leftovers: np.ndarray,
+    keys: np.ndarray,
+    v: int,
     rng: np.random.Generator,
-) -> None:
-    """Absorb stuck stub pairs by splitting an existing edge (u,v) into
-    (s1,u) and (s2,v): degrees of u and v are unchanged, s1 and s2 gain one.
-    Pairs that cannot be placed are dropped (tiny degree shortfall)."""
-    edge_list = list(edges)
-    it = iter(leftovers)
+) -> np.ndarray:
+    """Absorb stuck stub pairs by splitting an existing edge (u,w) into
+    (s1,u) and (s2,w): degrees of u and w are unchanged, s1 and s2 gain one.
+    Edges are keys a * v + b (a < b); returns the new keys. Pairs that
+    cannot be placed are dropped (tiny degree shortfall)."""
+    edge_list = keys.tolist()
+    edges = set(edge_list)
+    it = iter(leftovers.tolist())
     for s1, s2 in zip(it, it):
         for _ in range(500):
             idx = int(rng.integers(0, len(edge_list)))
-            u, v = edge_list[idx]
+            u, w = divmod(edge_list[idx], v)
             if rng.random() < 0.5:
-                u, v = v, u
-            if s1 == u or s2 == v:
+                u, w = w, u
+            if s1 == u or s2 == w:
                 continue
-            e1 = (s1, u) if s1 < u else (u, s1)
-            e2 = (s2, v) if s2 < v else (v, s2)
+            e1 = s1 * v + u if s1 < u else u * v + s1
+            e2 = s2 * v + w if s2 < w else w * v + s2
             if e1 == e2 or e1 in edges or e2 in edges:
                 continue
-            old = (u, v) if u < v else (v, u)
-            edges.remove(old)
+            edges.remove(edge_list[idx])
             edges.add(e1)
             edges.add(e2)
             edge_list[idx] = e1
             edge_list.append(e2)
             break
-
-
-def _split_weights(
-    strength: float,
-    k: int,
-    dispersion: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    if k == 1:
-        return np.array([strength])
-    if dispersion == 0.0:
-        return np.full(k, strength / k)
-    if dispersion >= 1.0:
-        shares = np.full(k, _MIN_SPLIT)
-        shares[rng.integers(0, k)] = 1.0 - (k - 1) * _MIN_SPLIT
-        return strength * shares
-    alpha = (1.0 - dispersion) / (dispersion * k)
-    shares = rng.dirichlet(np.full(k, alpha))
-    shares = np.maximum(shares, _MIN_SPLIT)
-    shares /= shares.sum()
-    return strength * shares
+    return np.array(edge_list, dtype=np.int64)
 
 
 def generate(cfg: SynthConfig) -> WeightedDigraph:
@@ -199,6 +171,7 @@ def generate(cfg: SynthConfig) -> WeightedDigraph:
     about +/-0.05 of the target for achievable targets; the realized mean
     concentration score tracks the dispersion parameter.
     """
+    v, d = cfg.vertex_count, cfg.dispersion
     rng = np.random.default_rng(cfg.seed)
     degrees = _draw_degrees(cfg, rng)
     edges = _stub_match(degrees, rng)
@@ -207,7 +180,7 @@ def generate(cfg: SynthConfig) -> WeightedDigraph:
     m, target = len(edges), cfg.target_assortativity
     edges, _, _, r = _swap_chain(
         edges,
-        cfg.vertex_count,
+        v,
         rng,
         budget=_TUNING_MULTIPLIER * m,
         target=target,
@@ -217,17 +190,24 @@ def generate(cfg: SynthConfig) -> WeightedDigraph:
     if r is not None and abs(r - target) > _TUNING_TOLERANCE:
         warnings.warn(f"assortativity target {target} not reached; achieved {r:.4f}", stacklevel=2)
 
-    partners: list[list[int]] = [[] for _ in range(cfg.vertex_count)]
-    for a, b in edges:
-        partners[a].append(b)
-        partners[b].append(a)
-
-    arcs: list[tuple[int, int, float]] = []
-    for v in range(cfg.vertex_count):
-        k = len(partners[v])
-        if k == 0:
-            continue
-        strength = k * float(rng.lognormal(mean=0.0, sigma=_STRENGTH_SIGMA))
-        weights = _split_weights(strength, k, cfg.dispersion, rng)
-        arcs.extend((v, u, float(w)) for u, w in zip(sorted(partners[v]), weights))
-    return WeightedDigraph.from_dense_arcs(cfg.vertex_count, arcs)
+    # Both directions of every edge, in CSR order: by source, then target.
+    src, dst = np.concatenate((edges, edges[:, ::-1])).T
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    k = np.bincount(src, minlength=v)
+    start = np.cumsum(k) - k  # each vertex's first arc
+    strength = k * rng.lognormal(mean=0.0, sigma=_STRENGTH_SIGMA, size=v)
+    if d == 0.0:
+        shares = 1.0 / k[src]
+    elif d >= 1.0:
+        pick = start + rng.integers(0, np.maximum(k, 1))
+        top = np.arange(len(src)) == pick[src]
+        shares = np.where(top, 1.0 - (k[src] - 1) * _MIN_SPLIT, _MIN_SPLIT)
+    else:
+        shares = np.ones(len(src))  # out-degree 1 keeps its whole strength
+        for deg in np.unique(k[k > 1]).tolist():
+            rows = start[k == deg]
+            draws = rng.dirichlet(np.full(deg, (1.0 - d) / (d * deg)), size=len(rows))
+            draws = np.maximum(draws, _MIN_SPLIT)
+            shares[rows[:, None] + np.arange(deg)] = draws / draws.sum(axis=1, keepdims=True)
+    return WeightedDigraph.from_columns(v, src, dst, strength[src] * shares)

@@ -253,17 +253,27 @@ class TestExitCodes:
         bad.write_text("wrong,header,here\n1,2,3\n")
         assert main(["census", str(bad)]) == EXIT_VALIDATION
 
-    def test_bad_synth_config_is_validation_error(self, tmp_path):
-        assert (
-            main(
-                [
-                    "synth", "-o", str(tmp_path / "x.csv"),
-                    "--vertices", "10",
-                    "--degree-dist", "zipf:2",
-                ]
-            )
-            == EXIT_VALIDATION
-        )
+    def test_bad_synth_config_is_validation_error(self, tmp_path, capsys):
+        for dist, message in [
+            ("zipf:2", "unknown degree distribution 'zipf'"),
+            ("regular:inf", "must be finite and positive"),
+            ("powerlaw:inf", "must be finite and positive"),
+            ("regular:2.7", "regular degree must be an integer"),
+        ]:
+            argv = ["synth", "-o", str(tmp_path / "x.csv"), "--vertices", "10", "--degree-dist", dist]
+            assert main(argv) == EXIT_VALIDATION
+            assert message in capsys.readouterr().err
+            assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("regime", ["a,b", "a\nb", "a\rb"])
+    def test_report_rejects_regime_the_csv_cannot_hold(self, regime, graph_file, tmp_path, capsys):
+        out = tmp_path / "rep.csv"
+        argv = ["report", str(graph_file), "--format", "csv", "--regime", regime]
+        assert main([*argv, "-o", str(out)]) == EXIT_VALIDATION
+        assert "contains a comma or line break" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().out == ""
 
     def test_zero_replicas_rejected_before_outdir_exists(self, graph_file, tmp_path, capsys):
         outdir = tmp_path / "reg"

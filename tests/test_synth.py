@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats as sps
 
+from recipnet.cli import EXIT_OK, main
 from recipnet.errors import DomainError
 from recipnet.metrics import concentration_scores, degree_assortativity, reciprocity_records
-from recipnet.synth import DegreeSpec, SynthConfig, generate
+from recipnet.synth import DegreeSpec, SynthConfig, _draw_degrees, generate
 
 
 def mean_h_star(g) -> float:
@@ -26,6 +29,20 @@ class TestDegreeSpec:
             DegreeSpec.parse("powerlaw")
         with pytest.raises(DomainError):
             DegreeSpec.parse("zipf:2")
+
+    @pytest.mark.parametrize(
+        "kind, param",
+        [
+            ("regular", float("inf")),
+            ("regular", 2.7),
+            ("powerlaw", float("inf")),
+            ("poisson", float("nan")),
+            ("powerlaw", 0.0),
+        ],
+    )
+    def test_rejects_parameters_it_cannot_honour(self, kind, param):
+        with pytest.raises(DomainError):
+            DegreeSpec(kind, param)
 
 
 class TestGenerate:
@@ -79,8 +96,42 @@ class TestGenerate:
         with pytest.raises(DomainError):
             generate(SynthConfig(101, DegreeSpec("regular", 3.0), 0.0, 0.0, seed=1))
 
+    @pytest.mark.parametrize(
+        "spec",
+        [DegreeSpec("powerlaw", 2.1), DegreeSpec("powerlaw", 2.5), DegreeSpec("poisson", 6.0), DegreeSpec("regular", 4.0)],
+    )
+    @pytest.mark.parametrize("vertices", [100, 400, 2000])
+    def test_degree_sequence_is_exact(self, spec, vertices):
+        for seed in range(3):
+            cfg = SynthConfig(vertices, spec, 0.2, 0.3, seed)
+            want = _draw_degrees(cfg, np.random.default_rng(seed))
+            assert np.diff(generate(cfg)._indptr).tolist() == want.tolist()
+
+    def test_dispersion_one_puts_the_strength_on_one_neighbour(self):
+        for spec in (DegreeSpec("powerlaw", 2.5), DegreeSpec("poisson", 6.0)):
+            g = generate(SynthConfig(500, spec, 0.1, 1.0, seed=4))
+            k = np.diff(g._indptr)
+            top = np.maximum.reduceat(g._weights, g._indptr[:-1])
+            # The strength is re-summed from the arcs, so allow a few ulps of rounding.
+            assert (top / g._out_strength >= 1 - (k - 1) * 1e-12 - 4 * np.finfo(float).eps).all()
+
     def test_bad_config_rejected(self):
         with pytest.raises(DomainError):
             SynthConfig(10, DegreeSpec("poisson", 5.0), 1.5, 0.0)
         with pytest.raises(DomainError):
             SynthConfig(10, DegreeSpec("poisson", 5.0), 0.0, 1.5)
+
+
+#: sha256 of the snapshot and sidecar `synth` writes for the argv below; a
+#: change to these bytes changes what one seed generates and must be named.
+PINNED_SYNTH_SHA256 = {
+    "s.csv": "eb7bcbac9fe257d17492a7db8579e7ac4259cc6f1f023904c6bc3c69dcb16fac",
+    "s.vertices.csv": "e0fefbe2905171fb19e3e2c4854fbbe18464cc240c0de526d2af52dd997c3971",
+}
+
+
+def test_seeded_synth_output_is_pinned(tmp_path, capsys):
+    argv = ["synth", "-o", str(tmp_path / "s.csv"), "--vertices", "300", "--degree-dist", "powerlaw:2.5"]
+    assert main([*argv, "--assortativity", "0.2", "--dispersion", "0.3", "--seed", "5"]) == EXIT_OK
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert written == PINNED_SYNTH_SHA256
