@@ -16,7 +16,9 @@ Aggregation streams the event file in batches of lines: memory is bounded by
 the distinct ``caller,callee`` line texts of arcs (one per arc and line-break
 style) plus one batch, not by the number of events. Loading a snapshot reads
 it in batches too: memory is bounded by one batch of lines, the distinct
-labels and the arc arrays, not by per-arc Python objects.
+labels and the arc arrays, not by per-arc Python objects. Saving a snapshot
+writes it in batches of arcs, gathered from the graph's arrays: memory is
+bounded by one batch of lines plus one text per label.
 """
 
 from __future__ import annotations
@@ -150,6 +152,14 @@ def save_snapshot(
     label, seed and any extra key=value pairs (e.g. swap statistics) that
     produced the graph. A vertex label containing a comma or a line break
     cannot be represented and raises FormatError before anything is written.
+
+    Lines are built one batch of arcs at a time in C-level passes: the label
+    texts are gathered from one object array by the arcs' source and target
+    ids, ``repr`` is called once per distinct weight of the batch (equal
+    floats have equal reprs), and the columns are joined into the batch's
+    text. No per-arc Python object outlives its batch, so memory is bounded
+    by one batch of lines plus one text per label. The sidecar is written
+    the same way.
     """
     path = Path(path)
     labels = g.labels()
@@ -163,13 +173,27 @@ def save_snapshot(
         head.append(f"# seed={seed}")
     head.extend(f"# {key}={value}" for key, value in (extra_provenance or {}).items())
     head.append(GRAPH_HEADER)
-    body = (f"{labels[src]},{labels[dst]},{w!r}\n" for src, dst, w in g.arcs())
+    fields = np.array([label + "," for label in labels], dtype=object)  # a label as a leading field
+    indptr, dst, w = g._indptr, g._indices, g._weights
     with path.open("w", encoding="utf-8") as f:
         f.write("".join(line + "\n" for line in head))
-        while batch := "".join(islice(body, _BATCH)):  # one batch of arc lines in memory
-            f.write(batch)
-    side = (f"{label},{v}\n" for v, label in enumerate(labels))
-    sidecar_path(path).write_text("".join([VERTEX_HEADER + "\n", *side]), encoding="utf-8")
+        for lo in range(0, g.arc_count, _BATCH):
+            hi = min(lo + _BATCH, g.arc_count)
+            src = np.searchsorted(indptr, np.arange(lo, hi), side="right") - 1  # the row holding each arc
+            distinct, inverse = np.unique(w[lo:hi], return_inverse=True)
+            ends = np.array([f"{x!r}\n" for x in distinct.tolist()], dtype=object)  # one repr per distinct weight
+            f.write(_joined_rows(fields[src], fields[dst[lo:hi]], ends[inverse]))
+    with sidecar_path(path).open("w", encoding="utf-8") as f:
+        f.write(VERTEX_HEADER + "\n")
+        for lo in range(0, len(fields), _BATCH):
+            batch = fields[lo : lo + _BATCH]
+            dense = np.array([f"{v}\n" for v in range(lo, lo + len(batch))], dtype=object)
+            f.write(_joined_rows(batch, dense))
+
+
+def _joined_rows(*columns: np.ndarray) -> str:
+    """Equal-length object arrays of strings, concatenated row by row into one text."""
+    return "".join(np.column_stack(columns).ravel().tolist())
 
 
 def _raise_first_bad_vertex_line(texts: list[str], path: Path) -> None:

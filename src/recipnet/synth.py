@@ -96,7 +96,7 @@ def _draw_degrees(cfg: SynthConfig, rng: np.random.Generator) -> np.ndarray:
             raise DomainError("power-law exponent must exceed 1")
         k_min, k_max = 2, max(3, int(round(v ** 0.5)))
         support = np.arange(k_min, k_max + 1, dtype=np.float64)
-        probs = support ** (-dist.param)
+        probs = (support / k_min) ** (-dist.param)  # the first is 1, so a steep law cannot underflow to all 0
         probs /= probs.sum()
 
         def draw() -> np.ndarray:
@@ -109,13 +109,14 @@ def _draw_degrees(cfg: SynthConfig, rng: np.random.Generator) -> np.ndarray:
     raise DomainError("could not draw a feasible degree sequence")
 
 
-def _stub_match(degrees: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _stub_match(degrees: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, int]:
     """Configuration-model matching in one pass: an ``(m, 2)`` edge array, a < b.
 
     The stubs are shuffled once and paired in order. The first copy of each
     pair is kept; self-pairs and repeated pairs go to :func:`_place_leftovers`,
     so degrees are exact except in pathological leftovers (e.g. several
-    stubs of one hub remaining). Rows are sorted.
+    stubs of one hub remaining). Rows are sorted. Also returns the number of
+    stub pairs that could not be placed.
     """
     v = len(degrees)
     stubs = np.repeat(np.arange(v, dtype=np.int64), degrees)
@@ -126,8 +127,8 @@ def _stub_match(degrees: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     keep = np.zeros(len(keys), dtype=bool)
     keep[np.unique(keys, return_index=True)[1]] = True
     keep &= lo != hi
-    keys = _place_leftovers(pairs[~keep].ravel(), keys[keep], v, rng)
-    return np.column_stack(np.divmod(np.sort(keys), v))
+    keys, dropped = _place_leftovers(pairs[~keep].ravel(), keys[keep], v, rng)
+    return np.column_stack(np.divmod(np.sort(keys), v)), dropped
 
 
 def _place_leftovers(
@@ -135,14 +136,18 @@ def _place_leftovers(
     keys: np.ndarray,
     v: int,
     rng: np.random.Generator,
-) -> np.ndarray:
+) -> tuple[np.ndarray, int]:
     """Absorb stuck stub pairs by splitting an existing edge (u,w) into
     (s1,u) and (s2,w): degrees of u and w are unchanged, s1 and s2 gain one.
-    Edges are keys a * v + b (a < b); returns the new keys. Pairs that
-    cannot be placed are dropped (tiny degree shortfall)."""
+    Edges are keys a * v + b (a < b); returns the new keys and the number of
+    pairs that could not be placed and were dropped (each leaves s1 and s2
+    one short of their drawn degree)."""
+    if not len(keys):  # no edge to split
+        return keys, len(leftovers) // 2
     edge_list = keys.tolist()
     edges = set(edge_list)
     it = iter(leftovers.tolist())
+    dropped = 0
     for s1, s2 in zip(it, it):
         for _ in range(500):
             idx = int(rng.integers(0, len(edge_list)))
@@ -161,7 +166,9 @@ def _place_leftovers(
             edge_list[idx] = e1
             edge_list.append(e2)
             break
-    return np.array(edge_list, dtype=np.int64)
+        else:
+            dropped += 1
+    return np.array(edge_list, dtype=np.int64), dropped
 
 
 def generate(cfg: SynthConfig) -> WeightedDigraph:
@@ -174,7 +181,10 @@ def generate(cfg: SynthConfig) -> WeightedDigraph:
     v, d = cfg.vertex_count, cfg.dispersion
     rng = np.random.default_rng(cfg.seed)
     degrees = _draw_degrees(cfg, rng)
-    edges = _stub_match(degrees, rng)
+    edges, dropped = _stub_match(degrees, rng)
+    if dropped:
+        short = f"dropped {dropped} stub pair(s) that could not be placed; degrees are {2 * dropped} stubs short"
+        warnings.warn(short, stacklevel=2)
     if len(edges) < 1:
         raise DomainError("degree sequence produced no edges")
     m, target = len(edges), cfg.target_assortativity

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -264,6 +265,17 @@ class TestExitCodes:
             assert main(argv) == EXIT_VALIDATION
             assert message in capsys.readouterr().err
             assert not (tmp_path / "x.csv").exists()
+
+    def test_steep_power_law_draws_the_smallest_degree(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["synth", "-o", str(out), "--vertices", "50", "--degree-dist", "powerlaw:1100"])
+        assert code == EXIT_OK
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
+        g = load_edge_list(out)
+        assert [g.out_degree(v) for v in range(g.vertex_count)] == [2] * 50
 
     @pytest.mark.parametrize("regime", ["a,b", "a\nb", "a\rb"])
     def test_report_rejects_regime_the_csv_cannot_hold(self, regime, graph_file, tmp_path, capsys):

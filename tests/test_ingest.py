@@ -10,8 +10,9 @@ from collections import Counter
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from recipnet import __version__, ingest
@@ -322,6 +323,26 @@ def reference_load(path, strict=False):
     return WeightedDigraph.from_dense_arcs(len(labels), arcs, external)
 
 
+def reference_save(g, path, regime=None, seed=None, extra_provenance=None):
+    """The per-line snapshot writer that save_snapshot replaced, kept as its oracle."""
+    path = Path(path)
+    labels = g.labels()
+    bad = next((s for s in labels if "," in s or "\n" in s or "\r" in s), None)
+    if bad is not None:
+        raise FormatError(f"vertex label {bad!r} contains a comma or line break")
+    head = [f"# tool=recipnet/{__version__}"]
+    if regime is not None:
+        head.append(f"# regime={regime}")
+    if seed is not None:
+        head.append(f"# seed={seed}")
+    head.extend(f"# {key}={value}" for key, value in (extra_provenance or {}).items())
+    head.append("src,dst,weight")
+    body = (f"{labels[src]},{labels[dst]},{w!r}\n" for src, dst, w in g.arcs())
+    path.write_text("".join(line + "\n" for line in head) + "".join(body), encoding="utf-8")
+    side = (f"{label},{v}\n" for v, label in enumerate(labels))
+    sidecar_path(path).write_text("".join(["external_id,dense_id\n", *side]), encoding="utf-8")
+
+
 def load_outcome(load, path, strict):
     """(graph, external ids, warning texts) of a load, or the message of the FormatError it raised."""
     with warnings.catch_warnings(record=True) as caught:
@@ -541,6 +562,87 @@ class TestLoadAgainstReferenceLoop:
             g, _, caught = load_outcome(load_edge_list, path, False)
         assert caught == [f"{path}: aggregated 1 duplicate arc rows"]
         assert g.arc_count == 3 * batch - 1
+
+
+#: Floats whose repr takes each form: subnormal, exponent, long fraction, integral.
+REPR_EDGE_WEIGHTS = [5e-324, 1e-05, 0.30000000000000004, 1e16, 1e15, 3.0, 1.7976931348623157e308]
+WRITER_LABELS = ["#x", "#", "é", "日本", "0", "1", "12", "007", "a", "x y"]
+
+
+@st.composite
+def writable_graphs(draw):
+    """Graphs with writable labels (or none), isolated vertices and weights repeated within and across batches."""
+    v = draw(st.integers(0, 8))
+    labels = None if draw(st.booleans()) else tuple(draw(st.permutations(WRITER_LABELS))[:v])
+    if labels is not None and len(labels) < v:  # more vertices than the pool: fall back to digit labels
+        labels = None
+    pairs = [(a, b) for a in range(v) for b in range(v) if a != b]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
+    pool = draw(st.lists(st.sampled_from(REPR_EDGE_WEIGHTS) | st.floats(5e-324, 1e308), min_size=1, max_size=4))
+    weights = [draw(st.sampled_from(pool)) for _ in chosen]  # a small pool repeats weights
+    try:
+        return WeightedDigraph.from_dense_arcs(v, [(a, b, w) for (a, b), w in zip(chosen, weights)], labels)
+    except OverflowError:  # a vertex's strength is not finite: no graph holds it
+        reject()
+
+
+class TestSaveAgainstReferenceWriter:
+    @given(
+        writable_graphs(),
+        st.sampled_from([1, 2, 3, 7, ingest._BATCH]),
+        st.sampled_from([(None, None, None), ("rewired", 3, {"accepted_swaps": 9})]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_same_snapshot_and_sidecar_bytes(self, tmp_path_factory, g, batch, provenance):
+        out = tmp_path_factory.mktemp("save")
+        with mock.patch.object(ingest, "_BATCH", batch):
+            save_snapshot(g, out / "new.csv", *provenance)
+        reference_save(g, out / "ref.csv", *provenance)
+        for new, ref in ((out / "new.csv", out / "ref.csv"), (out / "new.vertices.csv", out / "ref.vertices.csv")):
+            assert new.read_bytes() == ref.read_bytes(), new.name
+
+    def test_repr_edge_weights_within_and_across_batches(self, tmp_path):
+        v = 6
+        pairs = [(a, b) for a in range(v) for b in range(v) if a != b]
+        weights = REPR_EDGE_WEIGHTS * 3  # period 7 in batches of 8: repeats within and across batches
+        arcs = [(a, b, w) for (a, b), w in zip(pairs, weights)]
+        g = WeightedDigraph.from_dense_arcs(v, arcs, tuple(WRITER_LABELS[:v]))
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        with mock.patch.object(ingest, "_BATCH", 8):
+            save_snapshot(g, new)
+        reference_save(g, ref)
+        assert new.read_bytes() == ref.read_bytes()
+        assert sidecar_path(new).read_bytes() == sidecar_path(ref).read_bytes()
+        spelled = ["5e-324", "1e-05", "0.30000000000000004", "1e+16", "1000000000000000.0", "3.0",
+                   "1.7976931348623157e+308"]
+        texts = [line.rsplit(",", 1)[1] for line in new.read_text(encoding="utf-8").splitlines()[2:]]
+        assert texts == spelled * 3
+        assert load_edge_list(new) == g
+
+    def test_save_memory_does_not_grow_per_arc(self, tmp_path):
+        """No per-arc Python object outlives its batch: the save's peak does not grow with the arcs.
+
+        The per-line writer held whole-graph lists of sources, targets and
+        weights: about 60 bytes per extra arc here.
+        """
+        v = 400
+        pairs = np.array([(a, b) for a in range(v) for b in range(v) if a != b])
+        weights = np.arange(1, len(pairs) + 1) / 7  # every weight distinct: the most repr texts
+
+        def peak(n):
+            labels = tuple(f"u{i}" for i in range(v))
+            g = WeightedDigraph.from_columns(v, pairs[:n, 0], pairs[:n, 1], weights[:n], labels)
+            tracemalloc.start()
+            try:
+                save_snapshot(g, tmp_path / f"g{n}.csv")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with mock.patch.object(ingest, "_BATCH", 1000):
+            small, large = peak(20_000), peak(80_000)
+        per_arc = (large - small) / 60_000
+        assert per_arc < 8, f"{per_arc:.1f} B of peak memory per extra arc"
 
 
 class TestHostileInput:

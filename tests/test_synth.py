@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +107,31 @@ class TestGenerate:
             cfg = SynthConfig(vertices, spec, 0.2, 0.3, seed)
             want = _draw_degrees(cfg, np.random.default_rng(seed))
             assert np.diff(generate(cfg)._indptr).tolist() == want.tolist()
+
+    def test_unplaced_stub_pairs_are_reported(self):
+        """Every shortfall against the drawn degrees is named in a warning, never lost silently."""
+        short_seeds = 0
+        for seed in range(30):
+            cfg = SynthConfig(10, DegreeSpec("regular", 8.0), 0.0, 0.0, seed)
+            want = int(_draw_degrees(cfg, np.random.default_rng(seed)).sum())
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                g = generate(cfg)
+            short = want - g.arc_count
+            messages = [str(w.message) for w in caught if "stub pair" in str(w.message)]
+            if short:
+                short_seeds += 1
+                assert messages == [f"dropped {short // 2} stub pair(s) that could not be placed; "
+                                    f"degrees are {short} stubs short"]
+            else:
+                assert messages == []
+        assert short_seeds > 0  # the dense case does drop pairs on some seeds
+
+    def test_no_edge_to_split_drops_every_pair_loudly(self):
+        cfg = SynthConfig(3, DegreeSpec("powerlaw", 2.5), 0.0, 0.0, seed=15)  # every pair a self-pair
+        with pytest.warns(UserWarning, match="dropped 3 stub pair"):
+            with pytest.raises(DomainError, match="produced no edges"):
+                generate(cfg)
 
     def test_dispersion_one_puts_the_strength_on_one_neighbour(self):
         for spec in (DegreeSpec("powerlaw", 2.5), DegreeSpec("poisson", 6.0)):
