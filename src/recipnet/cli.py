@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from .metrics import DEFAULT_BIN_WIDTH, concentration_scores, degree_assortativi
 from .nullmodels import DEFAULT_SWAP_MULTIPLIER, equidisperse, maslov_sneppen_rewire
 from .report import (
     analyze,
+    class_shares,
     comparison_to_dict,
     emit_report,
     json_bytes,
@@ -130,17 +132,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 def _cmd_census(args: argparse.Namespace) -> int:
     g = load_edge_list(args.graph, strict=args.strict)
-    c = g.dyad_census()
-    _emit(
-        {
-            "vertex_count": g.vertex_count,
-            "mutual": c.mutual,
-            "asymmetric": c.asymmetric,
-            "null_dyads": c.null_dyads,
-            "total_arcs": c.total_arcs,
-        },
-        args.output,
-    )
+    _emit({"vertex_count": g.vertex_count, **asdict(g.dyad_census())}, args.output)
     return EXIT_OK
 
 
@@ -165,11 +157,7 @@ def _cmd_reciprocity(args: argparse.Namespace) -> int:
             "dyads": hist.total,
             "bin_width": hist.bin_width,
             "bins": [[lo, hi, c] for lo, hi, c in hist.bins()],
-            "class_proportions": {
-                "reciprocal": hist.class_proportions[0],
-                "partially_reciprocal": hist.class_proportions[1],
-                "non_reciprocal": hist.class_proportions[2],
-            },
+            "class_proportions": class_shares(hist.class_proportions),
         },
         args.output,
     )

@@ -4,20 +4,27 @@ Vertices are dense integer ids ``0..V-1`` (Python or numpy integers). A graph
 is stored as read-only CSR arrays, ``indptr`` (row bounds per source vertex),
 ``indices`` (targets, ascending within each row) and ``weights``, plus the
 per-vertex ``out_strength``. Graphs are immutable once built; use
-:class:`GraphBuilder` (aggregates parallel arcs, drops self-loops),
-:meth:`WeightedDigraph.from_labelled` (one weight per labelled pair) or
+:class:`GraphBuilder` (aggregates parallel arcs, drops self-loops) or
 :meth:`WeightedDigraph.from_dense_arcs` / :meth:`WeightedDigraph.from_columns`
 (already-clean dense arcs, validated in bulk) to construct one. All read
 operations are safe to call from multiple threads.
+
+Labelled input (``GraphBuilder``, event-log ingest, a snapshot without a
+sidecar) gets its dense ids here, in one way: :class:`FirstSeenIds` numbers
+the labels as they first appear, :meth:`FirstSeenIds.sorted_order` remaps
+those ids to the order of the sorted labels, so a graph does not depend on
+input order, and :func:`stored_labels` keeps the labels unless they are
+exactly ``"0".."V-1"``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -87,11 +94,19 @@ class WeightedDigraph:
         for a in (indptr, indices, weights):
             a.setflags(write=False)
         self._indptr, self._indices, self._weights = indptr, indices, weights
+        if external_ids is not None and len(external_ids) != len(indptr) - 1:
+            raise IntegrityError("external id table does not match vertex count")
         w = weights.tolist()
         bounds = indptr.tolist()
-        self._out_strength = np.array([math.fsum(w[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
-        if external_ids is not None and len(external_ids) != len(bounds) - 1:
-            raise IntegrityError("external id table does not match vertex count")
+        try:
+            self._out_strength = np.array([math.fsum(w[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
+        except OverflowError:  # finite weights whose sum is not: name the first such vertex
+            for v, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+                try:
+                    math.fsum(w[lo:hi])
+                except OverflowError:
+                    label = str(v) if external_ids is None else external_ids[v]
+                    raise DomainError(f"out-strength of vertex {label!r} exceeds the largest float") from None
         self._external_ids = external_ids
         self._reverse: np.ndarray | None = None
         self._digest: str | None = None
@@ -152,29 +167,6 @@ class WeightedDigraph:
         """
         src, dst, weights = list(zip(*arcs)) or ([], [], [])
         return cls.from_columns(vertex_count, src, dst, weights, external_ids)
-
-    @classmethod
-    def from_labelled(
-        cls,
-        weights: Mapping[tuple[Hashable, Hashable], float],
-        vertices: Iterable[Hashable] = (),
-    ) -> "WeightedDigraph":
-        """Build from one weight per distinct ``(src, dst)`` label pair.
-
-        Dense ids come from sorting the distinct labels (arc endpoints plus
-        ``vertices``, which may add isolated ones), so the graph does not
-        depend on mapping order. Labels other than exactly ``0..V-1`` are kept
-        as ``str`` external ids. Same arc rules as :meth:`from_columns`.
-        """
-        first, second = operator.itemgetter(0), operator.itemgetter(1)
-        labels = sorted({*vertices, *map(first, weights), *map(second, weights)})
-        index = {label: i for i, label in enumerate(labels)}.__getitem__
-        n = len(weights)
-        src = np.fromiter(map(index, map(first, weights)), dtype=np.int64, count=n)
-        dst = np.fromiter(map(index, map(second, weights)), dtype=np.int64, count=n)
-        w = np.fromiter(weights.values(), dtype=np.float64, count=n)
-        external = None if labels == list(range(len(labels))) else tuple(map(str, labels))
-        return cls.from_columns(len(labels), src, dst, w, external)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -351,22 +343,47 @@ class WeightedDigraph:
         return f"WeightedDigraph(vertices={self.vertex_count}, arcs={self.arc_count})"
 
 
+class FirstSeenIds(dict):
+    """Label -> provisional id: a label not yet present gets the next id, ``len(self)``."""
+
+    def __missing__(self, label: Hashable) -> int:
+        self[label] = i = len(self)
+        return i
+
+    def sorted_order(self) -> tuple[list, np.ndarray]:
+        """The labels sorted, which is their dense-id order, and the dense id of each provisional id."""
+        labels = sorted(self)
+        dense = np.empty(len(labels), dtype=np.int64)
+        dense[np.fromiter(map(self.__getitem__, labels), dtype=np.int64, count=len(labels))] = np.arange(len(labels))
+        return labels, dense
+
+
+def stored_labels(labels: Sequence[Hashable]) -> tuple[str, ...] | None:
+    """The external ids a graph keeps for labels in dense-id order: None for exactly ``"0".."V-1"``.
+
+    The comparison runs lazily and stops at the first other label, so no
+    second per-label string list is built.
+    """
+    external = tuple(map(str, labels))
+    return None if all(map(str.__eq__, external, map(str, itertools.count()))) else external
+
+
 class GraphBuilder:
     """Single-writer accumulator that aggregates raw arcs into a graph.
 
     Accepts arbitrary (homogeneous, sortable) vertex labels; parallel arcs
-    aggregate by weight sum, self-loops are dropped and counted. ``build``
-    assigns dense ids by sorting the distinct labels, so the resulting graph
-    does not depend on insertion order.
+    aggregate by weight sum in insertion order, self-loops are dropped and
+    counted. ``build`` assigns dense ids by sorting the distinct labels, so
+    the resulting graph does not depend on insertion order.
     """
 
     def __init__(self) -> None:
-        self._weights: dict[tuple[Hashable, Hashable], float] = {}
-        self._vertices: set[Hashable] = set()
+        self._ids = FirstSeenIds()
+        self._weights: dict[tuple[int, int], float] = {}  # by provisional ids
         self.self_loops_dropped = 0
 
     def add_vertex(self, label: Hashable) -> None:
-        self._vertices.add(label)
+        self._ids[label]
 
     def add_arc(self, src: Hashable, dst: Hashable, weight: float = 1.0) -> None:
         if not (weight > 0 and math.isfinite(weight)):
@@ -374,9 +391,7 @@ class GraphBuilder:
         if src == dst:
             self.self_loops_dropped += 1
             return
-        self._vertices.add(src)
-        self._vertices.add(dst)
-        key = (src, dst)
+        key = (self._ids[src], self._ids[dst])
         prev = self._weights.get(key)
         self._weights[key] = float(weight) if prev is None else prev + weight
 
@@ -385,4 +400,7 @@ class GraphBuilder:
         return len(self._weights)
 
     def build(self) -> WeightedDigraph:
-        return WeightedDigraph.from_labelled(self._weights, self._vertices)
+        labels, dense = self._ids.sorted_order()
+        src, dst = dense[np.array(list(self._weights), dtype=np.int64).reshape(-1, 2)].T
+        w = np.fromiter(self._weights.values(), dtype=np.float64, count=len(self._weights))
+        return WeightedDigraph.from_columns(len(labels), src, dst, w, stored_labels(labels))

@@ -19,6 +19,10 @@ it in batches too: memory is bounded by one batch of lines, the distinct
 labels and the arc arrays, not by per-arc Python objects. Saving a snapshot
 writes it in batches of arcs, gathered from the graph's arrays: memory is
 bounded by one batch of lines plus one text per label.
+
+Aggregation and a load without a sidecar assign dense ids as
+:class:`~recipnet.graph.GraphBuilder` does, through the label table of
+:mod:`recipnet.graph`; a sidecar's dense ids are taken as written.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import numpy as np
 
 from . import __version__ as _version
 from .errors import FormatError
-from .graph import WeightedDigraph
+from .graph import FirstSeenIds, WeightedDigraph, stored_labels
 
 EVENT_HEADER = "timestamp,caller,callee"
 GRAPH_HEADER = "src,dst,weight"
@@ -91,7 +95,7 @@ def aggregate_event_file(
     Malformed lines and self-calls are dropped and counted (in strict mode
     the first one in file order aborts); the timestamp field is not parsed.
     The result is independent of line order: arc weights are sums and the
-    dense id mapping comes from sorting the distinct ids.
+    dense ids follow the sorted labels (see :class:`~recipnet.graph.FirstSeenIds`).
 
     Lines are counted by their text after the first comma (``caller,callee``
     plus the line break) in C-level passes over batches of lines. Python
@@ -99,7 +103,9 @@ def aggregate_event_file(
     of malformed and self-call lines from the count at once, so memory is
     bounded by the distinct arc texts plus one batch of lines, not by the
     number of events. In strict mode the first batch with a bad text holds
-    the file's first bad line, so only that batch is rescanned.
+    the file's first bad line, so only that batch is rescanned. At the end
+    one split of the joined arc texts numbers the labels, and the texts of
+    one arc that differ only in their line break are summed as arrays.
     """
     counts: Counter[str] = Counter()
     tail_of = itemgetter(2)  # of str.partition: the text after the first comma
@@ -124,13 +130,27 @@ def aggregate_event_file(
                 else:
                     dropped += counts.pop(tail)
             read += len(lines)
-    pairs: dict[tuple[str, str], int] = {}
-    for tail, n in counts.items():
-        caller, callee = _fields(tail)  # type: ignore[misc]  # only arc texts are left
-        pairs[caller, callee] = pairs.get((caller, callee), 0) + n
-    del counts  # the line texts are not needed by the graph build; free them first
-    g = WeightedDigraph.from_labelled(pairs)
+    # Only arc texts are left, each ``caller,callee`` and its line break:
+    # joined at commas and split again, they give caller, callee, caller, ...
+    ids = FirstSeenIds()
+    n = len(counts)
+    fields = ",".join(map(str.rstrip, counts, repeat("\r\n"))).split(",")
+    ends = np.fromiter(map(ids.__getitem__, fields), dtype=np.int64, count=2 * n)  # n == 0 leaves [""] unread
+    w = np.fromiter(counts.values(), dtype=np.float64, count=n)
+    del counts, fields  # the texts are not needed by the graph build; free them first
+    labels, dense = ids.sorted_order()
+    del ids
+    v = len(labels)
+    ends = dense[ends]
+    # Texts that differ only in their line break are one arc: their counts are summed.
+    g = WeightedDigraph.from_columns(v, *_summed(v, ends[0::2] * v + ends[1::2], w), stored_labels(labels))
     return g, IngestStats(read, dropped, malformed, g.vertex_count, g.arc_count)
+
+
+def _summed(v: int, keys: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(src, dst, weight) of arcs keyed ``src * V + dst``: each key once, its weights summed in input order."""
+    keys, inverse = np.unique(keys, return_inverse=True)
+    return (*np.divmod(keys, v), np.bincount(inverse, weights=w))  # bincount adds in input order
 
 
 def sidecar_path(path: str | Path) -> Path:
@@ -234,14 +254,6 @@ def _load_sidecar(path: Path) -> dict[str, int]:
     return mapping
 
 
-class _FirstSeenIds(dict):
-    """Label -> id; a label not yet present gets the next id, ``len(self)``."""
-
-    def __missing__(self, label: str) -> int:
-        self[label] = i = len(self)
-        return i
-
-
 def _raise_first_bad_arc_line(texts: list[str], first_lineno: int, path: Path) -> None:
     """Raise the error for the first malformed arc line of ``texts`` (lines without line breaks)."""
     inf = float("inf")
@@ -263,7 +275,7 @@ def _raise_first_bad_arc_line(texts: list[str], first_lineno: int, path: Path) -
             raise FormatError(f"{path}:{lineno}: self-loop at {src!r}")
 
 
-def _arc_columns(arcs: list[str], ids: _FirstSeenIds) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def _arc_columns(arcs: list[str], ids: FirstSeenIds) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """(src ids, dst ids, weights) of non-empty arc line texts; None if any line is bad.
 
     Splits, parses and checks in C-level passes. A ``"\n"`` field, which no
@@ -305,7 +317,7 @@ def load_edge_list(path: str | Path, strict: bool = False) -> WeightedDigraph:
     """
     path = Path(path)
     side = sidecar_path(path)
-    ids = _FirstSeenIds()
+    ids = FirstSeenIds()
     side_error: Exception | None = None
     has_side = side.exists()
     if has_side:
@@ -352,11 +364,9 @@ def load_edge_list(path: str | Path, strict: bool = False) -> WeightedDigraph:
         if len(ids) > v:
             raise FormatError(f"{path}: arc references id missing from sidecar")
         labels = sorted(ids, key=ids.__getitem__)
-    else:  # dense ids follow the sorted labels: remap the first-seen ids, once per vertex
-        labels = sorted(ids)
+    else:  # dense ids follow the sorted labels
+        labels, dense = ids.sorted_order()
         v = len(labels)
-        dense = np.empty(v, dtype=np.int64)
-        dense[np.fromiter(map(ids.__getitem__, labels), dtype=np.int64, count=v)] = np.arange(v)
         src_ids, dst_ids = dense[src_ids], dense[dst_ids]
     del ids
 
@@ -370,8 +380,5 @@ def load_edge_list(path: str | Path, strict: bool = False) -> WeightedDigraph:
             src, dst = labels[src_ids[row]], labels[dst_ids[row]]
             raise FormatError(f"{path}:{lineno}: duplicate arc {src!r} -> {dst!r}")
         warnings.warn(f"{path}: aggregated {len(repeats)} duplicate arc rows", stacklevel=2)
-        keys, inverse = np.unique(keys, return_inverse=True)
-        src_ids, dst_ids = np.divmod(keys, v)
-        w_col = np.bincount(inverse, weights=w_col)  # sums each key's rows in file order
-    external = None if labels == [str(i) for i in range(v)] else tuple(labels)
-    return WeightedDigraph.from_columns(v, src_ids, dst_ids, w_col, external)
+        src_ids, dst_ids, w_col = _summed(v, keys, w_col)
+    return WeightedDigraph.from_columns(v, src_ids, dst_ids, w_col, stored_labels(labels))

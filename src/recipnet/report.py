@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any, TextIO
 
@@ -24,6 +24,7 @@ from .errors import DomainError, UndefinedCorrelationError
 from .graph import DyadCensus, WeightedDigraph
 from .metrics import (
     AssortativityResult,
+    DyadClass,
     ReciprocityHistogram,
     concentration_arrays,
     degree_assortativity,
@@ -203,42 +204,28 @@ def run_regime_comparison(
 # -- serialization ----------------------------------------------------------
 
 
+def class_shares(proportions: tuple[float, float, float]) -> dict[str, float]:
+    """Share of each dyad class, keyed by its :class:`DyadClass` value."""
+    return {cls.value: share for cls, share in zip(DyadClass, proportions)}
+
+
 def report_to_dict(report: AnalysisReport) -> dict[str, Any]:
-    prop = report.class_proportions
     return {
         "schema": SCHEMA_VERSION,
-        "provenance": {
-            "regime": report.provenance.regime,
-            "seed": report.provenance.seed,
-            "input_digest": report.provenance.input_digest,
-            "tool": report.provenance.tool,
-        },
+        "provenance": asdict(report.provenance),
         "vertex_count": report.vertex_count,
-        "census": {
-            "mutual": report.census.mutual,
-            "asymmetric": report.census.asymmetric,
-            "null_dyads": report.census.null_dyads,
-            "total_arcs": report.census.total_arcs,
-        },
+        "census": asdict(report.census),
         "reciprocity": {
             "mean": report.mean_r,
             "median": report.median_r,
-            "class_proportions": {
-                "reciprocal": prop[0],
-                "partially_reciprocal": prop[1],
-                "non_reciprocal": prop[2],
-            },
+            "class_proportions": class_shares(report.class_proportions),
         },
         "histogram": {
             "bin_width": report.histogram.bin_width,
             "total": report.histogram.total,
             "bins": [[lo, hi, c] for lo, hi, c in report.histogram.bins()],
         },
-        "assortativity": (
-            None
-            if report.assortativity is None
-            else {"r": report.assortativity.r, "pair_count": report.assortativity.pair_count}
-        ),
+        "assortativity": None if report.assortativity is None else asdict(report.assortativity),
         "h_star_quantiles": [[q, v] for q, v in report.h_star_quantiles],
     }
 
@@ -250,13 +237,7 @@ def comparison_to_dict(cmp: RegimeComparison) -> dict[str, Any]:
         "swap_multiplier": cmp.swap_multiplier,
         "rewire": cmp.rewire,
         "reports": {label: report_to_dict(rep) for label, rep in cmp.reports.items()},
-        "verdict": {
-            "means": cmp.verdict.means,
-            "partial_ordering": cmp.verdict.partial_ordering,
-            "final_ordering": cmp.verdict.final_ordering,
-            "degenerate": cmp.verdict.degenerate,
-            "description": cmp.verdict.description,
-        },
+        "verdict": asdict(cmp.verdict),
     }
 
 
@@ -286,7 +267,6 @@ def json_bytes(payload: dict[str, Any]) -> bytes:
 
 def write_report_csv(report: AnalysisReport, out: TextIO) -> None:
     """Summary key/value block, blank line, then histogram rows."""
-    prop = report.class_proportions
     rows = [
         ("schema", SCHEMA_VERSION),
         ("regime", report.provenance.regime),
@@ -300,9 +280,7 @@ def write_report_csv(report: AnalysisReport, out: TextIO) -> None:
         ("total_arcs", report.census.total_arcs),
         ("mean_r", "" if report.mean_r is None else repr(report.mean_r)),
         ("median_r", "" if report.median_r is None else repr(report.median_r)),
-        ("share_reciprocal", repr(prop[0])),
-        ("share_partially_reciprocal", repr(prop[1])),
-        ("share_non_reciprocal", repr(prop[2])),
+        *((f"share_{name}", repr(share)) for name, share in class_shares(report.class_proportions).items()),
         (
             "assortativity_r",
             "" if report.assortativity is None else repr(report.assortativity.r),

@@ -254,6 +254,12 @@ class TestExitCodes:
         bad.write_text("wrong,header,here\n1,2,3\n")
         assert main(["census", str(bad)]) == EXIT_VALIDATION
 
+    def test_out_strength_past_the_largest_float_is_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "g.csv"
+        path.write_text("src,dst,weight\na,b,1e308\na,c,1e308\nb,a,1\n")
+        assert main(["census", str(path)]) == EXIT_VALIDATION
+        assert "out-strength of vertex 'a' exceeds the largest float" in capsys.readouterr().err
+
     def test_bad_synth_config_is_validation_error(self, tmp_path, capsys):
         for dist, message in [
             ("zipf:2", "unknown degree distribution 'zipf'"),
@@ -406,6 +412,31 @@ def test_seeded_outputs_are_pinned(tmp_path, capsys):
     assert main([*replicas, "--seed", "7", "--replicas", "5", "--save-graphs"]) == EXIT_OK
     written = (tmp_path / "reg5").iterdir()
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written} == PINNED_REPLICAS_SHA256
+
+
+#: sha256 of the snapshot, sidecar and printed stats of `ingest` on the log in
+#: test_ingest_output_is_pinned.
+PINNED_INGEST_SHA256 = {
+    "g.csv": "5150c5c345c923f488441bfe9c307449c6162efc89f897e99baa233bddffc818",
+    "g.vertices.csv": "c89b5d5b378b15109e89673475cd95a0972102221cca444e63e159762da7bcd8",
+    "stdout": "aea5fdf3a0d734d447f181dcf7bb2f86e5fd4e1c25ba408ee66e1b7b06af94af",
+}
+
+
+def test_ingest_output_is_pinned(tmp_path, capsys, monkeypatch):
+    # One arc as a CRLF and an LF line, digit labels ("10" sorts before "9"),
+    # non-ASCII labels, an empty timestamp, a self-call and a malformed line.
+    lines = [
+        "1,a,b\r\n", "2,a,b\n", "3,0,1\n", "4,1,0\n", "5,10,9\n", "6,9,10\n", "7,9,10\r\n",
+        "8,ä,ö\n", "9,ö,ä\n", ",Δ,a\n", "10,b,a\n", "11,a,a\n", "12,a,b,c\n", "13,ö,0\n",
+    ]
+    (tmp_path / "events.csv").write_bytes(("timestamp,caller,callee\n" + "".join(lines)).encode())
+    monkeypatch.chdir(tmp_path)
+    assert main(["ingest", "events.csv", "-o", "g.csv"]) == EXIT_OK
+    files = ("g.csv", "g.vertices.csv")
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in files}
+    digests["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == PINNED_INGEST_SHA256
 
 
 def test_cli_import_stays_light():

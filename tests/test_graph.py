@@ -240,6 +240,13 @@ class TestNonFiniteWeights:
             b.add_arc("a", "b", bad)
         assert b.distinct_arcs == 0
 
+    def test_out_strength_past_the_largest_float_names_the_vertex(self):
+        arcs = [(1, 0, 1.0), (1, 2, 1e308), (1, 3, 1e308), (2, 1, 1e308), (2, 3, 1e308)]
+        with pytest.raises(DomainError, match="out-strength of vertex '1' exceeds the largest float"):
+            WeightedDigraph.from_dense_arcs(4, arcs)
+        with pytest.raises(DomainError, match="vertex 'b'"):
+            WeightedDigraph.from_dense_arcs(4, arcs, ("a", "b", "c", "d"))
+
 
 def reference_digest(g: WeightedDigraph) -> str:
     """Digest v2 spelled out with struct: tag, V, label lengths, label text, CSR arrays."""

@@ -12,11 +12,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from recipnet import __version__, ingest
-from recipnet.errors import FormatError
+from recipnet.errors import DomainError, FormatError
 from recipnet.graph import GraphBuilder, WeightedDigraph
 from recipnet.ingest import (
     IngestStats,
@@ -393,6 +393,37 @@ def snapshot_files(draw):
     return text, "external_id,dense_id" + "".join(draw(line_ends) + line for line in lines) + "\n"
 
 
+@st.composite
+def labelled_events(draw):
+    """(caller, callee, line break) events over digit labels ("0".."V-1", "10" after "9") or non-ASCII ones."""
+    digits = list(map(str, range(draw(st.integers(2, 12)))))
+    pool = draw(st.sampled_from([digits, [*digits, "é", "日本"], ["9", "10", "ä", "x"]]))
+    pair = st.tuples(st.sampled_from(pool), st.sampled_from(pool)).filter(lambda p: p[0] != p[1])
+    return [(*p, end) for p, end in draw(st.lists(st.tuples(pair, st.sampled_from(["\n", "\r\n"])), max_size=30))]
+
+
+class TestLabelPathsAgree:
+    @given(labelled_events())
+    @example([("0", "1", "\n"), ("1", "0", "\r\n"), ("1", "2", "\n"), ("1", "2", "\r\n")])
+    @settings(max_examples=200, deadline=None)
+    def test_ingest_load_and_builder_give_one_graph(self, tmp_path_factory, events):
+        out = tmp_path_factory.mktemp("paths")
+        log = "timestamp,caller,callee\n" + "".join(f"{i},{a},{b}{end}" for i, (a, b, end) in enumerate(events))
+        (out / "events.csv").write_bytes(log.encode("utf-8"))
+        ingested, _ = aggregate_event_file(out / "events.csv")
+        snapshot = "src,dst,weight\n" + "".join(f"{a},{b},1{end}" for a, b, end in events)
+        (out / "graph.csv").write_bytes(snapshot.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # repeated rows aggregate with a warning
+            loaded = load_edge_list(out / "graph.csv")
+        builder = GraphBuilder()
+        for a, b, _ in events:
+            builder.add_arc(a, b)
+        built = builder.build()
+        assert ingested == loaded == built
+        assert ingested.external_ids == loaded.external_ids == built.external_ids
+
+
 class TestSnapshots:
     def test_documented_example(self, tmp_path):
         path = tmp_path / "graph.csv"
@@ -582,7 +613,7 @@ def writable_graphs(draw):
     weights = [draw(st.sampled_from(pool)) for _ in chosen]  # a small pool repeats weights
     try:
         return WeightedDigraph.from_dense_arcs(v, [(a, b, w) for (a, b), w in zip(chosen, weights)], labels)
-    except OverflowError:  # a vertex's strength is not finite: no graph holds it
+    except DomainError:  # a vertex's strength is not finite: no graph holds it
         reject()
 
 
