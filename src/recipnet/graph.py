@@ -199,8 +199,13 @@ class WeightedDigraph:
         return i if i < hi and self._indices[i] == dst else -1
 
     def _reweighted(self, weights: np.ndarray) -> "WeightedDigraph":
-        """Same vertices, arcs and labels with new (positive, finite) weights in arcs() order."""
-        return WeightedDigraph(self._indptr, self._indices, weights, self._external_ids)
+        """Same vertices, arcs and labels with new (positive, finite) weights in arcs() order.
+
+        The two graphs share one topology, so they share its reverse-arc index too.
+        """
+        g = WeightedDigraph(self._indptr, self._indices, weights, self._external_ids)
+        g._reverse = self._reverse_arcs()
+        return g
 
     def _sources(self) -> np.ndarray:
         """Source vertex of every arc, in CSR order."""

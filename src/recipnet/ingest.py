@@ -104,8 +104,9 @@ def aggregate_event_file(
     bounded by the distinct arc texts plus one batch of lines, not by the
     number of events. In strict mode the first batch with a bad text holds
     the file's first bad line, so only that batch is rescanned. At the end
-    one split of the joined arc texts numbers the labels, and the texts of
-    one arc that differ only in their line break are summed as arrays.
+    the arc texts are split and their labels numbered one batch at a time,
+    and the texts of one arc that differ only in their line break are
+    summed as arrays.
     """
     counts: Counter[str] = Counter()
     tail_of = itemgetter(2)  # of str.partition: the text after the first comma
@@ -130,14 +131,17 @@ def aggregate_event_file(
                 else:
                     dropped += counts.pop(tail)
             read += len(lines)
-    # Only arc texts are left, each ``caller,callee`` and its line break:
-    # joined at commas and split again, they give caller, callee, caller, ...
+    # Only arc texts are left, each ``caller,callee`` and its line break: a
+    # batch of them joined at commas and split again gives caller, callee, ...
     ids = FirstSeenIds()
-    n = len(counts)
-    fields = ",".join(map(str.rstrip, counts, repeat("\r\n"))).split(",")
-    ends = np.fromiter(map(ids.__getitem__, fields), dtype=np.int64, count=2 * n)  # n == 0 leaves [""] unread
-    w = np.fromiter(counts.values(), dtype=np.float64, count=n)
-    del counts, fields  # the texts are not needed by the graph build; free them first
+    texts = iter(counts)
+    ends = [np.empty(0, np.int64)]
+    while batch := list(islice(texts, _BATCH)):
+        fields = ",".join(map(str.rstrip, batch, repeat("\r\n"))).split(",")
+        ends.append(np.fromiter(map(ids.__getitem__, fields), dtype=np.int64, count=2 * len(batch)))
+    ends = np.concatenate(ends)
+    w = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
+    del counts  # the texts are not needed by the graph build; free them first
     labels, dense = ids.sorted_order()
     del ids
     v = len(labels)

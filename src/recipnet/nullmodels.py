@@ -17,8 +17,9 @@ empty the set of dyads the reciprocity analysis is about. One-way arcs are
 carried through unchanged (they still contribute to vertex strength), and no
 backbone edge is rewired onto a pair that carries one.
 
-The swap loop itself is :func:`_swap_chain`, shared with the synthetic
-generator, which uses it to plant assortativity instead of removing it.
+The swaps themselves are :func:`_swap_chain`, rounds of array operations
+over disjoint proposals with no Python loop over them. The synthetic
+generator shares it, to plant assortativity instead of removing it.
 
 All randomness comes from one numpy ``Generator`` (PCG64, as in the
 synthetic generator) that the caller supplies, so one seed reproduces a
@@ -37,7 +38,7 @@ from .errors import DomainError, IntegrityError
 from .graph import WeightedDigraph
 
 #: Rewiring stops early once |assortativity| of the evolving backbone drops
-#: below this, checked every edge_count/10 attempts.
+#: below this, checked after each round of swap proposals.
 EARLY_STOP_R = 0.005
 
 DEFAULT_SWAP_MULTIPLIER = 10
@@ -115,33 +116,37 @@ def _swap_chain(
 ) -> tuple[np.ndarray, int, int, float | None]:
     """Degree-preserving edge swaps on an ``(m, 2)`` int64 edge array (a < b per row).
 
-    Each attempt picks two edges (a-b), (c-d) uniformly, orients each by a
-    coin flip, and proposes (a-d), (c-b). A proposal is invalid if it would
-    create a self-loop or a duplicate edge or land on a ``blocked`` pair
-    (keys a * vertex_count + b, a < b; none of them an edge). Every valid
-    proposal is accepted, unless ``toward_target`` is set: then only
-    proposals that bring the degree assortativity r closer to ``target`` are. Randomness is drawn max(1, m // 10) attempts at a time
-    for m edges; after each such chunk the chain stops once
-    |r - target| < ``tolerance``, and it never runs past ``budget`` attempts.
+    The chain runs in rounds of array operations. A round pairs the edges by
+    one random permutation into m // 2 disjoint proposals. Each of a
+    proposal's two edges, (a-b) and (c-d), is oriented by a coin flip, and
+    the proposal replaces them with (a-d) and (c-b). It is applied only if
+    it makes no self-loop, neither new key (a * vertex_count + b, a < b) was
+    an edge or a ``blocked`` pair before the round, and none of its four
+    keys is a key of another proposal of the round. Applied proposals
+    therefore never interact, and a reversed round makes the same choices,
+    so the uniform distribution over simple graphs is stationary.
+
+    With ``toward_target`` only proposals that move the degree assortativity
+    r toward ``target`` are applied, up to the first one at which r reaches
+    it. After each round the chain stops once |r - target| < ``tolerance``;
+    it never runs past ``budget`` proposals.
 
     Degrees never change, so Newman's r (the Pearson correlation of the
     endpoint degrees, each edge counted both ways; using excess degrees
     instead does not change it) follows from a running sum of degree
-    products. Exact integer sums make the returned r the
-    correctly rounded value for the final edge array, or None when every
-    endpoint has the same degree. Returns (edges, attempted, accepted, r),
-    the edges in the input's row order.
+    products. Exact integer sums make the returned r the correctly rounded
+    value for the final edge array, or None when every endpoint has the same
+    degree. Returns (edges, attempted, accepted, r), the edges in the input's
+    row order.
     """
-    v = vertex_count
-    m = len(edges)
+    v, m = vertex_count, len(edges)
+    deg = np.bincount(edges.ravel(), minlength=v)
     # Python ints (object dtype) keep the degree sums exact at any size.
-    deg = np.bincount(edges.ravel(), minlength=v).astype(object)
-    du, dv = deg[edges[:, 0]], deg[edges[:, 1]]
+    du, dv = deg[edges[:, 0]].astype(object), deg[edges[:, 1]].astype(object)
     n = 2 * m
     s1 = int((du + dv).sum())
     denom = n * int((du * du + dv * dv).sum()) - s1 * s1
     sxy = int((du * dv).sum())
-    deg = deg.tolist()
 
     def r_of(s: int) -> float | None:
         return (2 * n * s - s1 * s1) / denom if denom > 0 else None
@@ -151,49 +156,36 @@ def _swap_chain(
     # r rises linearly with the running sum; this sum gives r == target.
     s_target = (target * denom + s1 * s1) / (2 * n) if denom > 0 else 0.0
 
-    # Edge i is keys[i] = a * v + b; taken holds the edges' keys and the
-    # blocked ones, which never leave it because they are never edges.
-    keys = (edges[:, 0] * v + edges[:, 1]).tolist()
-    taken = set(keys)
-    taken.update(blocked.tolist())
+    keys = edges[:, 0] * v + edges[:, 1]
     attempted = accepted = 0
-    while attempted < budget:
-        chunk = min(max(1, m // 10), budget - attempted)
-        picks = rng.integers(0, m, (chunk, 2)).tolist()
-        flips = (rng.random((chunk, 2)) < 0.5).tolist()
-        attempted += chunk
-        for (i1, i2), (f1, f2) in zip(picks, flips):
-            if i1 == i2:
-                continue
-            k1, k2 = keys[i1], keys[i2]
-            a, b = divmod(k1, v)
-            c, d = divmod(k2, v)
-            if f1:
-                a, b = b, a
-            if f2:
-                c, d = d, c
-            if a == d or c == b:
-                continue
-            e1 = a * v + d if a < d else d * v + a
-            e2 = c * v + b if c < b else b * v + c
-            if e1 == e2 or e1 in taken or e2 in taken:
-                continue
-            # Replacing (a-b), (c-d) by (a-d), (c-b) moves the sum of degree products by:
-            new_sxy = sxy + (deg[a] - deg[c]) * (deg[d] - deg[b])
-            if toward_target and abs(new_sxy - s_target) >= abs(sxy - s_target):
-                continue
-            taken.remove(k1)
-            taken.remove(k2)
-            taken.add(e1)
-            taken.add(e2)
-            keys[i1] = e1
-            keys[i2] = e2
-            sxy = new_sxy
-            accepted += 1
+    while attempted < budget and m > 1:
+        p = min(m // 2, budget - attempted)
+        pick = rng.permutation(m)[: 2 * p].reshape(2, p)
+        flip = rng.random((p, 2)) < 0.5
+        attempted += p
+        old = keys[pick]
+        (a, c), (b, d) = np.divmod(old, v)
+        a, b = np.where(flip[:, 0], b, a), np.where(flip[:, 0], a, b)
+        c, d = np.where(flip[:, 1], d, c), np.where(flip[:, 1], c, d)
+        new = np.stack((np.minimum(a, d) * v + np.maximum(a, d), np.minimum(c, b) * v + np.maximum(c, b)))
+        _, inverse, count = np.unique(np.concatenate((old, new)), return_inverse=True, return_counts=True)
+        ok = (a != d) & (c != b) & (count[inverse] == 1).reshape(4, p).all(axis=0)
+        ok &= ~np.isin(new, np.concatenate((keys, blocked))).any(axis=0)
+        # Swapping (a-b), (c-d) for (a-d), (c-b) moves the sum of degree
+        # products by this; a round's total fits int64 while m * max_deg**2 < 2**63.
+        delta = (deg[a] - deg[c]) * (deg[d] - deg[b])
+        if toward_target:
+            gap = s_target - sxy
+            ok &= delta * gap > 0
+            step = np.where(ok, np.abs(delta), 0)
+            ok &= np.cumsum(step) - step < abs(gap)
+        keys[pick[:, ok]] = new[:, ok]
+        sxy += int(delta[ok].sum())
+        accepted += int(ok.sum())
         r = r_of(sxy)
         if r is not None and abs(r - target) < tolerance:
             break
-    return np.column_stack(np.divmod(np.array(keys, dtype=np.int64), v)), attempted, accepted, r_of(sxy)
+    return np.column_stack(np.divmod(keys, v)), attempted, accepted, r_of(sxy)
 
 
 def maslov_sneppen_rewire(
@@ -203,10 +195,11 @@ def maslov_sneppen_rewire(
 ) -> RewireOutcome:
     """Degree-preserving randomization of the mutual-dyad backbone.
 
-    Runs :func:`_swap_chain` on the backbone, accepting every valid swap, for
-    ``swap_multiplier * edge_count`` attempts, stopping early once the
-    backbone's assortativity is neutral (|r| < 0.005). Directed weights are
-    put back with :func:`reattach_weights` using the same RNG.
+    Runs :func:`_swap_chain` on the backbone for at most
+    ``swap_multiplier * edge_count`` proposals, stopping after the first
+    round that leaves the backbone's assortativity neutral (|r| <
+    ``EARLY_STOP_R``). Directed weights are put back with
+    :func:`reattach_weights` using the same RNG.
     """
     if swap_multiplier < 1:
         raise DomainError("swap multiplier must be a positive integer")

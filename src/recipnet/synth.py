@@ -1,11 +1,12 @@
 """Synthetic mutual-dyad networks with tunable assortativity and dispersion.
 
 The generator builds an undirected configuration-model backbone as an
-``(m, 2)`` edge array, nudges its degree assortativity toward a target with
-degree-preserving edge swaps (the rewiring kernel ``nullmodels._swap_chain``,
-accepting only swaps that bring r closer to the target), turns every edge
-into a mutual dyad, and finally splits each vertex's drawn strength over its
-out-arcs at random, one Dirichlet batch per distinct out-degree.
+``(m, 2)`` edge array and nudges its degree assortativity toward a target
+with degree-preserving edge swaps. They come from the rewiring kernel
+``nullmodels._swap_chain``, which keeps only the proposals of a round that
+move r toward the target and cuts the round where r reaches it. Then every
+edge becomes a mutual dyad, and each vertex's drawn strength is split over
+its out-arcs at random, one Dirichlet batch per distinct out-degree.
 
 The ``dispersion`` knob targets the mean normalized concentration score
 directly: the split is Dirichlet with per-vertex alpha = (1-d)/(d*k), whose
@@ -197,7 +198,9 @@ def generate(cfg: SynthConfig) -> WeightedDigraph:
         tolerance=_TUNING_TOLERANCE,
         toward_target=True,
     )
-    if r is not None and abs(r - target) > _TUNING_TOLERANCE:
+    if r is None and target != 0.0:  # every edge end has the same degree: no swap moves r
+        warnings.warn(f"assortativity target {target} not reached; r is undefined", stacklevel=2)
+    elif r is not None and abs(r - target) > _TUNING_TOLERANCE:
         warnings.warn(f"assortativity target {target} not reached; achieved {r:.4f}", stacklevel=2)
 
     # Both directions of every edge, in CSR order: by source, then target.

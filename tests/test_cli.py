@@ -367,32 +367,32 @@ class TestExitCodes:
 #: write for the graph in test_seeded_outputs_are_pinned. A change to these
 #: bytes changes what one seed produces and must be named as such.
 PINNED_SHA256 = {
-    "rw.csv": "3a272a922002ecb5a8879578b7afacb6532202b7c13aafdc8c0b3dd9b4bf1a20",
+    "rw.csv": "b1b80496ddee89dd6260d17fe6dbe98335e4f711a030c3d807dae0cf1aa39446",
     "rw.vertices.csv": "2944110e7129f8608b65cd66d13dba860c592967ca6afd46390e82552a26ba01",
-    "comparison.json": "a88554cfdcc7a4bf2dcbce46b4564462a02a0553e6f12d96a2152f0e04e6cf1c",
+    "comparison.json": "789b9db57b598b838c9a0ced5b161e5846bea4f9f58e9516b55776caad10b4d8",
     "observed.graph.csv": "7e300aa3917d5dca570acbcb5f6f3d8430866cf35da1b5413084979289b79cb8",
     "observed.graph.vertices.csv": "2944110e7129f8608b65cd66d13dba860c592967ca6afd46390e82552a26ba01",
     "observed.json": "11fba5480f182186458ae9a82a05addbb9dcb3d3d3bc7f0cc65896d5ceda3a3b",
     "observed_equidispersed.graph.csv": "5acda60690d0dc40631c43dedd8fc2031a1ce1d52e7d6e9cc3d6d39750564db2",
     "observed_equidispersed.graph.vertices.csv": "2944110e7129f8608b65cd66d13dba860c592967ca6afd46390e82552a26ba01",
     "observed_equidispersed.json": "f0da4050fda71f6f3371813cefc87f6796f7ca63631b19b041604e140bba448e",
-    "rewired.graph.csv": "4bf193837f50f2208f711cdf4e44fe51f9f0c765655c75b0d176a676ed0f599b",
+    "rewired.graph.csv": "519001c8a6049d4ab7df3a7b4041f81f208c36029ac62de74c1e130c7f3655f7",
     "rewired.graph.vertices.csv": "2944110e7129f8608b65cd66d13dba860c592967ca6afd46390e82552a26ba01",
-    "rewired.json": "678f902adad7fb6ade28f3dfd11d3f682fe748d1fe0cac2f482b0353c5402f7f",
-    "rewired_equidispersed.graph.csv": "8f9b0ad87c0e080dec52fa8e5dc86d5431758f04616ee4a1fbd65bad7d794b96",
+    "rewired.json": "ce77bfe2efacc35c243b6ee39ce4e995085337c519e14f0475476a756c255371",
+    "rewired_equidispersed.graph.csv": "ed81e6c73e7075b1933b6ca8585fa4801b4dcfc601c4196035db0c996c91830c",
     "rewired_equidispersed.graph.vertices.csv": "2944110e7129f8608b65cd66d13dba860c592967ca6afd46390e82552a26ba01",
-    "rewired_equidispersed.json": "6201d8fada7e15b8753a693443d091a01bf0ebfb8c6cb9fe8418184748be87c9",
+    "rewired_equidispersed.json": "3cf649cb27357103ee418023d01267c06f41c210ac23e2ff2cc704487fe8ffe6",
 }
 #: The same for `regimes --save-graphs --seed 7 --replicas 5`: seed 7 writes the
 #: files above, seeds 8 to 11 add one comparison each, replicas.json sums up.
 #: Only seed 7's graphs are kept and saved; later replicas drop theirs.
 PINNED_REPLICAS_SHA256 = {
     **{name: digest for name, digest in PINNED_SHA256.items() if not name.startswith("rw")},
-    "comparison.seed8.json": "b658c38a697a80c9bc671ab5f2561cef8a3586bb35a2bb0172b5017946b7bad4",
-    "comparison.seed9.json": "afcf23316f4d22d18d73ccbd933a4a65c92376e9371453950576ae4b06b7a3b3",
-    "comparison.seed10.json": "c0ab7cca4c1b3bbe00bd6130a42c4f2c2e27e0b3c46ed5f4b85a94128eceb78c",
-    "comparison.seed11.json": "29356fbdba266e1c96ad2eb397cb4af8113bca287b8613ff30dc98867cffc531",
-    "replicas.json": "1b0e33935b87121e478f622fc39e1fda031a8f1243afaa320d79ec1bf200c9f8",
+    "comparison.seed8.json": "f3230206f0bc5c44b7f5851a5376e233f0b1eeda2ce91dd89e6bfbc525a30479",
+    "comparison.seed9.json": "2d3f0e755c0a0c679e29d1db3819e5624f92d0b35331501ffb1a7a779c483d6b",
+    "comparison.seed10.json": "8036559923ae017153dcc5d075b399faeca63279dca3d4fb70867eb88ecf8d94",
+    "comparison.seed11.json": "fd31a3e816b8b02ea928c62e2a1e8581e9c66a3cca8692284958b9b2b93fdb9f",
+    "replicas.json": "fc6987e061d249465c3182acf54039dacfbf9f5e68dfa77c78f672e33b6580d5",
 }
 
 

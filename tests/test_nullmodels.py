@@ -2,19 +2,22 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.stats import chisquare
 
 from recipnet.errors import DomainError, IntegrityError
 from recipnet.graph import WeightedDigraph
 from recipnet.metrics import degree_assortativity, equidispersion_prediction, reciprocity
-from recipnet.nullmodels import equidisperse, maslov_sneppen_rewire, reattach_weights
-from recipnet.report import run_regime_comparison
+from recipnet.nullmodels import _swap_chain, equidisperse, maslov_sneppen_rewire, reattach_weights
+from recipnet.report import analyze, report_to_dict, run_regime_comparison
 from recipnet.synth import DegreeSpec, SynthConfig, generate
 
 from conftest import mutual_graphs, random_digraph
@@ -77,12 +80,23 @@ class TestEquidisperse:
             predicted = equidispersion_prediction(eq.out_degree(d.a), eq.out_degree(d.b))
             assert abs(reciprocity(eq, d).r_value - predicted) <= 1e-9
 
+    def test_reweighted_graph_shares_the_reverse_arc_index(self):
+        g = random_digraph(random.Random(5), 40, mutual_bias=0.6)
+        eq = equidisperse(g)
+        rw = maslov_sneppen_rewire(g, np.random.default_rng(3), swap_multiplier=2).graph
+        rw_eq = equidisperse(rw)
+        assert eq._reverse_arcs() is g._reverse_arcs()
+        assert rw_eq._reverse_arcs() is rw._reverse_arcs()
+        for graph in (eq, rw, rw_eq):  # reports match those of an unshared copy
+            copy = WeightedDigraph(*(a.copy() for a in (graph._indptr, graph._indices, graph._weights)))
+            assert report_to_dict(analyze(graph, "x")) == report_to_dict(analyze(copy, "x"))
+
 
 class _ScriptedGenerator:
-    """Stand-in for np.random.Generator: scripted integers/random results, then a real one."""
+    """Stand-in for np.random.Generator: scripted permutation/random results, then a real one."""
 
-    def __init__(self, integers, randoms):
-        self._ints = [np.asarray(x) for x in integers]
+    def __init__(self, permutations, randoms):
+        self._perms = [np.asarray(x) for x in permutations]
         self._rands = [np.asarray(x) for x in randoms]
         self._rng = np.random.default_rng(0)
 
@@ -92,34 +106,45 @@ class _ScriptedGenerator:
         assert out.shape == np.empty(size).shape, (out.shape, size)
         return out
 
-    def integers(self, low, high, size):
-        return self._next(self._ints, size) if self._ints else self._rng.integers(low, high, size)
+    def permutation(self, n):
+        return self._next(self._perms, n) if self._perms else self._rng.permutation(n)
 
     def random(self, size):
         return self._next(self._rands, size) if self._rands else self._rng.random(size)
 
 
+def _path(*vertices):
+    """Mutual path through the given vertices, on 5 vertices, weights 1."""
+    arcs = []
+    for a, b in zip(vertices, vertices[1:]):
+        arcs += [(a, b, 1.0), (b, a, 1.0)]
+    return WeightedDigraph.from_dense_arcs(5, arcs)
+
+
 class TestRewire:
     def test_forced_swap_on_two_disjoint_edges(self):
-        arcs = [(1, 2, 1.0), (2, 1, 1.0), (3, 4, 1.0), (4, 3, 1.0)]
-        g = WeightedDigraph.from_dense_arcs(5, arcs)
-        # Two attempts in the budget, drawn one per chunk: the first picks
-        # edges 0 and 1 with no orientation flips, turning (1,2),(3,4) into
-        # (1,4),(3,2); the second picks the same edge twice and is rejected.
-        rng = _ScriptedGenerator([[[0, 1]], [[0, 0]]], [[[0.9, 0.9]], [[0.9, 0.9]]])
+        # Backbone rows (1,2), (1,3), (3,4); the budget of 3 proposals runs as
+        # three rounds of one. Round 1 pairs rows 0 and 2 with no orientation
+        # flips, turning (1,2),(3,4) into (1,4),(3,2). Rounds 2 and 3 pair the
+        # same rows again, which would turn (1,4),(2,3) into (1,3),(2,4): (1,3)
+        # is an edge, so the duplicate is rejected.
+        g = _path(2, 1, 3, 4)
+        rng = _ScriptedGenerator([[0, 2, 1]] * 3, [[[0.9, 0.9]]] * 3)
         out = maslov_sneppen_rewire(g, rng, swap_multiplier=1)
         pairs = {(d.a, d.b) for d in out.graph.mutual_dyads()}
-        assert pairs == {(1, 4), (2, 3)}
+        assert pairs == {(1, 4), (2, 3), (1, 3)}
         assert backbone_degrees(out.graph) == backbone_degrees(g)
-        assert out.accepted_swaps == 1
+        assert (out.attempted_swaps, out.accepted_swaps) == (3, 1)
 
     def test_forced_swap_follows_orientation_flip(self):
-        arcs = [(1, 2, 1.0), (2, 1, 1.0), (3, 4, 1.0), (4, 3, 1.0)]
-        g = WeightedDigraph.from_dense_arcs(5, arcs)
-        # Only the second edge is flipped, to (4,3): the swap yields (1,3),(4,2).
-        rng = _ScriptedGenerator([[[0, 1]], [[0, 0]]], [[[0.9, 0.1]], [[0.9, 0.9]]])
+        # Rows (1,2), (1,4), (3,4). Unflipped, (1,2),(3,4) would become the
+        # edge (1,4) again; flipping only the second edge, to (4,3), yields
+        # (1,3),(4,2). Rounds 2 and 3 propose (1,3),(2,4) -> (1,4),(2,3): a duplicate.
+        g = _path(2, 1, 4, 3)
+        rng = _ScriptedGenerator([[0, 2, 1]] * 3, [[[0.9, 0.1]], [[0.9, 0.9]], [[0.9, 0.9]]])
         out = maslov_sneppen_rewire(g, rng, swap_multiplier=1)
-        assert {(d.a, d.b) for d in out.graph.mutual_dyads()} == {(1, 3), (2, 4)}
+        assert {(d.a, d.b) for d in out.graph.mutual_dyads()} == {(1, 3), (2, 4), (1, 4)}
+        assert out.accepted_swaps == 1
 
     def test_swap_creating_duplicate_is_rejected(self):
         # Mutual triangle: every proposal collides with an existing edge.
@@ -196,6 +221,128 @@ class TestRewire:
         out = maslov_sneppen_rewire(g, np.random.default_rng(1), swap_multiplier=3)
         if out.accepted_swaps:
             assert out.graph.weight(0, 4) == 7.0
+
+
+class _Recorder:
+    """np.random.Generator that keeps what permutation and random return."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.draws = []
+
+    def permutation(self, n):
+        self.draws.append(self._rng.permutation(n))
+        return self.draws[-1]
+
+    def random(self, size):
+        self.draws.append(self._rng.random(size))
+        return self.draws[-1]
+
+
+def _pair(x, y):
+    return (x, y) if x < y else (y, x)
+
+
+def _round_by_proposals(edges, blocked, perm, coins):
+    """One swap round, proposal by proposal: (edges after it, indices of applied proposals).
+
+    Proposal j pairs rows perm[j] and perm[p + j], orienting each edge
+    (stored a < b) as (b, a) when its coin is below 0.5. It is applied when
+    it makes no self-loop, neither new pair was an edge or blocked before the
+    round, and no other proposal holds one of its four pairs. The applied ones
+    are then swapped in one at a time, each checked against the edges so far.
+    """
+    before = set(edges) | set(blocked)
+    p = len(coins)
+    proposals = []
+    for j in range(p):
+        (a, b), (c, d) = edges[perm[j]], edges[perm[p + j]]
+        if coins[j][0] < 0.5:
+            a, b = b, a
+        if coins[j][1] < 0.5:
+            c, d = d, c
+        proposals.append((perm[j], perm[p + j], _pair(a, d), _pair(c, b), a == d or c == b))
+    held = Counter(k for i1, i2, e1, e2, _ in proposals for k in {edges[i1], edges[i2], e1, e2})
+    out = list(edges)
+    applied = []
+    for j, (i1, i2, e1, e2, self_loop) in enumerate(proposals):
+        shared = any(held[k] > 1 for k in {edges[i1], edges[i2], e1, e2})
+        if self_loop or e1 in before or e2 in before or shared:
+            continue
+        now = set(out) | set(blocked)
+        assert e1 not in now and e2 not in now and e1 != e2
+        out[i1], out[i2] = e1, e2
+        applied.append(j)
+    return out, applied
+
+
+@st.composite
+def swap_rounds(draw):
+    """A simple graph as an (m, 2) edge array in any row order, blocked pairs and a seed."""
+    v = draw(st.integers(3, 8))
+    pairs = [(a, b) for a in range(v) for b in range(a + 1, v)]
+    kinds = draw(st.lists(st.sampled_from("ebf"), min_size=len(pairs), max_size=len(pairs)))
+    edges = draw(st.permutations([p for p, k in zip(pairs, kinds) if k == "e"]))
+    blocked = [p for p, k in zip(pairs, kinds) if k == "b"]
+    return v, edges, blocked, draw(st.integers(0, 2**32 - 1))
+
+
+def _every_graph(degrees, blocked):
+    """Every simple graph with these degrees and no blocked pair, as sorted edge tuples."""
+    v = len(degrees)
+    pairs = [(a, b) for a in range(v) for b in range(a + 1, v) if (a, b) not in blocked]
+    graphs = []
+    for edges in itertools.combinations(pairs, sum(degrees) // 2):
+        if np.bincount(np.ravel(edges), minlength=v).tolist() == list(degrees):
+            graphs.append(edges)
+    return graphs
+
+
+class TestSwapRound:
+    @given(swap_rounds())
+    @settings(max_examples=300, deadline=None)
+    def test_round_applies_exactly_the_independent_valid_proposals(self, case):
+        v, edges, blocked, seed = case
+        assume(len(edges) >= 2)
+        keys = np.array([a * v + b for a, b in blocked], dtype=np.int64)
+        rng = _Recorder(seed)
+        # One round (budget m // 2); a tolerance of 0 never stops it early.
+        out, attempted, accepted, _ = _swap_chain(
+            np.array(edges, dtype=np.int64), v, rng, len(edges) // 2, 0.0, 0.0, keys
+        )
+        perm, coins = rng.draws
+        expected, applied = _round_by_proposals(edges, blocked, perm.tolist(), coins.tolist())
+        assert [tuple(e) for e in out.tolist()] == expected
+        assert (attempted, accepted) == (len(edges) // 2, len(applied))
+        assert np.bincount(out.ravel(), minlength=v).tolist() == np.bincount(np.ravel(edges), minlength=v).tolist()
+        assert (out[:, 0] < out[:, 1]).all()
+        assert len(set(expected)) == len(edges) and not set(expected) & set(blocked)
+
+    @pytest.mark.parametrize(
+        "degrees, blocked",
+        [
+            ((2, 2, 2, 2, 2, 2), set()),
+            ((3, 3, 2, 2, 1, 1), set()),
+            ((2, 2, 2, 2, 2, 2), {(0, 1), (1, 2)}),
+        ],
+    )
+    def test_uniform_distribution_is_stationary(self, degrees, blocked):
+        # Chains started from uniformly drawn graphs must still be uniform
+        # after a few rounds; 20 expected visits per graph.
+        graphs = _every_graph(degrees, blocked)
+        index = {g: i for i, g in enumerate(graphs)}
+        v, m = len(degrees), len(graphs[0])
+        keys = np.array([a * v + b for a, b in sorted(blocked)], dtype=np.int64)
+        rng = np.random.default_rng(0)
+        counts = np.zeros(len(graphs))
+        moved = 0
+        for start in rng.integers(0, len(graphs), 20 * len(graphs)).tolist():
+            out, *_ = _swap_chain(np.array(graphs[start]), v, rng, 4 * (m // 2), 0.0, 0.0, keys)
+            end = index[tuple(sorted(map(tuple, out.tolist())))]
+            counts[end] += 1
+            moved += end != start
+        assert moved > 10 * len(graphs)
+        assert chisquare(counts).pvalue > 1e-3
 
 
 class TestReattachWeights:

@@ -67,6 +67,14 @@ class TestGenerate:
         assert records
         assert all(rec.r_value == 0.0 for rec in records)
 
+    def test_undefined_r_misses_a_nonzero_target_loudly(self):
+        # Every edge end of a regular graph has the same degree, so r is undefined.
+        with pytest.warns(UserWarning, match="assortativity target 0.3 not reached; r is undefined"):
+            generate(SynthConfig(200, DegreeSpec("regular", 4.0), 0.3, 0.0, seed=0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            generate(SynthConfig(200, DegreeSpec("regular", 4.0), 0.0, 0.0, seed=0))
+
     def test_all_dyads_mutual(self):
         g = generate(SynthConfig(150, DegreeSpec("powerlaw", 2.5), 0.1, 0.4, seed=5))
         census = g.dyad_census()
@@ -151,7 +159,7 @@ class TestGenerate:
 #: sha256 of the snapshot and sidecar `synth` writes for the argv below; a
 #: change to these bytes changes what one seed generates and must be named.
 PINNED_SYNTH_SHA256 = {
-    "s.csv": "eb7bcbac9fe257d17492a7db8579e7ac4259cc6f1f023904c6bc3c69dcb16fac",
+    "s.csv": "e55dd9d0c64f204ff4615fbc317043d6ed50a50976af424f16e570f2d8bbcd2b",
     "s.vertices.csv": "e0fefbe2905171fb19e3e2c4854fbbe18464cc240c0de526d2af52dd997c3971",
 }
 
