@@ -139,6 +139,9 @@ def _cmd_census(args: argparse.Namespace) -> int:
 def _cmd_reciprocity(args: argparse.Namespace) -> int:
     g = load_edge_list(args.graph, strict=args.strict)
     scores = dyad_scores(g)
+    hist = scores.histogram(args.bin_width)
+    if not hist.total:
+        _warn_or_raise(args.strict, "graph has no mutual dyads")
     if args.records:
         with open(args.records, "w", encoding="utf-8", newline="") as f:
             f.write("a,b,w_ab,w_ba,p_ab,p_ba,r_value,dyad_class\n")
@@ -149,9 +152,6 @@ def _cmd_reciprocity(args: argparse.Namespace) -> int:
                     f"{d.w_ab!r},{d.w_ba!r},{rec.p_ab!r},{rec.p_ba!r},"
                     f"{rec.r_value!r},{rec.dyad_class.value}\n"
                 )
-    hist = scores.histogram(args.bin_width)
-    if not hist.total:
-        _warn_or_raise(args.strict, "graph has no mutual dyads")
     _emit(
         {
             "dyads": hist.total,
@@ -167,13 +167,13 @@ def _cmd_reciprocity(args: argparse.Namespace) -> int:
 def _cmd_concentration(args: argparse.Namespace) -> int:
     g = load_edge_list(args.graph, strict=args.strict)
     scores = concentration_scores(g)
+    if not scores:
+        _warn_or_raise(args.strict, "no vertices with out-degree >= 2")
     if args.records:
         with open(args.records, "w", encoding="utf-8", newline="") as f:
             f.write("vertex,out_degree,h,h_star\n")
             for s in scores:
                 f.write(f"{g.external_label(s.vertex)},{g.out_degree(s.vertex)},{s.h!r},{s.h_star!r}\n")
-    if not scores:
-        _warn_or_raise(args.strict, "no vertices with out-degree >= 2")
     _emit(
         {
             "vertices_scored": len(scores),
@@ -231,6 +231,8 @@ def _cmd_regimes(args: argparse.Namespace) -> int:
         if cmp.rewire["warning"]:
             _warn_or_raise(args.strict, f"rewire with seed {cmp.seed}: {cmp.rewire['warning']}")
     first = comparisons[0]
+    if first.verdict.degenerate:
+        _warn_or_raise(args.strict, first.verdict.description)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     with _OutputLock(outdir):
@@ -244,8 +246,6 @@ def _cmd_regimes(args: argparse.Namespace) -> int:
             (outdir / f"comparison.seed{cmp.seed}.json").write_bytes(json_bytes(comparison_to_dict(cmp)))
         if args.replicas > 1:
             (outdir / "replicas.json").write_bytes(json_bytes(replicas_to_dict(comparisons)))
-        if first.verdict.degenerate:
-            _warn_or_raise(args.strict, first.verdict.description)
     _emit(
         {
             "outdir": str(outdir),

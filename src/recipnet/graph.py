@@ -78,7 +78,7 @@ class WeightedDigraph:
     insertion order.
     """
 
-    __slots__ = ("_indptr", "_indices", "_weights", "_out_strength", "_external_ids", "_reverse", "_digest")
+    __slots__ = ("_indptr", "_indices", "_weights", "_out_strength", "_external_ids", "_reverse")
 
     def __init__(
         self,
@@ -109,7 +109,6 @@ class WeightedDigraph:
                     raise DomainError(f"out-strength of vertex {label!r} exceeds the largest float") from None
         self._external_ids = external_ids
         self._reverse: np.ndarray | None = None
-        self._digest: str | None = None
 
     # -- construction -----------------------------------------------------
 
@@ -311,26 +310,23 @@ class WeightedDigraph:
     # -- identity ------------------------------------------------------------
 
     def content_digest(self) -> str:
-        """Stable sha256 hex of the graph's content (digest v2), computed once.
+        """Stable sha256 hex of the graph's content (digest v2).
 
         The hash covers, in order: a fixed tag; ``V`` and then each label's
         length in code points, as ``<i8``; the UTF-8 bytes of the concatenated
         labels; and the little-endian bytes of ``indptr`` and ``indices``
         (``<i8``) and ``weights`` (``<f8``). The lengths split the decoded
         labels apart again, so the label encoding is injective, and CSR order
-        is canonical: equal graphs (``==``), and only they, share a digest. The
-        graph is immutable, so the cached value never goes stale.
+        is canonical: equal graphs (``==``), and only they, share a digest.
         """
-        if self._digest is None:
-            labels = self.labels()
-            h = hashlib.sha256(_DIGEST_TAG)
-            h.update(np.array([len(labels)], dtype="<i8"))
-            h.update(np.fromiter(map(len, labels), dtype="<i8", count=len(labels)))
-            h.update("".join(labels).encode())
-            for a, dtype in ((self._indptr, "<i8"), (self._indices, "<i8"), (self._weights, "<f8")):
-                h.update(np.ascontiguousarray(a, dtype=dtype))
-            self._digest = h.hexdigest()
-        return self._digest
+        labels = self.labels()
+        h = hashlib.sha256(_DIGEST_TAG)
+        h.update(np.array([len(labels)], dtype="<i8"))
+        h.update(np.fromiter(map(len, labels), dtype="<i8", count=len(labels)))
+        h.update("".join(labels).encode())
+        for a, dtype in ((self._indptr, "<i8"), (self._indices, "<i8"), (self._weights, "<f8")):
+            h.update(np.ascontiguousarray(a, dtype=dtype))
+        return h.hexdigest()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightedDigraph):

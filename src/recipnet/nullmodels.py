@@ -7,9 +7,9 @@ Three transforms, composable into a 2x2 family of comparison networks:
 * ``maslov_sneppen_rewire`` randomizes who is connected to whom on the
   backbone of mutual dyads while preserving every vertex's degree, driving
   degree assortativity to zero.
-* ``reattach_weights`` maps each vertex's original outgoing weight multiset
-  onto a rewired neighbor set by seeded random permutation, so per-vertex
-  strength and weight dispersion survive the rewiring.
+* ``reattach_weights`` builds the graph of a rewired backbone edge array,
+  mapping each vertex's original outgoing weight multiset onto its new
+  neighbors by seeded random permutation, so strength and dispersion survive.
 
 Rewiring deliberately operates on the mutual-dyad backbone rather than the
 raw directed arc set: naive directed-arc swaps would destroy mutuality and
@@ -18,8 +18,9 @@ carried through unchanged (they still contribute to vertex strength), and no
 backbone edge is rewired onto a pair that carries one.
 
 The swaps themselves are :func:`_swap_chain`, rounds of array operations
-over disjoint proposals with no Python loop over them. The synthetic
-generator shares it, to plant assortativity instead of removing it.
+over disjoint proposals with no Python loop over them, valid by the one
+rule of :func:`_valid_swaps`. The synthetic generator shares both, to plant
+assortativity and to place the stub pairs its pairing left over.
 
 All randomness comes from one numpy ``Generator`` (PCG64, as in the
 synthetic generator) that the caller supplies, so one seed reproduces a
@@ -74,34 +75,60 @@ def equidisperse(g: WeightedDigraph) -> WeightedDigraph:
 
 
 def reattach_weights(
-    rewired: WeightedDigraph,
+    edges: np.ndarray,
     original: WeightedDigraph,
     rng: np.random.Generator,
 ) -> WeightedDigraph:
-    """Permute each vertex's original mutual out-weights onto its new neighbors.
+    """The graph whose mutual dyads are the ``(m, 2)`` array ``edges``, with the original's weights.
 
-    The rewired graph must have the same per-vertex mutual degree as the
-    original. Weights on one-way arcs of the rewired graph are left as they
-    are. Per-vertex strength and out-weight multiset are preserved exactly.
+    Every vertex must keep its mutual degree. Its original mutual out-weights
+    are permuted onto its new neighbors; one-way arcs are kept as they are.
+    Per-vertex strength and out-weight multiset are preserved exactly.
     """
-    if rewired.vertex_count != original.vertex_count:
-        raise IntegrityError("vertex counts differ between rewired and original graphs")
     v_count = original.vertex_count
-    # Mutual arcs in CSR order: grouped by source, partners ascending.
-    orig_mutual = original._reverse_arcs() >= 0
-    new_mutual = rewired._reverse_arcs() >= 0
-    orig_src = original._sources()[orig_mutual]
+    if len(edges) and (edges.min() < 0 or edges.max() >= v_count):
+        raise DomainError(f"backbone edge endpoint outside 0..{v_count - 1}")
+    src, dst = _arcs_both_ways(edges)
+    mutual = original._reverse_arcs() >= 0
+    orig_src = original._sources()[mutual]
     orig_deg = np.bincount(orig_src, minlength=v_count)
-    new_deg = np.bincount(rewired._sources()[new_mutual], minlength=v_count)
+    new_deg = np.bincount(src, minlength=v_count)
     if (orig_deg != new_deg).any():
         v = int(np.argmax(orig_deg != new_deg))
         raise IntegrityError(f"mutual degree of vertex {v} changed: {orig_deg[v]} -> {new_deg[v]}")
-    # Sorting by (source, random key) shuffles every vertex's weights at once.
-    order = np.lexsort((rng.random(len(orig_src)), orig_src))
-    # One-way arcs keep their endpoints and weights.
-    new_weights = rewired._weights.copy()
-    new_weights[new_mutual] = original._weights[orig_mutual][order]
-    return rewired._reweighted(new_weights)
+    # Both lists of mutual arcs are grouped by source (CSR order), so sorting by
+    # (source, random key) shuffles every vertex's weights onto its new arcs at once.
+    weights = original._weights[mutual][np.lexsort((rng.random(len(orig_src)), orig_src))]
+    # Rebinding the columns frees the mutual-only arrays before the build, which is the rewire's peak.
+    one_way = ~mutual
+    src = np.concatenate((src, original._sources()[one_way]))
+    dst = np.concatenate((dst, original._indices[one_way]))
+    weights = np.concatenate((weights, original._weights[one_way]))
+    return WeightedDigraph.from_columns(v_count, src, dst, weights, original.external_ids)
+
+
+def _arcs_both_ways(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(src, dst) of both arcs of every row of an ``(m, 2)`` edge array, in CSR order: by source, then target."""
+    src, dst = np.concatenate((edges, edges[:, ::-1])).T
+    order = np.lexsort((dst, src))
+    return src[order], dst[order]
+
+
+def _valid_swaps(
+    a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray, old: np.ndarray, occupied: np.ndarray, v: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The keys (a * v + b, a < b) of (a-d) and (c-b) for a round's proposals (a-b),(c-d), and which are valid.
+
+    A proposal is valid when it makes no self-loop, neither new key is in
+    ``occupied`` (not empty), and none of its new keys and the keys it gives
+    up (its column of ``old``) is a key of another proposal of the round.
+    """
+    new = np.stack((np.minimum(a, d) * v + np.maximum(a, d), np.minimum(c, b) * v + np.maximum(c, b)))
+    _, inverse, count = np.unique(np.concatenate((old, new)), return_inverse=True, return_counts=True)
+    ok = (a != d) & (c != b) & (count[inverse] == 1).reshape(-1, len(a)).all(axis=0)
+    occupied = np.sort(occupied)
+    at = np.minimum(np.searchsorted(occupied, new), len(occupied) - 1)
+    return new, ok & ~(occupied[at] == new).any(axis=0)
 
 
 def _swap_chain(
@@ -119,11 +146,9 @@ def _swap_chain(
     The chain runs in rounds of array operations. A round pairs the edges by
     one random permutation into m // 2 disjoint proposals. Each of a
     proposal's two edges, (a-b) and (c-d), is oriented by a coin flip, and
-    the proposal replaces them with (a-d) and (c-b). It is applied only if
-    it makes no self-loop, neither new key (a * vertex_count + b, a < b) was
-    an edge or a ``blocked`` pair before the round, and none of its four
-    keys is a key of another proposal of the round. Applied proposals
-    therefore never interact, and a reversed round makes the same choices,
+    the proposal replaces them with (a-d) and (c-b) if :func:`_valid_swaps`
+    finds it valid, the edges and ``blocked`` pairs being occupied. Valid
+    proposals never interact, and a reversed round makes the same choices,
     so the uniform distribution over simple graphs is stationary.
 
     With ``toward_target`` only proposals that move the degree assortativity
@@ -167,10 +192,7 @@ def _swap_chain(
         (a, c), (b, d) = np.divmod(old, v)
         a, b = np.where(flip[:, 0], b, a), np.where(flip[:, 0], a, b)
         c, d = np.where(flip[:, 1], d, c), np.where(flip[:, 1], c, d)
-        new = np.stack((np.minimum(a, d) * v + np.maximum(a, d), np.minimum(c, b) * v + np.maximum(c, b)))
-        _, inverse, count = np.unique(np.concatenate((old, new)), return_inverse=True, return_counts=True)
-        ok = (a != d) & (c != b) & (count[inverse] == 1).reshape(4, p).all(axis=0)
-        ok &= ~np.isin(new, np.concatenate((keys, blocked))).any(axis=0)
+        new, ok = _valid_swaps(a, b, c, d, old, np.concatenate((keys, blocked)), v)
         # Swapping (a-b), (c-d) for (a-d), (c-b) moves the sum of degree
         # products by this; a round's total fits int64 while m * max_deg**2 < 2**63.
         delta = (deg[a] - deg[c]) * (deg[d] - deg[b])
@@ -226,14 +248,4 @@ def maslov_sneppen_rewire(
     if accepted == 0:
         warning = "no acceptable swap found; graph returned unchanged"
         return RewireOutcome(g, attempted, 0, residual, warning)
-
-    ones = np.ones(edge_count)
-    skeleton = WeightedDigraph.from_columns(
-        g.vertex_count,
-        np.concatenate([e[:, 0], e[:, 1], one_src]),
-        np.concatenate([e[:, 1], e[:, 0], one_dst]),
-        np.concatenate([ones, ones, g._weights[one_way]]),
-        g.external_ids,
-    )
-    return RewireOutcome(reattach_weights(skeleton, g, rng), attempted, accepted, residual)
-
+    return RewireOutcome(reattach_weights(e, g, rng), attempted, accepted, residual)

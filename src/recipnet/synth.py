@@ -1,12 +1,12 @@
 """Synthetic mutual-dyad networks with tunable assortativity and dispersion.
 
-The generator builds an undirected configuration-model backbone as an
-``(m, 2)`` edge array and nudges its degree assortativity toward a target
-with degree-preserving edge swaps. They come from the rewiring kernel
-``nullmodels._swap_chain``, which keeps only the proposals of a round that
-move r toward the target and cuts the round where r reaches it. Then every
-edge becomes a mutual dyad, and each vertex's drawn strength is split over
-its out-arcs at random, one Dirichlet batch per distinct out-degree.
+The generator pairs stubs into a configuration-model backbone, an ``(m, 2)``
+edge array, and places leftover pairs by edge splits checked by the swap
+rule ``nullmodels._valid_swaps``. Swaps of ``nullmodels._swap_chain`` then
+nudge r toward a target, keeping the proposals of a round that move r toward
+it and cutting the round where r reaches it. Then every edge becomes a
+mutual dyad, and each vertex's drawn strength is split over its out-arcs at
+random, one Dirichlet batch per distinct out-degree.
 
 The ``dispersion`` knob targets the mean normalized concentration score
 directly: the split is Dirichlet with per-vertex alpha = (1-d)/(d*k), whose
@@ -27,12 +27,13 @@ import numpy as np
 
 from .errors import DomainError
 from .graph import WeightedDigraph
-from .nullmodels import _swap_chain
+from .nullmodels import _arcs_both_ways, _swap_chain, _valid_swaps
 
 _TUNING_MULTIPLIER = 30
 _STRENGTH_SIGMA = 0.75
 _TUNING_TOLERANCE = 0.01
 _RESAMPLE_TRIES = 100
+_PLACEMENT_ROUNDS = 500
 _MIN_SPLIT = 1e-12
 
 
@@ -115,9 +116,9 @@ def _stub_match(degrees: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarr
 
     The stubs are shuffled once and paired in order. The first copy of each
     pair is kept; self-pairs and repeated pairs go to :func:`_place_leftovers`,
-    so degrees are exact except in pathological leftovers (e.g. several
-    stubs of one hub remaining). Rows are sorted. Also returns the number of
-    stub pairs that could not be placed.
+    so degrees are exact unless a pair finds no edge to split there (e.g. on
+    a near-complete graph). Rows are sorted. Also returns the number of stub
+    pairs that could not be placed.
     """
     v = len(degrees)
     stubs = np.repeat(np.arange(v, dtype=np.int64), degrees)
@@ -128,48 +129,40 @@ def _stub_match(degrees: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarr
     keep = np.zeros(len(keys), dtype=bool)
     keep[np.unique(keys, return_index=True)[1]] = True
     keep &= lo != hi
-    keys, dropped = _place_leftovers(pairs[~keep].ravel(), keys[keep], v, rng)
+    keys, dropped = _place_leftovers(pairs[~keep], keys[keep], v, rng)
     return np.column_stack(np.divmod(np.sort(keys), v)), dropped
 
 
 def _place_leftovers(
-    leftovers: np.ndarray,
+    stuck: np.ndarray,
     keys: np.ndarray,
     v: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, int]:
-    """Absorb stuck stub pairs by splitting an existing edge (u,w) into
-    (s1,u) and (s2,w): degrees of u and w are unchanged, s1 and s2 gain one.
-    Edges are keys a * v + b (a < b); returns the new keys and the number of
-    pairs that could not be placed and were dropped (each leaves s1 and s2
-    one short of their drawn degree)."""
-    if not len(keys):  # no edge to split
-        return keys, len(leftovers) // 2
-    edge_list = keys.tolist()
-    edges = set(edge_list)
-    it = iter(leftovers.tolist())
-    dropped = 0
-    for s1, s2 in zip(it, it):
-        for _ in range(500):
-            idx = int(rng.integers(0, len(edge_list)))
-            u, w = divmod(edge_list[idx], v)
-            if rng.random() < 0.5:
-                u, w = w, u
-            if s1 == u or s2 == w:
-                continue
-            e1 = s1 * v + u if s1 < u else u * v + s1
-            e2 = s2 * v + w if s2 < w else w * v + s2
-            if e1 == e2 or e1 in edges or e2 in edges:
-                continue
-            edges.remove(edge_list[idx])
-            edges.add(e1)
-            edges.add(e2)
-            edge_list[idx] = e1
-            edge_list.append(e2)
+    """Absorb an ``(L, 2)`` array of stuck stub pairs (s1,s2) by splitting edges (keys a * v + b, a < b).
+
+    Each round pairs up to min(L, m) stuck pairs with distinct random edges
+    (u,w), one permutation and one orientation coin each. The edge becomes
+    (s1,u) and (w,s2) is appended, so s1 and s2 gain one degree, when the
+    swap kernel's rule finds (s1-s2),(w-u) -> (s1-u),(w-s2) valid. Only the
+    edge's key is given up: copies of one stuck pair (two self-pairs of a hub)
+    share a key and would block each other. Pairs still stuck after
+    ``_PLACEMENT_ROUNDS`` rounds are dropped. Returns the keys and the number dropped.
+    """
+    for _ in range(_PLACEMENT_ROUNDS):
+        p = min(len(stuck), len(keys))
+        if not p:  # every pair placed, or no edge to split
             break
-        else:
-            dropped += 1
-    return np.array(edge_list, dtype=np.int64), dropped
+        pick = rng.permutation(len(keys))[:p]
+        flip = rng.random(p) < 0.5
+        u, w = np.divmod(keys[pick], v)
+        u, w = np.where(flip, w, u), np.where(flip, u, w)
+        s1, s2 = stuck[:p].T
+        new, ok = _valid_swaps(s1, s2, w, u, keys[pick][None], keys, v)
+        keys[pick[ok]] = new[0, ok]
+        keys = np.concatenate((keys, new[1, ok]))
+        stuck = np.concatenate((stuck[p:], stuck[:p][~ok]))
+    return keys, len(stuck)
 
 
 def generate(cfg: SynthConfig) -> WeightedDigraph:
@@ -203,10 +196,7 @@ def generate(cfg: SynthConfig) -> WeightedDigraph:
     elif r is not None and abs(r - target) > _TUNING_TOLERANCE:
         warnings.warn(f"assortativity target {target} not reached; achieved {r:.4f}", stacklevel=2)
 
-    # Both directions of every edge, in CSR order: by source, then target.
-    src, dst = np.concatenate((edges, edges[:, ::-1])).T
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
+    src, dst = _arcs_both_ways(edges)
     k = np.bincount(src, minlength=v)
     start = np.cumsum(k) - k  # each vertex's first arc
     strength = k * rng.lognormal(mean=0.0, sigma=_STRENGTH_SIGMA, size=v)

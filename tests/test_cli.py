@@ -16,6 +16,7 @@ import pytest
 
 from recipnet import report
 from recipnet.cli import EXIT_DEGENERATE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from recipnet.graph import WeightedDigraph
 from recipnet.ingest import aggregate_event_file, load_edge_list, save_snapshot
 
 from conftest import random_digraph
@@ -305,11 +306,14 @@ class TestExitCodes:
         argv = [command, str(graph_file), "--bin-width", "inf"]
         if command == "regimes":
             argv += ["--outdir", str(tmp_path / "reg")]
+        if command == "reciprocity":
+            argv += ["--records", str(tmp_path / "r.csv")]
         assert main(argv) == EXIT_VALIDATION
         captured = capsys.readouterr()
         assert "bin width must be finite and positive" in captured.err
         assert captured.out == ""
         assert not (tmp_path / "reg").exists()
+        assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("command", ["report", "reciprocity", "regimes"])
     def test_bin_width_needing_too_many_bins_rejected(self, command, graph_file, tmp_path, capsys):
@@ -317,11 +321,32 @@ class TestExitCodes:
         argv = [command, str(graph_file), "--bin-width", "2e-5"]
         if command == "regimes":
             argv += ["--outdir", str(tmp_path / "reg")]
+        if command == "reciprocity":
+            argv += ["--records", str(tmp_path / "r.csv")]
         assert main(argv) == EXIT_VALIDATION
         captured = capsys.readouterr()
         assert "would need more than 10000 histogram bins" in captured.err
         assert captured.out == ""
         assert not (tmp_path / "reg").exists()
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize(
+        "arcs, command, output, message",
+        [
+            # A mutual 10-cycle with unit weights: every cell has the same mean score.
+            ([(v, (v + d) % 10) for v in range(10) for d in (1, 9)], "regimes", "--outdir", "degenerate: ties"),
+            ([(0, 1), (1, 2), (2, 0)], "reciprocity", "--records", "graph has no mutual dyads"),
+            ([(0, 1), (1, 0), (2, 0)], "concentration", "--records", "no vertices with out-degree >= 2"),
+        ],
+        ids=["regimes", "reciprocity", "concentration"],
+    )
+    def test_strict_escalation_writes_nothing(self, arcs, command, output, message, tmp_path, capsys):
+        graph = tmp_path / "g.csv"
+        save_snapshot(WeightedDigraph.from_dense_arcs(10, [(a, b, 1.0) for a, b in arcs]), graph)
+        out = tmp_path / "out"
+        assert main([command, str(graph), output, str(out), "--strict"]) == EXIT_DEGENERATE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["rewire", "regimes"])
     def test_zero_swap_multiplier_rejected(self, command, graph_file, tmp_path, capsys):

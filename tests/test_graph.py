@@ -280,10 +280,10 @@ def with_arcs(g: WeightedDigraph, arcs, labels=None) -> WeightedDigraph:
 class TestContentDigest:
     @given(labelled_graphs())
     @settings(max_examples=100)
-    def test_cached_value_equals_fresh_computation(self, g):
+    def test_digest_equals_reference_computation(self, g):
         first = g.content_digest()
         assert g.content_digest() == first == reference_digest(g)
-        assert g._reweighted(g._weights).content_digest() == first  # a new object starts uncached
+        assert g._reweighted(g._weights).content_digest() == first
 
     @given(labelled_graphs(), labelled_graphs())
     @settings(max_examples=150)

@@ -345,34 +345,41 @@ class TestSwapRound:
         assert chisquare(counts).pvalue > 1e-3
 
 
+def _backbone(g: WeightedDigraph) -> np.ndarray:
+    """The graph's mutual dyads as the swap kernel's (m, 2) edge array."""
+    a, b, _, _ = g._mutual_arrays()
+    return np.column_stack((a, b))
+
+
 class TestReattachWeights:
     def test_two_neighbor_permutation(self):
         orig = WeightedDigraph.from_dense_arcs(
             4, [(0, 1, 5.0), (1, 0, 1.0), (0, 2, 1.0), (2, 0, 2.0), (1, 3, 4.0), (3, 1, 4.0)]
         )
         # New backbone 0-1, 0-3, 1-2 keeps every mutual degree (2,2,1,1).
-        skeleton_arcs = []
-        for a, b in [(0, 1), (0, 3), (1, 2)]:
-            skeleton_arcs += [(a, b, 1.0), (b, a, 1.0)]
-        skeleton = WeightedDigraph.from_dense_arcs(4, skeleton_arcs)
-        out = reattach_weights(skeleton, orig, np.random.default_rng(0))
-        assert sorted(w for _, u, w in [(0, u, w) for u, w in out.out_neighbors(0)]) == [1.0, 5.0]
+        out = reattach_weights(np.array([(0, 1), (0, 3), (1, 2)]), orig, np.random.default_rng(0))
+        assert {(d.a, d.b) for d in out.mutual_dyads()} == {(0, 1), (0, 3), (1, 2)}
+        assert sorted(w for _, w in out.out_neighbors(0)) == [1.0, 5.0]
         assert out.out_strength(0) == orig.out_strength(0)
 
     def test_equal_weights_unaffected_by_permutation(self):
         orig = WeightedDigraph.from_dense_arcs(
             3, [(0, 1, 2.0), (1, 0, 2.0), (0, 2, 2.0), (2, 0, 2.0)]
         )
-        out = reattach_weights(orig, orig, np.random.default_rng(5))
+        out = reattach_weights(_backbone(orig), orig, np.random.default_rng(5))
         assert out == orig
 
     @given(mutual_graphs())
     @settings(max_examples=60)
     def test_multisets_preserved(self, g):
-        out = reattach_weights(g, g, np.random.default_rng(11))
+        out = reattach_weights(_backbone(g), g, np.random.default_rng(11))
         assert mutual_weight_multisets(out) == mutual_weight_multisets(g)
         for v in range(g.vertex_count):
             assert out.out_strength(v) == pytest.approx(g.out_strength(v), abs=1e-12)
+        one_way = g._reverse_arcs() < 0  # one-way arcs keep their endpoints and weights
+        assert [arc for arc, keep in zip(out.arcs(), one_way) if keep] == [
+            arc for arc, keep in zip(g.arcs(), one_way) if keep
+        ]
 
     def test_every_order_is_drawn(self):
         orig = WeightedDigraph.from_dense_arcs(
@@ -380,17 +387,20 @@ class TestReattachWeights:
         )
         orders = set()
         for seed in range(60):
-            out = reattach_weights(orig, orig, np.random.default_rng(seed))
+            out = reattach_weights(_backbone(orig), orig, np.random.default_rng(seed))
             orders.add(tuple(w for _, w in out.out_neighbors(0)))
         assert len(orders) == 6
 
     def test_degree_mismatch_raises(self):
         orig = WeightedDigraph.from_dense_arcs(4, [(0, 1, 1.0), (1, 0, 1.0)])
-        other = WeightedDigraph.from_dense_arcs(
-            4, [(0, 1, 1.0), (1, 0, 1.0), (2, 3, 1.0), (3, 2, 1.0)]
-        )
         with pytest.raises(IntegrityError):
-            reattach_weights(other, orig, np.random.default_rng(0))
+            reattach_weights(np.array([(0, 1), (2, 3)]), orig, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("edges", [[(0, 1), (2, 7)], [(0, 1), (-1, 2)]])
+    def test_endpoint_outside_the_graph_raises(self, edges):
+        orig = WeightedDigraph.from_dense_arcs(4, [(0, 1, 1.0), (1, 0, 1.0), (2, 3, 1.0), (3, 2, 1.0)])
+        with pytest.raises(DomainError, match="outside 0..3"):
+            reattach_weights(np.array(edges), orig, np.random.default_rng(0))
 
 
 class TestRegimes:

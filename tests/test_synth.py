@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from recipnet.cli import EXIT_OK, main
 from recipnet.errors import DomainError
 from recipnet.metrics import concentration_scores, degree_assortativity, reciprocity_records
-from recipnet.synth import DegreeSpec, SynthConfig, _draw_degrees, generate
+from recipnet.synth import DegreeSpec, SynthConfig, _draw_degrees, _place_leftovers, generate
 
 
 def mean_h_star(g) -> float:
@@ -156,10 +159,45 @@ class TestGenerate:
             SynthConfig(10, DegreeSpec("poisson", 5.0), 0.0, 1.5)
 
 
+@st.composite
+def placements(draw):
+    """Kept edges on a few vertices and stuck stub pairs: self-pairs, repeats of kept edges, copies of one pair."""
+    v = draw(st.integers(2, 8))
+    vertex = st.integers(0, v - 1)
+    pairs = [(a, b) for a in range(v) for b in range(a + 1, v)]
+    kept = draw(st.lists(st.sampled_from(pairs), min_size=v // 2, unique=True))
+    kinds = [vertex.map(lambda x: (x, x)), st.tuples(vertex, vertex)]
+    if kept:
+        kinds.append(st.sampled_from(kept).flatmap(lambda e: st.sampled_from([e, e[::-1]])))
+    stuck = draw(st.lists(st.one_of(kinds), max_size=4))
+    stuck += [draw(st.tuples(vertex, vertex))] * draw(st.integers(0, 3))
+    return v, kept, draw(st.permutations(stuck)), draw(st.integers(0, 2**32 - 1))
+
+
+@given(placements())
+@settings(max_examples=100, deadline=None)
+def test_leftover_placement_keeps_a_simple_graph_and_counts_what_it_drops(case):
+    v, kept, stuck, seed = case
+
+    def degrees(pairs):
+        return np.bincount(np.array(pairs, dtype=np.int64).ravel(), minlength=v)
+
+    keys = np.array([a * v + b for a, b in kept], dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    out, dropped = _place_leftovers(np.array(stuck, dtype=np.int64).reshape(-1, 2), keys, v, rng)
+    a, b = np.divmod(out, v)
+    assert (a < b).all() and len(set(out.tolist())) == len(out)
+    placed = len(out) - len(kept)  # each placed pair splits one edge into two
+    assert dropped == len(stuck) - placed
+    # Some `placed` of the stuck pairs account for every vertex's new degree.
+    gain = degrees(np.column_stack((a, b))) - degrees(kept)
+    assert any((degrees(c) == gain).all() for c in itertools.combinations(stuck, placed))
+
+
 #: sha256 of the snapshot and sidecar `synth` writes for the argv below; a
 #: change to these bytes changes what one seed generates and must be named.
 PINNED_SYNTH_SHA256 = {
-    "s.csv": "e55dd9d0c64f204ff4615fbc317043d6ed50a50976af424f16e570f2d8bbcd2b",
+    "s.csv": "d35c1a4f0b3dbc030a10860a3613961f461551506d8e11a78711bda4fd61a5fc",
     "s.vertices.csv": "e0fefbe2905171fb19e3e2c4854fbbe18464cc240c0de526d2af52dd997c3971",
 }
 
