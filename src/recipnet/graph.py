@@ -3,7 +3,9 @@
 Vertices are dense integer ids ``0..V-1`` (Python or numpy integers). A graph
 is stored as read-only CSR arrays, ``indptr`` (row bounds per source vertex),
 ``indices`` (targets, ascending within each row) and ``weights``, plus the
-per-vertex ``out_strength``. Graphs are immutable once built; use
+per-vertex ``out_strength``, each row's correctly rounded sum (the value
+``math.fsum`` gives), computed by array code in blocks of rows
+(:func:`_row_sums`). Graphs are immutable once built; use
 :class:`GraphBuilder` (aggregates parallel arcs, drops self-loops) or
 :meth:`WeightedDigraph.from_dense_arcs` / :meth:`WeightedDigraph.from_columns`
 (already-clean dense arcs, validated in bulk) to construct one. All read
@@ -31,6 +33,63 @@ import numpy as np
 from .errors import DomainError, IntegrityError, MissingArcError
 
 _DIGEST_TAG = b"recipnet-digest-v2\0"
+
+#: Rows summed together by :func:`_row_sums`, which bounds its temporaries.
+_SUM_BLOCK = 8192
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(fl(a + b), err) with a + b == fl(a + b) + err exactly (Knuth's TwoSum)."""
+    t = a + b
+    z = t - a
+    return t, (a - (t - z)) + (b - z)
+
+
+def _row_sums(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each CSR row of non-negative ``values``, bit for bit, without a Python float per value.
+
+    A row that sums past the largest float, where fsum raises
+    ``OverflowError``, is ``inf``. Rows are taken in order of length,
+    longest first, in blocks of ``_SUM_BLOCK``, and each column of a block
+    is added to the rows still that long with the error-free cascade of
+    Ogita, Rump and Oishi (*Accurate sum and dot product*, 2005): the running
+    sum s and its error term e are kept exact by TwoSum, and F adds up the
+    magnitudes of the errors f of e, so a row's exact sum is s + e + sum(f).
+    (hi, rem) = TwoSum(s, e) then makes ``hi`` fsum's correctly rounded
+    result if every f was 0 (hi rounds s + e exactly, half to even) or if
+    ``|rem| + 2F`` is below half of hi's smaller gap to a neighbouring float
+    (2F bounds sum(|f|) for rows shorter than 2**51 values, whatever F's own
+    rounding). Other rows, the rows at or past the largest float, and the
+    rows longer than all but a 64th of their block's rows (so a hub does
+    not cost one array pass per value) go to ``math.fsum``, whose exact
+    partials (Shewchuk 1997) settle any row.
+    """
+    length = np.diff(indptr)
+    order = np.argsort(length)[::-1]  # longest first; the order of equal lengths does not matter
+    out = np.empty(len(length))
+    for lo in range(0, len(order), _SUM_BLOCK):
+        rows = order[lo : lo + _SUM_BLOCK]
+        n = length[rows]
+        cols = int(n[max(1, len(rows) // 64) - 1])
+        hub = int(np.count_nonzero(n > cols))
+        slow, rows, n = rows[:hub], rows[hub:], n[hub:]
+        start = indptr[rows]
+        s, e, f_sum = np.zeros((3, len(rows)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, c in enumerate(np.searchsorted(-n, -np.arange(cols)).tolist()):  # c rows longer than j
+                s[:c], err = _two_sum(s[:c], values[start[:c] + j])
+                e[:c], f = _two_sum(e[:c], err)
+                f_sum[:c] += np.abs(f)
+            hi, rem = _two_sum(s, e)
+            gap = np.minimum(np.nextafter(hi, np.inf) - hi, hi - np.nextafter(hi, -np.inf))
+            ok = (np.abs(hi) < np.finfo(np.float64).max) & ((f_sum == 0) | (np.abs(rem) + 2 * f_sum < gap / 2))
+        out[rows] = hi
+        for r in np.concatenate((slow, rows[~ok])).tolist():
+            try:
+                out[r] = math.fsum(values[indptr[r] : indptr[r + 1]].tolist())
+            except OverflowError:
+                out[r] = math.inf
+    return out
 
 
 @dataclass(frozen=True)
@@ -74,8 +133,11 @@ class WeightedDigraph:
     """Immutable directed graph with strictly positive, finite arc weights.
 
     Out-strengths are cached as the correctly rounded sum of each vertex's
-    outgoing weights (``math.fsum``), which makes them independent of arc
-    insertion order.
+    outgoing weights, bit for bit what ``math.fsum`` gives, which makes them
+    independent of arc insertion order. They are computed in blocks of rows,
+    with Python floats only for the few rows handed to ``math.fsum``; a
+    vertex whose finite weights sum past the largest float is rejected with
+    a :class:`DomainError` that names it.
     """
 
     __slots__ = ("_indptr", "_indices", "_weights", "_out_strength", "_external_ids", "_reverse")
@@ -96,17 +158,11 @@ class WeightedDigraph:
         self._indptr, self._indices, self._weights = indptr, indices, weights
         if external_ids is not None and len(external_ids) != len(indptr) - 1:
             raise IntegrityError("external id table does not match vertex count")
-        w = weights.tolist()
-        bounds = indptr.tolist()
-        try:
-            self._out_strength = np.array([math.fsum(w[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
-        except OverflowError:  # finite weights whose sum is not: name the first such vertex
-            for v, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-                try:
-                    math.fsum(w[lo:hi])
-                except OverflowError:
-                    label = str(v) if external_ids is None else external_ids[v]
-                    raise DomainError(f"out-strength of vertex {label!r} exceeds the largest float") from None
+        self._out_strength = _row_sums(indptr, weights)
+        if np.isinf(self._out_strength).any():  # finite weights whose sum is not: name the first such vertex
+            v = int(np.argmax(np.isinf(self._out_strength)))
+            label = str(v) if external_ids is None else external_ids[v]
+            raise DomainError(f"out-strength of vertex {label!r} exceeds the largest float")
         self._external_ids = external_ids
         self._reverse: np.ndarray | None = None
 
@@ -151,7 +207,9 @@ class WeightedDigraph:
             raise DomainError(f"duplicate arc ({src[i]}, {dst[i]})")
         indptr = np.zeros(vertex_count + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=vertex_count), out=indptr[1:])
-        return cls(indptr, dst[order], weights[order], external_ids)
+        dst, weights = dst[order], weights[order]
+        del src, keys, order, repeated, checks, bad  # not live while the constructor sums the rows
+        return cls(indptr, dst, weights, external_ids)
 
     @classmethod
     def from_dense_arcs(

@@ -25,7 +25,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import DomainError, MissingArcError, UndefinedCorrelationError
-from .graph import MutualDyad, WeightedDigraph
+from .graph import _SUM_BLOCK, MutualDyad, WeightedDigraph, _row_sums
 
 #: Class boundaries on the natural-log scale. A probability ratio of 1.5
 #: separates reciprocal from partially reciprocal dyads; 9.0 separates
@@ -205,14 +205,20 @@ def concentration(g: WeightedDigraph, v: int) -> ConcentrationScore:
 def concentration_arrays(g: WeightedDigraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(vertex, h, h_star) for every vertex with out-degree >= 2, ascending.
 
-    Same values as :func:`concentration`: ``**`` squares, fsum per vertex.
+    Same values as :func:`concentration`: the squared shares come from
+    Python's ``**`` (which differs from numpy's ``x*x`` in the last bit for
+    some shares) one block of arcs at a time, into one float column, and
+    each vertex's sum of them is correctly rounded, as by ``math.fsum``, in
+    array code. No whole-graph list of Python floats is built.
     """
     k = np.diff(g._indptr)
-    shares = g._weights / g._out_strength[g._sources()]
-    squares = list(map(pow, shares.tolist(), repeat(2)))
-    bounds = g._indptr.tolist()
+    squares = np.empty(g.arc_count)
+    for lo in range(0, g.arc_count, _SUM_BLOCK):
+        arcs = np.arange(lo, min(lo + _SUM_BLOCK, g.arc_count))
+        shares = g._weights[arcs] / g._out_strength[np.searchsorted(g._indptr, arcs, side="right") - 1]
+        squares[arcs] = list(map(pow, shares.tolist(), repeat(2)))
     vertices = np.flatnonzero(k >= 2)
-    h = np.array([math.fsum(squares[bounds[v] : bounds[v + 1]]) for v in vertices.tolist()])
+    h = _row_sums(g._indptr, squares)[vertices]
     inv_k = 1.0 / k[vertices]
     return vertices, h, (h - inv_k) / (1.0 - inv_k)
 

@@ -114,21 +114,32 @@ def _arcs_both_ways(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return src[order], dst[order]
 
 
+def _free_swaps(
+    a: np.ndarray | int, b: np.ndarray | int, c: np.ndarray, d: np.ndarray, occupied: np.ndarray, v: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The keys (a * v + b, a < b) of (a-d) and (c-b) for proposals (a-b),(c-d), and which are free.
+
+    A proposal is free when it makes no self-loop and neither new key is in
+    ``occupied`` (not empty): the rule for one proposal on its own.
+    """
+    new = np.stack((np.minimum(a, d) * v + np.maximum(a, d), np.minimum(c, b) * v + np.maximum(c, b)))
+    occupied = np.sort(occupied)
+    at = np.minimum(np.searchsorted(occupied, new), len(occupied) - 1)
+    return new, (a != d) & (c != b) & ~(occupied[at] == new).any(axis=0)
+
+
 def _valid_swaps(
     a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray, old: np.ndarray, occupied: np.ndarray, v: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The keys (a * v + b, a < b) of (a-d) and (c-b) for a round's proposals (a-b),(c-d), and which are valid.
+    """The keys of (a-d) and (c-b) for a round's proposals (a-b),(c-d), and which are valid.
 
-    A proposal is valid when it makes no self-loop, neither new key is in
-    ``occupied`` (not empty), and none of its new keys and the keys it gives
-    up (its column of ``old``) is a key of another proposal of the round.
+    A proposal is valid when :func:`_free_swaps` finds it free and none of
+    its new keys and the keys it gives up (its column of ``old``) is a key
+    of another proposal of the round.
     """
-    new = np.stack((np.minimum(a, d) * v + np.maximum(a, d), np.minimum(c, b) * v + np.maximum(c, b)))
+    new, ok = _free_swaps(a, b, c, d, occupied, v)
     _, inverse, count = np.unique(np.concatenate((old, new)), return_inverse=True, return_counts=True)
-    ok = (a != d) & (c != b) & (count[inverse] == 1).reshape(-1, len(a)).all(axis=0)
-    occupied = np.sort(occupied)
-    at = np.minimum(np.searchsorted(occupied, new), len(occupied) - 1)
-    return new, ok & ~(occupied[at] == new).any(axis=0)
+    return new, ok & (count[inverse] == 1).reshape(-1, len(a)).all(axis=0)
 
 
 def _swap_chain(

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError
 from .graph import WeightedDigraph
-from .nullmodels import _arcs_both_ways, _swap_chain, _valid_swaps
+from .nullmodels import _arcs_both_ways, _free_swaps, _swap_chain, _valid_swaps
 
 _TUNING_MULTIPLIER = 30
 _STRENGTH_SIGMA = 0.75
@@ -147,7 +147,10 @@ def _place_leftovers(
     swap kernel's rule finds (s1-s2),(w-u) -> (s1-u),(w-s2) valid. Only the
     edge's key is given up: copies of one stuck pair (two self-pairs of a hub)
     share a key and would block each other. Pairs still stuck after
-    ``_PLACEMENT_ROUNDS`` rounds are dropped. Returns the keys and the number dropped.
+    ``_PLACEMENT_ROUNDS`` rounds are dropped, and so are all of them after
+    a round that places none when :func:`_placeable` finds that no stuck
+    pair fits any edge, so that no later round could place one. Returns the
+    keys and the number dropped.
     """
     for _ in range(_PLACEMENT_ROUNDS):
         p = min(len(stuck), len(keys))
@@ -159,10 +162,23 @@ def _place_leftovers(
         u, w = np.where(flip, w, u), np.where(flip, u, w)
         s1, s2 = stuck[:p].T
         new, ok = _valid_swaps(s1, s2, w, u, keys[pick][None], keys, v)
+        if not ok.any() and not _placeable(stuck, keys, v):
+            break  # no round can place a pair: the edges cannot change any more
         keys[pick[ok]] = new[0, ok]
         keys = np.concatenate((keys, new[1, ok]))
         stuck = np.concatenate((stuck[p:], stuck[:p][~ok]))
     return keys, len(stuck)
+
+
+def _placeable(stuck: np.ndarray, keys: np.ndarray, v: int) -> bool:
+    """Whether some stuck pair (s1,s2) and some edge (u,w), in either orientation, make a free split.
+
+    Pairs are tried one at a time, against every edge at once, and the test
+    stops at the first pair that fits.
+    """
+    u, w = np.divmod(keys, v)
+    u, w = np.concatenate((u, w)), np.concatenate((w, u))
+    return any(_free_swaps(s1, s2, w, u, keys, v)[1].any() for s1, s2 in np.unique(stuck, axis=0).tolist())
 
 
 def generate(cfg: SynthConfig) -> WeightedDigraph:

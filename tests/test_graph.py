@@ -6,12 +6,14 @@ import hashlib
 import math
 import random
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recipnet import graph
 from recipnet.errors import DomainError, MissingArcError
 from recipnet.graph import DyadCensus, GraphBuilder, MutualDyad, WeightedDigraph
 
@@ -57,6 +59,84 @@ class TestOutStrength:
             g.out_strength(2)
         with pytest.raises(DomainError):
             g.out_strength(-1)
+
+
+#: Row values that stress a correctly rounded sum: small-mantissa powers of
+#: two (exact ties), zero and subnormals, values near the largest float
+#: (overflow) and ordinary positive floats.
+_SUMMANDS = st.one_of(
+    st.builds(lambda m, e: m * 2.0**e, st.integers(1, 7), st.integers(-120, 120)),
+    st.just(0.0),
+    st.floats(min_value=5e-324, max_value=2.2250738585072014e-308),
+    st.floats(min_value=1e307, max_value=1.7976931348623157e308),
+    st.floats(min_value=5e-324, max_value=1e300),
+)
+
+
+def _aligned(e0: int):
+    """Values a few, 53 or 106 binades below 2**e0, with mantissas near 1 or near 2: they meet at rounding ties."""
+    offset = st.sampled_from([0, -1, -52, -53, -54, -105, -106, -107, -108])
+    mantissa = st.integers(1, 7).flatmap(lambda m: st.sampled_from([m, 2**53 - m]))
+    return st.builds(lambda m, off: m * 2.0 ** (e0 + off), mantissa, offset)
+
+
+_ROWS = st.lists(
+    st.one_of(
+        st.lists(_SUMMANDS, max_size=40),
+        st.builds(lambda x, n: [x] * n, _SUMMANDS, st.integers(0, 40)),  # many equal values
+        st.integers(-60, 60).flatmap(lambda e0: st.lists(_aligned(e0), max_size=40)),
+    ),
+    max_size=12,
+)
+
+
+def fsum_rows(rows: list[list[float]]) -> list[float]:
+    """The reference: math.fsum per row, inf where it overflows."""
+    out = []
+    for row in rows:
+        try:
+            out.append(math.fsum(row))
+        except OverflowError:
+            out.append(math.inf)
+    return out
+
+
+def row_sums(rows: list[list[float]]) -> list[float]:
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    values = np.array([x for r in rows for x in r], dtype=np.float64)
+    return graph._row_sums(indptr, values).tolist()
+
+
+class TestRowSums:
+    @given(_ROWS)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_fsum_bit_for_bit_at_any_block_size(self, rows):
+        want = [struct.pack("<d", x) for x in fsum_rows(rows)]
+        for block in (1, 3, 8192):
+            with mock.patch.object(graph, "_SUM_BLOCK", block):
+                assert [struct.pack("<d", x) for x in row_sums(rows)] == want
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            # s + e is 1 + 2**-53, a tie that rounds to 1.0; the last value,
+            # kept only in the errors of e, lifts the exact sum above the tie.
+            [1.0, 2.0**-53, 2.0**-110],
+            # e stops one ulp below the tie 1.5 + 2**-53: each 2**-107 is a tie
+            # that e rounds down, and F holds the 5 * 2**-107 that lift the sum above it.
+            [1.5, 2.0**-53 - 2.0**-105] + [2.0**-107] * 5,
+        ],
+    )
+    def test_a_rounding_tie_broken_below_the_cascade_goes_to_fsum(self, row):
+        assert row_sums([row]) == fsum_rows([row]) == [row[0] + math.ulp(row[0])]
+
+    def test_a_hub_row_is_not_summed_one_array_pass_per_value(self):
+        rows = [[0.1] * 5000] + [[0.1 * (i + 1)] * (i % 3) for i in range(300)]
+        with mock.patch.object(graph, "_SUM_BLOCK", 128), mock.patch.object(
+            graph, "_two_sum", wraps=graph._two_sum
+        ) as two_sum:
+            assert row_sums(rows) == fsum_rows(rows)
+        assert two_sum.call_count < 100
 
 
 class TestNormalizedWeight:

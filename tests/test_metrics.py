@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from recipnet.metrics import (
     RECIPROCAL_MAX,
     classify,
     concentration,
+    concentration_arrays,
+    concentration_scores,
     degree_assortativity,
     equidispersion_prediction,
     reciprocity,
@@ -228,6 +231,31 @@ class TestConcentration:
         assert concentration(scaled, v).h_star == pytest.approx(
             concentration(g, v).h_star, abs=1e-12
         )
+
+    @given(small_graphs())
+    @settings(max_examples=60)
+    def test_sweep_equals_the_scalar_scores(self, g):
+        vertices = [v for v in range(g.vertex_count) if g.out_degree(v) >= 2]
+        assert concentration_scores(g) == [concentration(g, v) for v in vertices]
+
+    def test_building_and_scoring_hold_no_python_float_per_arc(self):
+        """Past the input arrays, the graph and its scores cost the squares' 8-byte column and a few arrays per vertex."""
+
+        def peak(v, k=8):
+            indptr = np.arange(0, k * v + 1, k, dtype=np.int64)
+            indices = np.sort((np.arange(v)[:, None] + np.arange(1, k + 1)) % v, axis=1).ravel()
+            weights = np.random.default_rng(v).random(k * v) + 0.5
+            tracemalloc.start()
+            try:
+                concentration_arrays(WeightedDigraph(indptr, indices, weights))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(2**13), peak(2**15)
+        # At mean degree 8 the squares are 8 B per arc and each array per vertex
+        # 1 B (about 15 B in all); a Python float per arc adds 32 B.
+        assert (large - small) / (8 * (2**15 - 2**13)) < 20
 
     def test_bounded_in_unit_interval(self):
         g = random_digraph(random.Random(31), 40)

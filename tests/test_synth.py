@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from recipnet import nullmodels, synth
 from recipnet.cli import EXIT_OK, main
 from recipnet.errors import DomainError
 from recipnet.metrics import concentration_scores, degree_assortativity, reciprocity_records
@@ -138,6 +140,18 @@ class TestGenerate:
                 assert messages == []
         assert short_seeds > 0  # the dense case does drop pairs on some seeds
 
+    def test_placement_stops_once_no_stuck_pair_fits_any_edge(self):
+        cfg = SynthConfig(10, DegreeSpec("regular", 8.0), 0.0, 0.0, seed=15)
+        with mock.patch.object(synth, "_valid_swaps", wraps=nullmodels._valid_swaps) as rounds:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                generate(cfg)
+        assert rounds.call_count < synth._PLACEMENT_ROUNDS // 10
+        assert [str(w.message) for w in caught] == [  # as when all 500 rounds ran
+            "dropped 2 stub pair(s) that could not be placed; degrees are 4 stubs short",
+            "assortativity target 0.0 not reached; achieved -0.3571",
+        ]
+
     def test_no_edge_to_split_drops_every_pair_loudly(self):
         cfg = SynthConfig(3, DegreeSpec("powerlaw", 2.5), 0.0, 0.0, seed=15)  # every pair a self-pair
         with pytest.warns(UserWarning, match="dropped 3 stub pair"):
@@ -192,6 +206,21 @@ def test_leftover_placement_keeps_a_simple_graph_and_counts_what_it_drops(case):
     # Some `placed` of the stuck pairs account for every vertex's new degree.
     gain = degrees(np.column_stack((a, b))) - degrees(kept)
     assert any((degrees(c) == gain).all() for c in itertools.combinations(stuck, placed))
+
+
+@given(placements())
+@settings(max_examples=100, deadline=None)
+def test_placeable_means_some_stuck_pair_fits_some_edge(case):
+    v, kept, stuck, _ = case
+    edges = set(kept)
+
+    def fits(s1, s2, u, w):  # edge (u,w) becomes (s1,u) and (w,s2)
+        new = {(min(s1, u), max(s1, u)), (min(w, s2), max(w, s2))}
+        return s1 != u and w != s2 and not new & edges
+
+    want = any(fits(s1, s2, u, w) or fits(s1, s2, w, u) for s1, s2 in stuck for u, w in kept)
+    keys = np.array([a * v + b for a, b in kept], dtype=np.int64)
+    assert synth._placeable(np.array(stuck, dtype=np.int64).reshape(-1, 2), keys, v) == want
 
 
 #: sha256 of the snapshot and sidecar `synth` writes for the argv below; a
