@@ -14,9 +14,12 @@ containing a comma makes the line malformed):
 
 Aggregation streams the event file in batches of lines: memory is bounded by
 the distinct ``caller,callee`` line texts of arcs (one per arc and line-break
-style) plus one batch, not by the number of events. Loading a snapshot reads
-it in batches too: memory is bounded by one batch of lines, the distinct
-labels and the arc arrays, not by per-arc Python objects. Saving a snapshot
+style) plus one batch, not by the number of events. A large regular file is
+cut into byte ranges at line starts, one per usable CPU up to two, each
+counted by a forked worker with the same bound; the parent merges the exact
+counts. Loading a snapshot reads it in batches too: memory is bounded by one
+batch of lines, the distinct labels and the arc arrays, not by per-arc
+Python objects. Saving a snapshot
 writes it in batches of arcs, gathered from the graph's arrays: memory is
 bounded by one batch of lines plus one text per label.
 
@@ -28,13 +31,18 @@ Aggregation and a load without a sidecar assign dense ids as
 from __future__ import annotations
 
 import bisect
+import io
+import os
+import pickle
+import stat
 import warnings
 from collections import Counter
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from itertools import islice, repeat
 from operator import itemgetter
 from pathlib import Path
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -42,11 +50,21 @@ from . import __version__ as _version
 from .errors import FormatError
 from .graph import FirstSeenIds, WeightedDigraph, stored_labels
 
+if TYPE_CHECKING:
+    from multiprocessing.process import BaseProcess
+
 EVENT_HEADER = "timestamp,caller,callee"
 GRAPH_HEADER = "src,dst,weight"
 VERTEX_HEADER = "external_id,dense_id"
 
 _BATCH = 1 << 13  # lines per C-level pass: event and snapshot lines read, snapshot lines written
+# Event-body bytes per forked worker, at least: two workers were not
+# reliably faster than one process on logs up to 14 MiB, and were from 20 MiB.
+_RANGE_MIN = 1 << 23
+# Forked workers at most. Nearly every arc shows up in every range, so each
+# worker holds about a whole in-process count: memory grows with k, and
+# k = 2 is the most that has been measured.
+_MAX_WORKERS = 2
 
 
 @dataclass
@@ -76,61 +94,54 @@ def _fields(tail: str) -> list[str] | None:
     return fields
 
 
-def _raise_first_bad_line(lines: list[str], first_lineno: int, path: str | Path) -> None:
-    """Raise the strict-mode error for the first malformed or self-call line of ``lines``."""
-    for lineno, line in enumerate(lines, start=first_lineno):
+def _first_bad_line(lines: list[str]) -> tuple[int, str | None]:
+    """(index, None) of the first bad line of ``lines`` if it is malformed, (index, id) if a self-call."""
+    for i, line in enumerate(lines):
         fields = _fields(line.partition(",")[2])
         if fields is None:
-            raise FormatError(f"{path}: malformed event line {lineno}")
+            return i, None
         if fields[0] == fields[1]:
-            raise FormatError(f"{path}: self-call for id {fields[0]!r}")
+            return i, fields[0]
+    raise AssertionError("no bad line in the batch")
 
 
-def aggregate_event_file(
-    path: str | Path,
-    strict: bool = False,
-) -> tuple[WeightedDigraph, IngestStats]:
-    """Count events per ordered (caller, callee) pair into arc weights, in one pass.
+class _Part(NamedTuple):
+    """The count of one byte range (or of a whole stream)."""
 
-    Malformed lines and self-calls are dropped and counted (in strict mode
-    the first one in file order aborts); the timestamp field is not parsed.
-    The result is independent of line order: arc weights are sums and the
-    dense ids follow the sorted labels (see :class:`~recipnet.graph.FirstSeenIds`).
+    labels: list[str]  # in provisional-id order
+    ends: np.ndarray  # provisional caller, callee ids of each arc text, interleaved
+    w: np.ndarray  # the count of each arc text
+    tally: tuple[int, int, int]  # lines read, self-calls dropped, malformed lines
+    bad: tuple[int, str | None] | None  # strict mode: (index, self-call id) of the first bad line
 
-    Lines are counted by their text after the first comma (``caller,callee``
-    plus the line break) in C-level passes over batches of lines. Python
-    checks only the texts a batch sees for the first time, and drops those
-    of malformed and self-call lines from the count at once, so memory is
-    bounded by the distinct arc texts plus one batch of lines, not by the
-    number of events. In strict mode the first batch with a bad text holds
-    the file's first bad line, so only that batch is rescanned. At the end
-    the arc texts are split and their labels numbered one batch at a time,
-    and the texts of one arc that differ only in their line break are
-    summed as arrays.
+
+def _count_lines(f: Iterable[str], strict: bool) -> _Part:
+    """Count the event lines of ``f`` by arc text and number the arcs' labels as first seen.
+
+    In strict mode the count stops at the first bad line; the part then
+    holds no arcs, and the tally counts the lines before that line's batch.
     """
     counts: Counter[str] = Counter()
     tail_of = itemgetter(2)  # of str.partition: the text after the first comma
     comma = repeat(",")
     read = dropped = malformed = 0
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        header = f.readline().rstrip("\r\n")
-        if header != EVENT_HEADER:
-            raise FormatError(f"expected header {EVENT_HEADER!r}, got {header!r}")
-        while lines := list(islice(f, _BATCH)):
-            seen = len(counts)
-            counts.update(map(tail_of, map(str.partition, lines, comma)))
-            # Texts new in this batch are the last ones in the (insertion-ordered) dict.
-            for tail in list(islice(reversed(counts), len(counts) - seen)):
-                fields = _fields(tail)
-                if fields is not None and fields[0] != fields[1]:
-                    continue
-                if strict:
-                    _raise_first_bad_line(lines, read + 2, path)
-                if fields is None:
-                    malformed += counts.pop(tail)
-                else:
-                    dropped += counts.pop(tail)
-            read += len(lines)
+    while lines := list(islice(f, _BATCH)):
+        seen = len(counts)
+        counts.update(map(tail_of, map(str.partition, lines, comma)))
+        # Texts new in this batch are the last ones in the (insertion-ordered) dict.
+        for tail in list(islice(reversed(counts), len(counts) - seen)):
+            fields = _fields(tail)
+            if fields is not None and fields[0] != fields[1]:
+                continue
+            if strict:
+                index, self_call = _first_bad_line(lines)
+                bad = (read + index, self_call)
+                return _Part([], np.empty(0, np.int64), np.empty(0), (read, dropped, malformed), bad)
+            if fields is None:
+                malformed += counts.pop(tail)
+            else:
+                dropped += counts.pop(tail)
+        read += len(lines)
     # Only arc texts are left, each ``caller,callee`` and its line break: a
     # batch of them joined at commas and split again gives caller, callee, ...
     ids = FirstSeenIds()
@@ -139,14 +150,225 @@ def aggregate_event_file(
     while batch := list(islice(texts, _BATCH)):
         fields = ",".join(map(str.rstrip, batch, repeat("\r\n"))).split(",")
         ends.append(np.fromiter(map(ids.__getitem__, fields), dtype=np.int64, count=2 * len(batch)))
-    ends = np.concatenate(ends)
     w = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
-    del counts  # the texts are not needed by the graph build; free them first
+    return _Part(list(ids), np.concatenate(ends), w, (read, dropped, malformed), None)
+
+
+class _ByteRange(io.RawIOBase):
+    """Bytes ``[start, stop)`` of an open file as a raw stream, read with ``pread``.
+
+    ``pread`` does not move the file's offset, so workers forked from one
+    process read their ranges of one descriptor side by side.
+    """
+
+    def __init__(self, fd: int, start: int, stop: int) -> None:
+        self._fd, self._pos, self._stop = fd, start, stop
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, b) -> int:
+        data = os.pread(self._fd, min(len(b), self._stop - self._pos), self._pos)
+        b[: len(data)] = data
+        self._pos += len(data)
+        return len(data)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _can_fork() -> bool:
+    """Whether this process may fork workers.
+
+    The platform must have ``fork``; the process must not be daemonic (those
+    may have no children) nor run other threads, whose locks a forked child
+    would inherit held.
+    """
+    import multiprocessing
+    import threading
+
+    return (
+        "fork" in multiprocessing.get_all_start_methods()
+        and not multiprocessing.current_process().daemon
+        and threading.active_count() == 1
+    )
+
+
+def _next_line_start(fd: int, pos: int, stop: int) -> int:
+    """The offset just after the first ``b"\n"`` at or after ``pos``, or ``stop`` if none comes before it."""
+    while pos < stop:
+        chunk = os.pread(fd, min(1 << 16, stop - pos), pos)
+        if not chunk:
+            break
+        i = chunk.find(b"\n")
+        if i >= 0:
+            return pos + i + 1
+        pos += len(chunk)
+    return stop
+
+
+def _byte_ranges(fd: int, start: int) -> list[tuple[int, int]]:
+    """The body ``[start, EOF)`` of a regular file cut into k ranges that start lines; [] if k < 2.
+
+    k is the number of usable CPUs, at most ``_MAX_WORKERS``, or fewer so
+    that no range is planned under ``_RANGE_MIN`` bytes. Each cut moves forward to just after a
+    ``b"\n"``: that byte ends a line under universal newlines and is never
+    part of a multi-byte UTF-8 character. Cuts that meet are merged, so no
+    range is empty and k never exceeds the ranges.
+    """
+    st = os.fstat(fd)
+    if not stat.S_ISREG(st.st_mode):
+        return []
+    size = st.st_size
+    k = min(_usable_cpus(), _MAX_WORKERS, (size - start) // _RANGE_MIN)
+    if k < 2 or not _can_fork():
+        return []
+    cuts = [start]
+    for i in range(1, k):
+        cut = _next_line_start(fd, max(start + (size - start) * i // k, cuts[-1]), size)
+        if cuts[-1] < cut < size:
+            cuts.append(cut)
+    cuts.append(size)
+    return list(zip(cuts[:-1], cuts[1:])) if len(cuts) > 2 else []
+
+
+def _count_range(fd: int, start: int, stop: int, strict: bool, out: str) -> None:
+    """Worker: count bytes ``[start, stop)`` of descriptor ``fd``; pickle the part, or its error, to ``out``.
+
+    The range is read through a universal-newline text reader, so memory is
+    one batch of lines plus the range's distinct arc texts.
+    """
+    try:
+        with io.TextIOWrapper(io.BufferedReader(_ByteRange(fd, start, stop)), encoding="utf-8", newline="") as f:
+            result: _Part | Exception = _count_lines(f, strict)
+    except Exception as exc:  # raised again by the parent, in range order
+        result = exc
+    with open(out, "wb") as f:
+        pickle.dump(result, f, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _load_part(worker: BaseProcess, out: str) -> _Part:
+    """The part that ``worker`` pickled to ``out``, once it has exited; the worker's error is raised here."""
+    worker.join()
+    if worker.exitcode != 0:
+        raise ChildProcessError(f"an ingest worker exited with code {worker.exitcode}")
+    with open(out, "rb") as f:
+        result = pickle.load(f)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+@contextmanager
+def _range_workers(fd: int, ranges: list[tuple[int, int]], strict: bool) -> Iterator[Iterator[_Part]]:
+    """The parts of ``ranges``, in range order, each counted by its own forked worker.
+
+    A worker pickles its part to a file in a temporary directory, which the
+    parent reads once the worker has exited. Leaving the ``with`` block
+    stops any worker still running (after an error in an earlier range),
+    waits for every worker and removes the directory.
+    """
+    import multiprocessing
+    import tempfile
+
+    fork = multiprocessing.get_context("fork")
+    with tempfile.TemporaryDirectory(prefix="recipnet-ingest-") as tmp:
+        outs = [os.path.join(tmp, f"{i}.pickle") for i in range(len(ranges))]
+        tasks = [(fd, lo, hi, strict, out) for (lo, hi), out in zip(ranges, outs)]
+        workers = [fork.Process(target=_count_range, args=task) for task in tasks]
+        try:
+            for worker in workers:
+                worker.start()
+            yield map(_load_part, workers, outs)
+        finally:
+            for worker in workers:
+                if worker.pid is not None:  # started
+                    worker.terminate()  # does nothing to a worker that has exited
+                    worker.join()
+
+
+def _merged(parts: Iterable[_Part], path: str | Path) -> tuple[FirstSeenIds, np.ndarray, np.ndarray, list[int]]:
+    """One label table for ``parts``, their arcs' ends in its ids, their weights and summed tally.
+
+    The parts are walked in file order. In strict mode the first part that
+    stopped raises for its bad line, whose number counts the lines of the
+    earlier parts, all of them complete.
+    """
+    ids = FirstSeenIds()
+    ends, weights, tally = [], [], [0, 0, 0]
+    for part in parts:
+        if part.bad is not None:
+            index, self_call = part.bad
+            if self_call is None:
+                raise FormatError(f"{path}: malformed event line {tally[0] + index + 2}")
+            raise FormatError(f"{path}: self-call for id {self_call!r}")
+        remap = np.fromiter(map(ids.__getitem__, part.labels), dtype=np.int64, count=len(part.labels))
+        ends.append(remap[part.ends])
+        weights.append(part.w)
+        tally = [a + b for a, b in zip(tally, part.tally)]
+    return ids, np.concatenate(ends), np.concatenate(weights), tally
+
+
+def aggregate_event_file(
+    path: str | Path,
+    strict: bool = False,
+) -> tuple[WeightedDigraph, IngestStats]:
+    """Count events per ordered (caller, callee) pair into arc weights.
+
+    Malformed lines and self-calls are dropped and counted (in strict mode
+    the first one in file order aborts); the timestamp field is not parsed.
+    The result is independent of line order: arc weights are sums and the
+    dense ids follow the sorted labels (see :class:`~recipnet.graph.FirstSeenIds`).
+
+    The body of a regular file is cut into k byte ranges that start lines,
+    where k is the number of usable CPUs, at most ``_MAX_WORKERS`` (2), or
+    fewer so that each range holds at least ``_RANGE_MIN`` bytes (8 MiB).
+    Each range is counted by its own forked worker, which pickles its part
+    to a file in a temporary directory: no part passes through a pipe,
+    whose receiving end would hold the pickled bytes and the part at once.
+    A pipe, a smaller file or a process that may not fork (k = 1, see
+    ``_can_fork``) is counted in-process by the same loop. No worker or
+    temporary file outlives the call.
+
+    The loop counts lines by their text after the first comma (``caller,callee``
+    plus the line break) in C-level passes over batches of lines. Python
+    checks only the texts a batch sees for the first time, and drops those
+    of malformed and self-call lines from the count at once, so memory is
+    bounded by the distinct arc texts plus one batch of lines, not by the
+    number of events. In strict mode a range stops at its first batch with a
+    bad text, and only that batch is rescanned for the line. At the end a
+    range's arc texts are split and their labels numbered one batch at a
+    time.
+
+    The parent walks the parts in range order. In strict mode the first
+    part that stopped names the file's first bad line. Otherwise each part's
+    labels are mapped through one label table, and the texts of one arc
+    (which differ in their line break or come from different ranges) are
+    summed as arrays. Counts are exact integers, so the result does not
+    depend on k.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        header = f.readline()
+        text = header.rstrip("\r\n")
+        if text != EVENT_HEADER:
+            raise FormatError(f"expected header {EVENT_HEADER!r}, got {text!r}")
+        # The reader returns the header with its own line break, so its UTF-8 length is the body's offset.
+        ranges = _byte_ranges(f.fileno(), len(header.encode("utf-8")))
+        if ranges:
+            with _range_workers(f.fileno(), ranges, strict) as parts:
+                ids, ends, w, (read, dropped, malformed) = _merged(parts, path)
+        else:
+            ids, ends, w, (read, dropped, malformed) = _merged([_count_lines(f, strict)], path)
     labels, dense = ids.sorted_order()
     del ids
     v = len(labels)
     ends = dense[ends]
-    # Texts that differ only in their line break are one arc: their counts are summed.
+    # Texts of one arc are summed: those that differ in their line break or come from different ranges.
     g = WeightedDigraph.from_columns(v, *_summed(v, ends[0::2] * v + ends[1::2], w), stored_labels(labels))
     return g, IngestStats(read, dropped, malformed, g.vertex_count, g.arc_count)
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -197,7 +196,7 @@ def concentration(g: WeightedDigraph, v: int) -> ConcentrationScore:
     if k < 2:
         raise DomainError(f"concentration needs out-degree >= 2, vertex {v} has {k}")
     s = g.out_strength(v)
-    h = math.fsum((w / s) ** 2 for _, w in g.out_neighbors(v))
+    h = math.fsum((w / s) * (w / s) for _, w in g.out_neighbors(v))
     h_star = (h - 1.0 / k) / (1.0 - 1.0 / k)
     return ConcentrationScore(vertex=v, h=h, h_star=h_star)
 
@@ -205,18 +204,18 @@ def concentration(g: WeightedDigraph, v: int) -> ConcentrationScore:
 def concentration_arrays(g: WeightedDigraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(vertex, h, h_star) for every vertex with out-degree >= 2, ascending.
 
-    Same values as :func:`concentration`: the squared shares come from
-    Python's ``**`` (which differs from numpy's ``x*x`` in the last bit for
-    some shares) one block of arcs at a time, into one float column, and
-    each vertex's sum of them is correctly rounded, as by ``math.fsum``, in
-    array code. No whole-graph list of Python floats is built.
+    Same values as :func:`concentration`: the shares and their squares
+    (``x*x``, the correctly rounded square) are made one block of arcs at a
+    time into one float column, and each vertex's sum of them is correctly
+    rounded, as by ``math.fsum``, in array code. No whole-graph share,
+    source or square column is built beside it.
     """
     k = np.diff(g._indptr)
     squares = np.empty(g.arc_count)
     for lo in range(0, g.arc_count, _SUM_BLOCK):
         arcs = np.arange(lo, min(lo + _SUM_BLOCK, g.arc_count))
         shares = g._weights[arcs] / g._out_strength[np.searchsorted(g._indptr, arcs, side="right") - 1]
-        squares[arcs] = list(map(pow, shares.tolist(), repeat(2)))
+        squares[arcs] = shares * shares
     vertices = np.flatnonzero(k >= 2)
     h = _row_sums(g._indptr, squares)[vertices]
     inv_k = 1.0 / k[vertices]
