@@ -467,12 +467,11 @@ def _load_sidecar(path: Path) -> dict[str, int]:
             raise FormatError(f"expected header {VERTEX_HEADER!r} in {path}, got {header!r}")
         texts = list(map(str.rstrip, f, repeat("\r\n")))
     mapping: dict[str, int] = {}
-    n = len(texts)
-    fields = ",\n,".join(texts).split(",")  # "\n" fields end the rows, as in _arc_columns
-    if len(fields) == 3 * n - 1 and fields[2::3].count("\n") == n - 1:
+    columns = _split_rows(texts, 2)
+    if columns is not None:
         with suppress(ValueError):  # a dense id that is not an integer
-            mapping = dict(zip(fields[0::3], map(int, fields[1::3])))
-    if len(mapping) != n:  # a malformed line, a bad dense id or a duplicate label
+            mapping = dict(zip(columns[0], map(int, columns[1])))
+    if len(mapping) != len(texts):  # a malformed line, a bad dense id or a duplicate label
         _raise_first_bad_vertex_line(texts, path)
     dense_ids = sorted(mapping.values())
     if dense_ids != list(range(len(dense_ids))):
@@ -501,23 +500,33 @@ def _raise_first_bad_arc_line(texts: list[str], first_lineno: int, path: Path) -
             raise FormatError(f"{path}:{lineno}: self-loop at {src!r}")
 
 
-def _arc_columns(arcs: list[str], ids: FirstSeenIds) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """(src ids, dst ids, weights) of non-empty arc line texts; None if any line is bad.
+def _split_rows(texts: list[str], width: int) -> list[list[str]] | None:
+    """The ``width`` columns of comma-separated line texts; None if any row has another field count.
 
-    Splits, parses and checks in C-level passes. A ``"\n"`` field, which no
-    line text contains, ends each row: every row has three fields exactly
-    when the n - 1 row ends sit at fields 3, 7, 11, ...
+    A ``"\n"`` field, which no line text contains, ends each row: every row has ``width``
+    fields exactly when the n - 1 row ends sit at fields width, 2 * width + 1, ...
     """
+    if not texts:
+        return [[] for _ in range(width)]
+    n, step = len(texts), width + 1
+    fields = ",\n,".join(texts).split(",")
+    if len(fields) != step * n - 1 or fields[width::step].count("\n") != n - 1:
+        return None
+    return [fields[i::step] for i in range(width)]
+
+
+def _arc_columns(arcs: list[str], ids: FirstSeenIds) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(src ids, dst ids, weights) of non-empty arc line texts, parsed in C-level passes; None if any line is bad."""
     n = len(arcs)
-    fields = ",\n,".join(arcs).split(",")
-    if len(fields) != 4 * n - 1 or fields[3::4].count("\n") != n - 1:
+    columns = _split_rows(arcs, 3)
+    if columns is None:
         return None
     try:
-        w = np.fromiter(map(float, fields[2::4]), dtype=np.float64, count=n)
+        w = np.fromiter(map(float, columns[2]), dtype=np.float64, count=n)
     except ValueError:
         return None
-    src = np.fromiter(map(ids.__getitem__, fields[0::4]), dtype=np.int64, count=n)
-    dst = np.fromiter(map(ids.__getitem__, fields[1::4]), dtype=np.int64, count=n)
+    src = np.fromiter(map(ids.__getitem__, columns[0]), dtype=np.int64, count=n)
+    dst = np.fromiter(map(ids.__getitem__, columns[1]), dtype=np.int64, count=n)
     if ((src == dst) | ~((w > 0) & (w < np.inf))).any():
         return None
     return src, dst, w

@@ -9,7 +9,7 @@ Bulk sweeps work on the graph's CSR arrays: :func:`dyad_scores` scores every
 mutual dyad at once, in canonical (a, b) order, and per-dyad record objects
 are built only when a caller asks for them. The scalar functions
 (:func:`reciprocity`, :func:`concentration`) are the reference the sweeps
-are tested against; logs and squares go through ``math.log`` and ``**`` in
+are tested against; logs go through ``math.log`` and squares are ``x*x`` in
 both, so sweep and scalar results agree bit for bit. All functions are pure
 reads of an immutable graph.
 """
@@ -227,49 +227,58 @@ def concentration_scores(g: WeightedDigraph) -> list[ConcentrationScore]:
     return list(map(ConcentrationScore, *(col.tolist() for col in concentration_arrays(g))))
 
 
-def _mutual_backbone_pairs(g: WeightedDigraph) -> tuple[np.ndarray, np.ndarray, int]:
-    a, b, _, _ = g._mutual_arrays()
-    degree = np.bincount(a, minlength=g.vertex_count) + np.bincount(b, minlength=g.vertex_count)
-    x = (degree[a] - 1).astype(np.float64)
-    y = (degree[b] - 1).astype(np.float64)
-    # Both orientations per dyad, so the correlation is endpoint-symmetric.
-    return np.concatenate([x, y]), np.concatenate([y, x]), 2 * len(a)
+def _moments(x: np.ndarray, y: np.ndarray) -> list[int]:
+    """The exact ``[n, Σx, Σy, Σx², Σy², Σxy]`` of two non-negative int64 arrays.
+
+    No int64 sum over a block of ``(2**63 - 1) // max²`` entries overflows; block sums add up as Python ints.
+    """
+    top = max(int(x.max(initial=1)), int(y.max(initial=1)))
+    block = (2**63 - 1) // (top * top)
+    sums = [len(x), 0, 0, 0, 0, 0]
+    for lo in range(0, len(x), block):
+        bx, by = x[lo : lo + block], y[lo : lo + block]
+        for i, s in enumerate((bx.sum(), by.sum(), bx @ bx, by @ by, bx @ by), start=1):
+            sums[i] += int(s)
+    return sums
 
 
-def _full_arc_pairs(g: WeightedDigraph) -> tuple[np.ndarray, np.ndarray, int]:
-    src, dst, v = g._sources(), g._indices, g.vertex_count
-    # Undirected neighbors: out plus in, less the mutual partners counted twice.
-    mutual_out = src[g._reverse_arcs() >= 0]
-    degree = np.bincount(np.concatenate([src, dst]), minlength=v) - np.bincount(mutual_out, minlength=v)
-    x = (degree[src] - 1).astype(np.float64)
-    y = (degree[dst] - 1).astype(np.float64)
-    return x, y, len(src)
+def _r_of(n: int, sx: int, sy: int, sxx: int, syy: int, sxy: int) -> float | None:
+    """Pearson r of the sums of :func:`_moments`, None for a constant x or y.
+
+    Equal variance terms, as of pairs taken both ways round, give the exact ratio correctly rounded.
+    """
+    vx, vy = n * sxx - sx * sx, n * syy - sy * sy
+    if vx <= 0 or vy <= 0:
+        return None
+    num = n * sxy - sx * sy
+    return num / vx if vx == vy else num / math.sqrt(vx * vy)
 
 
 def degree_assortativity(g: WeightedDigraph, mutual_only: bool = True) -> AssortativityResult:
-    """Pearson correlation of excess degrees across linked vertex pairs.
+    """Pearson correlation of excess degrees across linked vertex pairs (Newman's r).
 
     ``mutual_only`` (default) works on the mutual-dyad backbone, each dyad
     contributing both endpoint orderings; otherwise every directed arc
     contributes one (tail, head) pair with degrees counted over the
-    undirected neighbor sets.
+    undirected neighbor sets. Raw degrees (r is shift-invariant) go into exact
+    integer sums, so the backbone r is correctly rounded, as the rewire reports it.
     """
+    v = g.vertex_count
     if mutual_only:
-        x, y, n = _mutual_backbone_pairs(g)
+        a, b, _, _ = g._mutual_arrays()
+        # Both orientations per dyad, so the correlation is endpoint-symmetric.
+        tail, head = np.concatenate((a, b)), np.concatenate((b, a))
+        degree = np.bincount(tail, minlength=v)
     else:
-        x, y, n = _full_arc_pairs(g)
-    if n < 2:
+        tail, head = g._sources(), g._indices
+        # Undirected neighbors: every out-neighbor, plus the in-neighbors with no arc back.
+        degree = np.bincount(np.concatenate((tail, head[g._reverse_arcs() < 0])), minlength=v)
+    if len(tail) < 2:
         raise DomainError("assortativity needs at least two endpoint pairs")
-    mean_x = float(x.mean())
-    mean_y = float(y.mean())
-    var_x = float(((x - mean_x) ** 2).mean())
-    var_y = float(((y - mean_y) ** 2).mean())
-    if var_x == 0.0 or var_y == 0.0:
-        raise UndefinedCorrelationError(
-            "degree correlation undefined: zero variance in the degree sequence"
-        )
-    cov = float(((x - mean_x) * (y - mean_y)).mean())
-    return AssortativityResult(r=cov / math.sqrt(var_x * var_y), pair_count=n)
+    r = _r_of(*_moments(degree[tail], degree[head]))
+    if r is None:
+        raise UndefinedCorrelationError("degree correlation undefined: zero variance in the degree sequence")
+    return AssortativityResult(r=r, pair_count=len(tail))
 
 
 @dataclass(frozen=True)

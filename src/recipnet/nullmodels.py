@@ -37,6 +37,7 @@ import numpy as np
 
 from .errors import DomainError, IntegrityError
 from .graph import WeightedDigraph
+from .metrics import _moments, _r_of
 
 #: Rewiring stops early once |assortativity| of the evolving backbone drops
 #: below this, checked after each round of swap proposals.
@@ -170,23 +171,16 @@ def _swap_chain(
     Degrees never change, so Newman's r (the Pearson correlation of the
     endpoint degrees, each edge counted both ways; using excess degrees
     instead does not change it) follows from a running sum of degree
-    products. Exact integer sums make the returned r the correctly rounded
-    value for the final edge array, or None when every endpoint has the same
-    degree. Returns (edges, attempted, accepted, r), the edges in the input's
-    row order.
+    products. Exact integer sums and :func:`recipnet.metrics._r_of` make the
+    returned r the correctly rounded value for the final edge array, or None
+    when every endpoint has the same degree. Returns (edges, attempted,
+    accepted, r), the edges in the input's row order.
     """
     v, m = vertex_count, len(edges)
     deg = np.bincount(edges.ravel(), minlength=v)
-    # Python ints (object dtype) keep the degree sums exact at any size.
-    du, dv = deg[edges[:, 0]].astype(object), deg[edges[:, 1]].astype(object)
-    n = 2 * m
-    s1 = int((du + dv).sum())
-    denom = n * int((du * du + dv * dv).sum()) - s1 * s1
-    sxy = int((du * dv).sum())
-
-    def r_of(s: int) -> float | None:
-        return (2 * n * s - s1 * s1) / denom if denom > 0 else None
-
+    n, s1, _, sq, _, sxy = _moments(deg[edges].ravel(), deg[edges[:, ::-1]].ravel())
+    sxy //= 2  # each edge's degree product once
+    denom = n * sq - s1 * s1
     if toward_target and denom <= 0:  # r is undefined, so no swap can move it
         return edges, 0, 0, None
     # r rises linearly with the running sum; this sum gives r == target.
@@ -215,10 +209,10 @@ def _swap_chain(
         keys[pick[:, ok]] = new[:, ok]
         sxy += int(delta[ok].sum())
         accepted += int(ok.sum())
-        r = r_of(sxy)
+        r = _r_of(n, s1, s1, sq, sq, 2 * sxy)
         if r is not None and abs(r - target) < tolerance:
             break
-    return np.column_stack(np.divmod(keys, v)), attempted, accepted, r_of(sxy)
+    return np.column_stack(np.divmod(keys, v)), attempted, accepted, _r_of(n, s1, s1, sq, sq, 2 * sxy)
 
 
 def maslov_sneppen_rewire(

@@ -394,7 +394,7 @@ class TestExitCodes:
 PINNED_SHA256 = {
     "rw.csv": "b1b80496ddee89dd6260d17fe6dbe98335e4f711a030c3d807dae0cf1aa39446",
     "rw.vertices.csv": "2944110e7129f8608b65cd66d13dba860c592967ca6afd46390e82552a26ba01",
-    "comparison.json": "789b9db57b598b838c9a0ced5b161e5846bea4f9f58e9516b55776caad10b4d8",
+    "comparison.json": "3861b7c231a6f61e38e81f73f76bb3c05252169e3a8a6a0fedc227c90b92ba3a",
     "observed.graph.csv": "7e300aa3917d5dca570acbcb5f6f3d8430866cf35da1b5413084979289b79cb8",
     "observed.graph.vertices.csv": "2944110e7129f8608b65cd66d13dba860c592967ca6afd46390e82552a26ba01",
     "observed.json": "11fba5480f182186458ae9a82a05addbb9dcb3d3d3bc7f0cc65896d5ceda3a3b",
@@ -403,20 +403,20 @@ PINNED_SHA256 = {
     "observed_equidispersed.json": "f0da4050fda71f6f3371813cefc87f6796f7ca63631b19b041604e140bba448e",
     "rewired.graph.csv": "519001c8a6049d4ab7df3a7b4041f81f208c36029ac62de74c1e130c7f3655f7",
     "rewired.graph.vertices.csv": "2944110e7129f8608b65cd66d13dba860c592967ca6afd46390e82552a26ba01",
-    "rewired.json": "ce77bfe2efacc35c243b6ee39ce4e995085337c519e14f0475476a756c255371",
+    "rewired.json": "73a672fcf19cbbf5e280ee3a1addf0725285ddb828bc471f2ebcab35238d800f",
     "rewired_equidispersed.graph.csv": "ed81e6c73e7075b1933b6ca8585fa4801b4dcfc601c4196035db0c996c91830c",
     "rewired_equidispersed.graph.vertices.csv": "2944110e7129f8608b65cd66d13dba860c592967ca6afd46390e82552a26ba01",
-    "rewired_equidispersed.json": "3cf649cb27357103ee418023d01267c06f41c210ac23e2ff2cc704487fe8ffe6",
+    "rewired_equidispersed.json": "92091a9d67fc11a8e976d466c1edf3be517ebef5d4c77635d264e6552cb10aa9",
 }
 #: The same for `regimes --save-graphs --seed 7 --replicas 5`: seed 7 writes the
 #: files above, seeds 8 to 11 add one comparison each, replicas.json sums up.
 #: Only seed 7's graphs are kept and saved; later replicas drop theirs.
 PINNED_REPLICAS_SHA256 = {
     **{name: digest for name, digest in PINNED_SHA256.items() if not name.startswith("rw")},
-    "comparison.seed8.json": "f3230206f0bc5c44b7f5851a5376e233f0b1eeda2ce91dd89e6bfbc525a30479",
-    "comparison.seed9.json": "2d3f0e755c0a0c679e29d1db3819e5624f92d0b35331501ffb1a7a779c483d6b",
-    "comparison.seed10.json": "8036559923ae017153dcc5d075b399faeca63279dca3d4fb70867eb88ecf8d94",
-    "comparison.seed11.json": "fd31a3e816b8b02ea928c62e2a1e8581e9c66a3cca8692284958b9b2b93fdb9f",
+    "comparison.seed8.json": "71ed7c41817b3d77c5af48a08dba48054ce250e6770f52cda2675665d69c68f0",
+    "comparison.seed9.json": "bb46904537828cb9128d19dbb4ad555ddb854ba7db4161c92a1d6e7573c349ef",
+    "comparison.seed10.json": "455f3ad3e1a28b0e69de3ba34429d60831214f68839f74e9bf348d55b87a7226",
+    "comparison.seed11.json": "40c4babbd28e500aee40b9498eb1192e0f08b8007a49070c2f7ff56618e9604f",
     "replicas.json": "fc6987e061d249465c3182acf54039dacfbf9f5e68dfa77c78f672e33b6580d5",
 }
 
@@ -437,6 +437,17 @@ def test_seeded_outputs_are_pinned(tmp_path, capsys):
     assert main([*replicas, "--seed", "7", "--replicas", "5", "--save-graphs"]) == EXIT_OK
     written = (tmp_path / "reg5").iterdir()
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written} == PINNED_REPLICAS_SHA256
+
+
+def test_regimes_residual_is_rewired_report_r(tmp_path, capsys):
+    # One r per backbone: the rewire's residual and the rewired cell's report agree bit for bit.
+    g = random_digraph(random.Random(2011), 80, arc_fraction=0.06, mutual_bias=0.7)
+    save_snapshot(g, tmp_path / "g.csv")
+    argv = ["regimes", str(tmp_path / "g.csv"), "--outdir", str(tmp_path / "reg"), "--seed", "7", "--replicas", "5"]
+    assert main(argv) == EXIT_OK
+    for path in sorted((tmp_path / "reg").glob("comparison*.json")):
+        comparison = json.loads(path.read_text())
+        assert comparison["rewire"]["residual_assortativity"] == comparison["reports"]["rewired"]["assortativity"]["r"]
 
 
 #: sha256 of the snapshot, sidecar and printed stats of `ingest` on the log in

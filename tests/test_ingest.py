@@ -258,6 +258,7 @@ class TestAgainstReferenceLoop:
     @example([(["1", "a", "b"], "\r")] * 4 + [(["2", "b", "a"], "\r\n")] * 4 + [(["3", "é"], "\n")], False, "\r", 3, 2)
     @example([(["1", "a", "b"], "\r")] * 9, True, "\r\n", 2, 2)  # no LF in the body: nowhere to cut
     @example([(["1", "a", "b"], "\n"), (["2", "a", "a"], "\r"), (["3", "b", "a"], "\r\n")] * 5, False, "\n", 3, 2)
+    @example([([], "\n")] * 2, False, "\n", 3, 2)  # a 2-byte body has 2 ranges at most, and here no cut
     @settings(max_examples=30, deadline=None)
     def test_equal_graph_stats_and_errors_in_ranges(self, tmp_path_factory, lines, cut_end, head_end, workers, batch):
         text = "timestamp,caller,callee" + head_end
@@ -267,9 +268,11 @@ class TestAgainstReferenceLoop:
         data = text.encode("utf-8")
         path = tmp_path_factory.mktemp("events") / "events.csv"
         path.write_bytes(data)
-        # The first cut is the line start after body byte len(body) // workers; none at the end of the file.
+        # k = workers ranges, or one per body byte when the body is shorter. The first cut is the line
+        # start after body byte len(body) // k; none at the end of the file.
         start = len(("timestamp,caller,callee" + head_end).encode("utf-8"))
-        has_cut = b"\n" in data[start + (len(data) - start) // workers : -1]
+        k = min(workers, len(data) - start)
+        has_cut = k >= 2 and b"\n" in data[start + (len(data) - start) // k : -1]
         ranged = mock.Mock(wraps=ingest._range_workers)
         with mock.patch.object(ingest, "_BATCH", batch), mock.patch.object(ingest, "_range_workers", ranged):
             for strict in (False, True):

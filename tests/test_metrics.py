@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from recipnet.metrics import (
     DyadClass,
     PARTIAL_MAX,
     RECIPROCAL_MAX,
+    _moments,
+    _r_of,
     classify,
     concentration,
     concentration_arrays,
@@ -333,10 +336,51 @@ class TestAssortativity:
             degree_assortativity(g)
 
     def test_full_arc_variant_runs(self):
-        g = random_digraph(random.Random(17), 40, mutual_bias=0.3)
-        res = degree_assortativity(g, mutual_only=False)
-        assert abs(res.r) <= 1.0 + 1e-9
-        assert res.pair_count == g.arc_count
+        # Oracle: scipy's Pearson r of each arc's (tail, head) excess degrees,
+        # counted over undirected neighbor sets.
+        stats = pytest.importorskip("scipy.stats")
+        rnd = random.Random(17)
+        for _ in range(8):
+            g = random_digraph(rnd, rnd.randint(20, 80), arc_fraction=0.08, mutual_bias=rnd.random())
+            res = degree_assortativity(g, mutual_only=False)
+            assert res.pair_count == g.arc_count
+            neighbors = [set() for _ in range(g.vertex_count)]
+            for a, b, _ in g.arcs():
+                neighbors[a].add(b)
+                neighbors[b].add(a)
+            tails, heads = zip(*((len(neighbors[a]) - 1, len(neighbors[b]) - 1) for a, b, _ in g.arcs()))
+            assert res.r == pytest.approx(stats.pearsonr(tails, heads).statistic, abs=1e-9)
+
+
+def _exact_sums(x: list[int], y: list[int]) -> list[int]:
+    return [len(x), sum(x), sum(y), sum(a * a for a in x), sum(b * b for b in y), sum(a * b for a, b in zip(x, y))]
+
+
+def _check_kernel(pairs: list[tuple[int, int]]) -> None:
+    x, y = [a for a, _ in pairs], [b for _, b in pairs]
+    assert _moments(np.array(x, dtype=np.int64), np.array(y, dtype=np.int64)) == _exact_sums(x, y)
+    # Taken both ways round, as a backbone's pairs are: r is the exact ratio, correctly rounded.
+    n, sx, _, sxx, _, sxy = sums = _exact_sums(x + y, y + x)
+    vx = n * sxx - sx * sx
+    assert _r_of(*sums) == (float(Fraction(n * sxy - sx * sx, vx)) if vx > 0 else None)
+
+
+@given(st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60)), max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_moments_and_r_are_exact(pairs):
+    _check_kernel(pairs)
+
+
+_NEAR_2_31 = st.integers(2**30, 2**31 + 80)
+
+
+@given(st.lists(st.tuples(_NEAR_2_31, _NEAR_2_31), min_size=1, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_moments_stay_exact_past_int64_in_blocks(pairs):
+    # A largest square of at least 2**62 leaves room for one product per
+    # block, so every entry is its own block; the sums pass int64 and the
+    # variance terms pass 2**53, where a float square root would round.
+    _check_kernel([(2**31 + 80, 2**31), *pairs])
 
 
 class TestDistribution:
