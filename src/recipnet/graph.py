@@ -34,7 +34,7 @@ from .errors import DomainError, IntegrityError, MissingArcError
 
 _DIGEST_TAG = b"recipnet-digest-v2\0"
 
-#: Rows summed together by :func:`_row_sums`, which bounds its temporaries.
+#: Rows (or arcs) taken together by the blockwise passes, which bounds their temporaries.
 _SUM_BLOCK = 8192
 
 
@@ -205,10 +205,12 @@ class WeightedDigraph:
         if repeated.any():
             i = int(order[np.argmax(repeated) + 1])
             raise DomainError(f"duplicate arc ({src[i]}, {dst[i]})")
+        del keys, repeated, checks, bad  # not live while the columns are gathered or the rows summed
         indptr = np.zeros(vertex_count + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=vertex_count), out=indptr[1:])
-        dst, weights = dst[order], weights[order]
-        del src, keys, order, repeated, checks, bad  # not live while the constructor sums the rows
+        dst = dst[order]
+        weights = weights[order]
+        del src, order  # nor these while the rows are summed
         return cls(indptr, dst, weights, external_ids)
 
     @classmethod
@@ -328,18 +330,25 @@ class WeightedDigraph:
         """CSR position of each arc's reverse arc, -1 where there is none.
 
         Arc keys ``src*V + dst`` ascend in CSR order, so each reversed key is
-        found by binary search (in sorted order, for locality). Computed once.
+        found by binary search. The reversed keys are argsorted once and
+        searched in that order (for locality) one block of ``_SUM_BLOCK``
+        arcs at a time, so past the sort only the keys, their order and the
+        result span the whole graph. Computed once.
         """
         if self._reverse is None:
-            v = self.vertex_count
+            v, indices = self.vertex_count, self._indices
             src = self._sources()
-            keys = src * v + self._indices
-            wanted = self._indices * v + src
-            order = np.argsort(wanted)
-            pos = np.empty_like(order)
-            pos[order] = np.searchsorted(keys, wanted[order])
-            pos = np.minimum(pos, max(len(keys) - 1, 0))
-            self._reverse = np.where(keys[pos] == wanted, pos, -1)
+            order = np.argsort(indices * v + src)
+            keys = src * v + indices
+            del src
+            reverse = np.empty_like(order)
+            for lo in range(0, len(order), _SUM_BLOCK):
+                arcs = order[lo : lo + _SUM_BLOCK]
+                src, dst = np.divmod(keys[arcs], v)
+                wanted = dst * v + src  # ascending
+                pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+                reverse[arcs] = np.where(keys[pos] == wanted, pos, -1)
+            self._reverse = reverse
         return self._reverse
 
     def _mutual_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

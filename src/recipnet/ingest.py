@@ -17,9 +17,9 @@ the distinct ``caller,callee`` line texts of arcs (one per arc and line-break
 style) plus one batch, not by the number of events. A large regular file is
 cut into byte ranges at line starts, one per usable CPU up to two, each
 counted by a forked worker with the same bound; the parent merges the exact
-counts. Loading a snapshot reads it in batches too: memory is bounded by one
-batch of lines, the distinct labels and the arc arrays, not by per-arc
-Python objects. Saving a snapshot
+counts. Loading a snapshot reads it and its sidecar in batches too: memory is
+bounded by one batch of lines, the distinct labels and the arc arrays, each
+held once, not by per-arc Python objects. Saving a snapshot
 writes it in batches of arcs, gathered from the graph's arrays: memory is
 bounded by one batch of lines plus one text per label.
 
@@ -442,10 +442,9 @@ def _joined_rows(*columns: np.ndarray) -> str:
     return "".join(np.column_stack(columns).ravel().tolist())
 
 
-def _raise_first_bad_vertex_line(texts: list[str], path: Path) -> None:
-    """Raise the error for the first malformed sidecar line of ``texts`` (lines 2 onwards)."""
-    seen: set[str] = set()
-    for lineno, text in enumerate(texts, start=2):
+def _raise_first_bad_vertex_line(texts: list[str], first_lineno: int, seen: set[str], path: Path) -> None:
+    """Raise the error for the first malformed sidecar line of ``texts``, given the labels ``seen`` on earlier lines."""
+    for lineno, text in enumerate(texts, start=first_lineno):
         fields = text.split(",")
         if len(fields) != 2:
             raise FormatError(f"{path}:{lineno}: malformed vertex line")
@@ -459,22 +458,22 @@ def _raise_first_bad_vertex_line(texts: list[str], path: Path) -> None:
         seen.add(label)
 
 
-def _load_sidecar(path: Path) -> dict[str, int]:
-    """External id -> dense id, parsed in C-level passes; a bad file is rescanned for its first bad line."""
+def _load_sidecar(path: Path) -> FirstSeenIds:
+    """External id -> dense id, parsed in C-level passes a batch of lines at a time; a bad batch is rescanned."""
+    mapping = FirstSeenIds()
     with open(path, "r", encoding="utf-8", newline="") as f:
         header = f.readline().rstrip("\r\n")
         if header != VERTEX_HEADER:
             raise FormatError(f"expected header {VERTEX_HEADER!r} in {path}, got {header!r}")
-        texts = list(map(str.rstrip, f, repeat("\r\n")))
-    mapping: dict[str, int] = {}
-    columns = _split_rows(texts, 2)
-    if columns is not None:
-        with suppress(ValueError):  # a dense id that is not an integer
-            mapping = dict(zip(columns[0], map(int, columns[1])))
-    if len(mapping) != len(texts):  # a malformed line, a bad dense id or a duplicate label
-        _raise_first_bad_vertex_line(texts, path)
-    dense_ids = sorted(mapping.values())
-    if dense_ids != list(range(len(dense_ids))):
+        while texts := list(map(str.rstrip, islice(f, _BATCH), repeat("\r\n"))):
+            known = len(mapping)  # one label per earlier line
+            columns = _split_rows(texts, 2)
+            if columns is not None:
+                with suppress(ValueError):  # a dense id that is not an integer
+                    mapping.update(zip(columns[0], map(int, columns[1])))
+            if len(mapping) != known + len(texts):  # the update may have stopped part way
+                _raise_first_bad_vertex_line(texts, known + 2, set(islice(mapping, known)), path)
+    if not all(map(int.__eq__, sorted(mapping.values()), range(len(mapping)))):  # no list of 0..V-1 is built
         raise FormatError(f"{path}: dense ids are not contiguous 0..V-1")
     return mapping
 
@@ -548,7 +547,9 @@ def load_edge_list(path: str | Path, strict: bool = False) -> WeightedDigraph:
     vertex at the end), weights are parsed with ``float``, and the checks are
     array masks. Only a batch whose mask fires is rescanned line by line, to
     report the exact line. No per-arc text outlives its batch, so memory is
-    bounded by one batch of lines, the distinct labels and the arc arrays.
+    bounded by one batch of lines, the distinct labels and the arc arrays:
+    the batch columns are joined one column at a time, and the duplicate
+    check's sort is freed before the graph sorts the arcs again.
     """
     path = Path(path)
     side = sidecar_path(path)
@@ -557,12 +558,11 @@ def load_edge_list(path: str | Path, strict: bool = False) -> WeightedDigraph:
     has_side = side.exists()
     if has_side:
         try:  # its dense ids are the ids; its errors rank below the body's, so they wait
-            ids.update(_load_sidecar(side))
+            ids = _load_sidecar(side)
         except (OSError, ValueError) as exc:
             side_error = exc
     v = len(ids)  # a label the sidecar lacks gets an id >= v
-    empty = np.empty(0, np.int64)
-    batches = [(empty, empty, np.empty(0))]  # (src ids, dst ids, weights) per batch
+    columns = ([np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)])  # src ids, dst ids, weights per batch
     blank_before: list[int] = []  # row index after each skipped blank line
     rows = 0
     with open(path, "r", encoding="utf-8", newline="") as f:
@@ -584,14 +584,14 @@ def load_edge_list(path: str | Path, strict: bool = False) -> WeightedDigraph:
                 blank_before.extend(rows + i - k for k, i in enumerate(blanks))
                 arcs = list(filter(None, texts))
             if arcs:
-                columns = _arc_columns(arcs, ids)
-                if columns is None:
+                batch = _arc_columns(arcs, ids)
+                if batch is None:
                     _raise_first_bad_arc_line(texts, lineno, path)
-                batches.append(columns)  # type: ignore[arg-type]  # the rescan raised otherwise
+                for column, part in zip(columns, batch):  # type: ignore[arg-type]  # the rescan raised otherwise
+                    column.append(part)
             rows += len(arcs)
             lineno += len(lines)
-    src_ids, dst_ids, w_col = map(np.concatenate, zip(*batches))
-    del batches  # free the batch arrays (and below, the label dict) before the sort
+    src_ids, dst_ids, w_col = map(_joined, columns)  # each column's batches are freed before the next is joined
 
     if side_error is not None:
         raise side_error
@@ -602,12 +602,15 @@ def load_edge_list(path: str | Path, strict: bool = False) -> WeightedDigraph:
     else:  # dense ids follow the sorted labels
         labels, dense = ids.sorted_order()
         v = len(labels)
-        src_ids, dst_ids = dense[src_ids], dense[dst_ids]
+        src_ids = dense[src_ids]
+        dst_ids = dense[dst_ids]
     del ids
 
     keys = src_ids * v + dst_ids
     order = np.argsort(keys, kind="stable")
-    repeats = order[1:][keys[order][1:] == keys[order][:-1]]  # later rows of a repeated key
+    ordered = keys[order]
+    repeats = order[1:][ordered[1:] == ordered[:-1]]  # later rows of a repeated key
+    del order, ordered  # the graph sorts the arcs again: only one sort is live at a time
     if len(repeats):
         if strict:
             row = int(repeats.min())
@@ -616,4 +619,12 @@ def load_edge_list(path: str | Path, strict: bool = False) -> WeightedDigraph:
             raise FormatError(f"{path}:{lineno}: duplicate arc {src!r} -> {dst!r}")
         warnings.warn(f"{path}: aggregated {len(repeats)} duplicate arc rows", stacklevel=2)
         src_ids, dst_ids, w_col = _summed(v, keys, w_col)
+    del keys
     return WeightedDigraph.from_columns(v, src_ids, dst_ids, w_col, stored_labels(labels))
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """The arrays of ``parts`` concatenated; ``parts`` is emptied, so each is freed once it is joined."""
+    joined = np.concatenate(parts)
+    parts.clear()
+    return joined

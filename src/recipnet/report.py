@@ -109,6 +109,7 @@ def analyze(
     histogram = scores.histogram(bin_width)
     r = scores.r_value
     mean_r, median_r = (float(r.mean()), float(np.median(r))) if len(r) else (None, None)
+    del scores, r  # no score column is live during the assortativity and concentration passes
     try:
         assort: AssortativityResult | None = degree_assortativity(g, mutual_only=True)
     except (UndefinedCorrelationError, DomainError):

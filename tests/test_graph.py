@@ -6,6 +6,7 @@ import hashlib
 import math
 import random
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -233,6 +234,35 @@ class TestMutualDyads:
     @settings(max_examples=60)
     def test_count_equals_census_mutual(self, g):
         assert len(list(g.mutual_dyads())) == g.dyad_census().mutual
+
+    @given(small_graphs(), st.sampled_from([1, 2, 3, 7]))
+    @settings(max_examples=60)
+    def test_reverse_arcs_match_a_lookup_per_arc_in_any_block_size(self, g, block):
+        want = [g._find(d, s) for s, d, _ in g.arcs()]
+        with mock.patch.object(graph, "_SUM_BLOCK", block):
+            assert g._reverse_arcs().tolist() == want
+
+    def test_reverse_arcs_hold_three_whole_graph_columns(self):
+        """Past the graph, finding the reverse arcs costs its keys, their order and the result: 24 B per arc.
+
+        Building every reversed-key temporary for the whole graph at once, as
+        before the blockwise search, cost 56 B per arc.
+        """
+
+        def peak(v):
+            offsets = np.array([-4, -3, -2, -1, 1, 2, 3, 4])  # every arc is mutual
+            indices = np.sort((np.arange(v)[:, None] + offsets) % v, axis=1).ravel()
+            g = WeightedDigraph(np.arange(0, 8 * v + 1, 8), indices, np.ones(8 * v))
+            tracemalloc.start()
+            try:
+                assert np.count_nonzero(g._reverse_arcs() >= 0) == 8 * v
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(2**13), peak(2**15)
+        per_arc = (large - small) / (8 * (2**15 - 2**13))
+        assert per_arc < 32, f"{per_arc:.1f} B of peak memory per extra arc"
 
 
 class TestConstruction:
