@@ -351,12 +351,16 @@ class WeightedDigraph:
             self._reverse = reverse
         return self._reverse
 
+    def _mutual_ends(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(a, b, the CSR position of arc a -> b) of every mutual dyad, a < b, in (a, b) order."""
+        src = self._sources()
+        sel = np.flatnonzero((self._reverse_arcs() >= 0) & (src < self._indices))
+        return src[sel], self._indices[sel], sel
+
     def _mutual_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(a, b, w_ab, w_ba) of every mutual dyad, a < b, in (a, b) order."""
-        reverse = self._reverse_arcs()
-        src = self._sources()
-        sel = np.flatnonzero((reverse >= 0) & (src < self._indices))
-        return src[sel], self._indices[sel], self._weights[sel], self._weights[reverse[sel]]
+        a, b, sel = self._mutual_ends()
+        return a, b, self._weights[sel], self._weights[self._reverse_arcs()[sel]]
 
     def mutual_dyads(self) -> Iterator[MutualDyad]:
         """Each unordered pair with arcs both ways, exactly once, (a, b)-sorted."""

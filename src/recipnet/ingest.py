@@ -17,11 +17,14 @@ the distinct ``caller,callee`` line texts of arcs (one per arc and line-break
 style) plus one batch, not by the number of events. A large regular file is
 cut into byte ranges at line starts, one per usable CPU up to two, each
 counted by a forked worker with the same bound; the parent merges the exact
-counts. Loading a snapshot reads it and its sidecar in batches too: memory is
-bounded by one batch of lines, the distinct labels and the arc arrays, each
-held once, not by per-arc Python objects. Saving a snapshot
-writes it in batches of arcs, gathered from the graph's arrays: memory is
-bounded by one batch of lines plus one text per label.
+counts. Loading a snapshot reads it and its sidecar once, in chunks of
+bytes cut at line breaks, each parsed in array passes: labels are looked up
+in an exact table of byte strings, weights and dense ids parsed with
+``float`` and ``int`` on their texts. Memory is bounded by one chunk, the
+label table and the arc columns, each held once, not by per-arc Python
+objects. Saving a snapshot writes it in batches of arcs, gathered from the
+graph's arrays: memory is bounded by one batch of lines plus one text per
+label.
 
 Aggregation and a load without a sidecar assign dense ids as
 :class:`~recipnet.graph.GraphBuilder` does, through the label table of
@@ -30,7 +33,6 @@ Aggregation and a load without a sidecar assign dense ids as
 
 from __future__ import annotations
 
-import bisect
 import io
 import os
 import pickle
@@ -39,12 +41,13 @@ import warnings
 from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import __version__ as _version
 from .errors import FormatError
@@ -57,7 +60,8 @@ EVENT_HEADER = "timestamp,caller,callee"
 GRAPH_HEADER = "src,dst,weight"
 VERTEX_HEADER = "external_id,dense_id"
 
-_BATCH = 1 << 13  # lines per C-level pass: event and snapshot lines read, snapshot lines written
+_BATCH = 1 << 13  # lines per C-level pass: event lines read, snapshot lines written
+_CHUNK = 1 << 19  # bytes per array pass when a snapshot or sidecar is loaded
 # Event-body bytes per forked worker, at least: two workers were not
 # reliably faster than one process on logs up to 14 MiB, and were from 20 MiB.
 _RANGE_MIN = 1 << 23
@@ -458,26 +462,6 @@ def _raise_first_bad_vertex_line(texts: list[str], first_lineno: int, seen: set[
         seen.add(label)
 
 
-def _load_sidecar(path: Path) -> FirstSeenIds:
-    """External id -> dense id, parsed in C-level passes a batch of lines at a time; a bad batch is rescanned."""
-    mapping = FirstSeenIds()
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        header = f.readline().rstrip("\r\n")
-        if header != VERTEX_HEADER:
-            raise FormatError(f"expected header {VERTEX_HEADER!r} in {path}, got {header!r}")
-        while texts := list(map(str.rstrip, islice(f, _BATCH), repeat("\r\n"))):
-            known = len(mapping)  # one label per earlier line
-            columns = _split_rows(texts, 2)
-            if columns is not None:
-                with suppress(ValueError):  # a dense id that is not an integer
-                    mapping.update(zip(columns[0], map(int, columns[1])))
-            if len(mapping) != known + len(texts):  # the update may have stopped part way
-                _raise_first_bad_vertex_line(texts, known + 2, set(islice(mapping, known)), path)
-    if not all(map(int.__eq__, sorted(mapping.values()), range(len(mapping)))):  # no list of 0..V-1 is built
-        raise FormatError(f"{path}: dense ids are not contiguous 0..V-1")
-    return mapping
-
-
 def _raise_first_bad_arc_line(texts: list[str], first_lineno: int, path: Path) -> None:
     """Raise the error for the first malformed arc line of ``texts`` (lines without line breaks)."""
     inf = float("inf")
@@ -499,36 +483,174 @@ def _raise_first_bad_arc_line(texts: list[str], first_lineno: int, path: Path) -
             raise FormatError(f"{path}:{lineno}: self-loop at {src!r}")
 
 
-def _split_rows(texts: list[str], width: int) -> list[list[str]] | None:
-    """The ``width`` columns of comma-separated line texts; None if any row has another field count.
+def _line_texts(data: bytes, starts: np.ndarray, stops: np.ndarray) -> list[str]:
+    """The decoded texts ``data[start:stop]``."""
+    return [data[a:b].decode() for a, b in zip(starts.tolist(), stops.tolist())]
 
-    A ``"\n"`` field, which no line text contains, ends each row: every row has ``width``
-    fields exactly when the n - 1 row ends sit at fields width, 2 * width + 1, ...
+
+def _line_chunks(f: BinaryIO) -> Iterator[tuple[bytes, np.ndarray, np.ndarray, int]]:
+    """(bytes, where each line's text starts and stops, first line number) of ``f``'s chunks of lines.
+
+    ``f`` is read once, ``_CHUNK`` bytes at a time, and each read is cut after its last line break,
+    the rest carried over. Line breaks are ``\\n``, ``\\r\\n`` and a lone ``\\r``, as a universal-newline
+    reader's, so a ``\\r`` that ends a read waits for the next byte. Each chunk is checked as UTF-8.
     """
-    if not texts:
-        return [[] for _ in range(width)]
-    n, step = len(texts), width + 1
-    fields = ",\n,".join(texts).split(",")
-    if len(fields) != step * n - 1 or fields[width::step].count("\n") != n - 1:
-        return None
-    return [fields[i::step] for i in range(width)]
+    pending, lineno = bytearray(), 1
+    while True:
+        block = f.read(_CHUNK)
+        new = max(len(pending) - 1, 0)  # only the new bytes, and a held-back \r, may hold a cut: a long line costs no rescans
+        pending += block
+        cut = max(pending.rfind(b"\n", new), pending.rfind(b"\r", new, len(pending) - 1)) + 1 if block else len(pending)
+        data = bytes(memoryview(pending)[:cut])
+        del pending[:cut]
+        if data:
+            data.decode("utf-8")  # raises UnicodeDecodeError, a ValueError
+            u = np.frombuffer(data, np.uint8)
+            breaks = np.flatnonzero((u == 10) | (u == 13))
+            second = (u[breaks] == 10) & (u[breaks - 1] == 13) & (breaks > 0)  # the \n of a \r\n
+            starts = np.append(0, breaks[~np.append(second, False)[1:]] + 1)
+            stops = np.append(breaks[~second], len(data))
+            n = len(starts) - int(starts[-1] == len(data))  # no line follows a final line break
+            yield data, starts[:n], stops[:n], lineno
+            lineno += n
+        if not block:
+            return
 
 
-def _arc_columns(arcs: list[str], ids: FirstSeenIds) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """(src ids, dst ids, weights) of non-empty arc line texts, parsed in C-level passes; None if any line is bad."""
-    n = len(arcs)
-    columns = _split_rows(arcs, 3)
-    if columns is None:
+def _first_line(f: BinaryIO, comments: bool) -> tuple[str | None, int, Iterator[tuple[bytes, np.ndarray, np.ndarray, int]]]:
+    """The first line's text (None if none), the next line's number and the chunks after it; ``#`` lines skipped if ``comments``."""
+    chunks = _line_chunks(f)
+    for data, starts, stops, first in chunks:
+        for i in range(len(starts)):
+            text = data[starts[i] : stops[i]].decode()
+            if not (comments and text.startswith("#")):
+                return text, first + i + 1, chain([(data, starts[i + 1 :], stops[i + 1 :], first + i + 1)], chunks)
+    return None, 0, iter(())
+
+
+def _field_bounds(u: np.ndarray, starts: np.ndarray, stops: np.ndarray, commas: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Where in ``u`` the fields of each line start and stop, one row per line; None if a line has other than ``commas`` commas.
+
+    Only line breaks follow the first line: when the commas from it on, ``commas`` per row, each lie in their row's line, all do.
+    """
+    at = np.flatnonzero(u == 44)
+    at = at[np.searchsorted(at, starts[0]) :] if len(starts) else at[:0]
+    if len(at) != commas * len(starts):
         return None
-    try:
-        w = np.fromiter(map(float, columns[2]), dtype=np.float64, count=n)
-    except ValueError:
+    at = at.reshape(-1, commas)
+    if ((at[:, 0] < starts) | (at[:, -1] >= stops)).any():
         return None
-    src = np.fromiter(map(ids.__getitem__, columns[0]), dtype=np.int64, count=n)
-    dst = np.fromiter(map(ids.__getitem__, columns[1]), dtype=np.int64, count=n)
-    if ((src == dst) | ~((w > 0) & (w < np.inf))).any():
-        return None
-    return src, dst, w
+    return np.column_stack((starts, at + 1)), np.column_stack((at, stops))
+
+
+def _texts_between(u: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> list[str]:
+    """The texts ``u[start:stop]``, each stopping at a comma or a line end, cut out by one mask and decoded at once."""
+    buf = np.append(u, np.uint8(44))  # a copy, with room after a last line that has no line break
+    buf[stops] = 44  # a comma ends each text: none holds one
+    edges = np.column_stack((starts, stops + 1)).ravel()  # each text and its comma lie between two edges
+    keep = np.repeat(np.arange(len(edges) + 1) % 2 == 1, np.diff(edges, prepend=0, append=len(buf)))
+    return buf[keep].tobytes().decode().split(",")[:-1]
+
+
+def _heads(keys: np.ndarray) -> np.ndarray:
+    """The first 8 bytes of each label of ``keys`` as one integer, zero-padded: heads sort as their labels do."""
+    head = np.zeros((len(keys), 8), np.uint8)
+    head[:, : min(keys.itemsize, 8)] = keys.view(np.uint8).reshape(len(keys), -1)[:, :8]
+    return head.view(">u8")[:, 0].astype(np.uint64)
+
+
+class _LabelTable:
+    """Label bytes -> id, exact: per byte length n, the labels as sorted ``S{n}`` values, their heads and ids.
+
+    ``S{n}`` values of one length compare as their bytes. A label is found by ``searchsorted`` on the heads (or on
+    the labels where others share its head) and an equality test: no hash decides identity. ``b""`` is held as a NUL.
+    """
+
+    def __init__(self) -> None:
+        self.groups: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}  # n -> (sorted labels, heads, ids)
+
+    def __len__(self) -> int:
+        return sum(len(ids) for _, _, ids in self.groups.values())
+
+    def _find(self, n: int, keys: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Where each label of ``keys`` is or would go in group n, and whether it is there."""
+        table, table_heads, _ = self.groups[n]
+        at = np.searchsorted(table_heads, heads)
+        shared = np.take(table_heads, at + 1, mode="clip") == heads  # also true at a last entry with the head: harmless
+        at[shared] = np.searchsorted(table, keys[shared])
+        return at, np.take(table, at, mode="clip") == keys  # a label past the last entry is not the last entry
+
+    def number(self, u: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """The id of each label ``u[start:start + length]``; labels new to the table get the next ids.
+
+        A run of equal labels is looked up once, and runs in head order, so successive searches touch nearby entries.
+        """
+        ids = np.empty(len(starts), np.int64)
+        order = np.argsort(lengths, kind="stable")
+        for rows in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1) if len(order) else []:
+            n = int(lengths[rows[0]])
+            keys = sliding_window_view(u, n)[starts[rows]].view(f"S{n}")[:, 0] if n else np.zeros(len(rows), "S1")
+            runs = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
+            heads = _heads(keys[runs])
+            by_head = np.argsort(heads)
+            keys, heads = keys[runs[by_head]], heads[by_head]
+            at, found = self._find(n, keys, heads) if n in self.groups else (None, np.zeros(len(keys), bool))
+            if not found.all():
+                new = np.sort(keys[~found], kind="stable")  # nearly sorted already
+                new = new[np.append(True, new[1:] != new[:-1])]
+                table, table_heads, table_ids = self.groups.get(n, (new[:0], heads[:0], ids[:0]))
+                where = np.searchsorted(table, new)
+                self.groups[n] = (
+                    np.insert(table, where, new),
+                    np.insert(table_heads, where, _heads(new)),
+                    np.insert(table_ids, where, np.arange(len(self), len(self) + len(new))),
+                )
+                at = self._find(n, keys, heads)[0]
+            run_ids = np.empty(len(runs), np.int64)
+            run_ids[by_head] = self.groups[n][2][at]
+            ids[rows] = np.repeat(run_ids, np.diff(runs, append=len(rows)))
+        return ids
+
+    def labels(self) -> list[str]:
+        """The labels as texts, in the order of their ids, which are 0..len - 1."""
+        texts = np.empty(len(self), dtype=object)
+        for n, (keys, _, ids) in self.groups.items():
+            block = np.full((len(keys), n + 1), 10, np.uint8)  # each label and a line break, which none holds
+            block[:, :n] = keys.view(np.uint8).reshape(len(keys), -1)[:, :n]
+            texts[ids] = str(block, "utf-8").split("\n")[:-1]
+        return texts.tolist()
+
+
+def _load_sidecar(path: Path) -> _LabelTable:
+    """The sidecar's labels and dense ids as a label table, read in chunks of bytes like the snapshot.
+
+    A chunk's lines are split at their one comma by array masks, its ids parsed with ``int``, and its labels
+    numbered in the table, where a label that is not new repeats one. A chunk that fails a check is split into
+    line texts and rescanned against the earlier labels, for the message and line of a line-by-line read.
+    """
+    table, dense = _LabelTable(), [np.empty(0, np.int64)]  # the dense id of each id of the table
+    with open(path, "rb") as f:
+        header, _, chunks = _first_line(f, comments=False)
+        if header != VERTEX_HEADER:
+            raise FormatError(f"expected header {VERTEX_HEADER!r} in {path}, got {header or ''!r}")
+        for data, starts, stops, first in chunks:
+            u, known, ids, written = np.frombuffer(data, np.uint8), len(table), None, None
+            if (fields := _field_bounds(u, starts, stops, 1)) is not None:
+                lo, hi = fields
+                with suppress(ValueError, OverflowError):  # an id that is not an integer, or past int64
+                    written = np.fromiter(map(int, _texts_between(u, lo[:, 1], hi[:, 1])), np.int64, len(starts))
+                ids = table.number(u, lo[:, 0], hi[:, 0] - lo[:, 0])
+            if written is None or len(table) != known + len(starts):
+                seen = set(table.labels()[:known])
+                _raise_first_bad_vertex_line(_line_texts(data, starts, stops), first, seen, path)
+                written = np.full(len(starts), -1)  # only ids past int64 pass the rescan: they are not contiguous
+            dense.append(np.empty(len(starts), np.int64))
+            dense[-1][ids - known] = written
+    dense_ids = np.concatenate(dense)
+    if not np.array_equal(np.sort(dense_ids), np.arange(len(dense_ids))):
+        raise FormatError(f"{path}: dense ids are not contiguous 0..V-1")
+    table.groups = {n: (keys, heads, dense_ids[ids]) for n, (keys, heads, ids) in table.groups.items()}
+    return table
 
 
 def load_edge_list(path: str | Path, strict: bool = False) -> WeightedDigraph:
@@ -541,70 +663,67 @@ def load_edge_list(path: str | Path, strict: bool = False) -> WeightedDigraph:
     first offending line in file order. Without a sidecar, dense ids are
     assigned by sorting the distinct labels.
 
-    The body is read in batches of lines, each split, mapped and checked in
-    C-level passes: labels are looked up in the sidecar's mapping (without a
-    sidecar they get provisional ids in first-seen order, remapped once per
-    vertex at the end), weights are parsed with ``float``, and the checks are
-    array masks. Only a batch whose mask fires is rescanned line by line, to
-    report the exact line. No per-arc text outlives its batch, so memory is
-    bounded by one batch of lines, the distinct labels and the arc arrays:
-    the batch columns are joined one column at a time, and the duplicate
+    The file is read once, in chunks of ``_CHUNK`` bytes cut after a line
+    break, each split, mapped and checked in array passes over its bytes:
+    line breaks and commas are found with ``np.flatnonzero``, labels looked
+    up in an exact label table (the sidecar's; without one the table grows
+    chunk by chunk and its ids are remapped to the sorted labels at the end),
+    weights parsed with ``float`` on their texts, and the checks are masks.
+    Only a chunk whose mask fires is split into line texts and rescanned, to
+    report the exact line. Memory is bounded by one chunk, the label table
+    and the arc columns, each grown in place and so held once; the duplicate
     check's sort is freed before the graph sorts the arcs again.
     """
     path = Path(path)
     side = sidecar_path(path)
-    ids = FirstSeenIds()
+    table = _LabelTable()
     side_error: Exception | None = None
     has_side = side.exists()
     if has_side:
         try:  # its dense ids are the ids; its errors rank below the body's, so they wait
-            ids = _load_sidecar(side)
+            table = _load_sidecar(side)
+            labels = table.labels()  # made before the arc columns, while memory is low
         except (OSError, ValueError) as exc:
             side_error = exc
-    v = len(ids)  # a label the sidecar lacks gets an id >= v
-    columns = ([np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)])  # src ids, dst ids, weights per batch
-    blank_before: list[int] = []  # row index after each skipped blank line
+    v = len(table)  # a label the sidecar lacks gets an id >= v
+    columns = (bytearray(), bytearray(), bytearray())  # src ids, dst ids, weights, each grown in place chunk by chunk
+    blank_before = [np.empty(0, np.int64)]  # row index after each skipped blank line
     rows = 0
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        for lineno, line in enumerate(f, start=1):
-            text = line.rstrip("\r\n")
-            if text.startswith("#"):
-                continue
-            if text != GRAPH_HEADER:
-                raise FormatError(f"expected header {GRAPH_HEADER!r}, got {text!r}")
-            break
-        else:
+    with open(path, "rb") as f:
+        header, first_row, chunks = _first_line(f, comments=True)
+        if header is None:
             raise FormatError(f"{path}: missing header line")
-        first_row = lineno = lineno + 1
-        while lines := list(islice(f, _BATCH)):
-            texts = list(map(str.rstrip, lines, repeat("\r\n")))
-            arcs = texts
-            if "" in texts:
-                blanks = [i for i, text in enumerate(texts) if not text]
-                blank_before.extend(rows + i - k for k, i in enumerate(blanks))
-                arcs = list(filter(None, texts))
-            if arcs:
-                batch = _arc_columns(arcs, ids)
-                if batch is None:
-                    _raise_first_bad_arc_line(texts, lineno, path)
-                for column, part in zip(columns, batch):  # type: ignore[arg-type]  # the rescan raised otherwise
-                    column.append(part)
-            rows += len(arcs)
-            lineno += len(lines)
-    src_ids, dst_ids, w_col = map(_joined, columns)  # each column's batches are freed before the next is joined
+        if header != GRAPH_HEADER:
+            raise FormatError(f"expected header {GRAPH_HEADER!r}, got {header!r}")
+        for data, line_starts, line_stops, first in chunks:
+            u, w = np.frombuffer(data, np.uint8), None
+            starts, stops, blank = line_starts, line_stops, np.flatnonzero(line_starts == line_stops)
+            if len(blank):
+                blank_before.append(rows + blank - np.arange(len(blank)))
+                starts, stops = np.delete(starts, blank), np.delete(stops, blank)
+            if (fields := _field_bounds(u, starts, stops, 2)) is not None:
+                lo, hi = fields
+                with suppress(ValueError):  # a weight that is not a number
+                    w = np.fromiter(map(float, _texts_between(u, lo[:, 2], hi[:, 2])), np.float64, len(stops))
+                src, dst = table.number(u, lo[:, :2].T.ravel(), (hi - lo)[:, :2].T.ravel()).reshape(2, -1)
+            if w is None or ((src == dst) | ~((w > 0) & (w < np.inf))).any():
+                _raise_first_bad_arc_line(_line_texts(data, line_starts, line_stops), first, path)
+            for column, part in zip(columns, (src, dst, w)):
+                column += memoryview(part)  # bytes appended in place: no column is ever held twice
+            rows += len(stops)
+    src_ids, dst_ids, w_col = (np.frombuffer(column, dtype) for column, dtype in zip(columns, (np.int64, np.int64, np.float64)))
+    del columns  # each column's bytes are freed with its array
 
     if side_error is not None:
         raise side_error
     if has_side:
-        if len(ids) > v:
+        if len(table) > v:
             raise FormatError(f"{path}: arc references id missing from sidecar")
-        labels = sorted(ids, key=ids.__getitem__)
-    else:  # dense ids follow the sorted labels
-        labels, dense = ids.sorted_order()
+    else:  # dense ids follow the sorted labels, as the label table of recipnet.graph assigns them
+        labels, dense = FirstSeenIds(zip(table.labels(), range(len(table)))).sorted_order()
         v = len(labels)
-        src_ids = dense[src_ids]
-        dst_ids = dense[dst_ids]
-    del ids
+        src_ids, dst_ids = dense[src_ids], dense[dst_ids]
+    del table
 
     keys = src_ids * v + dst_ids
     order = np.argsort(keys, kind="stable")
@@ -614,7 +733,7 @@ def load_edge_list(path: str | Path, strict: bool = False) -> WeightedDigraph:
     if len(repeats):
         if strict:
             row = int(repeats.min())
-            lineno = first_row + row + bisect.bisect_right(blank_before, row)
+            lineno = first_row + row + int(np.searchsorted(np.concatenate(blank_before), row, side="right"))
             src, dst = labels[src_ids[row]], labels[dst_ids[row]]
             raise FormatError(f"{path}:{lineno}: duplicate arc {src!r} -> {dst!r}")
         warnings.warn(f"{path}: aggregated {len(repeats)} duplicate arc rows", stacklevel=2)
@@ -622,9 +741,3 @@ def load_edge_list(path: str | Path, strict: bool = False) -> WeightedDigraph:
     del keys
     return WeightedDigraph.from_columns(v, src_ids, dst_ids, w_col, stored_labels(labels))
 
-
-def _joined(parts: list[np.ndarray]) -> np.ndarray:
-    """The arrays of ``parts`` concatenated; ``parts`` is emptied, so each is freed once it is joined."""
-    joined = np.concatenate(parts)
-    parts.clear()
-    return joined

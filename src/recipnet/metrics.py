@@ -265,20 +265,23 @@ def degree_assortativity(g: WeightedDigraph, mutual_only: bool = True) -> Assort
     """
     v = g.vertex_count
     if mutual_only:
-        a, b, _, _ = g._mutual_arrays()
-        # Both orientations per dyad, so the correlation is endpoint-symmetric.
-        tail, head = np.concatenate((a, b)), np.concatenate((b, a))
-        degree = np.bincount(tail, minlength=v)
+        a, b = g._mutual_ends()[:2]
+        degree = np.bincount(a, minlength=v) + np.bincount(b, minlength=v)
+        # Both orientations per dyad, so the correlation is endpoint-symmetric: the (b, a)
+        # pairs swap the x and y sums of the (a, b) pairs, so one pass over the dyads gives all.
+        m, sa, sb, saa, sbb, sab = _moments(degree[a], degree[b])
+        sums = [2 * m, sa + sb, sa + sb, saa + sbb, saa + sbb, 2 * sab]
     else:
         tail, head = g._sources(), g._indices
         # Undirected neighbors: every out-neighbor, plus the in-neighbors with no arc back.
         degree = np.bincount(np.concatenate((tail, head[g._reverse_arcs() < 0])), minlength=v)
-    if len(tail) < 2:
+        sums = _moments(degree[tail], degree[head])
+    if sums[0] < 2:
         raise DomainError("assortativity needs at least two endpoint pairs")
-    r = _r_of(*_moments(degree[tail], degree[head]))
+    r = _r_of(*sums)
     if r is None:
         raise UndefinedCorrelationError("degree correlation undefined: zero variance in the degree sequence")
-    return AssortativityResult(r=r, pair_count=len(tail))
+    return AssortativityResult(r=r, pair_count=sums[0])
 
 
 @dataclass(frozen=True)

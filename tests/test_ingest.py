@@ -259,18 +259,20 @@ class TestAgainstReferenceLoop:
     @example([(["1", "a", "b"], "\r")] * 9, True, "\r\n", 2, 2)  # no LF in the body: nowhere to cut
     @example([(["1", "a", "b"], "\n"), (["2", "a", "a"], "\r"), (["3", "b", "a"], "\r\n")] * 5, False, "\n", 3, 2)
     @example([([], "\n")] * 2, False, "\n", 3, 2)  # a 2-byte body has 2 ranges at most, and here no cut
+    @example([([], "\n"), ([], "\n"), (["a"], "\n")], True, "\r", 2, 2)  # the header's \r and the body's \n are one \r\n
     @settings(max_examples=30, deadline=None)
     def test_equal_graph_stats_and_errors_in_ranges(self, tmp_path_factory, lines, cut_end, head_end, workers, batch):
-        text = "timestamp,caller,callee" + head_end
-        text += "".join(",".join(fields) + end for fields, end in lines)
+        header = "timestamp,caller,callee" + head_end
+        text = header + "".join(",".join(fields) + end for fields, end in lines)
         if cut_end:
             text = text.rstrip("\r\n")
         data = text.encode("utf-8")
         path = tmp_path_factory.mktemp("events") / "events.csv"
         path.write_bytes(data)
         # k = workers ranges, or one per body byte when the body is shorter. The first cut is the line
-        # start after body byte len(body) // k; none at the end of the file.
-        start = len(("timestamp,caller,callee" + head_end).encode("utf-8"))
+        # start after body byte len(body) // k; none at the end of the file. The body starts after the
+        # header line as a universal-newline reader returns it: a final \r and a first \n are one \r\n.
+        start = len(header.encode("utf-8")) + (head_end == "\r" and text[len(header) :].startswith("\n"))
         k = min(workers, len(data) - start)
         has_cut = k >= 2 and b"\n" in data[start + (len(data) - start) // k : -1]
         ranged = mock.Mock(wraps=ingest._range_workers)
@@ -746,16 +748,20 @@ class TestSnapshots:
         assert loaded.weight(1, 0) == graph.weight(1, 0)
 
 
+#: Chunk sizes in bytes for the loader: cuts fall inside labels, inside "é" and between "\r" and "\n".
+CHUNK_SIZES = [1, 2, 3, 7, ingest._CHUNK]
+
+
 class TestLoadAgainstReferenceLoop:
-    @given(snapshot_files(), st.sampled_from([1, 2, 3, 7, ingest._BATCH]))
+    @given(snapshot_files(), st.sampled_from(CHUNK_SIZES))
     @settings(max_examples=400, deadline=None)
-    def test_equal_graph_warnings_and_errors(self, tmp_path_factory, files, batch):
+    def test_equal_graph_warnings_and_errors(self, tmp_path_factory, files, chunk):
         text, sidecar = files
         path = tmp_path_factory.mktemp("snapshot") / "graph.csv"
         path.write_bytes(text.encode("utf-8"))
         if sidecar is not None:
             sidecar_path(path).write_bytes(sidecar.encode("utf-8"))
-        with mock.patch.object(ingest, "_BATCH", batch):
+        with mock.patch.object(ingest, "_CHUNK", chunk):
             for strict in (False, True):
                 assert load_outcome(load_edge_list, path, strict) == load_outcome(reference_load, path, strict)
 
@@ -780,8 +786,9 @@ class TestLoadAgainstReferenceLoop:
             (["a,0", "b,1", "c,2", "d,3", "e,4", "b,5"], "7: duplicate external id 'b'"),
             (["a,0", "b,1", "c,2", "d,3", "e,4", "f,x", "a,6"], "7: dense id 'x' is not an integer"),
             (["a,0", "b,1", "c,2", "d,3", "e,4", "f,6"], None),
+            (["a,0", "b,1", "c,2", "d,3", "e,4", f"f,{2**64}"], None),  # an id past int64
         ],
-        ids=["duplicate-of-an-earlier-batch", "non-integer-in-a-later-batch", "non-contiguous"],
+        ids=["duplicate-of-an-earlier-batch", "non-integer-in-a-later-batch", "non-contiguous", "past-int64"],
     )
     def test_sidecar_errors_beyond_the_first_batch(self, tmp_path, rows, bad):
         path = tmp_path / "graph.csv"
@@ -790,15 +797,38 @@ class TestLoadAgainstReferenceLoop:
         side.write_text("external_id,dense_id\n" + "".join(row + "\n" for row in rows), encoding="utf-8")
         want = f"{side}:{bad}" if bad else f"{side}: dense ids are not contiguous 0..V-1"
         assert load_outcome(reference_load, path, False) == want
-        with mock.patch.object(ingest, "_BATCH", 4):  # lines 2-5, then 6 onwards
-            assert load_outcome(load_edge_list, path, False) == want
+        for chunk in [*CHUNK_SIZES, 16]:  # 16 bytes: lines 2-5, then 6 onwards
+            with mock.patch.object(ingest, "_CHUNK", chunk):
+                assert load_outcome(load_edge_list, path, False) == want
+
+    @pytest.mark.parametrize("with_sidecar", [False, True])
+    def test_labels_are_told_apart_by_every_byte(self, tmp_path, with_sidecar):
+        # Labels of one length that differ only in their last byte (also past a shared 8-byte head),
+        # multibyte labels, and labels with an embedded or a trailing NUL byte, which fixed-width byte
+        # strings drop from their ends.
+        labels = ["ab", "ac", "a", "", "a\x00", "\x00a", "\x00", "ab\x00", "a\x00b", "é", "e\u0301", "日本", "日木"]
+        labels += ["abcdefgh", "abcdefgh1", "abcdefgh2", "abcdefghé", "abcdefgh\x00"]
+        rows = [f"{a},{b},{i + 1}" for i, (a, b) in enumerate(zip(labels, labels[1:] + labels[:1]))]
+        rows += [f"{b},{a},0.5" for a, b in zip(labels[::2], labels[1::2])]
+        path = tmp_path / "graph.csv"
+        path.write_text("src,dst,weight\n" + "".join(row + "\n" for row in rows), encoding="utf-8")
+        if with_sidecar:  # ids in no label order
+            side = "".join(f"{label},{i}\n" for i, label in enumerate(reversed(labels)))
+            sidecar_path(path).write_text("external_id,dense_id\n" + side, encoding="utf-8")
+        want = load_outcome(reference_load, path, False)
+        assert sorted(want[0].labels()) == sorted(labels)
+        for chunk in CHUNK_SIZES:
+            with mock.patch.object(ingest, "_CHUNK", chunk):
+                assert load_outcome(load_edge_list, path, False) == want
 
     def test_sidecar_memory_per_label_stays_near_the_mapping(self, tmp_path):
-        """The sidecar is read one batch of lines at a time: peak memory grows by the label mapping alone.
+        """The sidecar is read one chunk of bytes at a time: peak memory grows by the label table alone.
 
-        At the peak a label costs about 120 bytes (its text, its dense id
-        and a dict entry); reading the file whole, as before the batches,
-        cost about 310.
+        At the peak a label costs about 66 bytes: its bytes, head and id in
+        the table, and the copies a chunk's new labels are inserted by. A
+        dict from label texts to dense ids, read in batches of lines, cost
+        about 120; reading the file whole about 310. The bound leaves 14
+        bytes of margin.
         """
 
         def peak(n):
@@ -811,20 +841,21 @@ class TestLoadAgainstReferenceLoop:
             finally:
                 tracemalloc.stop()
 
-        with mock.patch.object(ingest, "_BATCH", 1000):
+        with mock.patch.object(ingest, "_CHUNK", 1 << 14):
             small, large = peak(20_000), peak(80_000)
         per_label = (large - small) / 60_000
-        assert per_label < 200, f"{per_label:.0f} B of peak memory per extra label"
+        assert per_label < 80, f"{per_label:.0f} B of peak memory per extra label"
 
     def test_load_memory_per_arc_stays_near_the_arrays(self, tmp_path):
         """No per-arc text is kept: peak memory grows by the arc arrays alone.
 
-        At the peak an arc costs about 51 bytes: the batches of the column
-        being joined beside the columns, then the graph's sort beside them
-        (sort keys and order, the gathered columns). Joining the three columns
-        at once and keeping the duplicate check's sort through the graph's
-        build cost about 76; keeping a Python string per label occurrence, as
-        the per-line loop did, about 260.
+        At the peak an arc costs about 51 bytes: the three columns, each grown
+        in place chunk by chunk, and beside them the duplicate check's sort
+        (sort keys and order) or the graph's (sort keys and order, the
+        gathered columns). Joining the three columns at once and keeping the
+        duplicate check's sort through the graph's build cost about 76;
+        keeping a Python string per label occurrence, as the per-line loop
+        did, about 260.
         """
         v = 400
         pairs = [(a, b) for a in range(v) for b in range(v) if a != b]
@@ -839,7 +870,7 @@ class TestLoadAgainstReferenceLoop:
             finally:
                 tracemalloc.stop()
 
-        with mock.patch.object(ingest, "_BATCH", 1000):
+        with mock.patch.object(ingest, "_CHUNK", 1 << 14):
             small, large = peak(20_000), peak(80_000)
         per_arc = (large - small) / 60_000
         assert per_arc < 60, f"{per_arc:.0f} B of peak memory per extra arc"
@@ -852,12 +883,13 @@ class TestLoadAgainstReferenceLoop:
         path = tmp_path / "graph.csv"
         path.write_text("# seed=1\nsrc,dst,weight\n" + "".join(r + "\n" for r in rows), encoding="utf-8")
         want = f"{path}:{2 * batch + 5 + 4}: duplicate arc 'u7' -> 'v7'"
-        with mock.patch.object(ingest, "_BATCH", batch):
-            assert load_outcome(reference_load, path, True) == want
-            assert load_outcome(load_edge_list, path, True) == want
-            g, _, caught = load_outcome(load_edge_list, path, False)
-        assert caught == [f"{path}: aggregated 1 duplicate arc rows"]
-        assert g.arc_count == 3 * batch - 1
+        assert load_outcome(reference_load, path, True) == want
+        for chunk in [*CHUNK_SIZES, 256]:  # 256 bytes: the repeat is in a later chunk than the row it repeats
+            with mock.patch.object(ingest, "_CHUNK", chunk):
+                assert load_outcome(load_edge_list, path, True) == want
+                g, _, caught = load_outcome(load_edge_list, path, False)
+            assert caught == [f"{path}: aggregated 1 duplicate arc rows"]
+            assert g.arc_count == 3 * batch - 1
 
 
 class TestSnapshotThroughPipe:
@@ -881,7 +913,7 @@ class TestSnapshotThroughPipe:
             writers.append(threading.Thread(target=(pipes / file.name).write_bytes, args=(file.read_bytes(),), daemon=True))
             writers[-1].start()
         # A loader that opened a FIFO a second time would wait for a writer: the subprocess's timeout ends it.
-        code = "import sys; from recipnet import ingest; ingest._BATCH = 7; print(ingest.load_edge_list(sys.argv[1]).content_digest())"
+        code = "import sys; from recipnet import ingest; ingest._CHUNK = 7; print(ingest.load_edge_list(sys.argv[1]).content_digest())"
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         out = subprocess.run([sys.executable, "-c", code, str(pipes / "g.csv")], capture_output=True, env=env, timeout=60)

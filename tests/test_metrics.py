@@ -352,6 +352,23 @@ class TestAssortativity:
             assert res.r == pytest.approx(stats.pearsonr(tails, heads).statistic, abs=1e-9)
 
 
+@given(mutual_graphs())
+@settings(max_examples=300, deadline=None)
+def test_backbone_r_equals_the_concatenated_orientations(g):
+    # The reference: both orientations of every dyad concatenated, as pairs of backbone degrees.
+    a, b, _, _ = g._mutual_arrays()
+    tail, head = np.concatenate((a, b)), np.concatenate((b, a))
+    degree = np.bincount(tail, minlength=g.vertex_count)
+    want = _r_of(*_moments(degree[tail], degree[head]))
+    if want is None:
+        with pytest.raises(UndefinedCorrelationError):
+            degree_assortativity(g)
+    else:
+        res = degree_assortativity(g)
+        assert res.r == want
+        assert res.pair_count == len(tail)
+
+
 def _exact_sums(x: list[int], y: list[int]) -> list[int]:
     return [len(x), sum(x), sum(y), sum(a * a for a in x), sum(b * b for b in y), sum(a * b for a, b in zip(x, y))]
 
