@@ -12,11 +12,12 @@ per-vertex ``out_strength``, each row's correctly rounded sum (the value
 operations are safe to call from multiple threads.
 
 Labelled input (``GraphBuilder``, event-log ingest, a snapshot without a
-sidecar) gets its dense ids here, in one way: :class:`FirstSeenIds` numbers
-the labels as they first appear, :meth:`FirstSeenIds.sorted_order` remaps
-those ids to the order of the sorted labels, so a graph does not depend on
-input order, and :func:`stored_labels` keeps the labels unless they are
-exactly ``"0".."V-1"``.
+sidecar) gets its dense ids by one rule, the order of the sorted labels, so
+a graph does not depend on input order. :class:`FirstSeenIds` numbers the
+labels as they first appear and :meth:`FirstSeenIds.sorted_order` remaps
+those ids to that order; :mod:`recipnet.ingest` applies the rule to label
+bytes, whose UTF-8 order is code point order. :func:`stored_labels` keeps
+the labels unless they are exactly ``"0".."V-1"``.
 """
 
 from __future__ import annotations

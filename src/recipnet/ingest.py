@@ -12,63 +12,45 @@ containing a comma makes the line malformed):
   with header ``external_id,dense_id`` pins the dense-id mapping, including
   isolated vertices.
 
-Aggregation streams the event file in batches of lines: memory is bounded by
-the distinct ``caller,callee`` line texts of arcs (one per arc and line-break
-style) plus one batch, not by the number of events. A large regular file is
-cut into byte ranges at line starts, one per usable CPU up to two, each
-counted by a forked worker with the same bound; the parent merges the exact
-counts. Loading a snapshot reads it and its sidecar once, in chunks of
-bytes cut at line breaks, each parsed in array passes: labels are looked up
-in an exact table of byte strings, weights and dense ids parsed with
-``float`` and ``int`` on their texts. Memory is bounded by one chunk, the
+Every input is read once, in chunks of bytes cut at line breaks, each
+parsed in array passes: an event log (a regular file, a FIFO or
+``/dev/stdin`` alike), a snapshot and its sidecar. Labels, and the
+``caller,callee`` tails of event lines, are looked up in one exact table of
+byte strings; snapshot weights and dense ids are parsed with ``float`` and
+``int`` on their texts. Aggregation's memory is bounded by one chunk and the
+distinct tails, not by the number of events; a load's by one chunk, the
 label table and the arc columns, each held once, not by per-arc Python
 objects. Saving a snapshot writes it in batches of arcs, gathered from the
 graph's arrays: memory is bounded by one batch of lines plus one text per
 label.
 
-Aggregation and a load without a sidecar assign dense ids as
-:class:`~recipnet.graph.GraphBuilder` does, through the label table of
-:mod:`recipnet.graph`; a sidecar's dense ids are taken as written.
+Aggregation and a load without a sidecar assign dense ids by the rule of
+:class:`~recipnet.graph.GraphBuilder`, the order of the sorted labels; a
+sidecar's dense ids are taken as written.
 """
 
 from __future__ import annotations
 
-import io
-import os
-import pickle
-import stat
 import warnings
-from collections import Counter
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
-from operator import itemgetter
+from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, NamedTuple
+from typing import BinaryIO, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import __version__ as _version
 from .errors import FormatError
-from .graph import FirstSeenIds, WeightedDigraph, stored_labels
-
-if TYPE_CHECKING:
-    from multiprocessing.process import BaseProcess
+from .graph import WeightedDigraph, stored_labels
 
 EVENT_HEADER = "timestamp,caller,callee"
 GRAPH_HEADER = "src,dst,weight"
 VERTEX_HEADER = "external_id,dense_id"
 
-_BATCH = 1 << 13  # lines per C-level pass: event lines read, snapshot lines written
-_CHUNK = 1 << 19  # bytes per array pass when a snapshot or sidecar is loaded
-# Event-body bytes per forked worker, at least: two workers were not
-# reliably faster than one process on logs up to 14 MiB, and were from 20 MiB.
-_RANGE_MIN = 1 << 23
-# Forked workers at most. Nearly every arc shows up in every range, so each
-# worker holds about a whole in-process count: memory grows with k, and
-# k = 2 is the most that has been measured.
-_MAX_WORKERS = 2
+_BATCH = 1 << 13  # lines or texts per C-level pass: snapshot lines written, counted tails split
+_CHUNK = 1 << 19  # bytes per array pass when an event log, a snapshot or a sidecar is read
 
 
 @dataclass
@@ -86,236 +68,26 @@ class IngestStats:
     arcs: int = 0
 
 
-def _fields(tail: str) -> list[str] | None:
-    """``[caller, callee]`` of an event line's text after its first comma.
+def _event_tails(u: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The good event lines of a chunk ``u``: their indices, and where in ``u`` their two commas lie.
 
-    ``tail`` may end in the line break. None means the line is malformed: it
-    has no comma, not exactly three fields, or an empty caller or callee.
+    A line is good when it holds exactly two commas, counted per line from the commas found by one
+    mask, and a non-empty caller and callee; its ``caller,callee`` tail starts after its first comma.
     """
-    fields = tail.rstrip("\r\n").split(",")
-    if len(fields) != 2 or not fields[0] or not fields[1]:
-        return None
-    return fields
+    at = np.flatnonzero(u == 44)
+    first = np.searchsorted(at, starts)  # where in ``at`` each line's commas start; a header's commas lie before them
+    two = np.flatnonzero(np.searchsorted(at, stops) - first == 2)
+    c1, c2 = at[first[two]], at[first[two] + 1]
+    ok = (c2 - c1 > 1) & (stops[two] - c2 > 1)
+    return two[ok], c1[ok], c2[ok]
 
 
-def _first_bad_line(lines: list[str]) -> tuple[int, str | None]:
-    """(index, None) of the first bad line of ``lines`` if it is malformed, (index, id) if a self-call."""
-    for i, line in enumerate(lines):
-        fields = _fields(line.partition(",")[2])
-        if fields is None:
-            return i, None
-        if fields[0] == fields[1]:
-            return i, fields[0]
-    raise AssertionError("no bad line in the batch")
-
-
-class _Part(NamedTuple):
-    """The count of one byte range (or of a whole stream)."""
-
-    labels: list[str]  # in provisional-id order
-    ends: np.ndarray  # provisional caller, callee ids of each arc text, interleaved
-    w: np.ndarray  # the count of each arc text
-    tally: tuple[int, int, int]  # lines read, self-calls dropped, malformed lines
-    bad: tuple[int, str | None] | None  # strict mode: (index, self-call id) of the first bad line
-
-
-def _count_lines(f: Iterable[str], strict: bool) -> _Part:
-    """Count the event lines of ``f`` by arc text and number the arcs' labels as first seen.
-
-    In strict mode the count stops at the first bad line; the part then
-    holds no arcs, and the tally counts the lines before that line's batch.
-    """
-    counts: Counter[str] = Counter()
-    tail_of = itemgetter(2)  # of str.partition: the text after the first comma
-    comma = repeat(",")
-    read = dropped = malformed = 0
-    while lines := list(islice(f, _BATCH)):
-        seen = len(counts)
-        counts.update(map(tail_of, map(str.partition, lines, comma)))
-        # Texts new in this batch are the last ones in the (insertion-ordered) dict.
-        for tail in list(islice(reversed(counts), len(counts) - seen)):
-            fields = _fields(tail)
-            if fields is not None and fields[0] != fields[1]:
-                continue
-            if strict:
-                index, self_call = _first_bad_line(lines)
-                bad = (read + index, self_call)
-                return _Part([], np.empty(0, np.int64), np.empty(0), (read, dropped, malformed), bad)
-            if fields is None:
-                malformed += counts.pop(tail)
-            else:
-                dropped += counts.pop(tail)
-        read += len(lines)
-    # Only arc texts are left, each ``caller,callee`` and its line break: a
-    # batch of them joined at commas and split again gives caller, callee, ...
-    ids = FirstSeenIds()
-    texts = iter(counts)
-    ends = [np.empty(0, np.int64)]
-    while batch := list(islice(texts, _BATCH)):
-        fields = ",".join(map(str.rstrip, batch, repeat("\r\n"))).split(",")
-        ends.append(np.fromiter(map(ids.__getitem__, fields), dtype=np.int64, count=2 * len(batch)))
-    w = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
-    return _Part(list(ids), np.concatenate(ends), w, (read, dropped, malformed), None)
-
-
-class _ByteRange(io.RawIOBase):
-    """Bytes ``[start, stop)`` of an open file as a raw stream, read with ``pread``.
-
-    ``pread`` does not move the file's offset, so workers forked from one
-    process read their ranges of one descriptor side by side.
-    """
-
-    def __init__(self, fd: int, start: int, stop: int) -> None:
-        self._fd, self._pos, self._stop = fd, start, stop
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, b) -> int:
-        data = os.pread(self._fd, min(len(b), self._stop - self._pos), self._pos)
-        b[: len(data)] = data
-        self._pos += len(data)
-        return len(data)
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
-
-
-def _can_fork() -> bool:
-    """Whether this process may fork workers.
-
-    The platform must have ``fork``; the process must not be daemonic (those
-    may have no children) nor run other threads, whose locks a forked child
-    would inherit held.
-    """
-    import multiprocessing
-    import threading
-
-    return (
-        "fork" in multiprocessing.get_all_start_methods()
-        and not multiprocessing.current_process().daemon
-        and threading.active_count() == 1
-    )
-
-
-def _next_line_start(fd: int, pos: int, stop: int) -> int:
-    """The offset just after the first ``b"\n"`` at or after ``pos``, or ``stop`` if none comes before it."""
-    while pos < stop:
-        chunk = os.pread(fd, min(1 << 16, stop - pos), pos)
-        if not chunk:
-            break
-        i = chunk.find(b"\n")
-        if i >= 0:
-            return pos + i + 1
-        pos += len(chunk)
-    return stop
-
-
-def _byte_ranges(fd: int, start: int) -> list[tuple[int, int]]:
-    """The body ``[start, EOF)`` of a regular file cut into k ranges that start lines; [] if k < 2.
-
-    k is the number of usable CPUs, at most ``_MAX_WORKERS``, or fewer so
-    that no range is planned under ``_RANGE_MIN`` bytes. Each cut moves forward to just after a
-    ``b"\n"``: that byte ends a line under universal newlines and is never
-    part of a multi-byte UTF-8 character. Cuts that meet are merged, so no
-    range is empty and k never exceeds the ranges.
-    """
-    st = os.fstat(fd)
-    if not stat.S_ISREG(st.st_mode):
-        return []
-    size = st.st_size
-    k = min(_usable_cpus(), _MAX_WORKERS, (size - start) // _RANGE_MIN)
-    if k < 2 or not _can_fork():
-        return []
-    cuts = [start]
-    for i in range(1, k):
-        cut = _next_line_start(fd, max(start + (size - start) * i // k, cuts[-1]), size)
-        if cuts[-1] < cut < size:
-            cuts.append(cut)
-    cuts.append(size)
-    return list(zip(cuts[:-1], cuts[1:])) if len(cuts) > 2 else []
-
-
-def _count_range(fd: int, start: int, stop: int, strict: bool, out: str) -> None:
-    """Worker: count bytes ``[start, stop)`` of descriptor ``fd``; pickle the part, or its error, to ``out``.
-
-    The range is read through a universal-newline text reader, so memory is
-    one batch of lines plus the range's distinct arc texts.
-    """
-    try:
-        with io.TextIOWrapper(io.BufferedReader(_ByteRange(fd, start, stop)), encoding="utf-8", newline="") as f:
-            result: _Part | Exception = _count_lines(f, strict)
-    except Exception as exc:  # raised again by the parent, in range order
-        result = exc
-    with open(out, "wb") as f:
-        pickle.dump(result, f, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def _load_part(worker: BaseProcess, out: str) -> _Part:
-    """The part that ``worker`` pickled to ``out``, once it has exited; the worker's error is raised here."""
-    worker.join()
-    if worker.exitcode != 0:
-        raise ChildProcessError(f"an ingest worker exited with code {worker.exitcode}")
-    with open(out, "rb") as f:
-        result = pickle.load(f)
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
-@contextmanager
-def _range_workers(fd: int, ranges: list[tuple[int, int]], strict: bool) -> Iterator[Iterator[_Part]]:
-    """The parts of ``ranges``, in range order, each counted by its own forked worker.
-
-    A worker pickles its part to a file in a temporary directory, which the
-    parent reads once the worker has exited. Leaving the ``with`` block
-    stops any worker still running (after an error in an earlier range),
-    waits for every worker and removes the directory.
-    """
-    import multiprocessing
-    import tempfile
-
-    fork = multiprocessing.get_context("fork")
-    with tempfile.TemporaryDirectory(prefix="recipnet-ingest-") as tmp:
-        outs = [os.path.join(tmp, f"{i}.pickle") for i in range(len(ranges))]
-        tasks = [(fd, lo, hi, strict, out) for (lo, hi), out in zip(ranges, outs)]
-        workers = [fork.Process(target=_count_range, args=task) for task in tasks]
-        try:
-            for worker in workers:
-                worker.start()
-            yield map(_load_part, workers, outs)
-        finally:
-            for worker in workers:
-                if worker.pid is not None:  # started
-                    worker.terminate()  # does nothing to a worker that has exited
-                    worker.join()
-
-
-def _merged(parts: Iterable[_Part], path: str | Path) -> tuple[FirstSeenIds, np.ndarray, np.ndarray, list[int]]:
-    """One label table for ``parts``, their arcs' ends in its ids, their weights and summed tally.
-
-    The parts are walked in file order. In strict mode the first part that
-    stopped raises for its bad line, whose number counts the lines of the
-    earlier parts, all of them complete.
-    """
-    ids = FirstSeenIds()
-    ends, weights, tally = [], [], [0, 0, 0]
-    for part in parts:
-        if part.bad is not None:
-            index, self_call = part.bad
-            if self_call is None:
-                raise FormatError(f"{path}: malformed event line {tally[0] + index + 2}")
-            raise FormatError(f"{path}: self-call for id {self_call!r}")
-        remap = np.fromiter(map(ids.__getitem__, part.labels), dtype=np.int64, count=len(part.labels))
-        ends.append(remap[part.ends])
-        weights.append(part.w)
-        tally = [a + b for a, b in zip(tally, part.tally)]
-    return ids, np.concatenate(ends), np.concatenate(weights), tally
+def _first_self_call(u: np.ndarray, c1: np.ndarray, c2: np.ndarray, stops: np.ndarray) -> int | None:
+    """The first of the lines with commas ``c1``, ``c2`` and ends ``stops`` whose caller is its callee, or None."""
+    k = len(c1)
+    ids = _LabelTable().number(u, np.concatenate((c1 + 1, c2 + 1)), np.concatenate((c2 - c1 - 1, stops - c2 - 1)))
+    same = np.flatnonzero(ids[:k] == ids[k:])
+    return int(same[0]) if len(same) else None
 
 
 def aggregate_event_file(
@@ -327,53 +99,69 @@ def aggregate_event_file(
     Malformed lines and self-calls are dropped and counted (in strict mode
     the first one in file order aborts); the timestamp field is not parsed.
     The result is independent of line order: arc weights are sums and the
-    dense ids follow the sorted labels (see :class:`~recipnet.graph.FirstSeenIds`).
+    dense ids follow the sorted labels, as :class:`~recipnet.graph.GraphBuilder` assigns them.
 
-    The body of a regular file is cut into k byte ranges that start lines,
-    where k is the number of usable CPUs, at most ``_MAX_WORKERS`` (2), or
-    fewer so that each range holds at least ``_RANGE_MIN`` bytes (8 MiB).
-    Each range is counted by its own forked worker, which pickles its part
-    to a file in a temporary directory: no part passes through a pipe,
-    whose receiving end would hold the pickled bytes and the part at once.
-    A pipe, a smaller file or a process that may not fork (k = 1, see
-    ``_can_fork``) is counted in-process by the same loop. No worker or
-    temporary file outlives the call.
+    The file is read once, in one process, through the chunk reader of the
+    snapshot load, so a regular file, a FIFO and ``/dev/stdin`` take one
+    path. In each chunk the commas are found by one mask and counted per
+    line; a line is malformed unless it holds two, with a non-empty caller
+    and callee between and after them. The ``caller,callee`` tails of the
+    good lines are numbered in an exact label table that carries across
+    chunks and counted per id, so memory is bounded by the distinct tails
+    plus one chunk, not by the number of events. In strict mode a chunk's
+    tails new to the table are split and checked for self-calls, and the
+    chunk's first bad line raises.
 
-    The loop counts lines by their text after the first comma (``caller,callee``
-    plus the line break) in C-level passes over batches of lines. Python
-    checks only the texts a batch sees for the first time, and drops those
-    of malformed and self-call lines from the count at once, so memory is
-    bounded by the distinct arc texts plus one batch of lines, not by the
-    number of events. In strict mode a range stops at its first batch with a
-    bad text, and only that batch is rescanned for the line. At the end a
-    range's arc texts are split and their labels numbered one batch at a
-    time.
-
-    The parent walks the parts in range order. In strict mode the first
-    part that stopped names the file's first bad line. Otherwise each part's
-    labels are mapped through one label table, and the texts of one arc
-    (which differ in their line break or come from different ranges) are
-    summed as arrays. Counts are exact integers, so the result does not
-    depend on k.
+    At the end the distinct tails are split at their comma one batch at a
+    time and their labels numbered in a second table; the tail table is
+    then freed. Tails whose caller is their callee are dropped with their
+    counts, and only the labels of the kept arcs become texts and vertices,
+    with the dense ids of their sorted order. Each tail is one arc, its
+    count exact.
     """
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        header = f.readline()
-        text = header.rstrip("\r\n")
-        if text != EVENT_HEADER:
-            raise FormatError(f"expected header {EVENT_HEADER!r}, got {text!r}")
-        # The reader returns the header with its own line break, so its UTF-8 length is the body's offset.
-        ranges = _byte_ranges(f.fileno(), len(header.encode("utf-8")))
-        if ranges:
-            with _range_workers(f.fileno(), ranges, strict) as parts:
-                ids, ends, w, (read, dropped, malformed) = _merged(parts, path)
-        else:
-            ids, ends, w, (read, dropped, malformed) = _merged([_count_lines(f, strict)], path)
-    labels, dense = ids.sorted_order()
-    del ids
-    v = len(labels)
-    ends = dense[ends]
-    # Texts of one arc are summed: those that differ in their line break or come from different ranges.
-    g = WeightedDigraph.from_columns(v, *_summed(v, ends[0::2] * v + ends[1::2], w), stored_labels(labels))
+    tails, counts = _LabelTable(), np.zeros(0, np.int64)
+    read = malformed = 0
+    with open(path, "rb") as f:
+        header, _, chunks = _first_line(f, comments=False)
+        if header != EVENT_HEADER:
+            raise FormatError(f"expected header {EVENT_HEADER!r}, got {header or ''!r}")
+        for data, starts, stops, first in chunks:
+            u = np.frombuffer(data, np.uint8)
+            good, c1, c2 = _event_tails(u, starts, stops)
+            known = len(tails)
+            ids = tails.number(u, c1 + 1, stops[good] - c1 - 1)
+            if strict:
+                new, rows = np.unique(ids, return_index=True)
+                rows = np.sort(rows[new >= known])  # the first line of each tail new in this chunk, in file order
+                self_call = _first_self_call(u, c1[rows], c2[rows], stops[good[rows]])
+                bad = np.flatnonzero(np.bincount(good, minlength=len(starts)) == 0)
+                if self_call is not None and not (len(bad) and bad[0] < good[rows[self_call]]):
+                    raise FormatError(f"{path}: self-call for id {data[c1[rows[self_call]] + 1 : c2[rows[self_call]]].decode()!r}")
+                if len(bad):
+                    raise FormatError(f"{path}: malformed event line {first + bad[0]}")
+            grown = np.bincount(ids, minlength=len(tails))
+            grown[: len(counts)] += counts
+            counts = grown
+            read += len(starts)
+            malformed += len(starts) - len(good)
+    ends = np.empty((2, len(tails)), np.int64)  # the caller, callee label ids of each tail id
+    labels = _LabelTable()
+    for n, (keys, _, ids) in chain(tails.groups.items(), tails.recent.items()):
+        for lo in range(0, len(keys), _BATCH):
+            block = keys[lo : lo + _BATCH].view(np.uint8).reshape(-1, n)
+            comma, at = np.argmax(block == 44, axis=1), np.arange(len(block)) * n
+            lengths = np.concatenate((comma, n - 1 - comma))
+            ends[:, ids[lo : lo + _BATCH]] = labels.number(block.ravel(), np.concatenate((at, at + comma + 1)), lengths).reshape(2, -1)
+    del tails
+    keep = ends[0] != ends[1]
+    dropped = int(counts[~keep].sum())
+    src, dst, w = ends[0, keep], ends[1, keep], counts[keep].astype(np.float64)
+    del ends, counts
+    used = np.zeros(len(labels), bool)
+    used[src] = used[dst] = True
+    texts, dense = labels.sorted_order(used)
+    del labels
+    g = WeightedDigraph.from_columns(len(texts), dense[src], dense[dst], w, stored_labels(texts))
     return g, IngestStats(read, dropped, malformed, g.vertex_count, g.arc_count)
 
 
@@ -553,72 +341,114 @@ def _texts_between(u: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> list
 
 
 def _heads(keys: np.ndarray) -> np.ndarray:
-    """The first 8 bytes of each label of ``keys`` as one integer, zero-padded: heads sort as their labels do."""
-    head = np.zeros((len(keys), 8), np.uint8)
-    head[:, : min(keys.itemsize, 8)] = keys.view(np.uint8).reshape(len(keys), -1)[:, :8]
-    return head.view(">u8")[:, 0].astype(np.uint64)
+    """A 64-bit mix of all bytes of each label of ``keys``, ``S{n}`` values of one length: a head, not an identity."""
+    words = np.zeros((len(keys), -(-keys.itemsize // 8)), np.uint64)
+    words.view(np.uint8)[:, : keys.itemsize] = keys.view(np.uint8).reshape(len(keys), keys.itemsize)
+    head = np.zeros(len(keys), np.uint64)
+    for word in words.T:  # a multiply and an xor-shift per 8 bytes, and a last pair
+        head = (head ^ word) * np.uint64(0x9E3779B97F4A7C15)
+        head ^= head >> np.uint64(29)
+    head *= np.uint64(0xBF58476D1CE4E5B9)
+    return head ^ (head >> np.uint64(32))
+
+
+def _find(group: tuple[np.ndarray, np.ndarray, np.ndarray], keys: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each label of ``keys`` is or would go in ``group`` (labels sorted by head then bytes, heads, ids), and whether it is there."""
+    table, table_heads, _ = group
+    at = np.searchsorted(table_heads, heads)
+    found = np.take(table, at, mode="clip") == keys  # a label past the last entry is not the last entry
+    other = np.flatnonzero(~found & (np.take(table_heads, at, mode="clip") == heads))  # its head, not its bytes
+    other = other[np.argsort(at[other], kind="stable")]
+    for rows in np.split(other, np.flatnonzero(np.diff(at[other])) + 1) if len(other) else []:
+        lo, hi = at[rows[0]], np.searchsorted(table_heads, heads[rows[0]], side="right")
+        at[rows] = lo + np.searchsorted(table[lo:hi], keys[rows])
+        found[rows] = np.take(table, at[rows], mode="clip") == keys[rows]
+    return at, found
+
+
+def _inserted(group: tuple[np.ndarray, np.ndarray, np.ndarray], *new: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The non-empty ``group`` with ``new`` (labels absent from it, sorted by head then bytes, their heads and ids) inserted in order."""
+    where = _find(group, new[0], new[1])[0]
+    return tuple(np.insert(column, where, values) for column, values in zip(group, new))
 
 
 class _LabelTable:
-    """Label bytes -> id, exact: per byte length n, the labels as sorted ``S{n}`` values, their heads and ids.
+    """Label bytes -> id, exact: per byte length n, a group of the labels as ``S{n}`` values, their heads and ids.
 
-    ``S{n}`` values of one length compare as their bytes. A label is found by ``searchsorted`` on the heads (or on
-    the labels where others share its head) and an equality test: no hash decides identity. ``b""`` is held as a NUL.
+    A group is sorted by head, then by bytes: ``S{n}`` values of one length compare as their bytes. A label is found
+    by ``searchsorted`` on the heads, and on the labels within a run of equal heads, and an equality test: no hash
+    decides identity. New labels go to a second, recent group per length, merged into the first once it holds an
+    eighth as many labels, so a long run of calls copies the first group a few times, not once per call. ``b""`` is
+    held as a NUL.
     """
 
     def __init__(self) -> None:
-        self.groups: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}  # n -> (sorted labels, heads, ids)
+        self.groups: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}  # n -> (labels, heads, ids)
+        self.recent: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}  # n -> the same, of labels new since a merge
 
     def __len__(self) -> int:
-        return sum(len(ids) for _, _, ids in self.groups.values())
-
-    def _find(self, n: int, keys: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Where each label of ``keys`` is or would go in group n, and whether it is there."""
-        table, table_heads, _ = self.groups[n]
-        at = np.searchsorted(table_heads, heads)
-        shared = np.take(table_heads, at + 1, mode="clip") == heads  # also true at a last entry with the head: harmless
-        at[shared] = np.searchsorted(table, keys[shared])
-        return at, np.take(table, at, mode="clip") == keys  # a label past the last entry is not the last entry
+        return sum(len(ids) for _, _, ids in chain(self.groups.values(), self.recent.values()))
 
     def number(self, u: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """The id of each label ``u[start:start + length]``; labels new to the table get the next ids.
 
-        A run of equal labels is looked up once, and runs in head order, so successive searches touch nearby entries.
+        The labels are sorted by head, and by bytes where distinct labels share a head, so equal ones are neighbours and
+        each is looked up once, successive searches touch nearby entries, and the new ones come in table order.
         """
         ids = np.empty(len(starts), np.int64)
         order = np.argsort(lengths, kind="stable")
         for rows in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1) if len(order) else []:
             n = int(lengths[rows[0]])
             keys = sliding_window_view(u, n)[starts[rows]].view(f"S{n}")[:, 0] if n else np.zeros(len(rows), "S1")
-            runs = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
-            heads = _heads(keys[runs])
+            heads = _heads(keys)
             by_head = np.argsort(heads)
-            keys, heads = keys[runs[by_head]], heads[by_head]
-            at, found = self._find(n, keys, heads) if n in self.groups else (None, np.zeros(len(keys), bool))
-            if not found.all():
-                new = np.sort(keys[~found], kind="stable")  # nearly sorted already
-                new = new[np.append(True, new[1:] != new[:-1])]
-                table, table_heads, table_ids = self.groups.get(n, (new[:0], heads[:0], ids[:0]))
-                where = np.searchsorted(table, new)
-                self.groups[n] = (
-                    np.insert(table, where, new),
-                    np.insert(table_heads, where, _heads(new)),
-                    np.insert(table_ids, where, np.arange(len(self), len(self) + len(new))),
-                )
-                at = self._find(n, keys, heads)[0]
-            run_ids = np.empty(len(runs), np.int64)
-            run_ids[by_head] = self.groups[n][2][at]
+            differ = keys[by_head[1:]] != keys[by_head[:-1]]
+            if (differ & (heads[by_head[1:]] == heads[by_head[:-1]])).any():
+                by_head = np.lexsort((keys, heads))
+                differ = keys[by_head[1:]] != keys[by_head[:-1]]
+            runs = np.flatnonzero(np.append(True, differ))
+            rows, keys, heads = rows[by_head], keys[by_head[runs]], heads[by_head[runs]]
+            run_ids, todo = np.empty(len(runs), np.int64), np.arange(len(runs))
+            for group in (self.groups.get(n), self.recent.get(n)):
+                if group is not None and len(todo):
+                    at, found = _find(group, keys[todo], heads[todo])
+                    run_ids[todo[found]] = group[2][at[found]]
+                    todo = todo[~found]
+            if len(todo):
+                run_ids[todo] = np.arange(len(self), len(self) + len(todo))  # the next ids
+                self._add(n, keys[todo], heads[todo], run_ids[todo])
             ids[rows] = np.repeat(run_ids, np.diff(runs, append=len(rows)))
         return ids
 
-    def labels(self) -> list[str]:
-        """The labels as texts, in the order of their ids, which are 0..len - 1."""
+    def _add(self, n: int, *new: np.ndarray) -> None:
+        """Put ``new`` labels of length n (sorted by head then bytes, their heads and ids) in the recent group."""
+        recent = _inserted(self.recent.pop(n), *new) if n in self.recent else new
+        if n in self.groups and 8 * len(recent[0]) <= len(self.groups[n][0]):
+            self.recent[n] = recent
+        else:
+            self.groups[n] = _inserted(self.groups[n], *recent) if n in self.groups else recent
+
+    def labels(self, kept: np.ndarray | None = None) -> list[str]:
+        """The labels as texts, in the order of their ids, which are 0..len - 1; only those of the ids ``kept`` (a mask) if given."""
         texts = np.empty(len(self), dtype=object)
-        for n, (keys, _, ids) in self.groups.items():
+        for n, (keys, _, ids) in chain(self.groups.items(), self.recent.items()):
+            if kept is not None:
+                keys, ids = keys[kept[ids]], ids[kept[ids]]
             block = np.full((len(keys), n + 1), 10, np.uint8)  # each label and a line break, which none holds
-            block[:, :n] = keys.view(np.uint8).reshape(len(keys), -1)[:, :n]
+            block[:, :n] = keys.view(np.uint8).reshape(len(keys), keys.itemsize)[:, :n]
             texts[ids] = str(block, "utf-8").split("\n")[:-1]
-        return texts.tolist()
+        return (texts if kept is None else texts[kept]).tolist()
+
+    def sorted_order(self, kept: np.ndarray | None = None) -> tuple[list[str], np.ndarray]:
+        """The labels (of the ids ``kept``, a mask, if given) sorted, which is their dense-id order, and the dense id of each id.
+
+        UTF-8 byte order is code point order, so this is the order of :meth:`~recipnet.graph.FirstSeenIds.sorted_order`.
+        """
+        texts = self.labels(kept)
+        order = sorted(range(len(texts)), key=texts.__getitem__)
+        dense = np.full(len(self), -1, np.int64)
+        dense[(np.arange(len(self)) if kept is None else np.flatnonzero(kept))[order]] = np.arange(len(order))
+        return [texts[i] for i in order], dense
 
 
 def _load_sidecar(path: Path) -> _LabelTable:
@@ -649,7 +479,8 @@ def _load_sidecar(path: Path) -> _LabelTable:
     dense_ids = np.concatenate(dense)
     if not np.array_equal(np.sort(dense_ids), np.arange(len(dense_ids))):
         raise FormatError(f"{path}: dense ids are not contiguous 0..V-1")
-    table.groups = {n: (keys, heads, dense_ids[ids]) for n, (keys, heads, ids) in table.groups.items()}
+    for level in (table.groups, table.recent):
+        level.update({n: (keys, heads, dense_ids[ids]) for n, (keys, heads, ids) in level.items()})
     return table
 
 
@@ -720,7 +551,7 @@ def load_edge_list(path: str | Path, strict: bool = False) -> WeightedDigraph:
         if len(table) > v:
             raise FormatError(f"{path}: arc references id missing from sidecar")
     else:  # dense ids follow the sorted labels, as the label table of recipnet.graph assigns them
-        labels, dense = FirstSeenIds(zip(table.labels(), range(len(table)))).sorted_order()
+        labels, dense = table.sorted_order()
         v = len(labels)
         src_ids, dst_ids = dense[src_ids], dense[dst_ids]
     del table

@@ -145,8 +145,13 @@ class DyadScores(NamedTuple):
 
 
 def _log(p: np.ndarray) -> np.ndarray:
-    # math.log, not np.log: the two differ in the last bit for some inputs.
-    return np.fromiter(map(math.log, p.tolist()), dtype=np.float64, count=len(p))
+    # math.log, not np.log: the two differ in the last bit for some inputs. One block of
+    # Python floats at a time, so no list of the whole column is built.
+    out = np.empty(len(p))
+    for lo in range(0, len(p), _SUM_BLOCK):
+        block = p[lo : lo + _SUM_BLOCK]
+        out[lo : lo + len(block)] = np.fromiter(map(math.log, block.tolist()), dtype=np.float64, count=len(block))
+    return out
 
 
 def dyad_scores(g: WeightedDigraph) -> DyadScores:

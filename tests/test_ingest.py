@@ -4,18 +4,15 @@ from __future__ import annotations
 
 import bisect
 import json
-import multiprocessing
 import os
 import random
 import subprocess
 import sys
 import tempfile
 import threading
-import time
 import tracemalloc
 import warnings
 from collections import Counter
-from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
@@ -183,106 +180,66 @@ def outcome(aggregate, path, strict):
     return g, g.external_ids, stats
 
 
-@contextmanager
-def forced_ranges(workers):
-    """Cut every event body of ``workers`` bytes or more into ``workers`` byte ranges, where it has line starts."""
-    with (
-        mock.patch.object(ingest, "_RANGE_MIN", 1),
-        mock.patch.object(ingest, "_MAX_WORKERS", workers),
-        mock.patch.object(ingest, "_usable_cpus", lambda: workers),
-    ):
-        yield
+#: Chunk sizes in bytes for the readers: cuts fall inside labels, inside "é" and between "\r" and "\n".
+CHUNK_SIZES = [1, 2, 3, 7, ingest._CHUNK]
 
-
-_count_range = ingest._count_range
-HEADER_BYTES = len(b"timestamp,caller,callee\n")
-
-
-def _first_range_finishes_last(fd, start, *rest):
-    """ingest._count_range, but the worker of the range right after an LF header finishes last."""
-    if start == HEADER_BYTES:
-        time.sleep(0.5)
-    _count_range(fd, start, *rest)
-
-
-def _later_ranges_hang(fd, start, *rest):
-    """ingest._count_range, but the workers of all ranges but the first hang."""
-    if start != HEADER_BYTES:
-        time.sleep(60)
-    _count_range(fd, start, *rest)
-
-
-def _second_range_dies(fd, start, *rest):
-    """ingest._count_range, but the worker of every range but the first exits at once, with code 9."""
-    if start != HEADER_BYTES:
-        os._exit(9)
-    _count_range(fd, start, *rest)
-
-
-# Fields of generated event lines: empty, ASCII, non-ASCII and digit labels.
-event_fields = st.sampled_from(["", "a", "b", "0", "1", "10", "é", "日本", "x y"])
+# Fields of generated event lines: empty, ASCII, non-ASCII and digit labels, labels that differ only in
+# their last byte past 8 bytes, and labels with NUL bytes.
+event_fields = st.sampled_from(["", "a", "b", "0", "1", "10", "é", "日本", "x y", "abcdefghi1", "abcdefghi2", "a\x00", "\x00"])
 event_lines = st.tuples(
     st.lists(event_fields, min_size=0, max_size=5),  # 0 fields is a blank line
     st.sampled_from(["\n", "\r\n", "\r"]),
 )
+# Well-formed calls and self-calls over few labels, so that tails repeat across chunks.
+call_lines = st.tuples(
+    st.lists(st.sampled_from(["1", "a", "b", "abcdefghi1", "abcdefghi2", "\x00"]), min_size=3, max_size=3),
+    st.sampled_from(["\n", "\r\n", "\r"]),
+)
+event_logs = st.lists(st.one_of(event_lines, call_lines), max_size=40)
+
+
+def write_event_text(tmp_path_factory, lines, cut_end, head_end):
+    """An events file of generated ``lines`` after a header ending in ``head_end``; its last line break dropped if ``cut_end``."""
+    text = "timestamp,caller,callee" + head_end
+    text += "".join(",".join(fields) + end for fields, end in lines)
+    if cut_end:
+        text = text.rstrip("\r\n")
+    path = tmp_path_factory.mktemp("events") / "events.csv"
+    path.write_bytes(text.encode("utf-8"))
+    return path
 
 
 class TestAgainstReferenceLoop:
     @given(
-        st.lists(event_lines, max_size=40),
+        event_logs,
         st.booleans(),  # drop the final line break
         st.sampled_from(["\n", "\r\n", "\r"]),  # header line break
-        st.sampled_from([1, 2, 3, 7, ingest._BATCH]),
+        st.sampled_from(CHUNK_SIZES),
     )
+    @example([(["1", "a", "b"], "\r")] * 4 + [(["2", "b", "a"], "\r\n")] * 4 + [(["3", "é"], "\n")], False, "\r", 2)
+    @example([(["1", "a", "b"], "\r")] * 9, True, "\r\n", 2)  # no LF in the body
+    @example([(["1", "a", "b"], "\n"), (["2", "a", "a"], "\r"), (["3", "b", "a"], "\r\n")] * 5, False, "\n", 2)
+    @example([([], "\n")] * 2, False, "\n", 2)
+    @example([([], "\n"), ([], "\n"), (["a"], "\n")], True, "\r", 2)  # the header's \r and the body's \n are one \r\n
+    @example([(["1", "b", "b"], "\n"), (["2", "a", "a"], "\n")], False, "\n", ingest._CHUNK)  # the first self-call in file order
     @settings(max_examples=300, deadline=None)
-    def test_equal_graph_stats_and_errors(self, tmp_path_factory, lines, cut_end, head_end, batch):
-        text = "timestamp,caller,callee" + head_end
-        text += "".join(",".join(fields) + end for fields, end in lines)
-        if cut_end:
-            text = text.rstrip("\r\n")
-        path = tmp_path_factory.mktemp("events") / "events.csv"
-        path.write_bytes(text.encode("utf-8"))
-        with mock.patch.object(ingest, "_BATCH", batch):
+    def test_equal_graph_stats_and_errors(self, tmp_path_factory, lines, cut_end, head_end, chunk):
+        path = write_event_text(tmp_path_factory, lines, cut_end, head_end)
+        with mock.patch.object(ingest, "_CHUNK", chunk):
             for strict in (False, True):
                 want = outcome(reference_aggregate, path, strict)
                 got = outcome(aggregate_event_file, path, strict)
                 assert got == want
 
-    @given(
-        st.lists(event_lines, max_size=40),
-        st.booleans(),  # drop the final line break
-        st.sampled_from(["\n", "\r\n", "\r"]),  # header line break
-        st.sampled_from([2, 3]),  # workers
-        st.sampled_from([2, ingest._BATCH]),
-    )
-    @example([(["1", "a", "b"], "\r")] * 4 + [(["2", "b", "a"], "\r\n")] * 4 + [(["3", "é"], "\n")], False, "\r", 3, 2)
-    @example([(["1", "a", "b"], "\r")] * 9, True, "\r\n", 2, 2)  # no LF in the body: nowhere to cut
-    @example([(["1", "a", "b"], "\n"), (["2", "a", "a"], "\r"), (["3", "b", "a"], "\r\n")] * 5, False, "\n", 3, 2)
-    @example([([], "\n")] * 2, False, "\n", 3, 2)  # a 2-byte body has 2 ranges at most, and here no cut
-    @example([([], "\n"), ([], "\n"), (["a"], "\n")], True, "\r", 2, 2)  # the header's \r and the body's \n are one \r\n
-    @settings(max_examples=30, deadline=None)
-    def test_equal_graph_stats_and_errors_in_ranges(self, tmp_path_factory, lines, cut_end, head_end, workers, batch):
-        header = "timestamp,caller,callee" + head_end
-        text = header + "".join(",".join(fields) + end for fields, end in lines)
-        if cut_end:
-            text = text.rstrip("\r\n")
-        data = text.encode("utf-8")
-        path = tmp_path_factory.mktemp("events") / "events.csv"
-        path.write_bytes(data)
-        # k = workers ranges, or one per body byte when the body is shorter. The first cut is the line
-        # start after body byte len(body) // k; none at the end of the file. The body starts after the
-        # header line as a universal-newline reader returns it: a final \r and a first \n are one \r\n.
-        start = len(header.encode("utf-8")) + (head_end == "\r" and text[len(header) :].startswith("\n"))
-        k = min(workers, len(data) - start)
-        has_cut = k >= 2 and b"\n" in data[start + (len(data) - start) // k : -1]
-        ranged = mock.Mock(wraps=ingest._range_workers)
-        with mock.patch.object(ingest, "_BATCH", batch), mock.patch.object(ingest, "_range_workers", ranged):
+    @given(event_logs, st.sampled_from(CHUNK_SIZES))
+    @settings(max_examples=50, deadline=None)
+    def test_equal_when_every_label_shares_one_head(self, tmp_path_factory, lines, chunk):
+        """Identity never rests on the head: with every head equal, labels are told apart by their bytes."""
+        path = write_event_text(tmp_path_factory, lines, False, "\n")
+        one_head = lambda keys: np.zeros(len(keys), np.uint64)  # noqa: E731
+        with mock.patch.object(ingest, "_CHUNK", chunk), mock.patch.object(ingest, "_heads", one_head):
             for strict in (False, True):
-                want = outcome(reference_aggregate, path, strict)
-                with forced_ranges(workers):
-                    got = outcome(aggregate_event_file, path, strict)
-                assert got == want
-        assert ranged.call_count == (2 if has_cut else 0)
+                assert outcome(aggregate_event_file, path, strict) == outcome(reference_aggregate, path, strict)
 
     @pytest.mark.parametrize("self_call_first", [False, True])
     def test_strict_reports_first_offence_beyond_first_batch(self, tmp_path, self_call_first):
@@ -298,14 +255,12 @@ class TestAgainstReferenceLoop:
             if self_call_first
             else f"{path}: malformed event line {first + 2}"
         )
-        assert outcome(aggregate_event_file, path, True) == want
-        # Two ranges, cut near row 1.5 * _BATCH: one offence in each. The
-        # first range's worker finishes last, and its offence still wins.
-        with forced_ranges(2), mock.patch.object(ingest, "_count_range", _first_range_finishes_last):
-            with path.open("rb") as f:
-                (_, cut), _ = ingest._byte_ranges(f.fileno(), HEADER_BYTES)
-            assert path.read_bytes()[HEADER_BYTES:cut].count(b"\n") in range(first + 1, second)
-            assert outcome(aggregate_event_file, path, True) == want
+        chunk = 1 << 14
+        offset = lambda row: len("timestamp,caller,callee\n") + sum(len(r) + 1 for r in rows[:row])  # noqa: E731
+        assert 0 < offset(first) // chunk < offset(second) // chunk  # each offence in a later chunk
+        for size in (chunk, ingest._CHUNK):
+            with mock.patch.object(ingest, "_CHUNK", size):
+                assert outcome(aggregate_event_file, path, True) == want
         g, stats = aggregate_event_file(path)
         assert (stats.malformed_lines, stats.self_calls_dropped) == (1, 1)
         assert stats.arcs == 3 * ingest._BATCH - 2
@@ -322,96 +277,33 @@ class TestAgainstReferenceLoop:
                 tracemalloc.stop()
 
         batch = 1000
-        with mock.patch.object(ingest, "_BATCH", batch):
+        with mock.patch.object(ingest, "_CHUNK", 1 << 14):
             small, small_stats = peak(8 * batch)
             large, large_stats = peak(32 * batch)
         assert (small_stats.malformed_lines, large_stats.malformed_lines) == (8 * batch, 32 * batch)
         assert large_stats.arcs == 0
         assert large < 1.25 * small, f"peak {large} B for 4x the lines vs {small} B"
 
-
-class TestByteRanges:
-    def test_ranges_cover_the_body_and_start_lines(self, tmp_path):
-        body = "".join(f"{i},u{i % 7},é{i % 5}" + ("\n", "\r\n", "\r")[i % 3] for i in range(200))
-        path = tmp_path / "events.csv"
-        path.write_bytes(("timestamp,caller,callee\r" + body).encode("utf-8"))
-        data, start = path.read_bytes(), len(b"timestamp,caller,callee\r")
-        for workers in (1, 2, 3):
-            with forced_ranges(workers), path.open("rb") as f:
-                ranges = ingest._byte_ranges(f.fileno(), start)
-            assert len(ranges) == (workers if workers > 1 else 0)
-            if ranges:
-                cuts = [lo for lo, _ in ranges]
-                assert cuts[0] == start and ranges[-1][1] == len(data)
-                assert all(hi == lo for (_, hi), (lo, _) in zip(ranges, ranges[1:]))
-                assert all(data[cut - 1 : cut] == b"\n" for cut in cuts[1:])
-
-    def test_workers_are_capped(self, tmp_path):
-        path = tmp_path / "events.csv"
-        write_events(path, [f"{i},a,b" for i in range(100)])
-        with (
-            mock.patch.object(ingest, "_RANGE_MIN", 1),
-            mock.patch.object(ingest, "_usable_cpus", lambda: 64),
-            path.open("rb") as f,
-        ):
-            assert len(ingest._byte_ranges(f.fileno(), HEADER_BYTES)) == ingest._MAX_WORKERS == 2
-
-    def test_in_process_without_a_cut_or_below_the_range_size(self, tmp_path):
-        path = tmp_path / "events.csv"
-        path.write_bytes(b"timestamp,caller,callee\n" + b"1,a,b\r" * 100)  # no LF in the body
-        with forced_ranges(3), path.open("rb") as f:
-            assert ingest._byte_ranges(f.fileno(), HEADER_BYTES) == []
-        write_events(path, [f"{i},a,b" for i in range(1000)])
-        with mock.patch.object(ingest, "_usable_cpus", lambda: 3), path.open("rb") as f:
-            assert ingest._byte_ranges(f.fileno(), HEADER_BYTES) == []  # under 2 * _RANGE_MIN bytes
-        # One long line: the cuts meet, so there are fewer ranges than workers.
-        path.write_bytes(b"timestamp,caller,callee\n" + b"1,a,b" + b"c" * 1000 + b"\n2,b,a\n")
-        with forced_ranges(3), path.open("rb") as f:
-            assert len(ingest._byte_ranges(f.fileno(), HEADER_BYTES)) == 2
-
-    def test_no_worker_or_temporary_file_outlives_the_call(self, tmp_path):
+    def test_errors_in_a_late_chunk_start_no_process_and_leave_nothing(self, tmp_path):
         scratch = tmp_path / "tmp"
         scratch.mkdir()
-        rows = [f"{i},u{i % 11},v{i % 13}" for i in range(2000)]  # past the header read's first 8 KiB
+        rows = [f"{i},u{i % 11},v{i % 13}" for i in range(2000)]
         good, bad, invalid = tmp_path / "good.csv", tmp_path / "bad.csv", tmp_path / "invalid.csv"
         write_events(good, rows)
-        write_events(bad, rows[:100] + ["7,w,w"] + rows[100:])
-        invalid.write_bytes(good.read_bytes() + b"9,\xff,b\n")  # in the second range
-
-        def assert_clean():
-            assert multiprocessing.active_children() == []
-            assert list(scratch.iterdir()) == []
-
-        made = mock.Mock(wraps=tempfile.TemporaryDirectory)
+        write_events(bad, rows + ["7,w,w"])
+        invalid.write_bytes(good.read_bytes() + b"9,\xff,b\n")
         with (
-            forced_ranges(2),
+            mock.patch.object(ingest, "_CHUNK", 1 << 12),
+            mock.patch.object(os, "fork", side_effect=AssertionError("aggregation forked")),
             mock.patch.object(tempfile, "tempdir", str(scratch)),
-            mock.patch.object(tempfile, "TemporaryDirectory", made),
         ):
-            g, stats = aggregate_event_file(good)
-            assert (g, stats) == reference_aggregate(good)
-            assert_clean()
+            assert aggregate_event_file(good) == reference_aggregate(good)
             with pytest.raises(FormatError, match="self-call for id 'w'"):
                 aggregate_event_file(bad, strict=True)
-            assert_clean()
             with pytest.raises(UnicodeDecodeError):
                 aggregate_event_file(invalid)
-            assert_clean()
             assert main(["ingest", str(invalid), "-o", str(tmp_path / "g.csv")]) == EXIT_VALIDATION
-            assert_clean()
-            # A worker that dies is an error, not a wait.
-            with mock.patch.object(ingest, "_count_range", _second_range_dies):
-                with pytest.raises(ChildProcessError, match="exited with code 9"):
-                    aggregate_event_file(good)
-            assert_clean()
-            # A strict failure in the first range stops the later workers.
-            with mock.patch.object(ingest, "_count_range", _later_ranges_hang):
-                start = time.monotonic()
-                with pytest.raises(FormatError, match="self-call for id 'w'"):
-                    aggregate_event_file(bad, strict=True)
-                assert time.monotonic() - start < 30
-            assert_clean()
-        assert made.call_count == 6
+        assert list(scratch.iterdir()) == []
         assert not (tmp_path / "g.csv").exists()
 
 
@@ -424,12 +316,11 @@ PIPED_EVENTS = (
 
 
 class TestPipeInput:
-    """A pipe cannot be cut into ranges: it is counted in-process, to the bytes of a regular file's ranges."""
+    """A pipe is read by the chunk reader of a regular file, to the same bytes."""
 
     def ingest_regular_file(self, tmp_path, capsys):
         (tmp_path / "events.csv").write_bytes(PIPED_EVENTS)
-        with forced_ranges(2):
-            assert main(["ingest", str(tmp_path / "events.csv"), "-o", str(tmp_path / "file.csv")]) == EXIT_OK
+        assert main(["ingest", str(tmp_path / "events.csv"), "-o", str(tmp_path / "file.csv")]) == EXIT_OK
         return self.result(tmp_path / "file.csv", capsys.readouterr().out)
 
     @staticmethod
@@ -445,7 +336,7 @@ class TestPipeInput:
         writer = threading.Thread(target=fifo.write_bytes, args=(PIPED_EVENTS,))
         writer.start()
         try:
-            with forced_ranges(2):
+            with mock.patch.object(ingest, "_CHUNK", 7):
                 assert main(["ingest", str(fifo), "-o", str(tmp_path / "fifo.csv")]) == EXIT_OK
         finally:
             writer.join()
@@ -453,10 +344,7 @@ class TestPipeInput:
 
     def test_dev_stdin_of_a_subprocess(self, tmp_path, capsys):
         want = self.ingest_regular_file(tmp_path, capsys)
-        code = (
-            "import sys; from recipnet import cli, ingest; "
-            "ingest._RANGE_MIN = 1; ingest._usable_cpus = lambda: 2; sys.exit(cli.main(sys.argv[1:]))"
-        )
+        code = "import sys; from recipnet import cli, ingest; ingest._CHUNK = 7; sys.exit(cli.main(sys.argv[1:]))"
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         argv = [sys.executable, "-c", code, "ingest", "/dev/stdin", "-o", str(tmp_path / "stdin.csv")]
@@ -746,10 +634,6 @@ class TestSnapshots:
         loaded = load_edge_list(path)
         assert loaded.weight(0, 1) == graph.weight(0, 1)
         assert loaded.weight(1, 0) == graph.weight(1, 0)
-
-
-#: Chunk sizes in bytes for the loader: cuts fall inside labels, inside "é" and between "\r" and "\n".
-CHUNK_SIZES = [1, 2, 3, 7, ingest._CHUNK]
 
 
 class TestLoadAgainstReferenceLoop:

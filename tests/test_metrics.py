@@ -25,6 +25,7 @@ from recipnet.metrics import (
     concentration_arrays,
     concentration_scores,
     degree_assortativity,
+    dyad_scores,
     equidispersion_prediction,
     reciprocity,
     reciprocity_distribution,
@@ -148,6 +149,28 @@ class TestReciprocity:
         swept = reciprocity_records(g)
         assert [r.dyad for r in swept] == list(g.mutual_dyads())
         assert swept == [reciprocity(g, (rec.dyad.a, rec.dyad.b)) for rec in swept]
+
+
+    def test_scoring_holds_no_python_float_per_dyad(self):
+        """Past the graph, scoring costs the eight 8-byte score columns and a few temporaries per dyad."""
+
+        def peak(v, k=4):
+            offsets = np.concatenate((np.arange(1, k + 1), v - np.arange(k, 0, -1)))  # k each way: every arc mutual
+            indptr = np.arange(0, 2 * k * v + 1, 2 * k, dtype=np.int64)
+            indices = np.sort((np.arange(v)[:, None] + offsets) % v, axis=1).ravel()
+            g = WeightedDigraph(indptr, indices, np.random.default_rng(v).random(2 * k * v) + 0.5)
+            tracemalloc.start()
+            try:
+                assert len(dyad_scores(g).r_value) == k * v
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(2**13), peak(2**15)
+        per_dyad = (large - small) / (4 * (2**15 - 2**13))
+        # 80 B measured: the eight score columns (64 B) and two 8-byte temporaries. A
+        # probability column made into Python floats at once adds 32 B (112 B measured).
+        assert per_dyad < 90, f"{per_dyad:.0f} B per dyad"
 
 
 class TestClassify:
