@@ -2,21 +2,17 @@
 
 __version__ = "0.1.0"
 
-from .graph import DyadCensus, GraphBuilder, MutualDyad, WeightedDigraph
+from .graph import DyadCensus, GraphBuilder, WeightedDigraph
 from .metrics import (
     AssortativityResult,
-    ConcentrationScore,
     DyadClass,
     ReciprocityHistogram,
-    ReciprocityRecord,
     classify,
     concentration,
     degree_assortativity,
     dyad_scores,
     equidispersion_prediction,
     reciprocity,
-    reciprocity_distribution,
-    reciprocity_records,
 )
 from .nullmodels import (
     RewireOutcome,
@@ -27,13 +23,10 @@ from .nullmodels import (
 
 __all__ = [
     "AssortativityResult",
-    "ConcentrationScore",
     "DyadCensus",
     "DyadClass",
     "GraphBuilder",
-    "MutualDyad",
     "ReciprocityHistogram",
-    "ReciprocityRecord",
     "RewireOutcome",
     "WeightedDigraph",
     "classify",
@@ -45,6 +38,4 @@ __all__ = [
     "maslov_sneppen_rewire",
     "reattach_weights",
     "reciprocity",
-    "reciprocity_distribution",
-    "reciprocity_records",
 ]

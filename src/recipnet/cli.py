@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from .errors import DegenerateInputError, DomainError, FormatError, UndefinedCorrelationError
-from .ingest import aggregate_event_file, load_edge_list, save_snapshot
-from .metrics import DEFAULT_BIN_WIDTH, concentration_scores, degree_assortativity, dyad_scores
+from .ingest import _BATCH, aggregate_event_file, load_edge_list, save_snapshot
+from .metrics import DEFAULT_BIN_WIDTH, DyadClass, concentration_arrays, degree_assortativity, dyad_scores
 from .nullmodels import DEFAULT_SWAP_MULTIPLIER, equidisperse, maslov_sneppen_rewire
 from .report import (
     analyze,
@@ -143,14 +143,13 @@ def _cmd_reciprocity(args: argparse.Namespace) -> int:
     if not hist.total:
         _warn_or_raise(args.strict, "graph has no mutual dyads")
     if args.records:
+        labels, classes = g.labels(), [c.value for c in DyadClass]
         with open(args.records, "w", encoding="utf-8", newline="") as f:
             f.write("a,b,w_ab,w_ba,p_ab,p_ba,r_value,dyad_class\n")
-            for rec in scores.records():
-                d = rec.dyad
-                f.write(
-                    f"{g.external_label(d.a)},{g.external_label(d.b)},"
-                    f"{d.w_ab!r},{d.w_ba!r},{rec.p_ab!r},{rec.p_ba!r},"
-                    f"{rec.r_value!r},{rec.dyad_class.value}\n"
+            for lo in range(0, hist.total, _BATCH):
+                f.writelines(
+                    f"{labels[a]},{labels[b]},{w_ab!r},{w_ba!r},{p_ab!r},{p_ba!r},{r!r},{classes[c]}\n"
+                    for a, b, w_ab, w_ba, p_ab, p_ba, r, c in zip(*(col[lo : lo + _BATCH].tolist() for col in scores))
                 )
     _emit(
         {
@@ -166,18 +165,22 @@ def _cmd_reciprocity(args: argparse.Namespace) -> int:
 
 def _cmd_concentration(args: argparse.Namespace) -> int:
     g = load_edge_list(args.graph, strict=args.strict)
-    scores = concentration_scores(g)
-    if not scores:
+    vertices, h, h_star = concentration_arrays(g)
+    if not len(vertices):
         _warn_or_raise(args.strict, "no vertices with out-degree >= 2")
     if args.records:
+        labels, columns = g.labels(), (vertices, np.diff(g._indptr)[vertices], h, h_star)
         with open(args.records, "w", encoding="utf-8", newline="") as f:
             f.write("vertex,out_degree,h,h_star\n")
-            for s in scores:
-                f.write(f"{g.external_label(s.vertex)},{g.out_degree(s.vertex)},{s.h!r},{s.h_star!r}\n")
+            for lo in range(0, len(vertices), _BATCH):
+                f.writelines(
+                    f"{labels[v]},{k},{x!r},{x_star!r}\n"
+                    for v, k, x, x_star in zip(*(col[lo : lo + _BATCH].tolist() for col in columns))
+                )
     _emit(
         {
-            "vertices_scored": len(scores),
-            "mean_h_star": (sum(s.h_star for s in scores) / len(scores)) if scores else None,
+            "vertices_scored": len(vertices),
+            "mean_h_star": (sum(h_star.tolist()) / len(vertices)) if len(vertices) else None,
         },
         args.output,
     )

@@ -1,4 +1,4 @@
-"""Weighted directed graph core: construction, dyad enumeration, dyad census.
+"""Weighted directed graph core: construction, mutual-dyad columns, dyad census.
 
 Vertices are dense integer ids ``0..V-1`` (Python or numpy integers). A graph
 is stored as read-only CSR arrays, ``indptr`` (row bounds per source vertex),
@@ -91,22 +91,6 @@ def _row_sums(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
             except OverflowError:
                 out[r] = math.inf
     return out
-
-
-@dataclass(frozen=True)
-class MutualDyad:
-    """An unordered vertex pair with arcs in both directions, oriented a < b."""
-
-    a: int
-    b: int
-    w_ab: float
-    w_ba: float
-
-    def __post_init__(self) -> None:
-        if not self.a < self.b:
-            raise DomainError(f"mutual dyad must satisfy a < b, got ({self.a}, {self.b})")
-        if self.w_ab <= 0 or self.w_ba <= 0:
-            raise DomainError("mutual dyad weights must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -203,8 +187,8 @@ class WeightedDigraph:
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         repeated = keys[1:] == keys[:-1]
-        if repeated.any():
-            i = int(order[np.argmax(repeated) + 1])
+        if repeated.any():  # the first repeat in input order: stable sort puts each key's first row first
+            i = int(order[1:][repeated].min())
             raise DomainError(f"duplicate arc ({src[i]}, {dst[i]})")
         del keys, repeated, checks, bad  # not live while the columns are gathered or the rows summed
         indptr = np.zeros(vertex_count + 1, dtype=np.int64)
@@ -362,10 +346,6 @@ class WeightedDigraph:
         """(a, b, w_ab, w_ba) of every mutual dyad, a < b, in (a, b) order."""
         a, b, sel = self._mutual_ends()
         return a, b, self._weights[sel], self._weights[self._reverse_arcs()[sel]]
-
-    def mutual_dyads(self) -> Iterator[MutualDyad]:
-        """Each unordered pair with arcs both ways, exactly once, (a, b)-sorted."""
-        return map(MutualDyad, *(col.tolist() for col in self._mutual_arrays()))
 
     def dyad_census(self) -> DyadCensus:
         """Mutual/asymmetric/null counts over all unordered vertex pairs.

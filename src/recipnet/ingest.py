@@ -49,7 +49,7 @@ EVENT_HEADER = "timestamp,caller,callee"
 GRAPH_HEADER = "src,dst,weight"
 VERTEX_HEADER = "external_id,dense_id"
 
-_BATCH = 1 << 13  # lines or texts per C-level pass: snapshot lines written, counted tails split
+_BATCH = 1 << 13  # lines or texts per C-level pass: snapshot and record lines written, counted tails split
 _CHUNK = 1 << 19  # bytes per array pass when an event log, a snapshot or a sidecar is read
 
 
@@ -191,13 +191,13 @@ def save_snapshot(
     produced the graph. A vertex label containing a comma or a line break
     cannot be represented and raises FormatError before anything is written.
 
-    Lines are built one batch of arcs at a time in C-level passes: the label
-    texts are gathered from one object array by the arcs' source and target
-    ids, ``repr`` is called once per distinct weight of the batch (equal
+    Lines are built one batch of arcs at a time in C-level passes: the
+    graph's own label strings are gathered from one object array by the
+    arcs' source and target ids, the comma between them is one constant
+    column, ``repr`` is called once per distinct weight of the batch (equal
     floats have equal reprs), and the columns are joined into the batch's
-    text. No per-arc Python object outlives its batch, so memory is bounded
-    by one batch of lines plus one text per label. The sidecar is written
-    the same way.
+    text. No per-arc Python object outlives its batch, and no second text
+    per label is made. The sidecar is written the same way.
     """
     path = Path(path)
     labels = g.labels()
@@ -211,7 +211,8 @@ def save_snapshot(
         head.append(f"# seed={seed}")
     head.extend(f"# {key}={value}" for key, value in (extra_provenance or {}).items())
     head.append(GRAPH_HEADER)
-    fields = np.array([label + "," for label in labels], dtype=object)  # a label as a leading field
+    labels = np.array(labels, dtype=object)
+    commas = np.full(_BATCH, ",", dtype=object)
     indptr, dst, w = g._indptr, g._indices, g._weights
     with path.open("w", encoding="utf-8") as f:
         f.write("".join(line + "\n" for line in head))
@@ -219,13 +220,13 @@ def save_snapshot(
             hi = min(lo + _BATCH, g.arc_count)
             src = np.searchsorted(indptr, np.arange(lo, hi), side="right") - 1  # the row holding each arc
             distinct, inverse = np.unique(w[lo:hi], return_inverse=True)
-            ends = np.array([f"{x!r}\n" for x in distinct.tolist()], dtype=object)  # one repr per distinct weight
-            f.write(_joined_rows(fields[src], fields[dst[lo:hi]], ends[inverse]))
+            ends = np.array([f",{x!r}\n" for x in distinct.tolist()], dtype=object)  # one repr per distinct weight
+            f.write(_joined_rows(labels[src], commas[: hi - lo], labels[dst[lo:hi]], ends[inverse]))
     with sidecar_path(path).open("w", encoding="utf-8") as f:
         f.write(VERTEX_HEADER + "\n")
-        for lo in range(0, len(fields), _BATCH):
-            batch = fields[lo : lo + _BATCH]
-            dense = np.array([f"{v}\n" for v in range(lo, lo + len(batch))], dtype=object)
+        for lo in range(0, len(labels), _BATCH):
+            batch = labels[lo : lo + _BATCH]
+            dense = np.array([f",{v}\n" for v in range(lo, lo + len(batch))], dtype=object)
             f.write(_joined_rows(batch, dense))
 
 

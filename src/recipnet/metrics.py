@@ -6,12 +6,12 @@ the closed-form score under equidispersed weights, Herfindahl-style weight
 concentration per vertex, and degree assortativity across linked dyads.
 
 Bulk sweeps work on the graph's CSR arrays: :func:`dyad_scores` scores every
-mutual dyad at once, in canonical (a, b) order, and per-dyad record objects
-are built only when a caller asks for them. The scalar functions
-(:func:`reciprocity`, :func:`concentration`) are the reference the sweeps
-are tested against; logs go through ``math.log`` and squares are ``x*x`` in
-both, so sweep and scalar results agree bit for bit. All functions are pure
-reads of an immutable graph.
+mutual dyad at once, in canonical (a, b) order, and
+:func:`concentration_arrays` every vertex of out-degree 2 or more. The
+scalar functions (:func:`reciprocity`, :func:`concentration`) return plain
+values and are the reference the sweeps are tested against; logs go through
+``math.log`` and squares are ``x*x`` in both, so sweep and scalar results
+agree bit for bit. All functions are pure reads of an immutable graph.
 """
 
 from __future__ import annotations
@@ -19,12 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, MissingArcError, UndefinedCorrelationError
-from .graph import _SUM_BLOCK, MutualDyad, WeightedDigraph, _row_sums
+from .graph import _SUM_BLOCK, WeightedDigraph, _row_sums
 
 #: Class boundaries on the natural-log scale. A probability ratio of 1.5
 #: separates reciprocal from partially reciprocal dyads; 9.0 separates
@@ -51,31 +51,6 @@ _CLASS_BOUNDS = np.array([RECIPROCAL_MAX, PARTIAL_MAX])
 
 
 @dataclass(frozen=True)
-class ReciprocityRecord:
-    """Reciprocity score of one mutual dyad plus the inputs that produced it."""
-
-    dyad: MutualDyad
-    p_ab: float
-    p_ba: float
-    r_value: float
-    dyad_class: DyadClass
-
-
-@dataclass(frozen=True)
-class ConcentrationScore:
-    """Herfindahl concentration of a vertex's outgoing weights.
-
-    ``h`` is the raw sum of squared normalized weights; ``h_star`` rescales it
-    so 0 means an equal split across all out-neighbors and 1 means everything
-    on a single neighbor, independent of out-degree.
-    """
-
-    vertex: int
-    h: float
-    h_star: float
-
-
-@dataclass(frozen=True)
 class AssortativityResult:
     r: float
     pair_count: int
@@ -95,28 +70,16 @@ def reciprocity_value(w_ab: float, w_ba: float, s_a: float, s_b: float) -> float
     return abs(math.log(w_ab / s_a) - math.log(w_ba / s_b))
 
 
-def reciprocity(g: WeightedDigraph, dyad: MutualDyad | tuple[int, int]) -> ReciprocityRecord:
-    """Score one mutual dyad of ``g``.
+def reciprocity(g: WeightedDigraph, a: int, b: int) -> float:
+    """Score of the mutual dyad {a, b} of ``g``, its ends given in either order.
 
-    Accepts a MutualDyad or a bare (a, b) pair in either order; the pair must
-    be mutual (a one-way arc has no two-way relationship to score).
+    The pair must be mutual: a one-way arc has no two-way relationship to score.
     """
-    if isinstance(dyad, MutualDyad):
-        a, b = dyad.a, dyad.b
-    else:
-        a, b = dyad
-        if a == b:
-            raise DomainError("a dyad needs two distinct vertices")
-        if a > b:
-            a, b = b, a
+    if a == b:
+        raise DomainError("a dyad needs two distinct vertices")
     if not (g.has_arc(a, b) and g.has_arc(b, a)):
         raise MissingArcError(f"pair ({a}, {b}) is not mutual; reciprocity is undefined")
-    w_ab = g.weight(a, b)
-    w_ba = g.weight(b, a)
-    s_a = g.out_strength(a)
-    s_b = g.out_strength(b)
-    r = reciprocity_value(w_ab, w_ba, s_a, s_b)
-    return ReciprocityRecord(MutualDyad(a, b, w_ab, w_ba), w_ab / s_a, w_ba / s_b, r, classify(r))
+    return reciprocity_value(g.weight(a, b), g.weight(b, a), g.out_strength(a), g.out_strength(b))
 
 
 class DyadScores(NamedTuple):
@@ -133,12 +96,6 @@ class DyadScores(NamedTuple):
     p_ba: np.ndarray
     r_value: np.ndarray
     dyad_class: np.ndarray
-
-    def records(self) -> list[ReciprocityRecord]:
-        return [
-            ReciprocityRecord(MutualDyad(a, b, w_ab, w_ba), p_ab, p_ba, r, _CLASSES[c])
-            for a, b, w_ab, w_ba, p_ab, p_ba, r, c in zip(*(col.tolist() for col in self))
-        ]
 
     def histogram(self, bin_width: float = DEFAULT_BIN_WIDTH) -> ReciprocityHistogram:
         return _histogram(self.r_value, self.dyad_class, bin_width)
@@ -161,11 +118,6 @@ def dyad_scores(g: WeightedDigraph) -> DyadScores:
     p_ba = w_ba / g._out_strength[b]
     r = np.abs(_log(p_ab) - _log(p_ba))
     return DyadScores(a, b, w_ab, w_ba, p_ab, p_ba, r, np.searchsorted(_CLASS_BOUNDS, r))
-
-
-def reciprocity_records(g: WeightedDigraph) -> list[ReciprocityRecord]:
-    """Score every mutual dyad, in canonical (a, b) order, as record objects."""
-    return dyad_scores(g).records()
 
 
 def classify(r_value: float) -> DyadClass:
@@ -191,11 +143,13 @@ def equidispersion_prediction(k_a: int, k_b: int) -> float:
     return abs(math.log(k_b) - math.log(k_a))
 
 
-def concentration(g: WeightedDigraph, v: int) -> ConcentrationScore:
-    """Herfindahl weight concentration for a vertex with out-degree >= 2.
+def concentration(g: WeightedDigraph, v: int) -> tuple[float, float]:
+    """Herfindahl weight concentration ``(h, h_star)`` of a vertex with out-degree >= 2.
 
-    h_star's denominator vanishes at out-degree 1, so degree-1 vertices are
-    outside the domain.
+    ``h`` is the sum of the squared normalized weights; ``h_star`` rescales it
+    so 0 means an equal split across all out-neighbors and 1 means everything
+    on a single neighbor, independent of out-degree. h_star's denominator
+    vanishes at out-degree 1, so degree-1 vertices are outside the domain.
     """
     k = g.out_degree(v)
     if k < 2:
@@ -203,7 +157,7 @@ def concentration(g: WeightedDigraph, v: int) -> ConcentrationScore:
     s = g.out_strength(v)
     h = math.fsum((w / s) * (w / s) for _, w in g.out_neighbors(v))
     h_star = (h - 1.0 / k) / (1.0 - 1.0 / k)
-    return ConcentrationScore(vertex=v, h=h, h_star=h_star)
+    return h, h_star
 
 
 def concentration_arrays(g: WeightedDigraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -225,11 +179,6 @@ def concentration_arrays(g: WeightedDigraph) -> tuple[np.ndarray, np.ndarray, np
     h = _row_sums(g._indptr, squares)[vertices]
     inv_k = 1.0 / k[vertices]
     return vertices, h, (h - inv_k) / (1.0 - inv_k)
-
-
-def concentration_scores(g: WeightedDigraph) -> list[ConcentrationScore]:
-    """Scores for every vertex with out-degree >= 2, ascending vertex order."""
-    return list(map(ConcentrationScore, *(col.tolist() for col in concentration_arrays(g))))
 
 
 def _moments(x: np.ndarray, y: np.ndarray) -> list[int]:
@@ -295,7 +244,7 @@ class ReciprocityHistogram:
 
     ``counts[i]`` covers the half-open bin [i*bin_width, (i+1)*bin_width);
     trailing empty bins are trimmed. ``class_proportions`` is the
-    (reciprocal, partially reciprocal, non-reciprocal) share of all records.
+    (reciprocal, partially reciprocal, non-reciprocal) share of all scores.
     """
 
     bin_width: float
@@ -319,14 +268,3 @@ def _histogram(r: np.ndarray, classes: np.ndarray, bin_width: float) -> Reciproc
     by_class = np.bincount(classes, minlength=len(_CLASSES)).tolist()
     shares = tuple(c / len(r) for c in by_class) if len(r) else (0.0, 0.0, 0.0)
     return ReciprocityHistogram(bin_width, counts, len(r), shares)
-
-
-def reciprocity_distribution(
-    records: Iterable[ReciprocityRecord],
-    bin_width: float = DEFAULT_BIN_WIDTH,
-) -> ReciprocityHistogram:
-    """Bin reciprocity scores and tally the three class shares."""
-    records = list(records)
-    r = np.array([rec.r_value for rec in records], dtype=np.float64)
-    classes = np.array([_CLASSES.index(rec.dyad_class) for rec in records], dtype=np.int64)
-    return _histogram(r, classes, bin_width)

@@ -230,7 +230,7 @@ def maslov_sneppen_rewire(
     """
     if swap_multiplier < 1:
         raise DomainError("swap multiplier must be a positive integer")
-    a_col, b_col, _, _ = g._mutual_arrays()
+    a_col, b_col, _ = g._mutual_ends()
     edge_count = len(a_col)
     if edge_count < 2:
         raise DomainError("rewiring needs at least 2 mutual dyads")

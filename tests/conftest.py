@@ -32,6 +32,12 @@ def random_digraph(
     )
 
 
+def mutual_pairs(g: WeightedDigraph) -> list[tuple[int, int]]:
+    """Every mutual dyad's ends (a, b), a < b, in (a, b) order."""
+    a, b = g._mutual_ends()[:2]
+    return list(zip(a.tolist(), b.tolist()))
+
+
 @st.composite
 def small_graphs(draw, max_vertices: int = 10, max_weight: int = 9) -> WeightedDigraph:
     v = draw(st.integers(min_value=2, max_value=max_vertices))
@@ -54,7 +60,7 @@ def small_graphs(draw, max_vertices: int = 10, max_weight: int = 9) -> WeightedD
 def mutual_graphs(draw, max_vertices: int = 10, max_weight: int = 9) -> WeightedDigraph:
     """Graphs guaranteed to contain at least one mutual dyad."""
     g = draw(small_graphs(max_vertices=max_vertices, max_weight=max_weight))
-    if next(g.mutual_dyads(), None) is not None:
+    if g.dyad_census().mutual:
         return g
     v = g.vertex_count
     w_ab = float(draw(st.integers(min_value=1, max_value=max_weight)))

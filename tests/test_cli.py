@@ -16,8 +16,9 @@ import pytest
 
 from recipnet import report
 from recipnet.cli import EXIT_DEGENERATE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
-from recipnet.graph import WeightedDigraph
+from recipnet.graph import GraphBuilder, WeightedDigraph
 from recipnet.ingest import aggregate_event_file, load_edge_list, save_snapshot
+from recipnet.metrics import classify, concentration, reciprocity_value
 
 from conftest import random_digraph
 
@@ -36,6 +37,24 @@ def graph_file(tmp_path, events_file, capsys):
     assert main(["ingest", str(events_file), "-o", str(out)]) == EXIT_OK
     capsys.readouterr()
     return out
+
+
+@pytest.fixture
+def labelled_graph(tmp_path):
+    """A graph with text labels and non-integer weights, and its snapshot."""
+    rnd = random.Random(7)
+    names = [f"user{rnd.randrange(10**6)}" for _ in range(40)]
+    builder = GraphBuilder()
+    for _ in range(300):
+        src, dst = rnd.sample(names, 2)
+        builder.add_arc(src, dst, rnd.uniform(0.1, 50.0))
+        if rnd.random() < 0.6:
+            builder.add_arc(dst, src, rnd.uniform(0.1, 50.0))
+    g = builder.build()
+    path = tmp_path / "labelled.csv"
+    save_snapshot(g, path)
+    assert g.external_ids is not None and load_edge_list(path) == g
+    return g, path
 
 
 def run_json(capsys, argv):
@@ -81,6 +100,40 @@ class TestPipeline:
         lines = records.read_text().splitlines()
         assert lines[0] == "a,b,w_ab,w_ba,p_ab,p_ba,r_value,dyad_class"
         assert len(lines) == 4
+
+    def test_reciprocity_records_rows_match_the_scalar_reference(self, capsys, labelled_graph, tmp_path):
+        g, path = labelled_graph
+        records = tmp_path / "records.csv"
+        code, payload = run_json(capsys, ["reciprocity", str(path), "--records", str(records)])
+        assert code == EXIT_OK
+        labels = g.labels()
+        want = ["a,b,w_ab,w_ba,p_ab,p_ba,r_value,dyad_class"]
+        for a in range(g.vertex_count):
+            for b in range(a + 1, g.vertex_count):
+                if g.has_arc(a, b) and g.has_arc(b, a):
+                    w_ab, w_ba, s_a, s_b = g.weight(a, b), g.weight(b, a), g.out_strength(a), g.out_strength(b)
+                    r = reciprocity_value(w_ab, w_ba, s_a, s_b)
+                    want.append(
+                        f"{labels[a]},{labels[b]},{w_ab!r},{w_ba!r},{w_ab / s_a!r},{w_ba / s_b!r},{r!r},{classify(r).value}"
+                    )
+        assert records.read_text().splitlines() == want
+        assert payload["dyads"] == len(want) - 1 > 10
+
+    def test_concentration_records_rows_match_the_scalar_reference(self, capsys, labelled_graph, tmp_path):
+        g, path = labelled_graph
+        records = tmp_path / "scores.csv"
+        code, payload = run_json(capsys, ["concentration", str(path), "--records", str(records)])
+        assert code == EXIT_OK
+        labels = g.labels()
+        want, h_stars = ["vertex,out_degree,h,h_star"], []
+        for v in range(g.vertex_count):
+            if g.out_degree(v) >= 2:
+                h, h_star = concentration(g, v)
+                want.append(f"{labels[v]},{g.out_degree(v)},{h!r},{h_star!r}")
+                h_stars.append(h_star)
+        assert records.read_text().splitlines() == want
+        assert payload["vertices_scored"] == len(h_stars) > 10
+        assert payload["mean_h_star"] == sum(h_stars) / len(h_stars)
 
     def test_concentration(self, capsys, graph_file, tmp_path):
         records = tmp_path / "scores.csv"

@@ -1,4 +1,4 @@
-"""Graph core: strengths, normalized weights, dyad enumeration, census."""
+"""Graph core: strengths, normalized weights, mutual-dyad columns, census."""
 
 from __future__ import annotations
 
@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from recipnet import graph
 from recipnet.errors import DomainError, MissingArcError
-from recipnet.graph import DyadCensus, GraphBuilder, MutualDyad, WeightedDigraph
+from recipnet.graph import DyadCensus, GraphBuilder, WeightedDigraph
+from recipnet.metrics import reciprocity
 
 from conftest import random_digraph, small_graphs
 
@@ -205,15 +206,19 @@ class TestDyadCensus:
         assert c.pair_identity_holds(g.vertex_count)
 
 
+def mutual_rows(g: WeightedDigraph) -> list[tuple[int, int, float, float]]:
+    """The graph's mutual-dyad columns as (a, b, w_ab, w_ba) rows."""
+    return list(zip(*(col.tolist() for col in g._mutual_arrays())))
+
+
 class TestMutualDyads:
     def test_single_mutual_pair(self):
         g = WeightedDigraph.from_dense_arcs(3, [(1, 2, 5.0), (2, 1, 3.0)])
-        dyads = list(g.mutual_dyads())
-        assert dyads == [MutualDyad(1, 2, 5.0, 3.0)]
+        assert mutual_rows(g) == [(1, 2, 5.0, 3.0)]
 
     def test_one_way_excluded(self):
         g = WeightedDigraph.from_dense_arcs(3, [(1, 2, 5.0)])
-        assert list(g.mutual_dyads()) == []
+        assert mutual_rows(g) == []
 
     def test_matches_quadratic_pair_scan(self):
         g = random_digraph(random.Random(5), 30, arc_fraction=0.1)
@@ -221,19 +226,24 @@ class TestMutualDyads:
         for a in range(g.vertex_count):
             for b in range(a + 1, g.vertex_count):
                 if g.has_arc(a, b) and g.has_arc(b, a):
-                    expected.append(MutualDyad(a, b, g.weight(a, b), g.weight(b, a)))
-        assert list(g.mutual_dyads()) == expected
+                    expected.append((a, b, g.weight(a, b), g.weight(b, a)))
+        assert mutual_rows(g) == expected
 
     def test_sorted_and_unique(self):
         g = random_digraph(random.Random(9), 25, mutual_bias=0.9)
-        dyads = list(g.mutual_dyads())
-        keys = [(d.a, d.b) for d in dyads]
+        keys = [(a, b) for a, b, _, _ in mutual_rows(g)]
         assert keys == sorted(set(keys))
+
+    def test_mutual_columns_are_oriented_a_below_b(self):
+        g = WeightedDigraph.from_dense_arcs(3, [(2, 1, 1.0), (1, 2, 4.0)])
+        assert mutual_rows(g) == [(1, 2, 4.0, 1.0)]
+        with pytest.raises(DomainError):
+            reciprocity(g, 2, 2)
 
     @given(small_graphs())
     @settings(max_examples=60)
     def test_count_equals_census_mutual(self, g):
-        assert len(list(g.mutual_dyads())) == g.dyad_census().mutual
+        assert len(mutual_rows(g)) == g.dyad_census().mutual
 
     @given(small_graphs(), st.sampled_from([1, 2, 3, 7]))
     @settings(max_examples=60)
@@ -315,9 +325,10 @@ class TestConstruction:
         g = b.build()
         assert [g.external_label(v) for v in range(2)] == ["bob", "carol"]
 
-    def test_mutual_dyad_validates_orientation(self):
-        with pytest.raises(DomainError):
-            MutualDyad(2, 1, 1.0, 1.0)
+    def test_from_columns_names_the_first_repeat_in_input_order(self):
+        # Row 2 repeats row 0's arc (1, 2) before row 3 repeats row 1's (0, 1), whose key is smaller.
+        with pytest.raises(DomainError, match=r"duplicate arc \(1, 2\)"):
+            WeightedDigraph.from_columns(3, [1, 0, 1, 0], [2, 1, 2, 1], [1.0] * 4)
 
 
 class TestVertexIds:

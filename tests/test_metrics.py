@@ -18,22 +18,20 @@ from recipnet.metrics import (
     DyadClass,
     PARTIAL_MAX,
     RECIPROCAL_MAX,
+    _histogram,
     _moments,
     _r_of,
     classify,
     concentration,
     concentration_arrays,
-    concentration_scores,
     degree_assortativity,
     dyad_scores,
     equidispersion_prediction,
     reciprocity,
-    reciprocity_distribution,
-    reciprocity_records,
     reciprocity_value,
 )
 
-from conftest import mutual_graphs, random_digraph, small_graphs
+from conftest import mutual_graphs, mutual_pairs, random_digraph, small_graphs
 
 # Dyad fuzz tuples: (w_ab, w_ba, extra_a, extra_b) where extra_* is strength
 # beyond the dyad arc itself.
@@ -45,12 +43,17 @@ dyad_tuples = st.tuples(
 )
 
 
+def pair_scan(g: WeightedDigraph) -> list[tuple[int, int]]:
+    """Quadratic oracle: every pair a < b with arcs both ways, found by single-arc lookups."""
+    n = g.vertex_count
+    return [(a, b) for a in range(n) for b in range(a + 1, n) if g.has_arc(a, b) and g.has_arc(b, a)]
+
+
 class TestReciprocity:
     def test_two_vertex_island_is_fully_reciprocal(self):
         g = WeightedDigraph.from_dense_arcs(2, [(0, 1, 13.0), (1, 0, 2.0)])
-        rec = reciprocity(g, (0, 1))
-        assert rec.r_value == 0.0
-        assert rec.p_ab == rec.p_ba == 1.0
+        assert reciprocity(g, 0, 1) == 0.0
+        assert g.normalized_weight(0, 1) == g.normalized_weight(1, 0) == 1.0
 
     def test_probability_ratio_threshold_values(self):
         # Ratios 1.5 and 9.0 are the class boundaries on the log scale.
@@ -58,48 +61,47 @@ class TestReciprocity:
             4, [(0, 1, 3.0), (0, 2, 1.0), (1, 0, 2.0), (1, 3, 2.0)]
         )
         # p_ab = 0.75, p_ba = 0.5 -> ratio 1.5
-        rec = reciprocity(g, (0, 1))
-        assert rec.r_value == pytest.approx(0.405, abs=5e-3)
+        assert reciprocity(g, 0, 1) == pytest.approx(0.405, abs=5e-3)
 
         g9 = WeightedDigraph.from_dense_arcs(
             4, [(0, 1, 9.0), (0, 2, 1.0), (1, 0, 1.0), (1, 3, 9.0)]
         )
         # p_ab = 0.9, p_ba = 0.1 -> ratio 9.0
-        rec9 = reciprocity(g9, (0, 1))
-        assert rec9.r_value == pytest.approx(2.197, abs=5e-3)
+        assert reciprocity(g9, 0, 1) == pytest.approx(2.197, abs=5e-3)
 
     def test_hand_evaluated_example(self):
         # a -> b (6), a -> c (2) so p_ab = 0.75; b -> a (4) alone so p_ba = 1.
         g = WeightedDigraph.from_dense_arcs(3, [(0, 1, 6.0), (0, 2, 2.0), (1, 0, 4.0)])
-        rec = reciprocity(g, (0, 1))
+        r = reciprocity(g, 0, 1)
         # Independent recomputation straight from the arc list.
         arcs = list(g.arcs())
         s_a = sum(w for src, _, w in arcs if src == 0)
         s_b = sum(w for src, _, w in arcs if src == 1)
         expected = abs(math.log(6.0 / s_a) - math.log(4.0 / s_b))
-        assert rec.r_value == expected
-        assert rec.r_value == pytest.approx(0.2877, abs=5e-4)
+        assert r == expected
+        assert r == pytest.approx(0.2877, abs=5e-4)
 
     def test_non_mutual_pair_raises(self):
         g = WeightedDigraph.from_dense_arcs(2, [(0, 1, 1.0)])
         with pytest.raises(MissingArcError):
-            reciprocity(g, (0, 1))
+            reciprocity(g, 0, 1)
 
     def test_swap_symmetry_exact(self):
         g = random_digraph(random.Random(2), 30, mutual_bias=0.9)
-        for d in g.mutual_dyads():
-            assert reciprocity(g, (d.a, d.b)).r_value == reciprocity(g, (d.b, d.a)).r_value
+        for a, b in mutual_pairs(g):
+            assert reciprocity(g, a, b) == reciprocity(g, b, a)
 
     @given(mutual_graphs())
     @settings(max_examples=60)
     def test_nonnegative_and_zero_iff_balanced(self, g):
-        for d in g.mutual_dyads():
-            rec = reciprocity(g, d)
-            assert rec.r_value >= 0.0
-            if abs(rec.p_ab - rec.p_ba) <= 1e-12 * max(rec.p_ab, rec.p_ba):
-                assert rec.r_value <= 1e-9
+        for a, b in mutual_pairs(g):
+            r = reciprocity(g, a, b)
+            p_ab, p_ba = g.normalized_weight(a, b), g.normalized_weight(b, a)
+            assert r >= 0.0
+            if abs(p_ab - p_ba) <= 1e-12 * max(p_ab, p_ba):
+                assert r <= 1e-9
             else:
-                assert rec.r_value > 0.0
+                assert r > 0.0
 
     @given(dyad_tuples)
     @settings(max_examples=200)
@@ -117,38 +119,49 @@ class TestReciprocity:
         g = WeightedDigraph.from_dense_arcs(
             4, [(0, 1, 6.0), (0, 2, 4.0), (1, 0, 2.0), (1, 3, 8.0)]
         )
-        rec = reciprocity(g, (0, 1))
-        assert abs(rec.r_value - abs(math.log(6.0) - math.log(2.0))) <= 1e-12
+        assert abs(reciprocity(g, 0, 1) - abs(math.log(6.0) - math.log(2.0))) <= 1e-12
 
     def test_equal_weight_dyads_reduce_to_strength_ratio(self):
         # w_ab = w_ba = 3: score collapses to |ln s_b - ln s_a|.
         g = WeightedDigraph.from_dense_arcs(
             4, [(0, 1, 3.0), (0, 2, 9.0), (1, 0, 3.0), (1, 3, 1.0)]
         )
-        rec = reciprocity(g, (0, 1))
+        r = reciprocity(g, 0, 1)
         s_a, s_b = 12.0, 4.0
-        assert abs(rec.r_value - abs(math.log(s_b) - math.log(s_a))) <= 1e-12
+        assert abs(r - abs(math.log(s_b) - math.log(s_a))) <= 1e-12
 
     @given(mutual_graphs(), st.floats(min_value=0.1, max_value=10.0))
     @settings(max_examples=60)
     def test_scaling_one_vertex_leaves_scores_unchanged(self, g, c):
-        dyads = list(g.mutual_dyads())
-        target = dyads[0].a
+        dyads = mutual_pairs(g)
+        target = dyads[0][0]
         arcs = [
             (a, b, w * c if a == target else w)
             for a, b, w in g.arcs()
         ]
         scaled = WeightedDigraph.from_dense_arcs(g.vertex_count, arcs)
-        for d in dyads:
-            before = reciprocity(g, (d.a, d.b)).r_value
-            after = reciprocity(scaled, (d.a, d.b)).r_value
+        for a, b in dyads:
+            before = reciprocity(g, a, b)
+            after = reciprocity(scaled, a, b)
             assert abs(before - after) <= 1e-12 * max(1.0, before)
 
     def test_records_sweep_matches_singles(self):
         g = random_digraph(random.Random(21), 60, mutual_bias=0.8)
-        swept = reciprocity_records(g)
-        assert [r.dyad for r in swept] == list(g.mutual_dyads())
-        assert swept == [reciprocity(g, (rec.dyad.a, rec.dyad.b)) for rec in swept]
+        swept = list(zip(*(col.tolist() for col in dyad_scores(g))))
+        assert [(a, b) for a, b, *_ in swept] == pair_scan(g)
+        assert swept == [
+            (
+                a,
+                b,
+                g.weight(a, b),
+                g.weight(b, a),
+                g.normalized_weight(a, b),
+                g.normalized_weight(b, a),
+                reciprocity(g, a, b),
+                list(DyadClass).index(classify(reciprocity(g, a, b))),
+            )
+            for a, b, *_ in swept
+        ]
 
 
     def test_scoring_holds_no_python_float_per_dyad(self):
@@ -206,8 +219,7 @@ class TestEquidispersionPrediction:
         arcs = [(0, 1, 5.0), (0, 2, 5.0), (1, 0, 2.0)]
         arcs += [(1, v, 2.0) for v in range(2, 7)]
         g = WeightedDigraph.from_dense_arcs(7, arcs)
-        rec = reciprocity(g, (0, 1))
-        assert abs(rec.r_value - equidispersion_prediction(2, 6)) <= 1e-12
+        assert abs(reciprocity(g, 0, 1) - equidispersion_prediction(2, 6)) <= 1e-12
 
     def test_zero_degree_rejected(self):
         with pytest.raises(DomainError):
@@ -217,26 +229,26 @@ class TestEquidispersionPrediction:
 class TestConcentration:
     def test_equidispersed_scores_zero(self):
         g = WeightedDigraph.from_dense_arcs(5, [(0, v, 3.0) for v in range(1, 5)])
-        score = concentration(g, 0)
-        assert score.h == pytest.approx(0.25, abs=1e-15)
-        assert abs(score.h_star) <= 1e-12
+        h, h_star = concentration(g, 0)
+        assert h == pytest.approx(0.25, abs=1e-15)
+        assert abs(h_star) <= 1e-12
 
     def test_near_total_concentration_approaches_one(self):
         g = WeightedDigraph.from_dense_arcs(
             6, [(0, 1, 1e9)] + [(0, v, 1e-3) for v in range(2, 6)]
         )
-        assert concentration(g, 0).h_star > 0.99
+        assert concentration(g, 0)[1] > 0.99
 
     def test_hand_example(self):
         g = WeightedDigraph.from_dense_arcs(
             4, [(0, 1, 5.0), (0, 2, 3.0), (0, 3, 2.0)]
         )
-        score = concentration(g, 0)
+        score_h, h_star = concentration(g, 0)
         # Independent re-evaluation of the squared shares.
         h = sum(p * p for p in (0.5, 0.3, 0.2))
-        assert score.h == pytest.approx(h, abs=1e-12)
-        assert score.h_star == pytest.approx((h - 1 / 3) / (1 - 1 / 3), abs=1e-12)
-        assert score.h_star == pytest.approx(0.07, abs=1e-12)
+        assert score_h == pytest.approx(h, abs=1e-12)
+        assert h_star == pytest.approx((h - 1 / 3) / (1 - 1 / 3), abs=1e-12)
+        assert h_star == pytest.approx(0.07, abs=1e-12)
 
     def test_degree_below_two_rejected(self):
         g = WeightedDigraph.from_dense_arcs(2, [(0, 1, 1.0)])
@@ -254,15 +266,16 @@ class TestConcentration:
         v = vertices[0]
         arcs = [(a, b, w * c if a == v else w) for a, b, w in g.arcs()]
         scaled = WeightedDigraph.from_dense_arcs(g.vertex_count, arcs)
-        assert concentration(scaled, v).h_star == pytest.approx(
-            concentration(g, v).h_star, abs=1e-12
+        assert concentration(scaled, v)[1] == pytest.approx(
+            concentration(g, v)[1], abs=1e-12
         )
 
     @given(small_graphs())
     @settings(max_examples=60)
     def test_sweep_equals_the_scalar_scores(self, g):
         vertices = [v for v in range(g.vertex_count) if g.out_degree(v) >= 2]
-        assert concentration_scores(g) == [concentration(g, v) for v in vertices]
+        swept = list(zip(*(col.tolist() for col in concentration_arrays(g))))
+        assert swept == [(v, *concentration(g, v)) for v in vertices]
 
     def test_building_and_scoring_hold_no_python_float_per_arc(self):
         """Past the input arrays, the graph and its scores cost the squares' 8-byte column and a few arrays per vertex."""
@@ -287,8 +300,8 @@ class TestConcentration:
         g = random_digraph(random.Random(31), 40)
         for v in range(g.vertex_count):
             if g.out_degree(v) >= 2:
-                s = concentration(g, v)
-                assert -1e-12 <= s.h_star <= 1.0 + 1e-12
+                h_star = concentration(g, v)[1]
+                assert -1e-12 <= h_star <= 1.0 + 1e-12
 
 
 def pearson_oracle(pairs: list[tuple[float, float]]) -> float:
@@ -300,14 +313,14 @@ def pearson_oracle(pairs: list[tuple[float, float]]) -> float:
 
 def mutual_backbone_pairs(g: WeightedDigraph) -> list[tuple[float, float]]:
     degree = [0] * g.vertex_count
-    dyads = list(g.mutual_dyads())
-    for d in dyads:
-        degree[d.a] += 1
-        degree[d.b] += 1
+    dyads = pair_scan(g)
+    for a, b in dyads:
+        degree[a] += 1
+        degree[b] += 1
     pairs = []
-    for d in dyads:
-        pairs.append((degree[d.a] - 1, degree[d.b] - 1))
-        pairs.append((degree[d.b] - 1, degree[d.a] - 1))
+    for a, b in dyads:
+        pairs.append((degree[a] - 1, degree[b] - 1))
+        pairs.append((degree[b] - 1, degree[a] - 1))
     return pairs
 
 
@@ -423,51 +436,41 @@ def test_moments_stay_exact_past_int64_in_blocks(pairs):
     _check_kernel([(2**31 + 80, 2**31), *pairs])
 
 
-class TestDistribution:
-    def _records(self, values):
-        g = WeightedDigraph.from_dense_arcs(2, [(0, 1, 1.0), (1, 0, 1.0)])
-        base = reciprocity(g, (0, 1))
-        out = []
-        for v in values:
-            out.append(
-                type(base)(
-                    dyad=base.dyad,
-                    p_ab=base.p_ab,
-                    p_ba=base.p_ba,
-                    r_value=v,
-                    dyad_class=classify(v),
-                )
-            )
-        return out
+def array_histogram(values: list[float], bin_width: float):
+    """The array histogram of the scores ``values``, each classed by the scalar :func:`classify`."""
+    classes = [list(DyadClass).index(classify(v)) for v in values]
+    return _histogram(np.array(values, dtype=np.float64), np.array(classes, dtype=np.int64), bin_width)
 
+
+class TestDistribution:
     def test_all_zero_single_spike(self):
-        hist = reciprocity_distribution(self._records([0.0] * 7), bin_width=0.1)
+        hist = array_histogram([0.0] * 7, bin_width=0.1)
         assert hist.counts == (7,)
         assert hist.class_proportions == (1.0, 0.0, 0.0)
 
     def test_hand_binnable(self):
-        hist = reciprocity_distribution(self._records([0.1, 0.5, 3.0]), bin_width=0.5)
+        hist = array_histogram([0.1, 0.5, 3.0], bin_width=0.5)
         bins = {(lo, hi): c for lo, hi, c in hist.bins() if c}
         assert bins == {(0.0, 0.5): 1, (0.5, 1.0): 1, (3.0, 3.5): 1}
         assert hist.class_proportions == pytest.approx((1 / 3, 1 / 3, 1 / 3))
 
     def test_counts_sum_to_total(self):
         values = [random.Random(41).uniform(0, 5) for _ in range(100)]
-        hist = reciprocity_distribution(self._records(values), bin_width=0.1)
+        hist = array_histogram(values, bin_width=0.1)
         assert sum(hist.counts) == hist.total == 100
 
     def test_empty(self):
-        hist = reciprocity_distribution([], bin_width=0.1)
+        hist = array_histogram([], bin_width=0.1)
         assert hist.total == 0
         assert hist.class_proportions == (0.0, 0.0, 0.0)
 
     def test_bad_bin_width(self):
         with pytest.raises(DomainError):
-            reciprocity_distribution([], bin_width=0.0)
+            array_histogram([], bin_width=0.0)
 
     def test_bin_count_is_capped(self):
         # 1249.875 / 0.125 == 9999 exactly: the top score opens the 10,000th bin.
-        hist = reciprocity_distribution(self._records([0.0, 1249.875]), bin_width=0.125)
+        hist = array_histogram([0.0, 1249.875], bin_width=0.125)
         assert len(hist.counts) == 10_000
         with pytest.raises(DomainError, match="more than 10000 histogram bins"):
-            reciprocity_distribution(self._records([0.0, 1250.0]), bin_width=0.125)
+            array_histogram([0.0, 1250.0], bin_width=0.125)

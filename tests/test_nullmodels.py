@@ -20,22 +20,22 @@ from recipnet.nullmodels import _swap_chain, equidisperse, maslov_sneppen_rewire
 from recipnet.report import analyze, report_to_dict, run_regime_comparison
 from recipnet.synth import DegreeSpec, SynthConfig, generate
 
-from conftest import mutual_graphs, random_digraph
+from conftest import mutual_graphs, mutual_pairs, random_digraph
 
 
 def backbone_degrees(g: WeightedDigraph) -> list[int]:
     deg = [0] * g.vertex_count
-    for d in g.mutual_dyads():
-        deg[d.a] += 1
-        deg[d.b] += 1
+    for a, b in mutual_pairs(g):
+        deg[a] += 1
+        deg[b] += 1
     return deg
 
 
 def mutual_weight_multisets(g: WeightedDigraph) -> list[Counter]:
     out = [Counter() for _ in range(g.vertex_count)]
-    for d in g.mutual_dyads():
-        out[d.a][d.w_ab] += 1
-        out[d.b][d.w_ba] += 1
+    for a, b, w_ab, w_ba in zip(*(col.tolist() for col in g._mutual_arrays())):
+        out[a][w_ab] += 1
+        out[b][w_ba] += 1
     return out
 
 
@@ -76,9 +76,9 @@ class TestEquidisperse:
     @settings(max_examples=60)
     def test_every_dyad_hits_degree_closed_form(self, g):
         eq = equidisperse(g)
-        for d in eq.mutual_dyads():
-            predicted = equidispersion_prediction(eq.out_degree(d.a), eq.out_degree(d.b))
-            assert abs(reciprocity(eq, d).r_value - predicted) <= 1e-9
+        for a, b in mutual_pairs(eq):
+            predicted = equidispersion_prediction(eq.out_degree(a), eq.out_degree(b))
+            assert abs(reciprocity(eq, a, b) - predicted) <= 1e-9
 
     def test_reweighted_graph_shares_the_reverse_arc_index(self):
         g = random_digraph(random.Random(5), 40, mutual_bias=0.6)
@@ -131,7 +131,7 @@ class TestRewire:
         g = _path(2, 1, 3, 4)
         rng = _ScriptedGenerator([[0, 2, 1]] * 3, [[[0.9, 0.9]]] * 3)
         out = maslov_sneppen_rewire(g, rng, swap_multiplier=1)
-        pairs = {(d.a, d.b) for d in out.graph.mutual_dyads()}
+        pairs = set(mutual_pairs(out.graph))
         assert pairs == {(1, 4), (2, 3), (1, 3)}
         assert backbone_degrees(out.graph) == backbone_degrees(g)
         assert (out.attempted_swaps, out.accepted_swaps) == (3, 1)
@@ -143,7 +143,7 @@ class TestRewire:
         g = _path(2, 1, 4, 3)
         rng = _ScriptedGenerator([[0, 2, 1]] * 3, [[[0.9, 0.1]], [[0.9, 0.9]], [[0.9, 0.9]]])
         out = maslov_sneppen_rewire(g, rng, swap_multiplier=1)
-        assert {(d.a, d.b) for d in out.graph.mutual_dyads()} == {(1, 3), (2, 4), (1, 4)}
+        assert set(mutual_pairs(out.graph)) == {(1, 3), (2, 4), (1, 4)}
         assert out.accepted_swaps == 1
 
     def test_swap_creating_duplicate_is_rejected(self):
@@ -347,7 +347,7 @@ class TestSwapRound:
 
 def _backbone(g: WeightedDigraph) -> np.ndarray:
     """The graph's mutual dyads as the swap kernel's (m, 2) edge array."""
-    a, b, _, _ = g._mutual_arrays()
+    a, b = g._mutual_ends()[:2]
     return np.column_stack((a, b))
 
 
@@ -358,7 +358,7 @@ class TestReattachWeights:
         )
         # New backbone 0-1, 0-3, 1-2 keeps every mutual degree (2,2,1,1).
         out = reattach_weights(np.array([(0, 1), (0, 3), (1, 2)]), orig, np.random.default_rng(0))
-        assert {(d.a, d.b) for d in out.mutual_dyads()} == {(0, 1), (0, 3), (1, 2)}
+        assert set(mutual_pairs(out)) == {(0, 1), (0, 3), (1, 2)}
         assert sorted(w for _, w in out.out_neighbors(0)) == [1.0, 5.0]
         assert out.out_strength(0) == orig.out_strength(0)
 
@@ -408,8 +408,8 @@ class TestRegimes:
         g = random_digraph(random.Random(4), 30, mutual_bias=0.8)
         out = run_regime_comparison(g, [0], swap_multiplier=1)[0].graphs["observed"]
         assert out is g
-        before = [reciprocity(g, d).r_value for d in g.mutual_dyads()]
-        after = [reciprocity(out, d).r_value for d in out.mutual_dyads()]
+        before = [reciprocity(g, a, b) for a, b in mutual_pairs(g)]
+        after = [reciprocity(out, a, b) for a, b in mutual_pairs(out)]
         assert before == after
 
     def test_four_regimes_structure(self):
@@ -424,16 +424,16 @@ class TestRegimes:
         ]
         assert regimes["observed"] is g
         # Both rewired cells share one backbone.
-        rw_pairs = {(d.a, d.b) for d in regimes["rewired"].mutual_dyads()}
-        rw_eq_pairs = {(d.a, d.b) for d in regimes["rewired_equidispersed"].mutual_dyads()}
+        rw_pairs = set(mutual_pairs(regimes["rewired"]))
+        rw_eq_pairs = set(mutual_pairs(regimes["rewired_equidispersed"]))
         assert rw_pairs == rw_eq_pairs
 
     def test_rewired_equidispersed_hits_closed_form(self):
         g = random_digraph(random.Random(25), 50, mutual_bias=0.8)
         eq = run_regime_comparison(g, [7], swap_multiplier=5)[0].graphs["rewired_equidispersed"]
-        for d in eq.mutual_dyads():
-            predicted = equidispersion_prediction(eq.out_degree(d.a), eq.out_degree(d.b))
-            assert abs(reciprocity(eq, d).r_value - predicted) <= 1e-9
+        for a, b in mutual_pairs(eq):
+            predicted = equidispersion_prediction(eq.out_degree(a), eq.out_degree(b))
+            assert abs(reciprocity(eq, a, b) - predicted) <= 1e-9
 
     def test_equidispersed_cell_strengths_match_observed(self):
         g = random_digraph(random.Random(33), 40, mutual_bias=0.9)
