@@ -9,6 +9,14 @@ class MissingArcError(DomainError):
     """A required directed arc is not present in the graph."""
 
 
+class DuplicateArcError(DomainError):
+    """An ordered vertex pair has two arcs; ``row`` is the first repeat in input order."""
+
+    def __init__(self, message: str, row: int) -> None:
+        super().__init__(message)
+        self.row = row
+
+
 class UndefinedCorrelationError(DomainError):
     """Degree correlation is undefined (zero variance in the degree sequence).
 

@@ -31,7 +31,7 @@ from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError, IntegrityError, MissingArcError
+from .errors import DomainError, DuplicateArcError, IntegrityError, MissingArcError
 
 _DIGEST_TAG = b"recipnet-digest-v2\0"
 
@@ -189,7 +189,7 @@ class WeightedDigraph:
         repeated = keys[1:] == keys[:-1]
         if repeated.any():  # the first repeat in input order: stable sort puts each key's first row first
             i = int(order[1:][repeated].min())
-            raise DomainError(f"duplicate arc ({src[i]}, {dst[i]})")
+            raise DuplicateArcError(f"duplicate arc ({src[i]}, {dst[i]})", i)
         del keys, repeated, checks, bad  # not live while the columns are gathered or the rows summed
         indptr = np.zeros(vertex_count + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=vertex_count), out=indptr[1:])

@@ -42,7 +42,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import __version__ as _version
-from .errors import FormatError
+from .errors import DuplicateArcError, FormatError
 from .graph import WeightedDigraph, stored_labels
 
 EVENT_HEADER = "timestamp,caller,callee"
@@ -503,8 +503,7 @@ def load_edge_list(path: str | Path, strict: bool = False) -> WeightedDigraph:
     weights parsed with ``float`` on their texts, and the checks are masks.
     Only a chunk whose mask fires is split into line texts and rescanned, to
     report the exact line. Memory is bounded by one chunk, the label table
-    and the arc columns, each grown in place and so held once; the duplicate
-    check's sort is freed before the graph sorts the arcs again.
+    and the arc columns, each grown in place and so held once.
     """
     path = Path(path)
     side = sidecar_path(path)
@@ -557,19 +556,15 @@ def load_edge_list(path: str | Path, strict: bool = False) -> WeightedDigraph:
         src_ids, dst_ids = dense[src_ids], dense[dst_ids]
     del table
 
-    keys = src_ids * v + dst_ids
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    repeats = order[1:][ordered[1:] == ordered[:-1]]  # later rows of a repeated key
-    del order, ordered  # the graph sorts the arcs again: only one sort is live at a time
-    if len(repeats):
-        if strict:
-            row = int(repeats.min())
-            lineno = first_row + row + int(np.searchsorted(np.concatenate(blank_before), row, side="right"))
-            src, dst = labels[src_ids[row]], labels[dst_ids[row]]
-            raise FormatError(f"{path}:{lineno}: duplicate arc {src!r} -> {dst!r}")
-        warnings.warn(f"{path}: aggregated {len(repeats)} duplicate arc rows", stacklevel=2)
-        src_ids, dst_ids, w_col = _summed(v, keys, w_col)
-    del keys
+    try:
+        return WeightedDigraph.from_columns(v, src_ids, dst_ids, w_col, stored_labels(labels))
+    except DuplicateArcError as exc:
+        row = exc.row  # handled after the block, once the traceback's sort arrays are freed
+    if strict:
+        lineno = first_row + row + int(np.searchsorted(np.concatenate(blank_before), row, side="right"))
+        src, dst = labels[src_ids[row]], labels[dst_ids[row]]
+        raise FormatError(f"{path}:{lineno}: duplicate arc {src!r} -> {dst!r}")
+    src_ids, dst_ids, w_col = _summed(v, src_ids * v + dst_ids, w_col)  # rows is still the arc rows read
+    warnings.warn(f"{path}: aggregated {rows - len(w_col)} duplicate arc rows", stacklevel=2)
     return WeightedDigraph.from_columns(v, src_ids, dst_ids, w_col, stored_labels(labels))
 

@@ -1,7 +1,7 @@
 """Analysis reports and the four-network regime comparison.
 
-:func:`run_regime_comparison` builds the four networks from the transforms
-in :mod:`recipnet.nullmodels`, analyzes each and judges their ordering.
+:func:`run_regime_comparison` builds and analyzes the networks of the
+:data:`CELLS` table, one per row, and judges the ordering of the four cells.
 
 Reports are plain dataclasses with stable JSON/CSV serializations: identical
 inputs produce byte-identical output (keys sorted, floats via repr, no
@@ -12,7 +12,7 @@ checks.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any, TextIO
@@ -31,11 +31,21 @@ from .metrics import (
     dyad_scores,
     DEFAULT_BIN_WIDTH,
 )
-from .nullmodels import DEFAULT_SWAP_MULTIPLIER, equidisperse, maslov_sneppen_rewire
+from .nullmodels import DEFAULT_SWAP_MULTIPLIER, RewireOutcome, equidisperse, maslov_sneppen_rewire
 
 SCHEMA_VERSION = 2  # 2: input_digest is content digest v2 (binary CSR encoding)
 
 H_STAR_QUANTILES = (0.10, 0.25, 0.50, 0.75, 0.90)
+
+#: The comparison's cells in output order, as ``(name, seeded, build)`` rows. ``build(observed,
+#: outcome)`` returns the cell's graph from the observed graph and the seed's rewiring, which
+#: is ``None`` for a cell that is not ``seeded``: that cell is built once for every seed.
+CELLS: tuple[tuple[str, bool, Callable[[WeightedDigraph, RewireOutcome | None], WeightedDigraph]], ...] = (
+    ("observed", False, lambda g, outcome: g),
+    ("observed_equidispersed", False, lambda g, outcome: equidisperse(g)),
+    ("rewired", True, lambda g, outcome: outcome.graph),
+    ("rewired_equidispersed", True, lambda g, outcome: equidisperse(outcome.graph)),
+)
 
 
 @dataclass(frozen=True)
@@ -80,14 +90,14 @@ class OrderingVerdict:
 
 @dataclass(frozen=True)
 class RegimeComparison:
-    """One seed's reports (in cell order), verdict and rewire statistics.
+    """One seed's reports (one per row of :data:`CELLS`), verdict and rewire statistics.
 
-    ``graphs`` holds the four networks for the first seed of a
+    ``graphs`` holds every cell's graph for the first seed of a
     :func:`run_regime_comparison` run only, the one ``regimes --save-graphs``
-    writes; it is empty for every later seed, so R replicas keep two rewired
-    graphs alive rather than 2R. ``rewire`` holds the swap counts, residual
-    assortativity and warning of the seed's rewiring, as written to
-    ``comparison.json``.
+    writes; it is empty for every later seed, so R replicas keep one seed's
+    seeded graphs alive rather than R seeds'. ``rewire`` holds the swap
+    counts, residual assortativity and warning of the seed's rewiring, as
+    written to ``comparison.json``.
     """
 
     reports: dict[str, AnalysisReport]
@@ -136,40 +146,23 @@ def analyze(
 
 
 def _ordering_verdict(means: dict[str, float | None]) -> OrderingVerdict:
-    m_obs = means["observed"]
-    m_eq = means["observed_equidispersed"]
-    m_rw = means["rewired"]
-    m_rw_eq = means["rewired_equidispersed"]
-    if any(v is None for v in (m_obs, m_eq, m_rw, m_rw_eq)):
-        return OrderingVerdict(
-            means=means,
-            partial_ordering=False,
-            final_ordering=False,
-            degenerate=True,
-            description="degenerate: no mutual dyads",
-        )
-    if max(means.values()) == min(means.values()):
-        return OrderingVerdict(
-            means=means,
-            partial_ordering=False,
-            final_ordering=False,
-            degenerate=True,
-            description="degenerate: ties",
-        )
+    m_eq, m_rw_eq, m_obs, m_rw = (
+        means[label] for label in ("observed_equidispersed", "rewired_equidispersed", "observed", "rewired")
+    )
+    degenerate = m_eq == m_rw_eq == m_obs == m_rw
     partial = m_eq < min(m_rw_eq, m_obs) <= max(m_rw_eq, m_obs) < m_rw
     final = m_eq < m_rw_eq < m_obs < m_rw
-    if final:
-        description = "final ordering holds"
-    elif partial:
-        description = "partial ordering holds; final ordering does not"
-    else:
-        description = "ordering violated"
     return OrderingVerdict(
         means=means,
         partial_ordering=partial,
         final_ordering=final,
-        degenerate=False,
-        description=description,
+        degenerate=degenerate,
+        description=(
+            "degenerate: ties" if degenerate
+            else "final ordering holds" if final
+            else "partial ordering holds; final ordering does not" if partial
+            else "ordering violated"
+        ),
     )
 
 
@@ -179,23 +172,26 @@ def run_regime_comparison(
     swap_multiplier: int = DEFAULT_SWAP_MULTIPLIER,
     bin_width: float = DEFAULT_BIN_WIDTH,
 ) -> list[RegimeComparison]:
-    """Build the four comparison networks, analyze each and judge the ordering, per seed.
+    """Build and analyze every cell of :data:`CELLS` and judge the ordering, per seed.
 
-    The observed cells do not depend on the seed: they are built and analyzed
-    once, and each seed's copy of their reports differs only in its
-    provenance seed. One rewiring pass per seed backs both rewired cells, so
-    they differ only in their weights, never in topology. Only the first
-    seed's comparison keeps its graphs (see :class:`RegimeComparison`).
+    A cell that does not depend on the seed is built and analyzed once, and
+    each seed's copy of its report differs only in its provenance seed. The
+    seeded cells are built from one rewiring pass per seed, so the two
+    rewired cells differ only in their weights, never in topology. Only the
+    first seed's comparison keeps its graphs (see :class:`RegimeComparison`).
     """
-    observed = {"observed": g, "observed_equidispersed": equidisperse(g)}
-    base = {label: analyze(graph, label, bin_width=bin_width) for label, graph in observed.items()}
+    fixed = {name: build(g, None) for name, seeded, build in CELLS if not seeded}
+    base = {name: analyze(graph, name, bin_width=bin_width) for name, graph in fixed.items()}
     comparisons = []
     for seed in seeds:
         outcome = maslov_sneppen_rewire(g, np.random.default_rng(seed), swap_multiplier)
-        graphs = dict(observed, rewired=outcome.graph, rewired_equidispersed=equidisperse(outcome.graph))
-        reports = {k: replace(r, provenance=replace(r.provenance, seed=seed)) for k, r in base.items()}
-        for label in ("rewired", "rewired_equidispersed"):
-            reports[label] = analyze(graphs[label], label, seed, bin_width)
+        graphs = {name: fixed[name] if name in fixed else build(g, outcome) for name, _, build in CELLS}
+        reports = {
+            name: replace(base[name], provenance=replace(base[name].provenance, seed=seed))
+            if name in base
+            else analyze(graph, name, seed, bin_width)
+            for name, graph in graphs.items()
+        }
         verdict = _ordering_verdict({label: rep.mean_r for label, rep in reports.items()})
         kept = {} if comparisons else graphs  # only the first seed's graphs are ever saved
         comparisons.append(RegimeComparison(reports, verdict, seed, swap_multiplier, kept, outcome.stats()))

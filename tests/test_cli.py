@@ -11,6 +11,7 @@ import sys
 import warnings
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -258,6 +259,36 @@ class TestPipeline:
         assert summary["seeds"] == [7, 8, 9]
         assert len(summary["cells"]["rewired"]["per_seed"]) == 3
         assert (outdir / "comparison.seed8.json").exists()
+
+    def test_regimes_cell_added_as_one_row(self, tmp_path, capsys):
+        synth_out = tmp_path / "s.csv"
+        argv = ["synth", "-o", str(synth_out), "--vertices", "200", "--degree-dist", "poisson:5", "--seed", "3"]
+        assert main(argv + ["--assortativity", "0.2", "--dispersion", "0.4"]) == EXIT_OK
+
+        def regimes(outdir):
+            argv = ["regimes", str(synth_out), "--outdir", str(outdir), "--seed", "7", "--replicas", "2"]
+            assert main(argv + ["--save-graphs"]) == EXIT_OK
+            return json.loads((outdir / "comparison.json").read_bytes())["verdict"]
+
+        plain = regimes(tmp_path / "plain")
+        row = ("observed_again", False, lambda g, outcome: g)  # seed-independent: built once
+        with mock.patch.object(report, "CELLS", (*report.CELLS, row)):
+            extended = regimes(tmp_path / "extended")
+        outdir = tmp_path / "extended"
+        added = json.loads((outdir / "observed_again.json").read_bytes())
+        assert added["provenance"]["regime"] == "observed_again"
+        assert added["provenance"]["seed"] == 7
+        saved = load_edge_list(outdir / "observed_again.graph.csv")
+        assert saved.content_digest() == load_edge_list(synth_out).content_digest()
+        summary = json.loads((outdir / "replicas.json").read_bytes())
+        assert summary["cells"]["observed_again"] == summary["cells"]["observed"]
+        assert summary["verdicts"] == json.loads((tmp_path / "plain" / "replicas.json").read_bytes())["verdicts"]
+        means = extended.pop("means")
+        assert means == {**plain.pop("means"), "observed_again": means["observed"]}
+        assert extended == plain
+        for label in ("observed", "observed_equidispersed", "rewired", "rewired_equidispersed"):
+            for name in (f"{label}.json", f"{label}.graph.csv"):
+                assert (outdir / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
     def test_regimes_lockfile_blocks_concurrent_use(self, tmp_path, capsys):
         synth_out = tmp_path / "s.csv"

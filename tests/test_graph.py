@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recipnet import graph
-from recipnet.errors import DomainError, MissingArcError
+from recipnet.errors import DomainError, DuplicateArcError, MissingArcError
 from recipnet.graph import DyadCensus, GraphBuilder, WeightedDigraph
 from recipnet.metrics import reciprocity
 
@@ -327,8 +327,10 @@ class TestConstruction:
 
     def test_from_columns_names_the_first_repeat_in_input_order(self):
         # Row 2 repeats row 0's arc (1, 2) before row 3 repeats row 1's (0, 1), whose key is smaller.
-        with pytest.raises(DomainError, match=r"duplicate arc \(1, 2\)"):
+        with pytest.raises(DuplicateArcError, match=r"duplicate arc \(1, 2\)") as caught:
             WeightedDigraph.from_columns(3, [1, 0, 1, 0], [2, 1, 2, 1], [1.0] * 4)
+        assert isinstance(caught.value, DomainError)
+        assert caught.value.row == 2
 
 
 class TestVertexIds:

@@ -734,10 +734,10 @@ class TestLoadAgainstReferenceLoop:
         """No per-arc text is kept: peak memory grows by the arc arrays alone.
 
         At the peak an arc costs about 51 bytes: the three columns, each grown
-        in place chunk by chunk, and beside them the duplicate check's sort
-        (sort keys and order) or the graph's (sort keys and order, the
-        gathered columns). Joining the three columns at once and keeping the
-        duplicate check's sort through the graph's build cost about 76;
+        in place chunk by chunk, and beside them the graph's sort (sort keys
+        and order, the gathered columns), which is also the duplicate check.
+        Joining the three columns at once and keeping a second duplicate
+        check's sort through the graph's build cost about 76;
         keeping a Python string per label occurrence, as the per-line loop
         did, about 260.
         """

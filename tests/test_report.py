@@ -10,6 +10,7 @@ import pytest
 
 from recipnet.graph import WeightedDigraph
 from recipnet.report import (
+    _ordering_verdict,
     analyze,
     comparison_to_dict,
     emit_report,
@@ -105,6 +106,24 @@ class TestRegimeComparison:
         assert cmp.verdict.degenerate
         assert cmp.verdict.description == "degenerate: ties"
         assert all(m == 0.0 for m in cmp.verdict.means.values())
+
+    @pytest.mark.parametrize(
+        "eq, rw_eq, obs, rw, partial, final, description",
+        [
+            (0.1, 0.2, 0.3, 0.4, True, True, "final ordering holds"),
+            (0.1, 0.3, 0.2, 0.4, True, False, "partial ordering holds; final ordering does not"),
+            (0.1, 0.2, 0.4, 0.3, False, False, "ordering violated"),
+            (0.5, 0.5, 0.5, 0.5, False, False, "degenerate: ties"),
+        ],
+        ids=["final", "partial", "violated", "ties"],
+    )
+    def test_verdict_outcomes(self, eq, rw_eq, obs, rw, partial, final, description):
+        means = {"observed": obs, "observed_equidispersed": eq, "rewired": rw, "rewired_equidispersed": rw_eq}
+        verdict = _ordering_verdict(means)
+        assert verdict.means == means
+        assert (verdict.partial_ordering, verdict.final_ordering) == (partial, final)
+        assert verdict.degenerate == (description == "degenerate: ties")
+        assert verdict.description == description
 
     def test_synthetic_graph_orders_correctly(self):
         g = generate(SynthConfig(1200, DegreeSpec("powerlaw", 2.5), 0.33, 0.3, seed=4))
