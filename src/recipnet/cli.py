@@ -21,19 +21,17 @@ import numpy as np
 
 from . import __version__
 from .errors import DegenerateInputError, DomainError, FormatError, UndefinedCorrelationError
-from .ingest import _BATCH, aggregate_event_file, load_edge_list, save_snapshot
+from .ingest import aggregate_event_file, load_edge_list, save_snapshot, write_csv
 from .metrics import DEFAULT_BIN_WIDTH, DyadClass, concentration_arrays, degree_assortativity, dyad_scores
 from .nullmodels import DEFAULT_SWAP_MULTIPLIER, equidisperse, maslov_sneppen_rewire
 from .report import (
     analyze,
     class_shares,
     comparison_to_dict,
-    emit_report,
     json_bytes,
     replicas_to_dict,
-    report_to_dict,
+    report_bytes,
     run_regime_comparison,
-    write_report_csv,
 )
 from .synth import DegreeSpec, SynthConfig, generate
 
@@ -42,20 +40,17 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_DEGENERATE = 4
 
-def _common_flags(
-    p: argparse.ArgumentParser, strict: bool = False, seed: bool = False, fmt: bool = False
-) -> None:
-    """--strict, --seed and --format, each only where the command reads it."""
+def _common_flags(p: argparse.ArgumentParser, strict: bool = False, seed: str = "", fmt: bool = False) -> None:
+    """--strict, --seed (described by ``seed``) and --format, each only where the command reads it."""
     if strict:
         p.add_argument("--strict", action="store_true", help="escalate warnings to errors")
     if seed:
-        p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+        p.add_argument("--seed", type=int, default=0, help=f"{seed} (default 0)")
     if fmt:
         p.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    data = json_bytes(payload)
+def _emit(data: bytes, out: str | None) -> None:
     if out:
         Path(out).write_bytes(data)
     else:
@@ -118,21 +113,13 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         "malformed_lines": stats.malformed_lines,
     }
     save_snapshot(g, args.output, extra_provenance=accounting)
-    _emit(
-        {
-            **accounting,
-            "vertices": stats.vertices,
-            "arcs": stats.arcs,
-            "snapshot": str(args.output),
-        },
-        None,
-    )
+    _emit(json_bytes({**accounting, "vertices": stats.vertices, "arcs": stats.arcs, "snapshot": str(args.output)}), None)
     return EXIT_OK
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
     g = load_edge_list(args.graph, strict=args.strict)
-    _emit({"vertex_count": g.vertex_count, **asdict(g.dyad_census())}, args.output)
+    _emit(json_bytes({"vertex_count": g.vertex_count, **asdict(g.dyad_census())}), args.output)
     return EXIT_OK
 
 
@@ -143,23 +130,20 @@ def _cmd_reciprocity(args: argparse.Namespace) -> int:
     if not hist.total:
         _warn_or_raise(args.strict, "graph has no mutual dyads")
     if args.records:
-        labels, classes = g.labels(), [c.value for c in DyadClass]
-        with open(args.records, "w", encoding="utf-8", newline="") as f:
-            f.write("a,b,w_ab,w_ba,p_ab,p_ba,r_value,dyad_class\n")
-            for lo in range(0, hist.total, _BATCH):
-                f.writelines(
-                    f"{labels[a]},{labels[b]},{w_ab!r},{w_ba!r},{p_ab!r},{p_ba!r},{r!r},{classes[c]}\n"
-                    for a, b, w_ab, w_ba, p_ab, p_ba, r, c in zip(*(col[lo : lo + _BATCH].tolist() for col in scores))
-                )
-    _emit(
-        {
-            "dyads": hist.total,
-            "bin_width": hist.bin_width,
-            "bins": [[lo, hi, c] for lo, hi, c in hist.bins()],
-            "class_proportions": class_shares(hist.class_proportions),
-        },
-        args.output,
-    )
+        labels, classes = np.array(g.labels(), dtype=object), np.array([c.value for c in DyadClass], dtype=object)
+
+        def dyads(lo: int, hi: int) -> tuple[np.ndarray, ...]:
+            a, b, *numbers, c = (col[lo:hi] for col in scores)
+            return labels[a], labels[b], *numbers, classes[c]
+
+        write_csv(args.records, "a,b,w_ab,w_ba,p_ab,p_ba,r_value,dyad_class\n", hist.total, dyads)
+    payload = {
+        "dyads": hist.total,
+        "bin_width": hist.bin_width,
+        "bins": [[lo, hi, c] for lo, hi, c in hist.bins()],
+        "class_proportions": class_shares(hist.class_proportions),
+    }
+    _emit(json_bytes(payload), args.output)
     return EXIT_OK
 
 
@@ -169,21 +153,15 @@ def _cmd_concentration(args: argparse.Namespace) -> int:
     if not len(vertices):
         _warn_or_raise(args.strict, "no vertices with out-degree >= 2")
     if args.records:
-        labels, columns = g.labels(), (vertices, np.diff(g._indptr)[vertices], h, h_star)
-        with open(args.records, "w", encoding="utf-8", newline="") as f:
-            f.write("vertex,out_degree,h,h_star\n")
-            for lo in range(0, len(vertices), _BATCH):
-                f.writelines(
-                    f"{labels[v]},{k},{x!r},{x_star!r}\n"
-                    for v, k, x, x_star in zip(*(col[lo : lo + _BATCH].tolist() for col in columns))
-                )
-    _emit(
-        {
-            "vertices_scored": len(vertices),
-            "mean_h_star": (sum(h_star.tolist()) / len(vertices)) if len(vertices) else None,
-        },
-        args.output,
-    )
+        labels, degree = np.array(g.labels(), dtype=object), np.diff(g._indptr)
+        write_csv(
+            args.records,
+            "vertex,out_degree,h,h_star\n",
+            len(vertices),
+            lambda lo, hi: (labels[vertices[lo:hi]], degree[vertices[lo:hi]], h[lo:hi], h_star[lo:hi]),
+        )
+    mean_h_star = (sum(h_star.tolist()) / len(vertices)) if len(vertices) else None
+    _emit(json_bytes({"vertices_scored": len(vertices), "mean_h_star": mean_h_star}), args.output)
     return EXIT_OK
 
 
@@ -191,11 +169,11 @@ def _cmd_assortativity(args: argparse.Namespace) -> int:
     g = load_edge_list(args.graph, strict=args.strict)
     try:
         res = degree_assortativity(g, mutual_only=(args.arcs == "mutual"))
+        r, pair_count = res.r, res.pair_count
     except UndefinedCorrelationError as exc:
         _warn_or_raise(args.strict, str(exc))
-        _emit({"r": None, "pair_count": 0, "arcs": args.arcs}, args.output)
-        return EXIT_OK
-    _emit({"r": res.r, "pair_count": res.pair_count, "arcs": args.arcs}, args.output)
+        r, pair_count = None, 0
+    _emit(json_bytes({"r": r, "pair_count": pair_count, "arcs": args.arcs}), args.output)
     return EXIT_OK
 
 
@@ -220,7 +198,7 @@ def _cmd_rewire(args: argparse.Namespace) -> int:
             "accepted_swaps": outcome.accepted_swaps,
         },
     )
-    _emit({**outcome.stats(), "snapshot": str(args.output)}, None)
+    _emit(json_bytes({**outcome.stats(), "snapshot": str(args.output)}), None)
     return EXIT_OK
 
 
@@ -240,7 +218,7 @@ def _cmd_regimes(args: argparse.Namespace) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     with _OutputLock(outdir):
         for label, rep in first.reports.items():
-            emit_report(rep, args.format, outdir / f"{label}.{args.format}")
+            (outdir / f"{label}.{args.format}").write_bytes(report_bytes(rep, args.format))
         (outdir / "comparison.json").write_bytes(json_bytes(comparison_to_dict(first)))
         if args.save_graphs:
             for label, graph in first.graphs.items():
@@ -249,14 +227,7 @@ def _cmd_regimes(args: argparse.Namespace) -> int:
             (outdir / f"comparison.seed{cmp.seed}.json").write_bytes(json_bytes(comparison_to_dict(cmp)))
         if args.replicas > 1:
             (outdir / "replicas.json").write_bytes(json_bytes(replicas_to_dict(comparisons)))
-    _emit(
-        {
-            "outdir": str(outdir),
-            "replicas": args.replicas,
-            "verdict": first.verdict.description,
-        },
-        None,
-    )
+    _emit(json_bytes({"outdir": str(outdir), "replicas": args.replicas, "verdict": first.verdict.description}), None)
     return EXIT_OK
 
 
@@ -270,15 +241,13 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     )
     g = generate(cfg)
     save_snapshot(g, args.output, regime="synthetic", seed=args.seed)
-    _emit(
-        {
-            "vertices": g.vertex_count,
-            "arcs": g.arc_count,
-            "mutual_dyads": g.dyad_census().mutual,
-            "snapshot": str(args.output),
-        },
-        None,
-    )
+    payload = {
+        "vertices": g.vertex_count,
+        "arcs": g.arc_count,
+        "mutual_dyads": g.dyad_census().mutual,
+        "snapshot": str(args.output),
+    }
+    _emit(json_bytes(payload), None)
     return EXIT_OK
 
 
@@ -287,12 +256,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         raise FormatError(f"regime label {args.regime!r} contains a comma or line break")
     g = load_edge_list(args.graph, strict=args.strict)
     rep = analyze(g, regime=args.regime, seed=args.seed, bin_width=args.bin_width)
-    if args.output:
-        emit_report(rep, args.format, args.output)
-    elif args.format == "json":
-        sys.stdout.write(json_bytes(report_to_dict(rep)).decode("utf-8"))
-    else:
-        write_report_csv(rep, sys.stdout)
+    _emit(report_bytes(rep, args.format), args.output)
     return EXIT_OK
 
 
@@ -348,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--swap-multiplier", type=int, default=DEFAULT_SWAP_MULTIPLIER)
-    _common_flags(p, strict=True, seed=True)
+    _common_flags(p, strict=True, seed="random seed")
     p.set_defaults(func=_cmd_rewire)
 
     p = sub.add_parser("regimes", help="four-network comparison with ordering verdict")
@@ -363,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="repeat with consecutive seeds and summarize spread across runs",
     )
-    _common_flags(p, strict=True, seed=True, fmt=True)
+    _common_flags(p, strict=True, seed="random seed", fmt=True)
     p.set_defaults(func=_cmd_regimes)
 
     p = sub.add_parser("synth", help="generate a synthetic network")
@@ -372,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree-dist", default="poisson:8", help="powerlaw:G, poisson:M or regular:K")
     p.add_argument("--assortativity", type=float, default=0.0)
     p.add_argument("--dispersion", type=float, default=0.0)
-    _common_flags(p, seed=True)
+    _common_flags(p, seed="random seed")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("report", help="full analysis report for one graph")
@@ -380,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.add_argument("--regime", default="observed", help="regime label for provenance")
     p.add_argument("--bin-width", type=float, default=DEFAULT_BIN_WIDTH)
-    _common_flags(p, strict=True, seed=True, fmt=True)
+    _common_flags(p, strict=True, seed="recorded in provenance only; report draws no random numbers", fmt=True)
     p.set_defaults(func=_cmd_report)
 
     return parser

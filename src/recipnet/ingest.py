@@ -20,9 +20,9 @@ byte strings; snapshot weights and dense ids are parsed with ``float`` and
 ``int`` on their texts. Aggregation's memory is bounded by one chunk and the
 distinct tails, not by the number of events; a load's by one chunk, the
 label table and the arc columns, each held once, not by per-arc Python
-objects. Saving a snapshot writes it in batches of arcs, gathered from the
-graph's arrays: memory is bounded by one batch of lines plus one text per
-label.
+objects. Snapshots, sidecars and the CLI's ``--records`` files are written
+by :func:`write_csv`, in batches of rows gathered from arrays: memory is
+bounded by one batch of rows plus one text per label.
 
 Aggregation and a load without a sidecar assign dense ids by the rule of
 :class:`~recipnet.graph.GraphBuilder`, the order of the sorted labels; a
@@ -36,7 +36,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -49,7 +49,7 @@ EVENT_HEADER = "timestamp,caller,callee"
 GRAPH_HEADER = "src,dst,weight"
 VERTEX_HEADER = "external_id,dense_id"
 
-_BATCH = 1 << 13  # lines or texts per C-level pass: snapshot and record lines written, counted tails split
+_BATCH = 1 << 13  # lines or texts per C-level pass: CSV rows written (write_csv), counted tails split
 _CHUNK = 1 << 19  # bytes per array pass when an event log, a snapshot or a sidecar is read
 
 
@@ -183,21 +183,16 @@ def save_snapshot(
     seed: int | None = None,
     extra_provenance: dict[str, object] | None = None,
 ) -> None:
-    """Write a graph snapshot plus its vertex sidecar.
+    """Write a graph snapshot plus its vertex sidecar, each with :func:`write_csv`.
 
     Weights are written with ``repr`` so a load/save cycle is lossless. The
     provenance header records the tool version and, when given, the regime
     label, seed and any extra key=value pairs (e.g. swap statistics) that
     produced the graph. A vertex label containing a comma or a line break
     cannot be represented and raises FormatError before anything is written.
-
-    Lines are built one batch of arcs at a time in C-level passes: the
-    graph's own label strings are gathered from one object array by the
-    arcs' source and target ids, the comma between them is one constant
-    column, ``repr`` is called once per distinct weight of the batch (equal
-    floats have equal reprs), and the columns are joined into the batch's
-    text. No per-arc Python object outlives its batch, and no second text
-    per label is made. The sidecar is written the same way.
+    Each batch gathers the graph's own label strings by the arcs' source and
+    target ids; a batch's sources are found from the row pointers, so no
+    whole-graph column is made.
     """
     path = Path(path)
     labels = g.labels()
@@ -212,27 +207,46 @@ def save_snapshot(
     head.extend(f"# {key}={value}" for key, value in (extra_provenance or {}).items())
     head.append(GRAPH_HEADER)
     labels = np.array(labels, dtype=object)
-    commas = np.full(_BATCH, ",", dtype=object)
     indptr, dst, w = g._indptr, g._indices, g._weights
-    with path.open("w", encoding="utf-8") as f:
-        f.write("".join(line + "\n" for line in head))
-        for lo in range(0, g.arc_count, _BATCH):
-            hi = min(lo + _BATCH, g.arc_count)
-            src = np.searchsorted(indptr, np.arange(lo, hi), side="right") - 1  # the row holding each arc
-            distinct, inverse = np.unique(w[lo:hi], return_inverse=True)
-            ends = np.array([f",{x!r}\n" for x in distinct.tolist()], dtype=object)  # one repr per distinct weight
-            f.write(_joined_rows(labels[src], commas[: hi - lo], labels[dst[lo:hi]], ends[inverse]))
-    with sidecar_path(path).open("w", encoding="utf-8") as f:
-        f.write(VERTEX_HEADER + "\n")
-        for lo in range(0, len(labels), _BATCH):
-            batch = labels[lo : lo + _BATCH]
-            dense = np.array([f",{v}\n" for v in range(lo, lo + len(batch))], dtype=object)
-            f.write(_joined_rows(batch, dense))
+
+    def arcs(lo: int, hi: int) -> tuple[np.ndarray, ...]:
+        src = np.searchsorted(indptr, np.arange(lo, hi), side="right") - 1  # the row holding each arc
+        return labels[src], labels[dst[lo:hi]], w[lo:hi]
+
+    write_csv(path, "".join(line + "\n" for line in head), g.arc_count, arcs)
+    write_csv(sidecar_path(path), VERTEX_HEADER + "\n", len(labels), lambda lo, hi: (labels[lo:hi], np.arange(lo, hi)))
 
 
-def _joined_rows(*columns: np.ndarray) -> str:
-    """Equal-length object arrays of strings, concatenated row by row into one text."""
-    return "".join(np.column_stack(columns).ravel().tolist())
+def write_csv(path: str | Path, head: str, n: int, rows: Callable[[int, int], Sequence[np.ndarray]]) -> None:
+    """Write ``head``, then CSV rows ``0..n-1`` of the columns ``rows(lo, hi)`` returns, ``_BATCH`` rows at a time.
+
+    An object column holds its rows' texts. A numeric column is written as
+    ``repr`` of its values, made once per distinct bit pattern of the batch:
+    equal bits give equal texts, and ``-0.0`` stays apart from ``0.0``. The
+    comma before a numeric column, and the line break after a last one, are
+    part of its texts; an object column gets a column of commas before it
+    (unless first) and, if last, one of line breaks. A batch's columns are
+    joined row by row into one text, so no per-row Python object outlives its
+    batch.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(head)
+        for lo in range(0, n, _BATCH):
+            hi = min(lo + _BATCH, n)
+            columns = rows(lo, hi)
+            texts = []
+            for i, col in enumerate(columns):
+                sep, end = "," if i else "", "\n" if i == len(columns) - 1 else ""
+                if col.dtype != object:
+                    bits, inverse = np.unique(col.view(f"i{col.itemsize}"), return_inverse=True)
+                    texts.append(np.array([f"{sep}{x!r}{end}" for x in bits.view(col.dtype).tolist()], dtype=object)[inverse])
+                    continue
+                if sep:
+                    texts.append(np.full(hi - lo, sep, dtype=object))
+                texts.append(col)
+                if end:
+                    texts.append(np.full(hi - lo, end, dtype=object))
+            f.write("".join(np.column_stack(texts).ravel().tolist()))
 
 
 def _raise_first_bad_vertex_line(texts: list[str], first_lineno: int, seen: set[str], path: Path) -> None:

@@ -196,6 +196,16 @@ def _moments(x: np.ndarray, y: np.ndarray) -> list[int]:
     return sums
 
 
+def _backbone_moments(a: np.ndarray, b: np.ndarray, v: int) -> tuple[np.ndarray, list[int]]:
+    """The degrees of the backbone with edges (a-b) on ``v`` vertices, and the :func:`_moments` of each edge both ways round.
+
+    The (b, a) pairs swap the x and y sums of the (a, b) pairs, so one pass over the edges gives all six sums.
+    """
+    degree = np.bincount(a, minlength=v) + np.bincount(b, minlength=v)
+    m, sa, sb, saa, sbb, sab = _moments(degree[a], degree[b])
+    return degree, [2 * m, sa + sb, sa + sb, saa + sbb, saa + sbb, 2 * sab]
+
+
 def _r_of(n: int, sx: int, sy: int, sxx: int, syy: int, sxy: int) -> float | None:
     """Pearson r of the sums of :func:`_moments`, None for a constant x or y.
 
@@ -219,12 +229,7 @@ def degree_assortativity(g: WeightedDigraph, mutual_only: bool = True) -> Assort
     """
     v = g.vertex_count
     if mutual_only:
-        a, b = g._mutual_ends()[:2]
-        degree = np.bincount(a, minlength=v) + np.bincount(b, minlength=v)
-        # Both orientations per dyad, so the correlation is endpoint-symmetric: the (b, a)
-        # pairs swap the x and y sums of the (a, b) pairs, so one pass over the dyads gives all.
-        m, sa, sb, saa, sbb, sab = _moments(degree[a], degree[b])
-        sums = [2 * m, sa + sb, sa + sb, saa + sbb, saa + sbb, 2 * sab]
+        sums = _backbone_moments(*g._mutual_ends()[:2], v)[1]  # both orientations: r is endpoint-symmetric
     else:
         tail, head = g._sources(), g._indices
         # Undirected neighbors: every out-neighbor, plus the in-neighbors with no arc back.

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DomainError, IntegrityError
 from .graph import WeightedDigraph
-from .metrics import _moments, _r_of
+from .metrics import _backbone_moments, _r_of
 
 #: Rewiring stops early once |assortativity| of the evolving backbone drops
 #: below this, checked after each round of swap proposals.
@@ -177,8 +177,7 @@ def _swap_chain(
     accepted, r), the edges in the input's row order.
     """
     v, m = vertex_count, len(edges)
-    deg = np.bincount(edges.ravel(), minlength=v)
-    n, s1, _, sq, _, sxy = _moments(deg[edges].ravel(), deg[edges[:, ::-1]].ravel())
+    deg, (n, s1, _, sq, _, sxy) = _backbone_moments(edges[:, 0], edges[:, 1], v)
     sxy //= 2  # each edge's degree product once
     denom = n * sq - s1 * s1
     if toward_target and denom <= 0:  # r is undefined, so no swap can move it

@@ -14,8 +14,7 @@ from __future__ import annotations
 import json
 from collections.abc import Callable, Iterable
 from dataclasses import asdict, dataclass, replace
-from pathlib import Path
-from typing import Any, TextIO
+from typing import Any
 
 import numpy as np
 
@@ -262,7 +261,7 @@ def json_bytes(payload: dict[str, Any]) -> bytes:
     return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
-def write_report_csv(report: AnalysisReport, out: TextIO) -> None:
+def report_csv(report: AnalysisReport) -> str:
     """Summary key/value block, blank line, then histogram rows."""
     rows = [
         ("schema", SCHEMA_VERSION),
@@ -286,25 +285,22 @@ def write_report_csv(report: AnalysisReport, out: TextIO) -> None:
             "assortativity_pairs",
             "" if report.assortativity is None else report.assortativity.pair_count,
         ),
+        *((f"h_star_q{int(round(q * 100)):02d}", repr(v)) for q, v in report.h_star_quantiles),
     ]
-    for q, v in report.h_star_quantiles:
-        rows.append((f"h_star_q{int(round(q * 100)):02d}", repr(v)))
-    out.write("metric,value\n")
-    for key, value in rows:
-        out.write(f"{key},{value}\n")
-    out.write("\n")
-    out.write("bin_low,bin_high,count\n")
-    for lo, hi, c in report.histogram.bins():
-        out.write(f"{lo!r},{hi!r},{c}\n")
+    lines = [
+        "metric,value",
+        *(f"{key},{value}" for key, value in rows),
+        "",
+        "bin_low,bin_high,count",
+        *(f"{lo!r},{hi!r},{c}" for lo, hi, c in report.histogram.bins()),
+    ]
+    return "".join(line + "\n" for line in lines)
 
 
-def emit_report(report: AnalysisReport, fmt: str, path: str | Path) -> None:
-    """Write a report as 'json' or 'csv'; identical reports yield identical bytes."""
-    path = Path(path)
+def report_bytes(report: AnalysisReport, fmt: str) -> bytes:
+    """A report as 'json' or 'csv' bytes; identical reports yield identical bytes."""
     if fmt == "json":
-        path.write_bytes(json_bytes(report_to_dict(report)))
-    elif fmt == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            write_report_csv(report, f)
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
+        return json_bytes(report_to_dict(report))
+    if fmt == "csv":
+        return report_csv(report).encode("utf-8")
+    raise ValueError(f"unknown report format {fmt!r}")

@@ -15,7 +15,7 @@ from unittest import mock
 
 import pytest
 
-from recipnet import report
+from recipnet import ingest, report
 from recipnet.cli import EXIT_DEGENERATE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from recipnet.graph import GraphBuilder, WeightedDigraph
 from recipnet.ingest import aggregate_event_file, load_edge_list, save_snapshot
@@ -56,6 +56,10 @@ def labelled_graph(tmp_path):
     save_snapshot(g, path)
     assert g.external_ids is not None and load_edge_list(path) == g
     return g, path
+
+
+#: Batch sizes the records writers are run with: batches of one row, partial last batches, one batch.
+RECORD_BATCHES = [1, 2, 3, 7, pytest.param(ingest._BATCH, id="default")]
 
 
 def run_json(capsys, argv):
@@ -102,10 +106,12 @@ class TestPipeline:
         assert lines[0] == "a,b,w_ab,w_ba,p_ab,p_ba,r_value,dyad_class"
         assert len(lines) == 4
 
-    def test_reciprocity_records_rows_match_the_scalar_reference(self, capsys, labelled_graph, tmp_path):
+    @pytest.mark.parametrize("batch", RECORD_BATCHES)
+    def test_reciprocity_records_rows_match_the_scalar_reference(self, capsys, labelled_graph, tmp_path, batch):
         g, path = labelled_graph
         records = tmp_path / "records.csv"
-        code, payload = run_json(capsys, ["reciprocity", str(path), "--records", str(records)])
+        with mock.patch.object(ingest, "_BATCH", batch):
+            code, payload = run_json(capsys, ["reciprocity", str(path), "--records", str(records)])
         assert code == EXIT_OK
         labels = g.labels()
         want = ["a,b,w_ab,w_ba,p_ab,p_ba,r_value,dyad_class"]
@@ -120,10 +126,12 @@ class TestPipeline:
         assert records.read_text().splitlines() == want
         assert payload["dyads"] == len(want) - 1 > 10
 
-    def test_concentration_records_rows_match_the_scalar_reference(self, capsys, labelled_graph, tmp_path):
+    @pytest.mark.parametrize("batch", RECORD_BATCHES)
+    def test_concentration_records_rows_match_the_scalar_reference(self, capsys, labelled_graph, tmp_path, batch):
         g, path = labelled_graph
         records = tmp_path / "scores.csv"
-        code, payload = run_json(capsys, ["concentration", str(path), "--records", str(records)])
+        with mock.patch.object(ingest, "_BATCH", batch):
+            code, payload = run_json(capsys, ["concentration", str(path), "--records", str(records)])
         assert code == EXIT_OK
         labels = g.labels()
         want, h_stars = ["vertex,out_degree,h,h_star"], []

@@ -865,6 +865,20 @@ class TestSaveAgainstReferenceWriter:
         assert texts == spelled * 3
         assert load_edge_list(new) == g
 
+    def test_write_csv_numbers_are_per_row_reprs(self, tmp_path):
+        """Numbers repeated within and across batches, -0.0 beside 0.0 and int64 values each read as their row's repr."""
+        x = np.array([0.0, -0.0, 1.5, -0.0, 0.0, 1.5, 0.1 + 0.2, 1.5, -0.0, 0.0, 5e-324])
+        k = np.array([3, -1, 3, 0, 2**62, 3, -1, 0, 7, 3, -(2**63)], dtype=np.int64)
+        names = np.array([f"v{i}" for i in range(len(x))], dtype=object)
+        path = tmp_path / "rows.csv"
+        for order in ((names, x, k), (x, k, names)):  # an object column first and last
+            with mock.patch.object(ingest, "_BATCH", 4):
+                ingest.write_csv(path, "head\n", len(x), lambda lo, hi: [col[lo:hi] for col in order])
+            rows = zip(*(col.tolist() for col in order))
+            want = "head\n" + "".join(",".join(v if isinstance(v, str) else repr(v) for v in row) + "\n" for row in rows)
+            assert path.read_text(encoding="utf-8") == want
+        assert [line.split(",")[0] for line in want.splitlines()[1:6]] == ["0.0", "-0.0", "1.5", "-0.0", "0.0"]
+
     def test_save_memory_does_not_grow_per_arc(self, tmp_path):
         """No per-arc Python object outlives its batch: the save's peak does not grow with the arcs.
 

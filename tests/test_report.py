@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import json
 import random
 
@@ -13,11 +12,11 @@ from recipnet.report import (
     _ordering_verdict,
     analyze,
     comparison_to_dict,
-    emit_report,
     json_bytes,
+    report_bytes,
+    report_csv,
     report_to_dict,
     run_regime_comparison,
-    write_report_csv,
 )
 from recipnet.synth import DegreeSpec, SynthConfig, generate
 
@@ -79,9 +78,7 @@ class TestSerialization:
     def test_csv_row_structure(self):
         g = random_digraph(random.Random(5), 25, mutual_bias=0.8)
         rep = analyze(g)
-        buf = io.StringIO()
-        write_report_csv(rep, buf)
-        lines = buf.getvalue().splitlines()
+        lines = report_csv(rep).splitlines()
         split = lines.index("")
         header_rows = lines[:split]
         hist_rows = lines[split + 1 :]
@@ -92,12 +89,12 @@ class TestSerialization:
     def test_emit_report_files(self, tmp_path):
         g = random_digraph(random.Random(5), 20, mutual_bias=0.8)
         rep = analyze(g)
-        emit_report(rep, "json", tmp_path / "r.json")
-        emit_report(rep, "csv", tmp_path / "r.csv")
+        (tmp_path / "r.json").write_bytes(report_bytes(rep, "json"))
+        (tmp_path / "r.csv").write_bytes(report_bytes(rep, "csv"))
         assert json.loads((tmp_path / "r.json").read_bytes())["schema"] == 2
         assert (tmp_path / "r.csv").read_text().startswith("metric,value")
         with pytest.raises(ValueError):
-            emit_report(rep, "xml", tmp_path / "r.xml")
+            report_bytes(rep, "xml")
 
 
 class TestRegimeComparison:
