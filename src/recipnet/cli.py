@@ -27,7 +27,6 @@ from .nullmodels import DEFAULT_SWAP_MULTIPLIER, equidisperse, maslov_sneppen_re
 from .report import (
     analyze,
     class_shares,
-    comparison_to_dict,
     json_bytes,
     replicas_to_dict,
     report_bytes,
@@ -207,27 +206,28 @@ def _cmd_regimes(args: argparse.Namespace) -> int:
         raise DomainError("replicas must be a positive integer")
     g = load_edge_list(args.graph, strict=args.strict)
     seeds = range(args.seed, args.seed + args.replicas)
-    comparisons = run_regime_comparison(g, seeds, args.swap_multiplier, args.bin_width)
-    for cmp in comparisons:
-        if cmp.rewire["warning"]:
-            _warn_or_raise(args.strict, f"rewire with seed {cmp.seed}: {cmp.rewire['warning']}")
-    first = comparisons[0]
-    if first.verdict.degenerate:
-        _warn_or_raise(args.strict, first.verdict.description)
+    comparisons, graphs = run_regime_comparison(g, seeds, args.swap_multiplier, args.bin_width)
+    for doc in comparisons:
+        if doc["rewire"]["warning"]:
+            _warn_or_raise(args.strict, f"rewire with seed {doc['seed']}: {doc['rewire']['warning']}")
+    first, *later = comparisons
+    verdict = first["verdict"]
+    if verdict["degenerate"]:
+        _warn_or_raise(args.strict, verdict["description"])
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     with _OutputLock(outdir):
-        for label, rep in first.reports.items():
+        for label, rep in first["reports"].items():
             (outdir / f"{label}.{args.format}").write_bytes(report_bytes(rep, args.format))
-        (outdir / "comparison.json").write_bytes(json_bytes(comparison_to_dict(first)))
+        (outdir / "comparison.json").write_bytes(json_bytes(first))
         if args.save_graphs:
-            for label, graph in first.graphs.items():
-                save_snapshot(graph, outdir / f"{label}.graph.csv", regime=label, seed=first.seed)
-        for cmp in comparisons[1:]:
-            (outdir / f"comparison.seed{cmp.seed}.json").write_bytes(json_bytes(comparison_to_dict(cmp)))
+            for label, graph in graphs.items():
+                save_snapshot(graph, outdir / f"{label}.graph.csv", regime=label, seed=first["seed"])
+        for doc in later:
+            (outdir / f"comparison.seed{doc['seed']}.json").write_bytes(json_bytes(doc))
         if args.replicas > 1:
             (outdir / "replicas.json").write_bytes(json_bytes(replicas_to_dict(comparisons)))
-    _emit(json_bytes({"outdir": str(outdir), "replicas": args.replicas, "verdict": first.verdict.description}), None)
+    _emit(json_bytes({"outdir": str(outdir), "replicas": args.replicas, "verdict": verdict["description"]}), None)
     return EXIT_OK
 
 

@@ -10,8 +10,9 @@ mutual dyad at once, in canonical (a, b) order, and
 :func:`concentration_arrays` every vertex of out-degree 2 or more. The
 scalar functions (:func:`reciprocity`, :func:`concentration`) return plain
 values and are the reference the sweeps are tested against; logs go through
-``math.log`` and squares are ``x*x`` in both, so sweep and scalar results
-agree bit for bit. All functions are pure reads of an immutable graph.
+``math.log`` (a share that underflows to 0.0 as ln w - ln s) and squares are
+``x*x`` in both, so sweep and scalar results agree bit for bit. All
+functions are pure reads of an immutable graph.
 """
 
 from __future__ import annotations
@@ -67,7 +68,13 @@ def reciprocity_value(w_ab: float, w_ba: float, s_a: float, s_b: float) -> float
         raise DomainError("dyad weights must be strictly positive")
     if s_a < w_ab or s_b < w_ba:
         raise DomainError("vertex strength cannot be smaller than the arc weight")
-    return abs(math.log(w_ab / s_a) - math.log(w_ba / s_b))
+    return abs(_log_share(w_ab, s_a) - _log_share(w_ba, s_b))
+
+
+def _log_share(w: float, s: float) -> float:
+    """ln(w/s), as ln w - ln s where the share w/s underflows to 0.0 (whose log is undefined)."""
+    p = w / s
+    return math.log(p) if p else math.log(w) - math.log(s)
 
 
 def reciprocity(g: WeightedDigraph, a: int, b: int) -> float:
@@ -101,22 +108,28 @@ class DyadScores(NamedTuple):
         return _histogram(self.r_value, self.dyad_class, bin_width)
 
 
-def _log(p: np.ndarray) -> np.ndarray:
+def _log(p: np.ndarray, w: np.ndarray, strength: np.ndarray, ends: np.ndarray) -> np.ndarray:
     # math.log, not np.log: the two differ in the last bit for some inputs. One block of
-    # Python floats at a time, so no list of the whole column is built.
+    # Python floats at a time, so no list of the whole column is built. A share p = w/s, with s
+    # the strength of the arc's tail in ``ends``, that underflowed to 0.0 takes _log_share's rule.
+    zero = np.flatnonzero(p == 0.0)
+    if len(zero):
+        p = p.copy()
+        p[zero] = 1.0
     out = np.empty(len(p))
     for lo in range(0, len(p), _SUM_BLOCK):
         block = p[lo : lo + _SUM_BLOCK]
         out[lo : lo + len(block)] = np.fromiter(map(math.log, block.tolist()), dtype=np.float64, count=len(block))
+    out[zero] = [_log_share(wi, si) for wi, si in zip(w[zero].tolist(), strength[ends[zero]].tolist())]
     return out
 
 
 def dyad_scores(g: WeightedDigraph) -> DyadScores:
     """Score every mutual dyad of ``g`` at once (same values as :func:`reciprocity`)."""
     a, b, w_ab, w_ba = g._mutual_arrays()
-    p_ab = w_ab / g._out_strength[a]
-    p_ba = w_ba / g._out_strength[b]
-    r = np.abs(_log(p_ab) - _log(p_ba))
+    s = g._out_strength
+    p_ab, p_ba = w_ab / s[a], w_ba / s[b]
+    r = np.abs(_log(p_ab, w_ab, s, a) - _log(p_ba, w_ba, s, b))
     return DyadScores(a, b, w_ab, w_ba, p_ab, p_ba, r, np.searchsorted(_CLASS_BOUNDS, r))
 
 

@@ -3,33 +3,26 @@
 :func:`run_regime_comparison` builds and analyzes the networks of the
 :data:`CELLS` table, one per row, and judges the ordering of the four cells.
 
-Reports are plain dataclasses with stable JSON/CSV serializations: identical
-inputs produce byte-identical output (keys sorted, floats via repr, no
-timestamps), which the comparison pipeline relies on for reproducibility
-checks.
+A report, and a comparison, is one JSON document: a dict of plain values,
+built once and only read after. A report's CSV is a flat view of that
+document. Identical inputs produce byte-identical output (keys sorted,
+floats via repr, no timestamps), which the comparison pipeline relies on for
+reproducibility checks.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Callable, Iterable
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict
 from typing import Any
 
 import numpy as np
 
 from . import __version__ as _version
 from .errors import DomainError, UndefinedCorrelationError
-from .graph import DyadCensus, WeightedDigraph
-from .metrics import (
-    AssortativityResult,
-    DyadClass,
-    ReciprocityHistogram,
-    concentration_arrays,
-    degree_assortativity,
-    dyad_scores,
-    DEFAULT_BIN_WIDTH,
-)
+from .graph import WeightedDigraph
+from .metrics import DEFAULT_BIN_WIDTH, DyadClass, concentration_arrays, degree_assortativity, dyad_scores
 from .nullmodels import DEFAULT_SWAP_MULTIPLIER, RewireOutcome, equidisperse, maslov_sneppen_rewire
 
 SCHEMA_VERSION = 2  # 2: input_digest is content digest v2 (binary CSR encoding)
@@ -47,31 +40,45 @@ CELLS: tuple[tuple[str, bool, Callable[[WeightedDigraph, RewireOutcome | None], 
 )
 
 
-@dataclass(frozen=True)
-class Provenance:
-    regime: str
-    seed: int | None
-    input_digest: str
-    tool: str
+def analyze(
+    g: WeightedDigraph,
+    regime: str = "observed",
+    seed: int | None = None,
+    bin_width: float = DEFAULT_BIN_WIDTH,
+) -> dict[str, Any]:
+    """Run the full per-network measurement sweep on the graph's arrays; return the report's JSON document."""
+    scores = dyad_scores(g)
+    histogram = scores.histogram(bin_width)
+    r = scores.r_value
+    mean_r, median_r = (float(r.mean()), float(np.median(r))) if len(r) else (None, None)
+    del scores, r  # no score column is live during the assortativity and concentration passes
+    try:
+        assort: dict[str, Any] | None = asdict(degree_assortativity(g, mutual_only=True))
+    except (UndefinedCorrelationError, DomainError):
+        # Too few pairs or zero degree variance: report the rest without r.
+        assort = None
+    h_star = concentration_arrays(g)[2]
+    return {
+        "schema": SCHEMA_VERSION,
+        "provenance": {"regime": regime, "seed": seed, "input_digest": g.content_digest(), "tool": f"recipnet/{_version}"},
+        "vertex_count": g.vertex_count,
+        "census": asdict(g.dyad_census()),
+        "reciprocity": {
+            "mean": mean_r,
+            "median": median_r,
+            "class_proportions": class_shares(histogram.class_proportions),
+        },
+        "histogram": {
+            "bin_width": histogram.bin_width,
+            "total": histogram.total,
+            "bins": [[lo, hi, c] for lo, hi, c in histogram.bins()],
+        },
+        "assortativity": assort,
+        "h_star_quantiles": [[q, float(np.quantile(h_star, q))] for q in H_STAR_QUANTILES] if len(h_star) else [],
+    }
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    """Census, reciprocity distribution and structural drivers of one network."""
-
-    census: DyadCensus
-    vertex_count: int
-    class_proportions: tuple[float, float, float]
-    mean_r: float | None
-    median_r: float | None
-    histogram: ReciprocityHistogram
-    assortativity: AssortativityResult | None
-    h_star_quantiles: tuple[tuple[float, float], ...]
-    provenance: Provenance
-
-
-@dataclass(frozen=True)
-class OrderingVerdict:
+def _ordering_verdict(means: dict[str, float | None]) -> dict[str, Any]:
     """Whether the four regime means fall in the predicted order.
 
     ``partial_ordering``: equidispersed-observed below both middle cells and
@@ -79,90 +86,24 @@ class OrderingVerdict:
     strict chain observed_equidispersed < rewired_equidispersed < observed <
     rewired. Purely descriptive; nothing is asserted.
     """
-
-    means: dict[str, float | None]
-    partial_ordering: bool
-    final_ordering: bool
-    degenerate: bool
-    description: str
-
-
-@dataclass(frozen=True)
-class RegimeComparison:
-    """One seed's reports (one per row of :data:`CELLS`), verdict and rewire statistics.
-
-    ``graphs`` holds every cell's graph for the first seed of a
-    :func:`run_regime_comparison` run only, the one ``regimes --save-graphs``
-    writes; it is empty for every later seed, so R replicas keep one seed's
-    seeded graphs alive rather than R seeds'. ``rewire`` holds the swap
-    counts, residual assortativity and warning of the seed's rewiring, as
-    written to ``comparison.json``.
-    """
-
-    reports: dict[str, AnalysisReport]
-    verdict: OrderingVerdict
-    seed: int
-    swap_multiplier: int
-    graphs: dict[str, WeightedDigraph]
-    rewire: dict[str, Any]
-
-
-def analyze(
-    g: WeightedDigraph,
-    regime: str = "observed",
-    seed: int | None = None,
-    bin_width: float = DEFAULT_BIN_WIDTH,
-) -> AnalysisReport:
-    """Run the full per-network measurement sweep on the graph's arrays."""
-    scores = dyad_scores(g)
-    histogram = scores.histogram(bin_width)
-    r = scores.r_value
-    mean_r, median_r = (float(r.mean()), float(np.median(r))) if len(r) else (None, None)
-    del scores, r  # no score column is live during the assortativity and concentration passes
-    try:
-        assort: AssortativityResult | None = degree_assortativity(g, mutual_only=True)
-    except (UndefinedCorrelationError, DomainError):
-        # Too few pairs or zero degree variance: report the rest without r.
-        assort = None
-    h_star = concentration_arrays(g)[2]
-    quantiles = tuple((q, float(np.quantile(h_star, q))) for q in H_STAR_QUANTILES) if len(h_star) else ()
-    return AnalysisReport(
-        census=g.dyad_census(),
-        vertex_count=g.vertex_count,
-        class_proportions=histogram.class_proportions,
-        mean_r=mean_r,
-        median_r=median_r,
-        histogram=histogram,
-        assortativity=assort,
-        h_star_quantiles=quantiles,
-        provenance=Provenance(
-            regime=regime,
-            seed=seed,
-            input_digest=g.content_digest(),
-            tool=f"recipnet/{_version}",
-        ),
-    )
-
-
-def _ordering_verdict(means: dict[str, float | None]) -> OrderingVerdict:
     m_eq, m_rw_eq, m_obs, m_rw = (
         means[label] for label in ("observed_equidispersed", "rewired_equidispersed", "observed", "rewired")
     )
     degenerate = m_eq == m_rw_eq == m_obs == m_rw
     partial = m_eq < min(m_rw_eq, m_obs) <= max(m_rw_eq, m_obs) < m_rw
     final = m_eq < m_rw_eq < m_obs < m_rw
-    return OrderingVerdict(
-        means=means,
-        partial_ordering=partial,
-        final_ordering=final,
-        degenerate=degenerate,
-        description=(
+    return {
+        "means": means,
+        "partial_ordering": partial,
+        "final_ordering": final,
+        "degenerate": degenerate,
+        "description": (
             "degenerate: ties" if degenerate
             else "final ordering holds" if final
             else "partial ordering holds; final ordering does not" if partial
             else "ordering violated"
         ),
-    )
+    }
 
 
 def run_regime_comparison(
@@ -170,31 +111,33 @@ def run_regime_comparison(
     seeds: Iterable[int],
     swap_multiplier: int = DEFAULT_SWAP_MULTIPLIER,
     bin_width: float = DEFAULT_BIN_WIDTH,
-) -> list[RegimeComparison]:
+) -> tuple[list[dict[str, Any]], dict[str, WeightedDigraph]]:
     """Build and analyze every cell of :data:`CELLS` and judge the ordering, per seed.
 
-    A cell that does not depend on the seed is built and analyzed once, and
-    each seed's copy of its report differs only in its provenance seed. The
-    seeded cells are built from one rewiring pass per seed, so the two
-    rewired cells differ only in their weights, never in topology. Only the
-    first seed's comparison keeps its graphs (see :class:`RegimeComparison`).
+    Returns each seed's ``comparison.json`` document and the first seed's graph of every
+    cell, the ones ``regimes --save-graphs`` writes; later seeds' graphs are dropped, so R
+    replicas keep one seed's graphs alive rather than R seeds'. A cell that does not
+    depend on the seed is built and analyzed once; each seed's copy of its report differs
+    only in its provenance seed. The seeded cells are built from one rewiring pass per
+    seed, so the two rewired cells differ only in their weights, never in topology.
     """
     fixed = {name: build(g, None) for name, seeded, build in CELLS if not seeded}
     base = {name: analyze(graph, name, bin_width=bin_width) for name, graph in fixed.items()}
-    comparisons = []
+    comparisons, kept = [], {}
     for seed in seeds:
         outcome = maslov_sneppen_rewire(g, np.random.default_rng(seed), swap_multiplier)
         graphs = {name: fixed[name] if name in fixed else build(g, outcome) for name, _, build in CELLS}
         reports = {
-            name: replace(base[name], provenance=replace(base[name].provenance, seed=seed))
+            name: {**base[name], "provenance": {**base[name]["provenance"], "seed": seed}}
             if name in base
             else analyze(graph, name, seed, bin_width)
             for name, graph in graphs.items()
         }
-        verdict = _ordering_verdict({label: rep.mean_r for label, rep in reports.items()})
-        kept = {} if comparisons else graphs  # only the first seed's graphs are ever saved
-        comparisons.append(RegimeComparison(reports, verdict, seed, swap_multiplier, kept, outcome.stats()))
-    return comparisons
+        verdict = _ordering_verdict({label: rep["reciprocity"]["mean"] for label, rep in reports.items()})
+        doc = {"schema": SCHEMA_VERSION, "seed": seed, "swap_multiplier": swap_multiplier, "rewire": outcome.stats()}
+        comparisons.append({**doc, "reports": reports, "verdict": verdict})
+        kept = kept or graphs  # only the first seed's graphs are ever saved
+    return comparisons, kept
 
 
 # -- serialization ----------------------------------------------------------
@@ -205,43 +148,12 @@ def class_shares(proportions: tuple[float, float, float]) -> dict[str, float]:
     return {cls.value: share for cls, share in zip(DyadClass, proportions)}
 
 
-def report_to_dict(report: AnalysisReport) -> dict[str, Any]:
-    return {
-        "schema": SCHEMA_VERSION,
-        "provenance": asdict(report.provenance),
-        "vertex_count": report.vertex_count,
-        "census": asdict(report.census),
-        "reciprocity": {
-            "mean": report.mean_r,
-            "median": report.median_r,
-            "class_proportions": class_shares(report.class_proportions),
-        },
-        "histogram": {
-            "bin_width": report.histogram.bin_width,
-            "total": report.histogram.total,
-            "bins": [[lo, hi, c] for lo, hi, c in report.histogram.bins()],
-        },
-        "assortativity": None if report.assortativity is None else asdict(report.assortativity),
-        "h_star_quantiles": [[q, v] for q, v in report.h_star_quantiles],
-    }
-
-
-def comparison_to_dict(cmp: RegimeComparison) -> dict[str, Any]:
-    return {
-        "schema": SCHEMA_VERSION,
-        "seed": cmp.seed,
-        "swap_multiplier": cmp.swap_multiplier,
-        "rewire": cmp.rewire,
-        "reports": {label: report_to_dict(rep) for label, rep in cmp.reports.items()},
-        "verdict": asdict(cmp.verdict),
-    }
-
-
-def replicas_to_dict(comparisons: list[RegimeComparison]) -> dict[str, Any]:
+def replicas_to_dict(comparisons: list[dict[str, Any]]) -> dict[str, Any]:
     """Cross-replica mean and spread of each cell's mean score (error bars)."""
+    verdicts = [c["verdict"] for c in comparisons]
     cells = {}
-    for label in comparisons[0].reports:
-        values = [c.verdict.means[label] for c in comparisons]
+    for label in comparisons[0]["reports"]:
+        values = [v["means"][label] for v in verdicts]
         clean = [v for v in values if v is not None]
         n = len(clean)
         mean = sum(clean) / n if n else None
@@ -249,10 +161,10 @@ def replicas_to_dict(comparisons: list[RegimeComparison]) -> dict[str, Any]:
         cells[label] = {"per_seed": values, "mean": mean, "std": std}
     return {
         "schema": SCHEMA_VERSION,
-        "seeds": [c.seed for c in comparisons],
+        "seeds": [c["seed"] for c in comparisons],
         "cells": cells,
-        "verdicts": [c.verdict.description for c in comparisons],
-        "final_ordering_count": sum(1 for c in comparisons if c.verdict.final_ordering),
+        "verdicts": [v["description"] for v in verdicts],
+        "final_ordering_count": sum(1 for v in verdicts if v["final_ordering"]),
     }
 
 
@@ -261,46 +173,39 @@ def json_bytes(payload: dict[str, Any]) -> bytes:
     return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
-def report_csv(report: AnalysisReport) -> str:
-    """Summary key/value block, blank line, then histogram rows."""
+def report_csv(doc: dict[str, Any]) -> str:
+    """A report document's flat view: ``metric,value`` rows, blank line, then histogram rows.
+
+    ``None`` is an empty field; every float is written as its repr.
+    """
+    provenance, census, reciprocity = doc["provenance"], doc["census"], doc["reciprocity"]
+    assortativity = doc["assortativity"] or {}
     rows = [
-        ("schema", SCHEMA_VERSION),
-        ("regime", report.provenance.regime),
-        ("seed", "" if report.provenance.seed is None else report.provenance.seed),
-        ("input_digest", report.provenance.input_digest),
-        ("tool", report.provenance.tool),
-        ("vertex_count", report.vertex_count),
-        ("mutual", report.census.mutual),
-        ("asymmetric", report.census.asymmetric),
-        ("null_dyads", report.census.null_dyads),
-        ("total_arcs", report.census.total_arcs),
-        ("mean_r", "" if report.mean_r is None else repr(report.mean_r)),
-        ("median_r", "" if report.median_r is None else repr(report.median_r)),
-        *((f"share_{name}", repr(share)) for name, share in class_shares(report.class_proportions).items()),
-        (
-            "assortativity_r",
-            "" if report.assortativity is None else repr(report.assortativity.r),
-        ),
-        (
-            "assortativity_pairs",
-            "" if report.assortativity is None else report.assortativity.pair_count,
-        ),
-        *((f"h_star_q{int(round(q * 100)):02d}", repr(v)) for q, v in report.h_star_quantiles),
+        ("schema", doc["schema"]),
+        *((key, provenance[key]) for key in ("regime", "seed", "input_digest", "tool")),
+        ("vertex_count", doc["vertex_count"]),
+        *((key, census[key]) for key in ("mutual", "asymmetric", "null_dyads", "total_arcs")),
+        ("mean_r", reciprocity["mean"]),
+        ("median_r", reciprocity["median"]),
+        *((f"share_{name}", share) for name, share in reciprocity["class_proportions"].items()),
+        ("assortativity_r", assortativity.get("r")),
+        ("assortativity_pairs", assortativity.get("pair_count")),
+        *((f"h_star_q{int(round(q * 100)):02d}", v) for q, v in doc["h_star_quantiles"]),
     ]
     lines = [
         "metric,value",
-        *(f"{key},{value}" for key, value in rows),
+        *(f"{key},{'' if value is None else value}" for key, value in rows),
         "",
         "bin_low,bin_high,count",
-        *(f"{lo!r},{hi!r},{c}" for lo, hi, c in report.histogram.bins()),
+        *(f"{lo!r},{hi!r},{c}" for lo, hi, c in doc["histogram"]["bins"]),
     ]
     return "".join(line + "\n" for line in lines)
 
 
-def report_bytes(report: AnalysisReport, fmt: str) -> bytes:
-    """A report as 'json' or 'csv' bytes; identical reports yield identical bytes."""
+def report_bytes(doc: dict[str, Any], fmt: str) -> bytes:
+    """A report document as 'json' or 'csv' bytes; identical documents yield identical bytes."""
     if fmt == "json":
-        return json_bytes(report_to_dict(report))
+        return json_bytes(doc)
     if fmt == "csv":
-        return report_csv(report).encode("utf-8")
+        return report_csv(doc).encode("utf-8")
     raise ValueError(f"unknown report format {fmt!r}")

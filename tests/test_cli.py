@@ -531,6 +531,34 @@ def test_seeded_outputs_are_pinned(tmp_path, capsys):
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written} == PINNED_REPLICAS_SHA256
 
 
+#: sha256 of the CSV reports `regimes --format csv --seed 7` writes for the graph
+#: in test_seeded_outputs_are_pinned, and of `report --format csv` on a graph
+#: with no mutual dyad.
+PINNED_CSV_SHA256 = {
+    "observed.csv": "b136017da3e36285cc51de749a66ec878bfdb43033395bdf169202a0ce4be89e",
+    "observed_equidispersed.csv": "323d42965b5a9b5575242c53c00fe1b2cd5e62ae4752c688dd7e0dc7f1886f03",
+    "rewired.csv": "4a62c84953f94a5ba79623076e0bb9b3b7a1879a218c95de42c0a75ce8b39e15",
+    "rewired_equidispersed.csv": "0d726dd52ecfbaa57e1647d24232e9ca34a43b042d4df9f7348e09854320cabe",
+    "one_way.report.csv": "44df98357f10845cb3231c4f16888fa160e2ce3314703df28c72b98a5afeebac",
+}
+
+
+def test_csv_reports_are_pinned(tmp_path, capsys):
+    g = random_digraph(random.Random(2011), 80, arc_fraction=0.06, mutual_bias=0.7)
+    save_snapshot(g, tmp_path / "g.csv")
+    regimes = ["regimes", str(tmp_path / "g.csv"), "--outdir", str(tmp_path / "reg")]
+    assert main([*regimes, "--seed", "7", "--format", "csv"]) == EXIT_OK
+    written = [*(tmp_path / "reg").glob("*.csv")]
+    # A directed 3-cycle: no mutual dyad and no out-degree of 2, so no score, r or H* value.
+    save_snapshot(WeightedDigraph.from_dense_arcs(3, [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 3.0)]), tmp_path / "one_way.csv")
+    written.append(tmp_path / "one_way.report.csv")
+    assert main(["report", str(tmp_path / "one_way.csv"), "--format", "csv", "-o", str(written[-1])]) == EXIT_OK
+    rows = written[-1].read_text().splitlines()
+    assert {"mean_r,", "median_r,", "assortativity_r,", "assortativity_pairs,"} <= set(rows)
+    assert not [row for row in rows if row.startswith("h_star_q")]
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written} == PINNED_CSV_SHA256
+
+
 def test_regimes_residual_is_rewired_report_r(tmp_path, capsys):
     # One r per backbone: the rewire's residual and the rewired cell's report agree bit for bit.
     g = random_digraph(random.Random(2011), 80, arc_fraction=0.06, mutual_bias=0.7)
@@ -540,6 +568,18 @@ def test_regimes_residual_is_rewired_report_r(tmp_path, capsys):
     for path in sorted((tmp_path / "reg").glob("comparison*.json")):
         comparison = json.loads(path.read_text())
         assert comparison["rewire"]["residual_assortativity"] == comparison["reports"]["rewired"]["assortativity"]["r"]
+
+
+@pytest.mark.parametrize("command", ["report", "reciprocity", "regimes"])
+def test_share_that_underflows_to_zero_is_scored(command, tmp_path, capsys):
+    # Every weight is finite and positive, but a's share of b, 5e-324 / 1e308, rounds to 0.0.
+    (tmp_path / "g.csv").write_text("src,dst,weight\na,b,5e-324\nb,a,1\na,c,1e308\nc,a,1\n")
+    argv = [command, str(tmp_path / "g.csv"), "--bin-width", "1"]
+    argv += ["--outdir", str(tmp_path / "reg")] if command == "regimes" else ["-o", str(tmp_path / "out.json")]
+    assert main(argv) == EXIT_OK
+    if command == "report":
+        rep = json.loads((tmp_path / "out.json").read_text())
+        assert rep["reciprocity"]["mean"] == pytest.approx(1453.6 / 2, abs=0.1)
 
 
 #: sha256 of the snapshot, sidecar and printed stats of `ingest` on the log in

@@ -163,6 +163,14 @@ class TestReciprocity:
             for a, b, *_ in swept
         ]
 
+    def test_share_that_underflows_to_zero_is_scored(self):
+        # p_ab = 5e-324 / 1e308 rounds to 0.0, whose log is undefined; ln w - ln s is finite.
+        g = WeightedDigraph.from_dense_arcs(3, [(0, 1, 5e-324), (1, 0, 1.0), (0, 2, 1e308), (2, 0, 1.0)])
+        swept = dyad_scores(g)
+        assert swept.p_ab.tolist() == [0.0, 1.0]
+        assert swept.r_value.tolist() == [reciprocity(g, 0, 1), reciprocity(g, 0, 2)]
+        assert reciprocity(g, 0, 1) == pytest.approx(math.log(1e308) - math.log(5e-324))
+        assert reciprocity(g, 0, 1) == pytest.approx(1453.6, abs=0.1)
 
     def test_scoring_holds_no_python_float_per_dyad(self):
         """Past the graph, scoring costs the eight 8-byte score columns and a few temporaries per dyad."""

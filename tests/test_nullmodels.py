@@ -17,7 +17,7 @@ from recipnet.errors import DomainError, IntegrityError
 from recipnet.graph import WeightedDigraph
 from recipnet.metrics import degree_assortativity, equidispersion_prediction, reciprocity
 from recipnet.nullmodels import _swap_chain, equidisperse, maslov_sneppen_rewire, reattach_weights
-from recipnet.report import analyze, report_to_dict, run_regime_comparison
+from recipnet.report import analyze, run_regime_comparison
 from recipnet.synth import DegreeSpec, SynthConfig, generate
 
 from conftest import mutual_graphs, mutual_pairs, random_digraph
@@ -89,7 +89,7 @@ class TestEquidisperse:
         assert rw_eq._reverse_arcs() is rw._reverse_arcs()
         for graph in (eq, rw, rw_eq):  # reports match those of an unshared copy
             copy = WeightedDigraph(*(a.copy() for a in (graph._indptr, graph._indices, graph._weights)))
-            assert report_to_dict(analyze(graph, "x")) == report_to_dict(analyze(copy, "x"))
+            assert analyze(graph, "x") == analyze(copy, "x")
 
 
 class _ScriptedGenerator:
@@ -406,7 +406,7 @@ class TestReattachWeights:
 class TestRegimes:
     def test_identity_cell_returns_input(self):
         g = random_digraph(random.Random(4), 30, mutual_bias=0.8)
-        out = run_regime_comparison(g, [0], swap_multiplier=1)[0].graphs["observed"]
+        out = run_regime_comparison(g, [0], swap_multiplier=1)[1]["observed"]
         assert out is g
         before = [reciprocity(g, a, b) for a, b in mutual_pairs(g)]
         after = [reciprocity(out, a, b) for a, b in mutual_pairs(out)]
@@ -414,7 +414,7 @@ class TestRegimes:
 
     def test_four_regimes_structure(self):
         g = random_digraph(random.Random(14), 60, mutual_bias=0.8)
-        regimes = run_regime_comparison(g, [2], swap_multiplier=5)[0].graphs
+        regimes = run_regime_comparison(g, [2], swap_multiplier=5)[1]
         labels = list(regimes)
         assert labels == [
             "observed",
@@ -430,14 +430,14 @@ class TestRegimes:
 
     def test_rewired_equidispersed_hits_closed_form(self):
         g = random_digraph(random.Random(25), 50, mutual_bias=0.8)
-        eq = run_regime_comparison(g, [7], swap_multiplier=5)[0].graphs["rewired_equidispersed"]
+        eq = run_regime_comparison(g, [7], swap_multiplier=5)[1]["rewired_equidispersed"]
         for a, b in mutual_pairs(eq):
             predicted = equidispersion_prediction(eq.out_degree(a), eq.out_degree(b))
             assert abs(reciprocity(eq, a, b) - predicted) <= 1e-9
 
     def test_equidispersed_cell_strengths_match_observed(self):
         g = random_digraph(random.Random(33), 40, mutual_bias=0.9)
-        eq = run_regime_comparison(g, [1], swap_multiplier=5)[0].graphs["observed_equidispersed"]
+        eq = run_regime_comparison(g, [1], swap_multiplier=5)[1]["observed_equidispersed"]
         for v in range(g.vertex_count):
             assert eq.out_strength(v) == pytest.approx(
                 g.out_strength(v), rel=1e-9
