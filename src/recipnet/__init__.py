@@ -4,9 +4,7 @@ __version__ = "0.1.0"
 
 from .graph import DyadCensus, GraphBuilder, WeightedDigraph
 from .metrics import (
-    AssortativityResult,
     DyadClass,
-    ReciprocityHistogram,
     classify,
     concentration,
     degree_assortativity,
@@ -14,20 +12,12 @@ from .metrics import (
     equidispersion_prediction,
     reciprocity,
 )
-from .nullmodels import (
-    RewireOutcome,
-    equidisperse,
-    maslov_sneppen_rewire,
-    reattach_weights,
-)
+from .nullmodels import equidisperse, maslov_sneppen_rewire, reattach_weights
 
 __all__ = [
-    "AssortativityResult",
     "DyadCensus",
     "DyadClass",
     "GraphBuilder",
-    "ReciprocityHistogram",
-    "RewireOutcome",
     "WeightedDigraph",
     "classify",
     "concentration",

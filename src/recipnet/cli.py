@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -22,16 +23,9 @@ import numpy as np
 from . import __version__
 from .errors import DegenerateInputError, DomainError, FormatError, UndefinedCorrelationError
 from .ingest import aggregate_event_file, load_edge_list, save_snapshot, write_csv
-from .metrics import DEFAULT_BIN_WIDTH, DyadClass, concentration_arrays, degree_assortativity, dyad_scores
+from .metrics import DEFAULT_BIN_WIDTH, DyadClass, concentration_arrays, degree_assortativity, dyad_scores, histogram
 from .nullmodels import DEFAULT_SWAP_MULTIPLIER, equidisperse, maslov_sneppen_rewire
-from .report import (
-    analyze,
-    class_shares,
-    json_bytes,
-    replicas_to_dict,
-    report_bytes,
-    run_regime_comparison,
-)
+from .report import analyze, json_bytes, replicas_to_dict, report_bytes, run_regime_comparison
 from .synth import DegreeSpec, SynthConfig, generate
 
 EXIT_OK = 0
@@ -59,6 +53,11 @@ def _emit(data: bytes, out: str | None) -> None:
 def _warn_or_raise(strict: bool, message: str) -> None:
     if strict:
         raise DegenerateInputError(message)
+    warnings.warn(message, stacklevel=2)
+
+
+def _show_warning(message: Warning | str, *args: object) -> None:
+    """Every warning of a command, the library's included, as one ``warning: <message>`` line on stderr."""
     print(f"warning: {message}", file=sys.stderr)
 
 
@@ -105,14 +104,9 @@ class _OutputLock:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    g, stats = aggregate_event_file(args.events, strict=args.strict)
-    accounting = {
-        "events_read": stats.events_read,
-        "self_calls_dropped": stats.self_calls_dropped,
-        "malformed_lines": stats.malformed_lines,
-    }
+    g, accounting = aggregate_event_file(args.events, strict=args.strict)
     save_snapshot(g, args.output, extra_provenance=accounting)
-    _emit(json_bytes({**accounting, "vertices": stats.vertices, "arcs": stats.arcs, "snapshot": str(args.output)}), None)
+    _emit(json_bytes({**accounting, "vertices": g.vertex_count, "arcs": g.arc_count, "snapshot": str(args.output)}), None)
     return EXIT_OK
 
 
@@ -125,8 +119,9 @@ def _cmd_census(args: argparse.Namespace) -> int:
 def _cmd_reciprocity(args: argparse.Namespace) -> int:
     g = load_edge_list(args.graph, strict=args.strict)
     scores = dyad_scores(g)
-    hist = scores.histogram(args.bin_width)
-    if not hist.total:
+    hist = histogram(scores, args.bin_width)
+    dyad_count = hist.pop("total")
+    if not dyad_count:
         _warn_or_raise(args.strict, "graph has no mutual dyads")
     if args.records:
         labels, classes = np.array(g.labels(), dtype=object), np.array([c.value for c in DyadClass], dtype=object)
@@ -135,14 +130,8 @@ def _cmd_reciprocity(args: argparse.Namespace) -> int:
             a, b, *numbers, c = (col[lo:hi] for col in scores)
             return labels[a], labels[b], *numbers, classes[c]
 
-        write_csv(args.records, "a,b,w_ab,w_ba,p_ab,p_ba,r_value,dyad_class\n", hist.total, dyads)
-    payload = {
-        "dyads": hist.total,
-        "bin_width": hist.bin_width,
-        "bins": [[lo, hi, c] for lo, hi, c in hist.bins()],
-        "class_proportions": class_shares(hist.class_proportions),
-    }
-    _emit(json_bytes(payload), args.output)
+        write_csv(args.records, "a,b,w_ab,w_ba,p_ab,p_ba,r_value,dyad_class\n", dyad_count, dyads)
+    _emit(json_bytes({"dyads": dyad_count, **hist}), args.output)
     return EXIT_OK
 
 
@@ -167,12 +156,11 @@ def _cmd_concentration(args: argparse.Namespace) -> int:
 def _cmd_assortativity(args: argparse.Namespace) -> int:
     g = load_edge_list(args.graph, strict=args.strict)
     try:
-        res = degree_assortativity(g, mutual_only=(args.arcs == "mutual"))
-        r, pair_count = res.r, res.pair_count
+        doc = degree_assortativity(g, mutual_only=(args.arcs == "mutual"))
     except UndefinedCorrelationError as exc:
         _warn_or_raise(args.strict, str(exc))
-        r, pair_count = None, 0
-    _emit(json_bytes({"r": r, "pair_count": pair_count, "arcs": args.arcs}), args.output)
+        doc = {"r": None, "pair_count": 0}
+    _emit(json_bytes({**doc, "arcs": args.arcs}), args.output)
     return EXIT_OK
 
 
@@ -184,20 +172,12 @@ def _cmd_equidisperse(args: argparse.Namespace) -> int:
 
 def _cmd_rewire(args: argparse.Namespace) -> int:
     g = load_edge_list(args.graph, strict=args.strict)
-    outcome = maslov_sneppen_rewire(g, np.random.default_rng(args.seed), args.swap_multiplier)
-    if outcome.warning:
-        _warn_or_raise(args.strict, outcome.warning)
-    save_snapshot(
-        outcome.graph,
-        args.output,
-        regime="rewired",
-        seed=args.seed,
-        extra_provenance={
-            "attempted_swaps": outcome.attempted_swaps,
-            "accepted_swaps": outcome.accepted_swaps,
-        },
-    )
-    _emit(json_bytes({**outcome.stats(), "snapshot": str(args.output)}), None)
+    rewired, stats = maslov_sneppen_rewire(g, np.random.default_rng(args.seed), args.swap_multiplier)
+    if stats["warning"]:
+        _warn_or_raise(args.strict, stats["warning"])
+    swaps = {key: stats[key] for key in ("attempted_swaps", "accepted_swaps")}
+    save_snapshot(rewired, args.output, regime="rewired", seed=args.seed, extra_provenance=swaps)
+    _emit(json_bytes({**stats, "snapshot": str(args.output)}), None)
     return EXIT_OK
 
 
@@ -353,17 +333,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except DegenerateInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except (DomainError, FormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with warnings.catch_warnings():  # restores the hook on return; the filters, so which warnings are errors, stay as set
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except DegenerateInputError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_DEGENERATE
+        except (DomainError, FormatError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import warnings
 from contextlib import suppress
-from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator, Sequence
@@ -51,21 +50,6 @@ VERTEX_HEADER = "external_id,dense_id"
 
 _BATCH = 1 << 13  # lines or texts per C-level pass: CSV rows written (write_csv), counted tails split
 _CHUNK = 1 << 19  # bytes per array pass when an event log, a snapshot or a sidecar is read
-
-
-@dataclass
-class IngestStats:
-    """Line-level accounting for one aggregation run.
-
-    events_read always equals the aggregated weight total plus dropped
-    self-calls plus malformed lines.
-    """
-
-    events_read: int = 0
-    self_calls_dropped: int = 0
-    malformed_lines: int = 0
-    vertices: int = 0
-    arcs: int = 0
 
 
 def _event_tails(u: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -93,8 +77,13 @@ def _first_self_call(u: np.ndarray, c1: np.ndarray, c2: np.ndarray, stops: np.nd
 def aggregate_event_file(
     path: str | Path,
     strict: bool = False,
-) -> tuple[WeightedDigraph, IngestStats]:
-    """Count events per ordered (caller, callee) pair into arc weights.
+) -> tuple[WeightedDigraph, dict[str, int]]:
+    """Count events per ordered (caller, callee) pair into arc weights: ``(graph, accounting)``.
+
+    ``accounting`` holds ``events_read``, ``self_calls_dropped`` and
+    ``malformed_lines``, the line counts that ``save_snapshot`` writes as
+    provenance and ``ingest`` prints; ``events_read`` always equals the
+    aggregated weight total plus the other two.
 
     Malformed lines and self-calls are dropped and counted (in strict mode
     the first one in file order aborts); the timestamp field is not parsed.
@@ -162,7 +151,7 @@ def aggregate_event_file(
     texts, dense = labels.sorted_order(used)
     del labels
     g = WeightedDigraph.from_columns(len(texts), dense[src], dense[dst], w, stored_labels(texts))
-    return g, IngestStats(read, dropped, malformed, g.vertex_count, g.arc_count)
+    return g, {"events_read": read, "self_calls_dropped": dropped, "malformed_lines": malformed}
 
 
 def _summed(v: int, keys: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

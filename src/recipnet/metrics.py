@@ -7,7 +7,9 @@ concentration per vertex, and degree assortativity across linked dyads.
 
 Bulk sweeps work on the graph's CSR arrays: :func:`dyad_scores` scores every
 mutual dyad at once, in canonical (a, b) order, and
-:func:`concentration_arrays` every vertex of out-degree 2 or more. The
+:func:`concentration_arrays` every vertex of out-degree 2 or more.
+:func:`histogram` and :func:`degree_assortativity` return the JSON blocks
+that reports and the CLI print, as plain dicts. The
 scalar functions (:func:`reciprocity`, :func:`concentration`) return plain
 values and are the reference the sweeps are tested against; logs go through
 ``math.log`` (a share that underflows to 0.0 as ln w - ln s) and squares are
@@ -18,9 +20,8 @@ functions are pure reads of an immutable graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -35,8 +36,6 @@ RECIPROCAL_MAX = math.log(1.5)
 PARTIAL_MAX = math.log(9.0)
 
 DEFAULT_BIN_WIDTH = 0.1
-#: A bin width that would need more bins than this is rejected, not allocated.
-_MAX_BINS = 10_000
 
 
 class DyadClass(Enum):
@@ -49,12 +48,6 @@ class DyadClass(Enum):
 #: on the two boundaries reproduces.
 _CLASSES = tuple(DyadClass)
 _CLASS_BOUNDS = np.array([RECIPROCAL_MAX, PARTIAL_MAX])
-
-
-@dataclass(frozen=True)
-class AssortativityResult:
-    r: float
-    pair_count: int
 
 
 def reciprocity_value(w_ab: float, w_ba: float, s_a: float, s_b: float) -> float:
@@ -103,9 +96,6 @@ class DyadScores(NamedTuple):
     p_ba: np.ndarray
     r_value: np.ndarray
     dyad_class: np.ndarray
-
-    def histogram(self, bin_width: float = DEFAULT_BIN_WIDTH) -> ReciprocityHistogram:
-        return _histogram(self.r_value, self.dyad_class, bin_width)
 
 
 def _log(p: np.ndarray, w: np.ndarray, strength: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -231,14 +221,16 @@ def _r_of(n: int, sx: int, sy: int, sxx: int, syy: int, sxy: int) -> float | Non
     return num / vx if vx == vy else num / math.sqrt(vx * vy)
 
 
-def degree_assortativity(g: WeightedDigraph, mutual_only: bool = True) -> AssortativityResult:
-    """Pearson correlation of excess degrees across linked vertex pairs (Newman's r).
+def degree_assortativity(g: WeightedDigraph, mutual_only: bool = True) -> dict[str, Any]:
+    """Pearson correlation of excess degrees across linked vertex pairs (Newman's r), as ``{"r", "pair_count"}``.
 
     ``mutual_only`` (default) works on the mutual-dyad backbone, each dyad
     contributing both endpoint orderings; otherwise every directed arc
     contributes one (tail, head) pair with degrees counted over the
     undirected neighbor sets. Raw degrees (r is shift-invariant) go into exact
     integer sums, so the backbone r is correctly rounded, as the rewire reports it.
+    Fewer than two pairs, or zero variance in their degrees, raise
+    :class:`UndefinedCorrelationError`.
     """
     v = g.vertex_count
     if mutual_only:
@@ -249,40 +241,33 @@ def degree_assortativity(g: WeightedDigraph, mutual_only: bool = True) -> Assort
         degree = np.bincount(np.concatenate((tail, head[g._reverse_arcs() < 0])), minlength=v)
         sums = _moments(degree[tail], degree[head])
     if sums[0] < 2:
-        raise DomainError("assortativity needs at least two endpoint pairs")
+        raise UndefinedCorrelationError("assortativity needs at least two endpoint pairs")
     r = _r_of(*sums)
     if r is None:
         raise UndefinedCorrelationError("degree correlation undefined: zero variance in the degree sequence")
-    return AssortativityResult(r=r, pair_count=sums[0])
+    return {"r": r, "pair_count": sums[0]}
 
 
-@dataclass(frozen=True)
-class ReciprocityHistogram:
-    """Fixed-width histogram of reciprocity scores starting at 0.
+def histogram(scores: DyadScores, bin_width: float = DEFAULT_BIN_WIDTH) -> dict[str, Any]:
+    """The histogram block of the scores: ``{"bin_width", "total", "bins", "class_proportions"}``.
 
-    ``counts[i]`` covers the half-open bin [i*bin_width, (i+1)*bin_width);
-    trailing empty bins are trimmed. ``class_proportions`` is the
-    (reciprocal, partially reciprocal, non-reciprocal) share of all scores.
+    ``bins`` lists the non-empty bins in ascending order, each ``[i * bin_width,
+    (i + 1) * bin_width, count]`` for the half-open interval it covers, so one
+    extreme score adds one bin, not every bin below it. ``class_proportions``
+    is each class's share of all scores, keyed by its :class:`DyadClass` value.
+    A width at which the largest score's bin index reaches 2**53, past which
+    float bin indices are no longer exact, is rejected.
     """
-
-    bin_width: float
-    counts: tuple[int, ...]
-    total: int
-    class_proportions: tuple[float, float, float]
-
-    def bins(self) -> list[tuple[float, float, int]]:
-        return [
-            (i * self.bin_width, (i + 1) * self.bin_width, c)
-            for i, c in enumerate(self.counts)
-        ]
-
-
-def _histogram(r: np.ndarray, classes: np.ndarray, bin_width: float) -> ReciprocityHistogram:
     if not (bin_width > 0 and math.isfinite(bin_width)):
         raise DomainError(f"bin width must be finite and positive, got {bin_width}")
-    if len(r) and r.max() // bin_width >= _MAX_BINS:
-        raise DomainError(f"bin width {bin_width} would need more than {_MAX_BINS} histogram bins")
-    counts = tuple(np.bincount((r // bin_width).astype(np.int64)).tolist())
-    by_class = np.bincount(classes, minlength=len(_CLASSES)).tolist()
-    shares = tuple(c / len(r) for c in by_class) if len(r) else (0.0, 0.0, 0.0)
-    return ReciprocityHistogram(bin_width, counts, len(r), shares)
+    r, n = scores.r_value, len(scores.r_value)
+    if n and r.max() // bin_width >= 2**53:
+        raise DomainError(f"bin width {bin_width} puts the largest score {float(r.max())!r} past bin index 2**53")
+    index, counts = np.unique((r // bin_width).astype(np.int64), return_counts=True)
+    by_class = np.bincount(scores.dyad_class, minlength=len(_CLASSES)).tolist()
+    return {
+        "bin_width": bin_width,
+        "total": n,
+        "bins": [[i * bin_width, (i + 1) * bin_width, c] for i, c in zip(index.tolist(), counts.tolist())],
+        "class_proportions": {cls.value: c / n if n else 0.0 for cls, c in zip(_CLASSES, by_class)},
+    }

@@ -6,7 +6,8 @@ Three transforms, composable into a 2x2 family of comparison networks:
   strength equally across its out-neighbors.
 * ``maslov_sneppen_rewire`` randomizes who is connected to whom on the
   backbone of mutual dyads while preserving every vertex's degree, driving
-  degree assortativity to zero.
+  degree assortativity to zero. It returns the rewired graph and its swap
+  statistics as the plain dict that outputs print.
 * ``reattach_weights`` builds the graph of a rewired backbone edge array,
   mapping each vertex's original outgoing weight multiset onto its new
   neighbors by seeded random permutation, so strength and dispersion survive.
@@ -30,7 +31,6 @@ from these transforms lives in :mod:`recipnet.report`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -44,24 +44,6 @@ from .metrics import _backbone_moments, _r_of
 EARLY_STOP_R = 0.005
 
 DEFAULT_SWAP_MULTIPLIER = 10
-
-
-@dataclass
-class RewireOutcome:
-    graph: WeightedDigraph
-    attempted_swaps: int
-    accepted_swaps: int
-    residual_assortativity: float | None
-    warning: str | None = None
-
-    def stats(self) -> dict[str, Any]:
-        """The swap counts, residual assortativity and warning, as outputs record them."""
-        return {
-            "attempted_swaps": self.attempted_swaps,
-            "accepted_swaps": self.accepted_swaps,
-            "residual_assortativity": self.residual_assortativity,
-            "warning": self.warning,
-        }
 
 
 def equidisperse(g: WeightedDigraph) -> WeightedDigraph:
@@ -218,14 +200,18 @@ def maslov_sneppen_rewire(
     g: WeightedDigraph,
     rng: np.random.Generator,
     swap_multiplier: int = DEFAULT_SWAP_MULTIPLIER,
-) -> RewireOutcome:
-    """Degree-preserving randomization of the mutual-dyad backbone.
+) -> tuple[WeightedDigraph, dict[str, Any]]:
+    """Degree-preserving randomization of the mutual-dyad backbone: ``(graph, stats)``.
 
     Runs :func:`_swap_chain` on the backbone for at most
     ``swap_multiplier * edge_count`` proposals, stopping after the first
     round that leaves the backbone's assortativity neutral (|r| <
     ``EARLY_STOP_R``). Directed weights are put back with
-    :func:`reattach_weights` using the same RNG.
+    :func:`reattach_weights` using the same RNG. ``stats`` is the block that
+    ``rewire`` prints and ``comparison.json`` holds: ``attempted_swaps``,
+    ``accepted_swaps``, ``residual_assortativity`` (the backbone r of the
+    returned graph) and ``warning``, set when no swap was accepted and ``g``
+    itself is returned.
     """
     if swap_multiplier < 1:
         raise DomainError("swap multiplier must be a positive integer")
@@ -249,7 +235,6 @@ def maslov_sneppen_rewire(
         tolerance=EARLY_STOP_R,
         blocked=blocked,
     )
-    if accepted == 0:
-        warning = "no acceptable swap found; graph returned unchanged"
-        return RewireOutcome(g, attempted, 0, residual, warning)
-    return RewireOutcome(reattach_weights(e, g, rng), attempted, accepted, residual)
+    warning = None if accepted else "no acceptable swap found; graph returned unchanged"
+    stats = {"attempted_swaps": attempted, "accepted_swaps": accepted, "residual_assortativity": residual, "warning": warning}
+    return (reattach_weights(e, g, rng) if accepted else g), stats

@@ -4,7 +4,10 @@
 :data:`CELLS` table, one per row, and judges the ordering of the four cells.
 
 A report, and a comparison, is one JSON document: a dict of plain values,
-built once and only read after. A report's CSV is a flat view of that
+built once and only read after. Its blocks are the documents the
+measurements return as they are: :func:`recipnet.metrics.histogram` (whose
+class shares move to ``reciprocity``), :func:`recipnet.metrics.degree_assortativity`
+and the rewire's statistics. A report's CSV is a flat view of that
 document. Identical inputs produce byte-identical output (keys sorted,
 floats via repr, no timestamps), which the comparison pipeline relies on for
 reproducibility checks.
@@ -20,23 +23,23 @@ from typing import Any
 import numpy as np
 
 from . import __version__ as _version
-from .errors import DomainError, UndefinedCorrelationError
+from .errors import UndefinedCorrelationError
 from .graph import WeightedDigraph
-from .metrics import DEFAULT_BIN_WIDTH, DyadClass, concentration_arrays, degree_assortativity, dyad_scores
-from .nullmodels import DEFAULT_SWAP_MULTIPLIER, RewireOutcome, equidisperse, maslov_sneppen_rewire
+from .metrics import DEFAULT_BIN_WIDTH, concentration_arrays, degree_assortativity, dyad_scores, histogram
+from .nullmodels import DEFAULT_SWAP_MULTIPLIER, equidisperse, maslov_sneppen_rewire
 
-SCHEMA_VERSION = 2  # 2: input_digest is content digest v2 (binary CSR encoding)
+SCHEMA_VERSION = 3  # 2: input_digest is content digest v2 (binary CSR encoding); 3: only non-empty histogram bins
 
 H_STAR_QUANTILES = (0.10, 0.25, 0.50, 0.75, 0.90)
 
 #: The comparison's cells in output order, as ``(name, seeded, build)`` rows. ``build(observed,
-#: outcome)`` returns the cell's graph from the observed graph and the seed's rewiring, which
-#: is ``None`` for a cell that is not ``seeded``: that cell is built once for every seed.
-CELLS: tuple[tuple[str, bool, Callable[[WeightedDigraph, RewireOutcome | None], WeightedDigraph]], ...] = (
-    ("observed", False, lambda g, outcome: g),
-    ("observed_equidispersed", False, lambda g, outcome: equidisperse(g)),
-    ("rewired", True, lambda g, outcome: outcome.graph),
-    ("rewired_equidispersed", True, lambda g, outcome: equidisperse(outcome.graph)),
+#: rewired)`` returns the cell's graph from the observed graph and the seed's rewired graph,
+#: which is ``None`` for a cell that is not ``seeded``: that cell is built once for every seed.
+CELLS: tuple[tuple[str, bool, Callable[[WeightedDigraph, WeightedDigraph | None], WeightedDigraph]], ...] = (
+    ("observed", False, lambda g, rewired: g),
+    ("observed_equidispersed", False, lambda g, rewired: equidisperse(g)),
+    ("rewired", True, lambda g, rewired: rewired),
+    ("rewired_equidispersed", True, lambda g, rewired: equidisperse(rewired)),
 )
 
 
@@ -48,14 +51,14 @@ def analyze(
 ) -> dict[str, Any]:
     """Run the full per-network measurement sweep on the graph's arrays; return the report's JSON document."""
     scores = dyad_scores(g)
-    histogram = scores.histogram(bin_width)
+    hist = histogram(scores, bin_width)
+    shares = hist.pop("class_proportions")  # reported in the reciprocity block
     r = scores.r_value
     mean_r, median_r = (float(r.mean()), float(np.median(r))) if len(r) else (None, None)
     del scores, r  # no score column is live during the assortativity and concentration passes
     try:
-        assort: dict[str, Any] | None = asdict(degree_assortativity(g, mutual_only=True))
-    except (UndefinedCorrelationError, DomainError):
-        # Too few pairs or zero degree variance: report the rest without r.
+        assort: dict[str, Any] | None = degree_assortativity(g, mutual_only=True)
+    except UndefinedCorrelationError:  # too few pairs or zero degree variance: report the rest without r
         assort = None
     h_star = concentration_arrays(g)[2]
     return {
@@ -63,16 +66,8 @@ def analyze(
         "provenance": {"regime": regime, "seed": seed, "input_digest": g.content_digest(), "tool": f"recipnet/{_version}"},
         "vertex_count": g.vertex_count,
         "census": asdict(g.dyad_census()),
-        "reciprocity": {
-            "mean": mean_r,
-            "median": median_r,
-            "class_proportions": class_shares(histogram.class_proportions),
-        },
-        "histogram": {
-            "bin_width": histogram.bin_width,
-            "total": histogram.total,
-            "bins": [[lo, hi, c] for lo, hi, c in histogram.bins()],
-        },
+        "reciprocity": {"mean": mean_r, "median": median_r, "class_proportions": shares},
+        "histogram": hist,
         "assortativity": assort,
         "h_star_quantiles": [[q, float(np.quantile(h_star, q))] for q in H_STAR_QUANTILES] if len(h_star) else [],
     }
@@ -125,8 +120,8 @@ def run_regime_comparison(
     base = {name: analyze(graph, name, bin_width=bin_width) for name, graph in fixed.items()}
     comparisons, kept = [], {}
     for seed in seeds:
-        outcome = maslov_sneppen_rewire(g, np.random.default_rng(seed), swap_multiplier)
-        graphs = {name: fixed[name] if name in fixed else build(g, outcome) for name, _, build in CELLS}
+        rewired, stats = maslov_sneppen_rewire(g, np.random.default_rng(seed), swap_multiplier)
+        graphs = {name: fixed[name] if name in fixed else build(g, rewired) for name, _, build in CELLS}
         reports = {
             name: {**base[name], "provenance": {**base[name]["provenance"], "seed": seed}}
             if name in base
@@ -134,18 +129,13 @@ def run_regime_comparison(
             for name, graph in graphs.items()
         }
         verdict = _ordering_verdict({label: rep["reciprocity"]["mean"] for label, rep in reports.items()})
-        doc = {"schema": SCHEMA_VERSION, "seed": seed, "swap_multiplier": swap_multiplier, "rewire": outcome.stats()}
+        doc = {"schema": SCHEMA_VERSION, "seed": seed, "swap_multiplier": swap_multiplier, "rewire": stats}
         comparisons.append({**doc, "reports": reports, "verdict": verdict})
         kept = kept or graphs  # only the first seed's graphs are ever saved
     return comparisons, kept
 
 
 # -- serialization ----------------------------------------------------------
-
-
-def class_shares(proportions: tuple[float, float, float]) -> dict[str, float]:
-    """Share of each dyad class, keyed by its :class:`DyadClass` value."""
-    return {cls.value: share for cls, share in zip(DyadClass, proportions)}
 
 
 def replicas_to_dict(comparisons: list[dict[str, Any]]) -> dict[str, Any]:

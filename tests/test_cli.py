@@ -13,13 +13,15 @@ from collections import Counter
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
-from recipnet import ingest, report
+from recipnet import cli, ingest, report
 from recipnet.cli import EXIT_DEGENERATE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from recipnet.graph import GraphBuilder, WeightedDigraph
 from recipnet.ingest import aggregate_event_file, load_edge_list, save_snapshot
-from recipnet.metrics import classify, concentration, reciprocity_value
+from recipnet.metrics import classify, concentration, degree_assortativity, reciprocity_value
+from recipnet.nullmodels import maslov_sneppen_rewire
 
 from conftest import random_digraph
 
@@ -279,7 +281,7 @@ class TestPipeline:
             return json.loads((outdir / "comparison.json").read_bytes())["verdict"]
 
         plain = regimes(tmp_path / "plain")
-        row = ("observed_again", False, lambda g, outcome: g)  # seed-independent: built once
+        row = ("observed_again", False, lambda g, rewired: g)  # seed-independent: built once
         with mock.patch.object(report, "CELLS", (*report.CELLS, row)):
             extended = regimes(tmp_path / "extended")
         outdir = tmp_path / "extended"
@@ -332,7 +334,7 @@ class TestPipeline:
     def test_report_json_and_csv(self, capsys, graph_file, tmp_path):
         code, payload = run_json(capsys, ["report", str(graph_file)])
         assert code == EXIT_OK
-        assert payload["schema"] == 2
+        assert payload["schema"] == 3
         out = tmp_path / "rep.csv"
         assert main(["report", str(graph_file), "--format", "csv", "-o", str(out)]) == EXIT_OK
         assert out.read_text().startswith("metric,value")
@@ -408,19 +410,21 @@ class TestExitCodes:
         assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("command", ["report", "reciprocity", "regimes"])
-    def test_bin_width_needing_too_many_bins_rejected(self, command, graph_file, tmp_path, capsys):
-        # The top score on graph_file is ln 1.5 = 0.405, so this width needs 20,274 bins.
+    def test_fine_bin_width_lists_only_non_empty_bins(self, command, graph_file, tmp_path, capsys):
+        # The top score on graph_file is ln 1.5 = 0.405, so this width spans 20,274 bins, 3 of them used at most.
         argv = [command, str(graph_file), "--bin-width", "2e-5"]
         if command == "regimes":
             argv += ["--outdir", str(tmp_path / "reg")]
         if command == "reciprocity":
             argv += ["--records", str(tmp_path / "r.csv")]
-        assert main(argv) == EXIT_VALIDATION
-        captured = capsys.readouterr()
-        assert "would need more than 10000 histogram bins" in captured.err
-        assert captured.out == ""
-        assert not (tmp_path / "reg").exists()
-        assert not (tmp_path / "r.csv").exists()
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        doc = json.loads((tmp_path / "reg" / "observed.json").read_text() if command == "regimes" else out)
+        bins = doc["bins"] if command == "reciprocity" else doc["histogram"]["bins"]
+        dyads = load_edge_list(graph_file).dyad_census().mutual
+        assert 1 <= len(bins) <= dyads
+        assert all(c > 0 for _, _, c in bins)
+        assert sum(c for _, _, c in bins) == dyads
 
     @pytest.mark.parametrize(
         "arcs, command, output, message",
@@ -486,30 +490,30 @@ class TestExitCodes:
 PINNED_SHA256 = {
     "rw.csv": "b1b80496ddee89dd6260d17fe6dbe98335e4f711a030c3d807dae0cf1aa39446",
     "rw.vertices.csv": "2944110e7129f8608b65cd66d13dba860c592967ca6afd46390e82552a26ba01",
-    "comparison.json": "3861b7c231a6f61e38e81f73f76bb3c05252169e3a8a6a0fedc227c90b92ba3a",
+    "comparison.json": "6393b378ea8989322304cfec83196441a7c9cb11dbe5ae364d6ac5e4a305e9ae",
     "observed.graph.csv": "7e300aa3917d5dca570acbcb5f6f3d8430866cf35da1b5413084979289b79cb8",
     "observed.graph.vertices.csv": "2944110e7129f8608b65cd66d13dba860c592967ca6afd46390e82552a26ba01",
-    "observed.json": "11fba5480f182186458ae9a82a05addbb9dcb3d3d3bc7f0cc65896d5ceda3a3b",
+    "observed.json": "3fbc99ee490ba95a07bb6bdf98fa3dd62eeaa2e5820fe5eafe1ba937bd1268ca",
     "observed_equidispersed.graph.csv": "5acda60690d0dc40631c43dedd8fc2031a1ce1d52e7d6e9cc3d6d39750564db2",
     "observed_equidispersed.graph.vertices.csv": "2944110e7129f8608b65cd66d13dba860c592967ca6afd46390e82552a26ba01",
-    "observed_equidispersed.json": "f0da4050fda71f6f3371813cefc87f6796f7ca63631b19b041604e140bba448e",
+    "observed_equidispersed.json": "26bb2e3aa50d9ae03cee59ff1eacb66c2529f71fcaf20dfb68f3c4dd8ac591a6",
     "rewired.graph.csv": "519001c8a6049d4ab7df3a7b4041f81f208c36029ac62de74c1e130c7f3655f7",
     "rewired.graph.vertices.csv": "2944110e7129f8608b65cd66d13dba860c592967ca6afd46390e82552a26ba01",
-    "rewired.json": "73a672fcf19cbbf5e280ee3a1addf0725285ddb828bc471f2ebcab35238d800f",
+    "rewired.json": "f207510b73871338670e93e0c83026cedd6040015db7c68c8f58a45d59f83817",
     "rewired_equidispersed.graph.csv": "ed81e6c73e7075b1933b6ca8585fa4801b4dcfc601c4196035db0c996c91830c",
     "rewired_equidispersed.graph.vertices.csv": "2944110e7129f8608b65cd66d13dba860c592967ca6afd46390e82552a26ba01",
-    "rewired_equidispersed.json": "92091a9d67fc11a8e976d466c1edf3be517ebef5d4c77635d264e6552cb10aa9",
+    "rewired_equidispersed.json": "0a645bf7a735b4851b783b488a665c94f851a013bad7d684e2ef01724fc06ce6",
 }
 #: The same for `regimes --save-graphs --seed 7 --replicas 5`: seed 7 writes the
 #: files above, seeds 8 to 11 add one comparison each, replicas.json sums up.
 #: Only seed 7's graphs are kept and saved; later replicas drop theirs.
 PINNED_REPLICAS_SHA256 = {
     **{name: digest for name, digest in PINNED_SHA256.items() if not name.startswith("rw")},
-    "comparison.seed8.json": "71ed7c41817b3d77c5af48a08dba48054ce250e6770f52cda2675665d69c68f0",
-    "comparison.seed9.json": "bb46904537828cb9128d19dbb4ad555ddb854ba7db4161c92a1d6e7573c349ef",
-    "comparison.seed10.json": "455f3ad3e1a28b0e69de3ba34429d60831214f68839f74e9bf348d55b87a7226",
-    "comparison.seed11.json": "40c4babbd28e500aee40b9498eb1192e0f08b8007a49070c2f7ff56618e9604f",
-    "replicas.json": "fc6987e061d249465c3182acf54039dacfbf9f5e68dfa77c78f672e33b6580d5",
+    "comparison.seed8.json": "0de0084b919c58669ab934980f10444e2ad586683067032a97b0645cf1043c76",
+    "comparison.seed9.json": "0095b2c582b7c23aa1cd5cc7689508ea7bcfc6fa28de7066b3103df72cafd701",
+    "comparison.seed10.json": "88a67f128583ba8aabcbb1a13b922f7bff15cf3aa269c07197f132b826f53888",
+    "comparison.seed11.json": "4c5c0867175523019bd3507940b321eb17f263d503f8a35d3f01a8cc73c2fd0b",
+    "replicas.json": "4b9b993ef715cb697357ebc2ff07aeeb4b69a3679ee8424a9f07ec7123865282",
 }
 
 
@@ -535,11 +539,11 @@ def test_seeded_outputs_are_pinned(tmp_path, capsys):
 #: in test_seeded_outputs_are_pinned, and of `report --format csv` on a graph
 #: with no mutual dyad.
 PINNED_CSV_SHA256 = {
-    "observed.csv": "b136017da3e36285cc51de749a66ec878bfdb43033395bdf169202a0ce4be89e",
-    "observed_equidispersed.csv": "323d42965b5a9b5575242c53c00fe1b2cd5e62ae4752c688dd7e0dc7f1886f03",
-    "rewired.csv": "4a62c84953f94a5ba79623076e0bb9b3b7a1879a218c95de42c0a75ce8b39e15",
-    "rewired_equidispersed.csv": "0d726dd52ecfbaa57e1647d24232e9ca34a43b042d4df9f7348e09854320cabe",
-    "one_way.report.csv": "44df98357f10845cb3231c4f16888fa160e2ce3314703df28c72b98a5afeebac",
+    "observed.csv": "3ecfaead9b56a7759e468c0fef8209938dfb27e32c2888e8fb934c6160a27980",
+    "observed_equidispersed.csv": "72aa714ee4db5e86279632478e7c2b3fe277869587060e3eb72d01f45f8d9f16",
+    "rewired.csv": "5ff0726468a00b43c3433688106fd553732039eca00957079aa871ec13bca784",
+    "rewired_equidispersed.csv": "8d03b4f07888847e58fe3da60d02fe3d1510d16ef2d7221238a8061727677bea",
+    "one_way.report.csv": "e3ed01cd4ee3599c6257c3351011b338233977de7c60b08ff4a40c26da43bd97",
 }
 
 
@@ -574,12 +578,84 @@ def test_regimes_residual_is_rewired_report_r(tmp_path, capsys):
 def test_share_that_underflows_to_zero_is_scored(command, tmp_path, capsys):
     # Every weight is finite and positive, but a's share of b, 5e-324 / 1e308, rounds to 0.0.
     (tmp_path / "g.csv").write_text("src,dst,weight\na,b,5e-324\nb,a,1\na,c,1e308\nc,a,1\n")
-    argv = [command, str(tmp_path / "g.csv"), "--bin-width", "1"]
+    argv = [command, str(tmp_path / "g.csv")]
     argv += ["--outdir", str(tmp_path / "reg")] if command == "regimes" else ["-o", str(tmp_path / "out.json")]
     assert main(argv) == EXIT_OK
     if command == "report":
         rep = json.loads((tmp_path / "out.json").read_text())
         assert rep["reciprocity"]["mean"] == pytest.approx(1453.6 / 2, abs=0.1)
+        # At the default width 0.1 the score 1453.6 lists its own bin, not the 14,535 empty ones below it.
+        bins = rep["histogram"]["bins"]
+        assert [c for _, _, c in bins] == [1, 1]
+        assert bins[0][:2] == [0.0, 0.1] and 1453 < bins[1][0] < 1454
+        assert main([*argv[:2], "--format", "csv"]) == EXIT_OK
+        assert capsys.readouterr().out.split("\n\n")[1].splitlines()[1:] == [f"{lo!r},{hi!r},{c}" for lo, hi, c in bins]
+
+
+def test_assortativity_without_mutual_dyads_is_undefined(tmp_path, capsys):
+    # As in `report`, which prints "assortativity": null for this graph: a warning, not a validation error.
+    path = tmp_path / "one_way.csv"
+    save_snapshot(WeightedDigraph.from_dense_arcs(3, [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 3.0)]), path)
+    assert main(["assortativity", str(path)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"r": None, "pair_count": 0, "arcs": "mutual"}
+    assert captured.err == "warning: assortativity needs at least two endpoint pairs\n"
+    assert main(["assortativity", str(path), "--strict"]) == EXIT_DEGENERATE
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: assortativity needs at least two endpoint pairs\n")
+    assert run_json(capsys, ["report", str(path)])[1]["assortativity"] is None
+
+
+def test_library_warning_is_one_stderr_line(tmp_path, capsys):
+    path = tmp_path / "dup.csv"
+    path.write_text("src,dst,weight\na,b,1\na,b,2\nb,a,1\n")
+    assert main(["census", str(path)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == f"warning: {path}: aggregated 1 duplicate arc rows\n"
+    assert json.loads(captured.out)["mutual"] == 1
+
+
+def test_warning_hook_keeps_the_warning_filters(graph_file, monkeypatch, capsys):
+    # Printing warnings changes neither which warnings are errors nor the hook outside the command.
+    real_load, hook = cli.load_edge_list, lambda *args: None
+    monkeypatch.setattr(warnings, "showwarning", hook)
+
+    def load_and_divide(*args, **kwargs):
+        np.divide(np.ones(1), np.zeros(1))  # numpy's divide-by-zero RuntimeWarning
+        return real_load(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_edge_list", load_and_divide)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="divide by zero"):
+            main(["census", str(graph_file)])
+    monkeypatch.setattr(cli, "load_edge_list", real_load)
+    assert main(["census", str(graph_file)]) == EXIT_OK
+    assert warnings.showwarning is hook
+    assert capsys.readouterr().err == ""
+
+
+def test_printed_documents_are_the_library_values(tmp_path, capsys):
+    g = random_digraph(random.Random(2011), 80, arc_fraction=0.06, mutual_bias=0.7)
+    save_snapshot(g, tmp_path / "g.csv")
+    for arcs in ("mutual", "full"):
+        code, doc = run_json(capsys, ["assortativity", str(tmp_path / "g.csv"), "--arcs", arcs])
+        assert code == EXIT_OK and doc.pop("arcs") == arcs
+        assert doc == degree_assortativity(g, mutual_only=(arcs == "mutual"))
+    code, doc = run_json(capsys, ["rewire", str(tmp_path / "g.csv"), "-o", str(tmp_path / "rw.csv"), "--seed", "7"])
+    assert code == EXIT_OK and doc.pop("snapshot") == str(tmp_path / "rw.csv")
+    rewired, stats = maslov_sneppen_rewire(g, np.random.default_rng(7))
+    assert doc == stats
+    assert load_edge_list(tmp_path / "rw.csv") == rewired
+    events = tmp_path / "events.csv"
+    events.write_text("timestamp,caller,callee\n1,a,b\n2,b,a\n3,a,a\nbad\n4,a,b\n5,c,a\n")
+    code, doc = run_json(capsys, ["ingest", str(events), "-o", str(tmp_path / "i.csv")])
+    ingested, accounting = aggregate_event_file(events)
+    assert code == EXIT_OK and accounting == {"events_read": 6, "self_calls_dropped": 1, "malformed_lines": 1}
+    assert doc == {**accounting, "vertices": 3, "arcs": 3, "snapshot": str(tmp_path / "i.csv")}
+    head = dict(line[2:].split("=", 1) for line in (tmp_path / "i.csv").read_text().splitlines() if line.startswith("# "))
+    assert {key: int(head[key]) for key in accounting} == accounting
+    assert (ingested.vertex_count, ingested.arc_count) == (3, 3)
 
 
 #: sha256 of the snapshot, sidecar and printed stats of `ingest` on the log in

@@ -26,7 +26,6 @@ from recipnet.cli import EXIT_OK, EXIT_VALIDATION, main
 from recipnet.errors import DomainError, FormatError
 from recipnet.graph import GraphBuilder, WeightedDigraph
 from recipnet.ingest import (
-    IngestStats,
     aggregate_event_file,
     load_edge_list,
     save_snapshot,
@@ -49,21 +48,21 @@ def aggregate_rows(tmp_path, rows, strict=False):
 
 class TestAggregateEvents:
     def test_repeated_events_accumulate(self, tmp_path):
-        g, stats = aggregate_rows(tmp_path, ["1,a,b"] * 3)
+        g, accounting = aggregate_rows(tmp_path, ["1,a,b"] * 3)
         assert g.arc_count == 1
         assert g.weight(0, 1) == 3.0
-        assert stats.events_read == 3
+        assert accounting["events_read"] == 3
 
     def test_mutual_pair(self, tmp_path):
-        g, stats = aggregate_rows(tmp_path, ["1,a,b", "2,b,a"])
+        g, accounting = aggregate_rows(tmp_path, ["1,a,b", "2,b,a"])
         assert g.dyad_census().mutual == 1
         assert g.weight(0, 1) == 1.0
         assert g.weight(1, 0) == 1.0
 
     def test_self_calls_dropped_and_counted(self, tmp_path):
-        g, stats = aggregate_rows(tmp_path, ["1,a,a", "2,a,b", "3,a,a"])
-        assert stats.self_calls_dropped == 2
-        assert stats.events_read == 3
+        g, accounting = aggregate_rows(tmp_path, ["1,a,a", "2,a,b", "3,a,a"])
+        assert accounting["self_calls_dropped"] == 2
+        assert accounting["events_read"] == 3
         assert g.arc_count == 1
 
     def test_strict_mode_aborts_on_self_call(self, tmp_path):
@@ -77,10 +76,10 @@ class TestAggregateEvents:
         assert g1 == g2
 
     def test_accounting_identity(self, tmp_path):
-        g, stats = aggregate_rows(tmp_path, ["1,a,b", "2,a,a", "3,b,a", "garbage"])
+        g, accounting = aggregate_rows(tmp_path, ["1,a,b", "2,a,a", "3,b,a", "garbage"])
         total_weight = sum(w for _, _, w in g.arcs())
-        assert stats.malformed_lines == 1
-        assert stats.events_read == total_weight + stats.self_calls_dropped + stats.malformed_lines
+        assert accounting["malformed_lines"] == 1
+        assert accounting["events_read"] == total_weight + accounting["self_calls_dropped"] + accounting["malformed_lines"]
 
 
 class TestEventFiles:
@@ -94,7 +93,7 @@ class TestEventFiles:
         path = tmp_path / "events.csv"
         write_events(path, rows)
 
-        g, stats = aggregate_event_file(path)
+        g, accounting = aggregate_event_file(path)
 
         # Oracle: sort the (caller, callee) pairs and group-count them.
         pairs = sorted(
@@ -105,14 +104,14 @@ class TestEventFiles:
         for (caller, callee), n in counted.items():
             oracle.add_arc(caller, callee, float(n))
         assert g == oracle.build()
-        assert stats.events_read == 10_000
+        assert accounting["events_read"] == 10_000
 
     def test_malformed_lines_counted(self, tmp_path):
         path = tmp_path / "events.csv"
         write_events(path, ["1,a,b", "garbage", "2,,b", "3,c,d,e", "4,b,a"])
-        g, stats = aggregate_event_file(path)
-        assert stats.malformed_lines == 3
-        assert stats.events_read == 5
+        g, accounting = aggregate_event_file(path)
+        assert accounting["malformed_lines"] == 3
+        assert accounting["events_read"] == 5
         assert g.arc_count == 2
 
     def test_strict_mode_aborts_on_malformed(self, tmp_path):
@@ -131,14 +130,14 @@ class TestEventFiles:
         """Empty or non-numeric timestamps are ignored; self-calls are dropped."""
         path = tmp_path / "events.csv"
         write_events(path, ["1,a,b", ",b,a", "2,a,b", "3,c,c", "x,b,a"])
-        g, stats = aggregate_event_file(path)
+        g, accounting = aggregate_event_file(path)
         builder = GraphBuilder()
         builder.add_arc("a", "b", 2.0)
         builder.add_arc("b", "a", 2.0)
         assert g == builder.build()
         assert g.labels() == ["a", "b"]
-        assert (stats.events_read, stats.self_calls_dropped, stats.malformed_lines) == (5, 1, 0)
-        assert (stats.vertices, stats.arcs) == (2, 2)
+        assert (accounting["events_read"], accounting["self_calls_dropped"], accounting["malformed_lines"]) == (5, 1, 0)
+        assert (g.vertex_count, g.arc_count) == (2, 2)
 
 
 def reference_aggregate(path, strict=False):
@@ -167,17 +166,16 @@ def reference_aggregate(path, strict=False):
     builder = GraphBuilder()
     for (caller, callee), n in counts.items():
         builder.add_arc(caller, callee, float(n))
-    g = builder.build()
-    return g, IngestStats(read, dropped, malformed, g.vertex_count, g.arc_count)
+    return builder.build(), {"events_read": read, "self_calls_dropped": dropped, "malformed_lines": malformed}
 
 
 def outcome(aggregate, path, strict):
-    """(graph, external ids, stats) of a run, or the message of the FormatError it raised."""
+    """(graph, external ids, accounting) of a run, or the message of the FormatError it raised."""
     try:
-        g, stats = aggregate(path, strict=strict)
+        g, accounting = aggregate(path, strict=strict)
     except FormatError as exc:
         return str(exc)
-    return g, g.external_ids, stats
+    return g, g.external_ids, accounting
 
 
 #: Chunk sizes in bytes for the readers: cuts fall inside labels, inside "é" and between "\r" and "\n".
@@ -261,9 +259,9 @@ class TestAgainstReferenceLoop:
         for size in (chunk, ingest._CHUNK):
             with mock.patch.object(ingest, "_CHUNK", size):
                 assert outcome(aggregate_event_file, path, True) == want
-        g, stats = aggregate_event_file(path)
-        assert (stats.malformed_lines, stats.self_calls_dropped) == (1, 1)
-        assert stats.arcs == 3 * ingest._BATCH - 2
+        g, accounting = aggregate_event_file(path)
+        assert (accounting["malformed_lines"], accounting["self_calls_dropped"]) == (1, 1)
+        assert g.arc_count == 3 * ingest._BATCH - 2
 
     def test_malformed_lines_do_not_accumulate(self, tmp_path):
         def peak(n):
@@ -271,17 +269,17 @@ class TestAgainstReferenceLoop:
             write_events(path, [f"{i},u{i},v{i},w{i}" for i in range(n)])
             tracemalloc.start()
             try:
-                g, stats = aggregate_event_file(path)
-                return tracemalloc.get_traced_memory()[1], stats
+                g, accounting = aggregate_event_file(path)
+                return tracemalloc.get_traced_memory()[1], accounting, g.arc_count
             finally:
                 tracemalloc.stop()
 
         batch = 1000
         with mock.patch.object(ingest, "_CHUNK", 1 << 14):
-            small, small_stats = peak(8 * batch)
-            large, large_stats = peak(32 * batch)
-        assert (small_stats.malformed_lines, large_stats.malformed_lines) == (8 * batch, 32 * batch)
-        assert large_stats.arcs == 0
+            small, small_accounting, _ = peak(8 * batch)
+            large, large_accounting, large_arcs = peak(32 * batch)
+        assert (small_accounting["malformed_lines"], large_accounting["malformed_lines"]) == (8 * batch, 32 * batch)
+        assert large_arcs == 0
         assert large < 1.25 * small, f"peak {large} B for 4x the lines vs {small} B"
 
     def test_errors_in_a_late_chunk_start_no_process_and_leave_nothing(self, tmp_path):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -16,9 +17,9 @@ from recipnet.errors import DomainError, MissingArcError, UndefinedCorrelationEr
 from recipnet.graph import WeightedDigraph
 from recipnet.metrics import (
     DyadClass,
+    DyadScores,
     PARTIAL_MAX,
     RECIPROCAL_MAX,
-    _histogram,
     _moments,
     _r_of,
     classify,
@@ -27,6 +28,7 @@ from recipnet.metrics import (
     degree_assortativity,
     dyad_scores,
     equidispersion_prediction,
+    histogram,
     reciprocity,
     reciprocity_value,
 )
@@ -339,8 +341,8 @@ class TestAssortativity:
             arcs += [(0, leaf, 1.0), (leaf, 0, 1.0)]
         g = WeightedDigraph.from_dense_arcs(5, arcs)
         res = degree_assortativity(g)
-        assert res.r == pytest.approx(-1.0, abs=1e-12)
-        assert res.pair_count == 8
+        assert res["r"] == pytest.approx(-1.0, abs=1e-12)
+        assert res["pair_count"] == 8
 
     def test_two_disjoint_mutual_cliques(self):
         arcs = []
@@ -355,9 +357,9 @@ class TestAssortativity:
         g = WeightedDigraph.from_dense_arcs(8, arcs)
         res = degree_assortativity(g)
         oracle = pearson_oracle(mutual_backbone_pairs(g))
-        assert res.r > 0
-        assert res.r == pytest.approx(oracle, abs=1e-12)
-        assert res.r == pytest.approx(1.0, abs=1e-12)
+        assert res["r"] > 0
+        assert res["r"] == pytest.approx(oracle, abs=1e-12)
+        assert res["r"] == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_pearson_oracle_on_random_graphs(self):
         rnd = random.Random(13)
@@ -371,8 +373,16 @@ class TestAssortativity:
                 res = degree_assortativity(g)
             except UndefinedCorrelationError:
                 continue
-            assert res.r == pytest.approx(pearson_oracle(pairs), abs=1e-9)
-            assert abs(res.r) <= 1.0 + 1e-9
+            assert res["r"] == pytest.approx(pearson_oracle(pairs), abs=1e-9)
+            assert abs(res["r"]) <= 1.0 + 1e-9
+
+    def test_too_few_pairs_reported_as_undefined(self):
+        # No mutual dyad, and a single arc: r is as undefined as at zero variance, not an invalid input.
+        no_mutual = WeightedDigraph.from_dense_arcs(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        with pytest.raises(UndefinedCorrelationError, match="at least two endpoint pairs"):
+            degree_assortativity(no_mutual)
+        with pytest.raises(UndefinedCorrelationError, match="at least two endpoint pairs"):
+            degree_assortativity(WeightedDigraph.from_dense_arcs(2, [(0, 1, 1.0)]), mutual_only=False)
 
     def test_zero_variance_reported_distinctly(self):
         g = WeightedDigraph.from_dense_arcs(4, [(0, 1, 1.0), (1, 0, 1.0), (2, 3, 1.0), (3, 2, 1.0)])
@@ -387,13 +397,13 @@ class TestAssortativity:
         for _ in range(8):
             g = random_digraph(rnd, rnd.randint(20, 80), arc_fraction=0.08, mutual_bias=rnd.random())
             res = degree_assortativity(g, mutual_only=False)
-            assert res.pair_count == g.arc_count
+            assert res["pair_count"] == g.arc_count
             neighbors = [set() for _ in range(g.vertex_count)]
             for a, b, _ in g.arcs():
                 neighbors[a].add(b)
                 neighbors[b].add(a)
             tails, heads = zip(*((len(neighbors[a]) - 1, len(neighbors[b]) - 1) for a, b, _ in g.arcs()))
-            assert res.r == pytest.approx(stats.pearsonr(tails, heads).statistic, abs=1e-9)
+            assert res["r"] == pytest.approx(stats.pearsonr(tails, heads).statistic, abs=1e-9)
 
 
 @given(mutual_graphs())
@@ -409,8 +419,8 @@ def test_backbone_r_equals_the_concatenated_orientations(g):
             degree_assortativity(g)
     else:
         res = degree_assortativity(g)
-        assert res.r == want
-        assert res.pair_count == len(tail)
+        assert res["r"] == want
+        assert res["pair_count"] == len(tail)
 
 
 def _exact_sums(x: list[int], y: list[int]) -> list[int]:
@@ -445,40 +455,56 @@ def test_moments_stay_exact_past_int64_in_blocks(pairs):
 
 
 def array_histogram(values: list[float], bin_width: float):
-    """The array histogram of the scores ``values``, each classed by the scalar :func:`classify`."""
+    """The histogram block of the scores ``values``, each classed by the scalar :func:`classify`."""
     classes = [list(DyadClass).index(classify(v)) for v in values]
-    return _histogram(np.array(values, dtype=np.float64), np.array(classes, dtype=np.int64), bin_width)
+    scores = DyadScores(*[np.empty(0)] * 6, np.array(values, dtype=np.float64), np.array(classes, dtype=np.int64))
+    return histogram(scores, bin_width)
+
+
+def shares(hist) -> tuple[float, float, float]:
+    """The class shares of a histogram block, in :class:`DyadClass` order."""
+    return tuple(hist["class_proportions"][cls.value] for cls in DyadClass)
 
 
 class TestDistribution:
     def test_all_zero_single_spike(self):
         hist = array_histogram([0.0] * 7, bin_width=0.1)
-        assert hist.counts == (7,)
-        assert hist.class_proportions == (1.0, 0.0, 0.0)
+        assert hist["bins"] == [[0.0, 0.1, 7]]
+        assert shares(hist) == (1.0, 0.0, 0.0)
 
     def test_hand_binnable(self):
         hist = array_histogram([0.1, 0.5, 3.0], bin_width=0.5)
-        bins = {(lo, hi): c for lo, hi, c in hist.bins() if c}
+        bins = {(lo, hi): c for lo, hi, c in hist["bins"]}
         assert bins == {(0.0, 0.5): 1, (0.5, 1.0): 1, (3.0, 3.5): 1}
-        assert hist.class_proportions == pytest.approx((1 / 3, 1 / 3, 1 / 3))
+        assert shares(hist) == pytest.approx((1 / 3, 1 / 3, 1 / 3))
 
     def test_counts_sum_to_total(self):
         values = [random.Random(41).uniform(0, 5) for _ in range(100)]
         hist = array_histogram(values, bin_width=0.1)
-        assert sum(hist.counts) == hist.total == 100
+        assert sum(c for _, _, c in hist["bins"]) == hist["total"] == 100
 
     def test_empty(self):
         hist = array_histogram([], bin_width=0.1)
-        assert hist.total == 0
-        assert hist.class_proportions == (0.0, 0.0, 0.0)
+        assert hist["total"] == 0
+        assert hist["bins"] == []
+        assert shares(hist) == (0.0, 0.0, 0.0)
 
     def test_bad_bin_width(self):
         with pytest.raises(DomainError):
             array_histogram([], bin_width=0.0)
 
-    def test_bin_count_is_capped(self):
-        # 1249.875 / 0.125 == 9999 exactly: the top score opens the 10,000th bin.
-        hist = array_histogram([0.0, 1249.875], bin_width=0.125)
-        assert len(hist.counts) == 10_000
-        with pytest.raises(DomainError, match="more than 10000 histogram bins"):
-            array_histogram([0.0, 1250.0], bin_width=0.125)
+    def test_only_non_empty_bins_are_listed(self):
+        # 1250.0 / 0.125 == 10,000 exactly: one far score adds one bin, not the 9,999 empty ones below it.
+        hist = array_histogram([0.0, 1250.0], bin_width=0.125)
+        assert hist["bins"] == [[0.0, 0.125, 1], [1250.0, 1250.125, 1]]
+        values = [0.3, 0.0, 0.31, 7.0, 0.05, 0.35]
+        counts = Counter(int(v // 0.1) for v in values)  # a score's bin is its floor division by the width
+        want = [[i * 0.1, (i + 1) * 0.1, counts[i]] for i in sorted(counts)]
+        assert array_histogram(values, bin_width=0.1)["bins"] == want
+        assert len(want) == 4
+
+    def test_bin_index_stays_exact(self):
+        # 1.0 // 2**-52 == 2**52 is the last exact index range; 1.0 // 2**-53 reaches 2**53.
+        assert array_histogram([1.0], bin_width=2.0**-52)["bins"] == [[1.0, 1.0 + 2.0**-52, 1]]
+        with pytest.raises(DomainError, match="past bin index 2\\*\\*53"):
+            array_histogram([1.0], bin_width=2.0**-53)

@@ -83,7 +83,7 @@ class TestEquidisperse:
     def test_reweighted_graph_shares_the_reverse_arc_index(self):
         g = random_digraph(random.Random(5), 40, mutual_bias=0.6)
         eq = equidisperse(g)
-        rw = maslov_sneppen_rewire(g, np.random.default_rng(3), swap_multiplier=2).graph
+        rw, _ = maslov_sneppen_rewire(g, np.random.default_rng(3), swap_multiplier=2)
         rw_eq = equidisperse(rw)
         assert eq._reverse_arcs() is g._reverse_arcs()
         assert rw_eq._reverse_arcs() is rw._reverse_arcs()
@@ -130,11 +130,11 @@ class TestRewire:
         # is an edge, so the duplicate is rejected.
         g = _path(2, 1, 3, 4)
         rng = _ScriptedGenerator([[0, 2, 1]] * 3, [[[0.9, 0.9]]] * 3)
-        out = maslov_sneppen_rewire(g, rng, swap_multiplier=1)
-        pairs = set(mutual_pairs(out.graph))
+        rewired, stats = maslov_sneppen_rewire(g, rng, swap_multiplier=1)
+        pairs = set(mutual_pairs(rewired))
         assert pairs == {(1, 4), (2, 3), (1, 3)}
-        assert backbone_degrees(out.graph) == backbone_degrees(g)
-        assert (out.attempted_swaps, out.accepted_swaps) == (3, 1)
+        assert backbone_degrees(rewired) == backbone_degrees(g)
+        assert (stats["attempted_swaps"], stats["accepted_swaps"]) == (3, 1)
 
     def test_forced_swap_follows_orientation_flip(self):
         # Rows (1,2), (1,4), (3,4). Unflipped, (1,2),(3,4) would become the
@@ -142,9 +142,9 @@ class TestRewire:
         # (1,3),(4,2). Rounds 2 and 3 propose (1,3),(2,4) -> (1,4),(2,3): a duplicate.
         g = _path(2, 1, 4, 3)
         rng = _ScriptedGenerator([[0, 2, 1]] * 3, [[[0.9, 0.1]], [[0.9, 0.9]], [[0.9, 0.9]]])
-        out = maslov_sneppen_rewire(g, rng, swap_multiplier=1)
-        assert set(mutual_pairs(out.graph)) == {(1, 3), (2, 4), (1, 4)}
-        assert out.accepted_swaps == 1
+        rewired, stats = maslov_sneppen_rewire(g, rng, swap_multiplier=1)
+        assert set(mutual_pairs(rewired)) == {(1, 3), (2, 4), (1, 4)}
+        assert stats["accepted_swaps"] == 1
 
     def test_swap_creating_duplicate_is_rejected(self):
         # Mutual triangle: every proposal collides with an existing edge.
@@ -154,10 +154,10 @@ class TestRewire:
                 if a != b:
                     arcs.append((a, b, float(a + b + 1)))
         g = WeightedDigraph.from_dense_arcs(3, arcs)
-        out = maslov_sneppen_rewire(g, np.random.default_rng(5), swap_multiplier=20)
-        assert out.accepted_swaps == 0
-        assert out.warning is not None
-        assert out.graph is g
+        rewired, stats = maslov_sneppen_rewire(g, np.random.default_rng(5), swap_multiplier=20)
+        assert stats["accepted_swaps"] == 0
+        assert stats["warning"] is not None
+        assert rewired is g
 
     def test_too_few_edges_rejected(self):
         g = WeightedDigraph.from_dense_arcs(2, [(0, 1, 1.0), (1, 0, 1.0)])
@@ -168,18 +168,18 @@ class TestRewire:
         rnd = random.Random(77)
         for seed in range(5):
             g = random_digraph(rnd, 40, arc_fraction=0.08, mutual_bias=0.8)
-            out = maslov_sneppen_rewire(g, np.random.default_rng(seed), swap_multiplier=5)
-            assert sorted(backbone_degrees(out.graph)) == sorted(backbone_degrees(g))
-            assert backbone_degrees(out.graph) == backbone_degrees(g)
+            rewired, _ = maslov_sneppen_rewire(g, np.random.default_rng(seed), swap_multiplier=5)
+            assert sorted(backbone_degrees(rewired)) == sorted(backbone_degrees(g))
+            assert backbone_degrees(rewired) == backbone_degrees(g)
 
     def test_same_seed_is_bit_reproducible(self):
         g = random_digraph(random.Random(8), 50, mutual_bias=0.8)
-        out1 = maslov_sneppen_rewire(g, np.random.default_rng(123), swap_multiplier=5)
-        out2 = maslov_sneppen_rewire(g, np.random.default_rng(123), swap_multiplier=5)
-        assert out1.graph == out2.graph
-        assert (out1.attempted_swaps, out1.accepted_swaps) == (
-            out2.attempted_swaps,
-            out2.accepted_swaps,
+        graph1, stats1 = maslov_sneppen_rewire(g, np.random.default_rng(123), swap_multiplier=5)
+        graph2, stats2 = maslov_sneppen_rewire(g, np.random.default_rng(123), swap_multiplier=5)
+        assert graph1 == graph2
+        assert (stats1["attempted_swaps"], stats1["accepted_swaps"]) == (
+            stats2["attempted_swaps"],
+            stats2["accepted_swaps"],
         )
 
     def test_neutralizes_assortative_graph(self):
@@ -191,36 +191,36 @@ class TestRewire:
             seed=3,
         )
         g = generate(cfg_synth)
-        before = degree_assortativity(g).r
+        before = degree_assortativity(g)["r"]
         assert before >= 0.3
-        out = maslov_sneppen_rewire(g, np.random.default_rng(9), swap_multiplier=10)
-        assert out.residual_assortativity is not None
-        assert abs(out.residual_assortativity) < 0.05
+        _, stats = maslov_sneppen_rewire(g, np.random.default_rng(9), swap_multiplier=10)
+        assert stats["residual_assortativity"] is not None
+        assert abs(stats["residual_assortativity"]) < 0.05
 
     def test_residual_is_backbone_assortativity_of_result(self):
         rnd = random.Random(61)
         for seed in range(5):
             g = random_digraph(rnd, 60, arc_fraction=0.08, mutual_bias=0.6)
             assert g.dyad_census().asymmetric > 0
-            out = maslov_sneppen_rewire(g, np.random.default_rng(seed), swap_multiplier=3)
-            assert out.accepted_swaps > 0
-            expected = degree_assortativity(out.graph, mutual_only=True).r
-            assert out.residual_assortativity == expected
+            rewired, stats = maslov_sneppen_rewire(g, np.random.default_rng(seed), swap_multiplier=3)
+            assert stats["accepted_swaps"] > 0
+            expected = degree_assortativity(rewired, mutual_only=True)["r"]
+            assert stats["residual_assortativity"] == expected
 
     def test_neutral_graph_is_still_randomized(self):
         g = random_digraph(random.Random(12), 80, arc_fraction=0.06, mutual_bias=0.9)
-        neutral = maslov_sneppen_rewire(g, np.random.default_rng(1), swap_multiplier=50).graph
-        assert abs(degree_assortativity(neutral).r) < 0.005
-        out = maslov_sneppen_rewire(neutral, np.random.default_rng(2))
-        assert out.accepted_swaps > 0
-        assert out.graph != neutral
+        neutral, _ = maslov_sneppen_rewire(g, np.random.default_rng(1), swap_multiplier=50)
+        assert abs(degree_assortativity(neutral)["r"]) < 0.005
+        rewired, stats = maslov_sneppen_rewire(neutral, np.random.default_rng(2))
+        assert stats["accepted_swaps"] > 0
+        assert rewired != neutral
 
     def test_one_way_arcs_carried_through(self):
         arcs = [(0, 1, 2.0), (1, 0, 3.0), (2, 3, 4.0), (3, 2, 5.0), (0, 4, 7.0)]
         g = WeightedDigraph.from_dense_arcs(5, arcs)
-        out = maslov_sneppen_rewire(g, np.random.default_rng(1), swap_multiplier=3)
-        if out.accepted_swaps:
-            assert out.graph.weight(0, 4) == 7.0
+        rewired, stats = maslov_sneppen_rewire(g, np.random.default_rng(1), swap_multiplier=3)
+        if stats["accepted_swaps"]:
+            assert rewired.weight(0, 4) == 7.0
 
 
 class _Recorder:

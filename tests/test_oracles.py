@@ -14,6 +14,7 @@ from recipnet.metrics import (
     classify,
     degree_assortativity,
     dyad_scores,
+    histogram,
     reciprocity_value,
 )
 
@@ -58,7 +59,7 @@ class TestNetworkxOracle:
             expected = nx.degree_assortativity_coefficient(backbone)
             if expected != expected:  # NaN: zero degree variance
                 continue
-            assert degree_assortativity(g).r == pytest.approx(expected, abs=1e-9)
+            assert degree_assortativity(g)["r"] == pytest.approx(expected, abs=1e-9)
             checked += 1
         assert checked >= 10
 
@@ -90,9 +91,9 @@ def test_array_sweep_matches_scalar_formulas(g, bin_width):
     counts = [0] * (1 + max((int(r // bin_width) for r in scalar), default=-1))
     for r in scalar:
         counts[int(r // bin_width)] += 1
-    hist = scores.histogram(bin_width)
-    assert hist.counts == tuple(counts)
-    assert hist.total == len(scalar) == g.dyad_census().mutual
+    hist = histogram(scores, bin_width)
+    assert hist["bins"] == [[i * bin_width, (i + 1) * bin_width, c] for i, c in enumerate(counts) if c]
+    assert hist["total"] == len(scalar) == g.dyad_census().mutual
     if scalar:
-        shares = tuple(sum(classify(r) is c for r in scalar) / len(scalar) for c in classes)
-        assert hist.class_proportions == shares
+        shares = {c.value: sum(classify(r) is c for r in scalar) / len(scalar) for c in classes}
+        assert hist["class_proportions"] == shares

@@ -133,7 +133,7 @@ class TestSerialization:
         rep = analyze(g)
         (tmp_path / "r.json").write_bytes(report_bytes(rep, "json"))
         (tmp_path / "r.csv").write_bytes(report_bytes(rep, "csv"))
-        assert json.loads((tmp_path / "r.json").read_bytes())["schema"] == 2
+        assert json.loads((tmp_path / "r.json").read_bytes())["schema"] == 3
         assert (tmp_path / "r.csv").read_text().startswith("metric,value")
         with pytest.raises(ValueError):
             report_bytes(rep, "xml")

@@ -89,7 +89,7 @@ class TestGenerate:
     def test_assortativity_target_hit_at_scale(self):
         cfg = SynthConfig(5000, DegreeSpec("powerlaw", 2.5), 0.33, 0.3, seed=11)
         g = generate(cfg)
-        r = degree_assortativity(g).r
+        r = degree_assortativity(g)["r"]
         assert 0.28 <= r <= 0.38
 
     def test_dispersion_monotone_in_realized_concentration(self):
