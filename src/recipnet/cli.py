@@ -124,7 +124,7 @@ def _cmd_reciprocity(args: argparse.Namespace) -> int:
     if not dyad_count:
         _warn_or_raise(args.strict, "graph has no mutual dyads")
     if args.records:
-        labels, classes = np.array(g.labels(), dtype=object), np.array([c.value for c in DyadClass], dtype=object)
+        labels, classes = np.array(g.external_ids, dtype=object), np.array([c.value for c in DyadClass], dtype=object)
 
         def dyads(lo: int, hi: int) -> tuple[np.ndarray, ...]:
             a, b, *numbers, c = (col[lo:hi] for col in scores)
@@ -141,7 +141,7 @@ def _cmd_concentration(args: argparse.Namespace) -> int:
     if not len(vertices):
         _warn_or_raise(args.strict, "no vertices with out-degree >= 2")
     if args.records:
-        labels, degree = np.array(g.labels(), dtype=object), np.diff(g._indptr)
+        labels, degree = np.array(g.external_ids, dtype=object), np.diff(g._indptr)
         write_csv(
             args.records,
             "vertex,out_degree,h,h_star\n",
@@ -159,7 +159,7 @@ def _cmd_assortativity(args: argparse.Namespace) -> int:
         doc = degree_assortativity(g, mutual_only=(args.arcs == "mutual"))
     except UndefinedCorrelationError as exc:
         _warn_or_raise(args.strict, str(exc))
-        doc = {"r": None, "pair_count": 0}
+        doc = {"r": None, "pair_count": exc.pair_count}
     _emit(json_bytes({**doc, "arcs": args.arcs}), args.output)
     return EXIT_OK
 

@@ -18,11 +18,15 @@ class DuplicateArcError(DomainError):
 
 
 class UndefinedCorrelationError(DomainError):
-    """Degree correlation is undefined (zero variance in the degree sequence).
+    """Degree correlation is undefined: too few pairs, or zero variance in their degrees; ``pair_count`` pairs were counted.
 
     Raised as its own type so callers can tell a degenerate-but-valid input
     apart from an outright invalid one.
     """
+
+    def __init__(self, message: str, pair_count: int) -> None:
+        super().__init__(message)
+        self.pair_count = pair_count
 
 
 class IntegrityError(RuntimeError):

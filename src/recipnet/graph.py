@@ -5,29 +5,25 @@ is stored as read-only CSR arrays, ``indptr`` (row bounds per source vertex),
 ``indices`` (targets, ascending within each row) and ``weights``, plus the
 per-vertex ``out_strength``, each row's correctly rounded sum (the value
 ``math.fsum`` gives), computed by array code in blocks of rows
-(:func:`_row_sums`). Graphs are immutable once built; use
+(:func:`_row_sums`), and a tuple of every vertex's label in dense-id order
+(``"0".."V-1"`` when none are given). Graphs are immutable once built; use
 :class:`GraphBuilder` (aggregates parallel arcs, drops self-loops) or
-:meth:`WeightedDigraph.from_dense_arcs` / :meth:`WeightedDigraph.from_columns`
-(already-clean dense arcs, validated in bulk) to construct one. All read
-operations are safe to call from multiple threads.
+:meth:`WeightedDigraph.from_columns` (already-clean dense arcs, validated in
+bulk) to construct one. All read operations are safe to call from multiple
+threads.
 
 Labelled input (``GraphBuilder``, event-log ingest, a snapshot without a
-sidecar) gets its dense ids by one rule, the order of the sorted labels, so
-a graph does not depend on input order. :class:`FirstSeenIds` numbers the
-labels as they first appear and :meth:`FirstSeenIds.sorted_order` remaps
-those ids to that order; :mod:`recipnet.ingest` applies the rule to label
-bytes, whose UTF-8 order is code point order. :func:`stored_labels` keeps
-the labels unless they are exactly ``"0".."V-1"``.
+sidecar) gets its dense ids by one rule, :func:`sorted_order`: the order of
+the sorted labels, so a graph does not depend on input order.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterator, Sequence
 
 import numpy as np
 
@@ -132,22 +128,21 @@ class WeightedDigraph:
         indptr: np.ndarray,
         indices: np.ndarray,
         weights: np.ndarray,
-        external_ids: tuple[str, ...] | None = None,
+        external_ids: tuple[str, ...],
     ) -> None:
-        # Internal constructor: the CSR arrays are adopted (and made
-        # read-only), not copied or checked. Callers are from_columns and
+        # Internal constructor: the CSR arrays (made read-only) and the labels
+        # are adopted, not copied or checked. Callers are from_columns and
         # transforms that keep a valid graph's topology and only replace its
         # (positive, finite) weights; such graphs share indptr and indices.
         for a in (indptr, indices, weights):
             a.setflags(write=False)
         self._indptr, self._indices, self._weights = indptr, indices, weights
-        if external_ids is not None and len(external_ids) != len(indptr) - 1:
+        if len(external_ids) != len(indptr) - 1:
             raise IntegrityError("external id table does not match vertex count")
         self._out_strength = _row_sums(indptr, weights)
         if np.isinf(self._out_strength).any():  # finite weights whose sum is not: name the first such vertex
             v = int(np.argmax(np.isinf(self._out_strength)))
-            label = str(v) if external_ids is None else external_ids[v]
-            raise DomainError(f"out-strength of vertex {label!r} exceeds the largest float")
+            raise DomainError(f"out-strength of vertex {external_ids[v]!r} exceeds the largest float")
         self._external_ids = external_ids
         self._reverse: np.ndarray | None = None
 
@@ -160,14 +155,15 @@ class WeightedDigraph:
         src: np.ndarray,
         dst: np.ndarray,
         weights: np.ndarray,
-        external_ids: tuple[str, ...] | None = None,
+        external_ids: Sequence[str] | None = None,
     ) -> "WeightedDigraph":
         """Build from parallel arrays of dense arc endpoints and weights.
 
         Arcs must be unique per ordered pair, self-loop free and positively,
         finitely weighted; the first violation in input order raises rather
         than being repaired (use GraphBuilder for raw data that needs
-        aggregation).
+        aggregation). ``external_ids`` are the labels in dense-id order, kept
+        as a tuple; ``"0".."V-1"`` if not given.
         """
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
@@ -196,21 +192,7 @@ class WeightedDigraph:
         dst = dst[order]
         weights = weights[order]
         del src, order  # nor these while the rows are summed
-        return cls(indptr, dst, weights, external_ids)
-
-    @classmethod
-    def from_dense_arcs(
-        cls,
-        vertex_count: int,
-        arcs: Iterable[tuple[int, int, float]],
-        external_ids: tuple[str, ...] | None = None,
-    ) -> "WeightedDigraph":
-        """Build from ``(src, dst, weight)`` triples already keyed by dense ids.
-
-        Same rules as :meth:`from_columns`.
-        """
-        src, dst, weights = list(zip(*arcs)) or ([], [], [])
-        return cls.from_columns(vertex_count, src, dst, weights, external_ids)
+        return cls(indptr, dst, weights, tuple(map(str, range(vertex_count)) if external_ids is None else external_ids))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -283,19 +265,12 @@ class WeightedDigraph:
 
     def external_label(self, v: int) -> str:
         """Original input label for a dense id (the id itself if none was given)."""
-        v = self._check_vertex(v)
-        if self._external_ids is None:
-            return str(v)
-        return self._external_ids[v]
+        return self._external_ids[self._check_vertex(v)]
 
     @property
-    def external_ids(self) -> tuple[str, ...] | None:
+    def external_ids(self) -> tuple[str, ...]:
+        """Every vertex's label, in dense-id order."""
         return self._external_ids
-
-    def labels(self) -> list[str]:
-        """Every vertex's external label, in dense-id order."""
-        ids = self._external_ids
-        return list(map(str, range(self.vertex_count))) if ids is None else list(ids)
 
     # -- normalized weights ------------------------------------------------
 
@@ -371,7 +346,7 @@ class WeightedDigraph:
         labels apart again, so the label encoding is injective, and CSR order
         is canonical: equal graphs (``==``), and only they, share a digest.
         """
-        labels = self.labels()
+        labels = self._external_ids
         h = hashlib.sha256(_DIGEST_TAG)
         h.update(np.array([len(labels)], dtype="<i8"))
         h.update(np.fromiter(map(len, labels), dtype="<i8", count=len(labels)))
@@ -387,7 +362,7 @@ class WeightedDigraph:
             np.array_equal(self._indptr, other._indptr)
             and np.array_equal(self._indices, other._indices)
             and np.array_equal(self._weights, other._weights)
-            and self.labels() == other.labels()
+            and self._external_ids == other._external_ids
         )
 
     __hash__ = None  # type: ignore[assignment]
@@ -396,29 +371,15 @@ class WeightedDigraph:
         return f"WeightedDigraph(vertices={self.vertex_count}, arcs={self.arc_count})"
 
 
-class FirstSeenIds(dict):
-    """Label -> provisional id: a label not yet present gets the next id, ``len(self)``."""
+def sorted_order(labels: Sequence) -> tuple[list, np.ndarray]:
+    """Distinct ``labels`` sorted, which is their dense-id order, and the dense id of each position of ``labels``.
 
-    def __missing__(self, label: Hashable) -> int:
-        self[label] = i = len(self)
-        return i
-
-    def sorted_order(self) -> tuple[list, np.ndarray]:
-        """The labels sorted, which is their dense-id order, and the dense id of each provisional id."""
-        labels = sorted(self)
-        dense = np.empty(len(labels), dtype=np.int64)
-        dense[np.fromiter(map(self.__getitem__, labels), dtype=np.int64, count=len(labels))] = np.arange(len(labels))
-        return labels, dense
-
-
-def stored_labels(labels: Sequence[Hashable]) -> tuple[str, ...] | None:
-    """The external ids a graph keeps for labels in dense-id order: None for exactly ``"0".."V-1"``.
-
-    The comparison runs lazily and stops at the first other label, so no
-    second per-label string list is built.
+    This is the one rule that gives labels their dense ids.
     """
-    external = tuple(map(str, labels))
-    return None if all(map(str.__eq__, external, map(str, itertools.count()))) else external
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    dense = np.empty(len(labels), np.int64)
+    dense[order] = np.arange(len(order))
+    return [labels[i] for i in order], dense
 
 
 class GraphBuilder:
@@ -431,12 +392,12 @@ class GraphBuilder:
     """
 
     def __init__(self) -> None:
-        self._ids = FirstSeenIds()
+        self._ids: dict[Hashable, int] = {}  # label -> provisional id, the order of first appearance
         self._weights: dict[tuple[int, int], float] = {}  # by provisional ids
         self.self_loops_dropped = 0
 
     def add_vertex(self, label: Hashable) -> None:
-        self._ids[label]
+        self._ids.setdefault(label, len(self._ids))
 
     def add_arc(self, src: Hashable, dst: Hashable, weight: float = 1.0) -> None:
         if not (weight > 0 and math.isfinite(weight)):
@@ -444,16 +405,13 @@ class GraphBuilder:
         if src == dst:
             self.self_loops_dropped += 1
             return
-        key = (self._ids[src], self._ids[dst])
+        ids = self._ids
+        key = (ids.setdefault(src, len(ids)), ids.setdefault(dst, len(ids)))
         prev = self._weights.get(key)
         self._weights[key] = float(weight) if prev is None else prev + weight
 
-    @property
-    def distinct_arcs(self) -> int:
-        return len(self._weights)
-
     def build(self) -> WeightedDigraph:
-        labels, dense = self._ids.sorted_order()
+        labels, dense = sorted_order(list(self._ids))
         src, dst = dense[np.array(list(self._weights), dtype=np.int64).reshape(-1, 2)].T
         w = np.fromiter(self._weights.values(), dtype=np.float64, count=len(self._weights))
-        return WeightedDigraph.from_columns(len(labels), src, dst, w, stored_labels(labels))
+        return WeightedDigraph.from_columns(len(labels), src, dst, w, tuple(map(str, labels)))

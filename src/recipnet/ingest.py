@@ -24,9 +24,10 @@ objects. Snapshots, sidecars and the CLI's ``--records`` files are written
 by :func:`write_csv`, in batches of rows gathered from arrays: memory is
 bounded by one batch of rows plus one text per label.
 
-Aggregation and a load without a sidecar assign dense ids by the rule of
-:class:`~recipnet.graph.GraphBuilder`, the order of the sorted labels; a
-sidecar's dense ids are taken as written.
+Aggregation and a load without a sidecar assign dense ids by
+:func:`~recipnet.graph.sorted_order`, the order of the sorted labels, as
+:class:`~recipnet.graph.GraphBuilder` does; a sidecar's dense ids are taken
+as written.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import __version__ as _version
 from .errors import DuplicateArcError, FormatError
-from .graph import WeightedDigraph, stored_labels
+from .graph import WeightedDigraph, sorted_order
 
 EVENT_HEADER = "timestamp,caller,callee"
 GRAPH_HEADER = "src,dst,weight"
@@ -150,7 +151,7 @@ def aggregate_event_file(
     used[src] = used[dst] = True
     texts, dense = labels.sorted_order(used)
     del labels
-    g = WeightedDigraph.from_columns(len(texts), dense[src], dense[dst], w, stored_labels(texts))
+    g = WeightedDigraph.from_columns(len(texts), dense[src], dense[dst], w, texts)
     return g, {"events_read": read, "self_calls_dropped": dropped, "malformed_lines": malformed}
 
 
@@ -184,7 +185,7 @@ def save_snapshot(
     whole-graph column is made.
     """
     path = Path(path)
-    labels = g.labels()
+    labels = g.external_ids
     bad = next((s for s in labels if "," in s or "\n" in s or "\r" in s), None)
     if bad is not None:
         raise FormatError(f"vertex label {bad!r} contains a comma or line break")
@@ -444,15 +445,13 @@ class _LabelTable:
         return (texts if kept is None else texts[kept]).tolist()
 
     def sorted_order(self, kept: np.ndarray | None = None) -> tuple[list[str], np.ndarray]:
-        """The labels (of the ids ``kept``, a mask, if given) sorted, which is their dense-id order, and the dense id of each id.
-
-        UTF-8 byte order is code point order, so this is the order of :meth:`~recipnet.graph.FirstSeenIds.sorted_order`.
-        """
-        texts = self.labels(kept)
-        order = sorted(range(len(texts)), key=texts.__getitem__)
-        dense = np.full(len(self), -1, np.int64)
-        dense[(np.arange(len(self)) if kept is None else np.flatnonzero(kept))[order]] = np.arange(len(order))
-        return [texts[i] for i in order], dense
+        """The labels (of the ids ``kept``, a mask, if given) by :func:`~recipnet.graph.sorted_order`, and each id's dense id (-1 if not kept)."""
+        texts, dense = sorted_order(self.labels(kept))
+        if kept is None:
+            return texts, dense
+        every = np.full(len(self), -1, np.int64)
+        every[kept] = dense
+        return texts, every
 
 
 def _load_sidecar(path: Path) -> _LabelTable:
@@ -560,7 +559,7 @@ def load_edge_list(path: str | Path, strict: bool = False) -> WeightedDigraph:
     del table
 
     try:
-        return WeightedDigraph.from_columns(v, src_ids, dst_ids, w_col, stored_labels(labels))
+        return WeightedDigraph.from_columns(v, src_ids, dst_ids, w_col, labels)
     except DuplicateArcError as exc:
         row = exc.row  # handled after the block, once the traceback's sort arrays are freed
     if strict:
@@ -569,5 +568,5 @@ def load_edge_list(path: str | Path, strict: bool = False) -> WeightedDigraph:
         raise FormatError(f"{path}:{lineno}: duplicate arc {src!r} -> {dst!r}")
     src_ids, dst_ids, w_col = _summed(v, src_ids * v + dst_ids, w_col)  # rows is still the arc rows read
     warnings.warn(f"{path}: aggregated {rows - len(w_col)} duplicate arc rows", stacklevel=2)
-    return WeightedDigraph.from_columns(v, src_ids, dst_ids, w_col, stored_labels(labels))
+    return WeightedDigraph.from_columns(v, src_ids, dst_ids, w_col, labels)
 

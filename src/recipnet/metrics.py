@@ -241,10 +241,10 @@ def degree_assortativity(g: WeightedDigraph, mutual_only: bool = True) -> dict[s
         degree = np.bincount(np.concatenate((tail, head[g._reverse_arcs() < 0])), minlength=v)
         sums = _moments(degree[tail], degree[head])
     if sums[0] < 2:
-        raise UndefinedCorrelationError("assortativity needs at least two endpoint pairs")
+        raise UndefinedCorrelationError("assortativity needs at least two endpoint pairs", sums[0])
     r = _r_of(*sums)
     if r is None:
-        raise UndefinedCorrelationError("degree correlation undefined: zero variance in the degree sequence")
+        raise UndefinedCorrelationError("degree correlation undefined: zero variance in the degree sequence", sums[0])
     return {"r": r, "pair_count": sums[0]}
 
 

@@ -9,6 +9,12 @@ from hypothesis import strategies as st
 from recipnet.graph import WeightedDigraph
 
 
+def digraph(vertex_count: int, arcs, external_ids: tuple[str, ...] | None = None) -> WeightedDigraph:
+    """The graph of ``(src, dst, weight)`` triples keyed by dense ids, built by ``from_columns``."""
+    src, dst, weights = list(zip(*arcs)) or ([], [], [])
+    return WeightedDigraph.from_columns(vertex_count, src, dst, weights, external_ids)
+
+
 def random_digraph(
     rnd: random.Random,
     vertex_count: int,
@@ -27,9 +33,7 @@ def random_digraph(
         arcs[(a, b)] = float(rnd.randint(1, max_weight))
         if rnd.random() < mutual_bias:
             arcs.setdefault((b, a), float(rnd.randint(1, max_weight)))
-    return WeightedDigraph.from_dense_arcs(
-        vertex_count, [(a, b, w) for (a, b), w in arcs.items()]
-    )
+    return digraph(vertex_count, [(a, b, w) for (a, b), w in arcs.items()])
 
 
 def mutual_pairs(g: WeightedDigraph) -> list[tuple[int, int]]:
@@ -53,7 +57,7 @@ def small_graphs(draw, max_vertices: int = 10, max_weight: int = 9) -> WeightedD
         )
     )
     arcs = [(a, b, float(w)) for (a, b), w in zip(chosen, weights)]
-    return WeightedDigraph.from_dense_arcs(v, arcs)
+    return digraph(v, arcs)
 
 
 @st.composite
@@ -71,4 +75,4 @@ def mutual_graphs(draw, max_vertices: int = 10, max_weight: int = 9) -> Weighted
         arcs.append((0, 1, w_ab))
     if (1, 0) not in have:
         arcs.append((1, 0, w_ba))
-    return WeightedDigraph.from_dense_arcs(v, arcs)
+    return digraph(v, arcs)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from recipnet.cli import EXIT_OK, main
-from recipnet.graph import DyadCensus, WeightedDigraph
+from recipnet.graph import DyadCensus
 from recipnet.ingest import aggregate_event_file, save_snapshot
 from recipnet.metrics import (
     DyadClass,
@@ -31,7 +31,7 @@ from recipnet.nullmodels import equidisperse, maslov_sneppen_rewire
 from recipnet.report import analyze, run_regime_comparison
 from recipnet.synth import DegreeSpec, SynthConfig, generate
 
-from conftest import mutual_pairs, random_digraph
+from conftest import digraph, mutual_pairs, random_digraph
 from test_graph import brute_force_census
 from test_nullmodels import backbone_degrees
 
@@ -85,7 +85,7 @@ def test_criterion_03_equal_strength_and_equal_weight_special_cases():
     strength = 24.0
     for w_ab in range(1, 13):
         for w_ba in range(1, 13):
-            g = WeightedDigraph.from_dense_arcs(
+            g = digraph(
                 4,
                 [
                     (0, 1, float(w_ab)),
@@ -101,7 +101,7 @@ def test_criterion_03_equal_strength_and_equal_weight_special_cases():
         for fill_b in range(1, 11):
             if fill_a == fill_b:
                 continue
-            g = WeightedDigraph.from_dense_arcs(
+            g = digraph(
                 4,
                 [
                     (0, 1, 3.0),
@@ -123,11 +123,11 @@ def test_criterion_04_classification_thresholds():
     assert math.log(1.5) == pytest.approx(0.405, abs=5e-3)
     assert math.log(9.0) == pytest.approx(2.197, abs=5e-3)
     # Derived from a dyad with those probability ratios, not just the logs:
-    g = WeightedDigraph.from_dense_arcs(
+    g = digraph(
         4, [(0, 1, 3.0), (0, 2, 1.0), (1, 0, 2.0), (1, 3, 2.0)]
     )
     assert reciprocity(g, 0, 1) == pytest.approx(0.405, abs=5e-3)
-    g9 = WeightedDigraph.from_dense_arcs(
+    g9 = digraph(
         4, [(0, 1, 9.0), (0, 2, 1.0), (1, 0, 1.0), (1, 3, 9.0)]
     )
     assert reciprocity(g9, 0, 1) == pytest.approx(2.197, abs=5e-3)
@@ -188,11 +188,11 @@ def test_criterion_06_concentration_endpoints():
     """Equal splits score 0 within 1e-12; near-total concentration on one of
     k >= 2 neighbors scores above 0.99."""
     for k in (2, 3, 4, 7, 25):
-        g = WeightedDigraph.from_dense_arcs(k + 1, [(0, v, 5.0) for v in range(1, k + 1)])
+        g = digraph(k + 1, [(0, v, 5.0) for v in range(1, k + 1)])
         assert abs(concentration(g, 0)[1]) <= 1e-12
     for k in (2, 5, 40):
         arcs = [(0, 1, 1e12)] + [(0, v, 1e-6) for v in range(2, k + 1)]
-        g = WeightedDigraph.from_dense_arcs(k + 1, arcs)
+        g = digraph(k + 1, arcs)
         assert concentration(g, 0)[1] > 0.99
     _announce(6, "equal-split zero and near-total concentration")
 

@@ -18,12 +18,12 @@ import pytest
 
 from recipnet import cli, ingest, report
 from recipnet.cli import EXIT_DEGENERATE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
-from recipnet.graph import GraphBuilder, WeightedDigraph
+from recipnet.graph import GraphBuilder
 from recipnet.ingest import aggregate_event_file, load_edge_list, save_snapshot
 from recipnet.metrics import classify, concentration, degree_assortativity, reciprocity_value
 from recipnet.nullmodels import maslov_sneppen_rewire
 
-from conftest import random_digraph
+from conftest import digraph, random_digraph
 
 
 @pytest.fixture
@@ -56,7 +56,7 @@ def labelled_graph(tmp_path):
     g = builder.build()
     path = tmp_path / "labelled.csv"
     save_snapshot(g, path)
-    assert g.external_ids is not None and load_edge_list(path) == g
+    assert g.external_ids != tuple(map(str, range(g.vertex_count))) and load_edge_list(path) == g
     return g, path
 
 
@@ -115,7 +115,7 @@ class TestPipeline:
         with mock.patch.object(ingest, "_BATCH", batch):
             code, payload = run_json(capsys, ["reciprocity", str(path), "--records", str(records)])
         assert code == EXIT_OK
-        labels = g.labels()
+        labels = g.external_ids
         want = ["a,b,w_ab,w_ba,p_ab,p_ba,r_value,dyad_class"]
         for a in range(g.vertex_count):
             for b in range(a + 1, g.vertex_count):
@@ -135,7 +135,7 @@ class TestPipeline:
         with mock.patch.object(ingest, "_BATCH", batch):
             code, payload = run_json(capsys, ["concentration", str(path), "--records", str(records)])
         assert code == EXIT_OK
-        labels = g.labels()
+        labels = g.external_ids
         want, h_stars = ["vertex,out_degree,h,h_star"], []
         for v in range(g.vertex_count):
             if g.out_degree(v) >= 2:
@@ -438,7 +438,7 @@ class TestExitCodes:
     )
     def test_strict_escalation_writes_nothing(self, arcs, command, output, message, tmp_path, capsys):
         graph = tmp_path / "g.csv"
-        save_snapshot(WeightedDigraph.from_dense_arcs(10, [(a, b, 1.0) for a, b in arcs]), graph)
+        save_snapshot(digraph(10, [(a, b, 1.0) for a, b in arcs]), graph)
         out = tmp_path / "out"
         assert main([command, str(graph), output, str(out), "--strict"]) == EXIT_DEGENERATE
         assert message in capsys.readouterr().err
@@ -554,7 +554,7 @@ def test_csv_reports_are_pinned(tmp_path, capsys):
     assert main([*regimes, "--seed", "7", "--format", "csv"]) == EXIT_OK
     written = [*(tmp_path / "reg").glob("*.csv")]
     # A directed 3-cycle: no mutual dyad and no out-degree of 2, so no score, r or H* value.
-    save_snapshot(WeightedDigraph.from_dense_arcs(3, [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 3.0)]), tmp_path / "one_way.csv")
+    save_snapshot(digraph(3, [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 3.0)]), tmp_path / "one_way.csv")
     written.append(tmp_path / "one_way.report.csv")
     assert main(["report", str(tmp_path / "one_way.csv"), "--format", "csv", "-o", str(written[-1])]) == EXIT_OK
     rows = written[-1].read_text().splitlines()
@@ -595,7 +595,7 @@ def test_share_that_underflows_to_zero_is_scored(command, tmp_path, capsys):
 def test_assortativity_without_mutual_dyads_is_undefined(tmp_path, capsys):
     # As in `report`, which prints "assortativity": null for this graph: a warning, not a validation error.
     path = tmp_path / "one_way.csv"
-    save_snapshot(WeightedDigraph.from_dense_arcs(3, [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 3.0)]), path)
+    save_snapshot(digraph(3, [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 3.0)]), path)
     assert main(["assortativity", str(path)]) == EXIT_OK
     captured = capsys.readouterr()
     assert json.loads(captured.out) == {"r": None, "pair_count": 0, "arcs": "mutual"}
@@ -604,6 +604,19 @@ def test_assortativity_without_mutual_dyads_is_undefined(tmp_path, capsys):
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "error: assortativity needs at least two endpoint pairs\n")
     assert run_json(capsys, ["report", str(path)])[1]["assortativity"] is None
+
+
+@pytest.mark.parametrize("arcs", ["mutual", "full"])
+def test_undefined_assortativity_prints_its_pair_count(tmp_path, capsys, arcs):
+    # The mutual triangle: 3 dyads taken both ways round, or 6 arcs, all of one degree.
+    path = tmp_path / "triangle.csv"
+    path.write_text("src,dst,weight\na,b,1\nb,a,1\nb,c,1\nc,b,1\na,c,1\nc,a,1\n", encoding="utf-8")
+    argv = ["assortativity", str(path), "--arcs", arcs]
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"r": None, "pair_count": 6, "arcs": arcs}
+    assert captured.err == "warning: degree correlation undefined: zero variance in the degree sequence\n"
+    assert main([*argv, "--strict"]) == EXIT_DEGENERATE
 
 
 def test_library_warning_is_one_stderr_line(tmp_path, capsys):

@@ -19,7 +19,7 @@ from recipnet.errors import DomainError, DuplicateArcError, MissingArcError
 from recipnet.graph import DyadCensus, GraphBuilder, WeightedDigraph
 from recipnet.metrics import reciprocity
 
-from conftest import random_digraph, small_graphs
+from conftest import digraph, random_digraph, small_graphs
 
 
 def brute_force_census(g: WeightedDigraph) -> DyadCensus:
@@ -40,11 +40,11 @@ def brute_force_census(g: WeightedDigraph) -> DyadCensus:
 
 class TestOutStrength:
     def test_sums_outgoing_weights(self):
-        g = WeightedDigraph.from_dense_arcs(3, [(0, 1, 6.0), (0, 2, 2.0)])
+        g = digraph(3, [(0, 1, 6.0), (0, 2, 2.0)])
         assert g.out_strength(0) == 8.0
 
     def test_no_outgoing_arcs_is_zero(self):
-        g = WeightedDigraph.from_dense_arcs(2, [(0, 1, 3.0)])
+        g = digraph(2, [(0, 1, 3.0)])
         assert g.out_strength(1) == 0.0
 
     def test_matches_per_arc_resummation_on_random_graph(self):
@@ -56,7 +56,7 @@ class TestOutStrength:
             assert g.out_strength(v) == pytest.approx(sums[v], abs=1e-12)
 
     def test_invalid_vertex_raises(self):
-        g = WeightedDigraph.from_dense_arcs(2, [(0, 1, 1.0)])
+        g = digraph(2, [(0, 1, 1.0)])
         with pytest.raises(DomainError):
             g.out_strength(2)
         with pytest.raises(DomainError):
@@ -143,15 +143,15 @@ class TestRowSums:
 
 class TestNormalizedWeight:
     def test_direct_ratio(self):
-        g = WeightedDigraph.from_dense_arcs(3, [(0, 1, 6.0), (0, 2, 2.0)])
+        g = digraph(3, [(0, 1, 6.0), (0, 2, 2.0)])
         assert g.normalized_weight(0, 1) == 0.75
 
     def test_single_neighbor_is_one(self):
-        g = WeightedDigraph.from_dense_arcs(2, [(0, 1, 17.0)])
+        g = digraph(2, [(0, 1, 17.0)])
         assert g.normalized_weight(0, 1) == 1.0
 
     def test_missing_arc_raises(self):
-        g = WeightedDigraph.from_dense_arcs(3, [(0, 1, 1.0)])
+        g = digraph(3, [(0, 1, 1.0)])
         with pytest.raises(MissingArcError):
             g.normalized_weight(1, 0)
 
@@ -175,12 +175,12 @@ class TestNormalizedWeight:
 
 class TestDyadCensus:
     def test_empty_graph(self):
-        g = WeightedDigraph.from_dense_arcs(5, [])
+        g = digraph(5, [])
         c = g.dyad_census()
         assert (c.mutual, c.asymmetric, c.null_dyads) == (0, 0, 10)
 
     def test_hand_enumerable(self):
-        g = WeightedDigraph.from_dense_arcs(4, [(0, 1, 1.0), (1, 0, 1.0), (2, 3, 1.0)])
+        g = digraph(4, [(0, 1, 1.0), (1, 0, 1.0), (2, 3, 1.0)])
         c = g.dyad_census()
         assert c == DyadCensus(mutual=1, asymmetric=1, null_dyads=4, total_arcs=3)
 
@@ -213,11 +213,11 @@ def mutual_rows(g: WeightedDigraph) -> list[tuple[int, int, float, float]]:
 
 class TestMutualDyads:
     def test_single_mutual_pair(self):
-        g = WeightedDigraph.from_dense_arcs(3, [(1, 2, 5.0), (2, 1, 3.0)])
+        g = digraph(3, [(1, 2, 5.0), (2, 1, 3.0)])
         assert mutual_rows(g) == [(1, 2, 5.0, 3.0)]
 
     def test_one_way_excluded(self):
-        g = WeightedDigraph.from_dense_arcs(3, [(1, 2, 5.0)])
+        g = digraph(3, [(1, 2, 5.0)])
         assert mutual_rows(g) == []
 
     def test_matches_quadratic_pair_scan(self):
@@ -235,7 +235,7 @@ class TestMutualDyads:
         assert keys == sorted(set(keys))
 
     def test_mutual_columns_are_oriented_a_below_b(self):
-        g = WeightedDigraph.from_dense_arcs(3, [(2, 1, 1.0), (1, 2, 4.0)])
+        g = digraph(3, [(2, 1, 1.0), (1, 2, 4.0)])
         assert mutual_rows(g) == [(1, 2, 4.0, 1.0)]
         with pytest.raises(DomainError):
             reciprocity(g, 2, 2)
@@ -262,7 +262,7 @@ class TestMutualDyads:
         def peak(v):
             offsets = np.array([-4, -3, -2, -1, 1, 2, 3, 4])  # every arc is mutual
             indices = np.sort((np.arange(v)[:, None] + offsets) % v, axis=1).ravel()
-            g = WeightedDigraph(np.arange(0, 8 * v + 1, 8), indices, np.ones(8 * v))
+            g = WeightedDigraph(np.arange(0, 8 * v + 1, 8), indices, np.ones(8 * v), tuple(map(str, range(v))))
             tracemalloc.start()
             try:
                 assert np.count_nonzero(g._reverse_arcs() >= 0) == 8 * v
@@ -278,8 +278,8 @@ class TestMutualDyads:
 class TestConstruction:
     def test_order_independent(self):
         arcs = [(0, 1, 2.5), (1, 0, 4.0), (2, 0, 1.0), (0, 2, 3.0), (2, 1, 7.0)]
-        g1 = WeightedDigraph.from_dense_arcs(3, arcs)
-        g2 = WeightedDigraph.from_dense_arcs(3, list(reversed(arcs)))
+        g1 = digraph(3, arcs)
+        g2 = digraph(3, list(reversed(arcs)))
         assert g1 == g2
         assert [g1.out_strength(v) for v in range(3)] == [g2.out_strength(v) for v in range(3)]
         assert g1.dyad_census() == g2.dyad_census()
@@ -311,19 +311,25 @@ class TestConstruction:
 
     def test_rejects_bad_arcs(self):
         with pytest.raises(DomainError):
-            WeightedDigraph.from_dense_arcs(2, [(0, 0, 1.0)])
+            digraph(2, [(0, 0, 1.0)])
         with pytest.raises(DomainError):
-            WeightedDigraph.from_dense_arcs(2, [(0, 1, 0.0)])
+            digraph(2, [(0, 1, 0.0)])
         with pytest.raises(DomainError):
-            WeightedDigraph.from_dense_arcs(2, [(0, 5, 1.0)])
+            digraph(2, [(0, 5, 1.0)])
         with pytest.raises(DomainError):
-            WeightedDigraph.from_dense_arcs(2, [(0, 1, 1.0), (0, 1, 2.0)])
+            digraph(2, [(0, 1, 1.0), (0, 1, 2.0)])
 
     def test_external_labels(self):
         b = GraphBuilder()
         b.add_arc("carol", "bob", 1.0)
         g = b.build()
         assert [g.external_label(v) for v in range(2)] == ["bob", "carol"]
+        assert g.external_ids == ("bob", "carol")
+
+    def test_sorted_order_gives_each_position_its_rank(self):
+        labels, dense = graph.sorted_order(["b", "10", "a", "9"])
+        assert labels == ["10", "9", "a", "b"]
+        assert dense.tolist() == [3, 0, 2, 1]
 
     def test_from_columns_names_the_first_repeat_in_input_order(self):
         # Row 2 repeats row 0's arc (1, 2) before row 3 repeats row 1's (0, 1), whose key is smaller.
@@ -344,7 +350,7 @@ class TestVertexIds:
         assert g.external_label(np.int64(1)) == "y"
 
     def test_non_integer_ids_rejected(self):
-        g = WeightedDigraph.from_dense_arcs(2, [(0, 1, 1.0)])
+        g = digraph(2, [(0, 1, 1.0)])
         for bad in (0.0, np.float64(0.0), "0", None, np.int64(2)):
             with pytest.raises(DomainError):
                 g.out_degree(bad)
@@ -352,28 +358,28 @@ class TestVertexIds:
 
 class TestNonFiniteWeights:
     @pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf])
-    def test_from_dense_arcs_rejects(self, bad):
+    def test_from_columns_rejects(self, bad):
         with pytest.raises(DomainError):
-            WeightedDigraph.from_dense_arcs(2, [(0, 1, 1.0), (1, 0, bad)])
+            digraph(2, [(0, 1, 1.0), (1, 0, bad)])
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_builder_rejects(self, bad):
         b = GraphBuilder()
         with pytest.raises(DomainError):
             b.add_arc("a", "b", bad)
-        assert b.distinct_arcs == 0
+        assert b.build().arc_count == 0
 
     def test_out_strength_past_the_largest_float_names_the_vertex(self):
         arcs = [(1, 0, 1.0), (1, 2, 1e308), (1, 3, 1e308), (2, 1, 1e308), (2, 3, 1e308)]
         with pytest.raises(DomainError, match="out-strength of vertex '1' exceeds the largest float"):
-            WeightedDigraph.from_dense_arcs(4, arcs)
+            digraph(4, arcs)
         with pytest.raises(DomainError, match="vertex 'b'"):
-            WeightedDigraph.from_dense_arcs(4, arcs, ("a", "b", "c", "d"))
+            digraph(4, arcs, ("a", "b", "c", "d"))
 
 
 def reference_digest(g: WeightedDigraph) -> str:
     """Digest v2 spelled out with struct: tag, V, label lengths, label text, CSR arrays."""
-    labels = g.labels()
+    labels = g.external_ids
     data = [b"recipnet-digest-v2\0", struct.pack(f"<{1 + len(labels)}q", len(labels), *map(len, labels))]
     data.append("".join(labels).encode("utf-8"))
     indptr, indices, weights = g._indptr.tolist(), g._indices.tolist(), g._weights.tolist()
@@ -397,7 +403,7 @@ def labelled_graphs(draw) -> WeightedDigraph:
 
 
 def with_arcs(g: WeightedDigraph, arcs, labels=None) -> WeightedDigraph:
-    return WeightedDigraph.from_dense_arcs(g.vertex_count, arcs, labels if labels is not None else g.external_ids)
+    return digraph(g.vertex_count, arcs, labels if labels is not None else g.external_ids)
 
 
 class TestContentDigest:
@@ -426,7 +432,7 @@ class TestContentDigest:
     @settings(max_examples=50)
     def test_no_external_ids_equals_digit_labels(self, g):
         digits = with_arcs(g, list(g.arcs()), tuple(map(str, range(g.vertex_count))))
-        assert g.external_ids is None
+        assert g.external_ids == tuple(map(str, range(g.vertex_count)))
         assert digits == g
         assert digits.content_digest() == g.content_digest()
 
@@ -460,16 +466,21 @@ class TestContentDigest:
     @given(labelled_graphs(), st.data())
     @settings(max_examples=100)
     def test_label_swap_changes_digest(self, g, data):
-        labels = g.labels()
+        labels = list(g.external_ids)
         i, j = data.draw(st.lists(st.integers(0, len(labels) - 1), min_size=2, max_size=2, unique=True))
         labels[i], labels[j] = labels[j], labels[i]
         swapped = with_arcs(g, list(g.arcs()), tuple(labels))
         assert swapped != g
         assert swapped.content_digest() != g.content_digest()
 
+    def test_labels_given_as_a_list_are_kept_as_a_tuple(self):
+        g = WeightedDigraph.from_columns(2, [0], [1], [1.0], ["a", "b"])
+        assert g.external_ids == ("a", "b")
+        assert g == digraph(2, [(0, 1, 1.0)], ("a", "b"))
+
     def test_labels_that_join_to_the_same_text_differ(self):
         arcs = [(0, 1, 1.0)]
-        g1 = WeightedDigraph.from_dense_arcs(2, arcs, ("a\nb", "c"))
-        g2 = WeightedDigraph.from_dense_arcs(2, arcs, ("a", "b\nc"))
+        g1 = digraph(2, arcs, ("a\nb", "c"))
+        g2 = digraph(2, arcs, ("a", "b\nc"))
         assert g1 != g2
         assert g1.content_digest() != g2.content_digest()

@@ -32,7 +32,7 @@ from recipnet.ingest import (
     sidecar_path,
 )
 
-from conftest import random_digraph
+from conftest import digraph, random_digraph
 
 
 def write_events(path, rows, header="timestamp,caller,callee"):
@@ -135,7 +135,7 @@ class TestEventFiles:
         builder.add_arc("a", "b", 2.0)
         builder.add_arc("b", "a", 2.0)
         assert g == builder.build()
-        assert g.labels() == ["a", "b"]
+        assert g.external_ids == ("a", "b")
         assert (accounting["events_read"], accounting["self_calls_dropped"], accounting["malformed_lines"]) == (5, 1, 0)
         assert (g.vertex_count, g.arc_count) == (2, 2)
 
@@ -427,15 +427,14 @@ def reference_load(path, strict=False):
             summed[key] = weights[row]
     if len(summed) < len(srcs):
         warnings.warn(f"{path}: aggregated {len(srcs) - len(summed)} duplicate arc rows")
-    external = None if labels == [str(i) for i in range(len(labels))] else tuple(labels)
     arcs = [(index[s], index[d], w) for (s, d), w in summed.items()]
-    return WeightedDigraph.from_dense_arcs(len(labels), arcs, external)
+    return digraph(len(labels), arcs, tuple(labels))
 
 
 def reference_save(g, path, regime=None, seed=None, extra_provenance=None):
     """The per-line snapshot writer that save_snapshot replaced, kept as its oracle."""
     path = Path(path)
-    labels = g.labels()
+    labels = g.external_ids
     bad = next((s for s in labels if "," in s or "\n" in s or "\r" in s), None)
     if bad is not None:
         raise FormatError(f"vertex label {bad!r} contains a comma or line break")
@@ -530,7 +529,8 @@ class TestLabelPathsAgree:
             builder.add_arc(a, b)
         built = builder.build()
         assert ingested == loaded == built
-        assert ingested.external_ids == loaded.external_ids == built.external_ids
+        want = tuple(sorted({label for a, b, _ in events for label in (a, b)}))  # the rule, not sorted_order
+        assert ingested.external_ids == loaded.external_ids == built.external_ids == want
 
 
 class TestSnapshots:
@@ -574,7 +574,7 @@ class TestSnapshots:
         arcs = [(a, b, (a * v + b + 1) / 7) for a in range(v) for b in range(v) if a != b]
         assert len(arcs) > ingest._BATCH
         labels = tuple(f"v{i}" for i in range(v))
-        g = WeightedDigraph.from_dense_arcs(v, arcs, labels)
+        g = digraph(v, arcs, labels)
         path = tmp_path / "graph.csv"
         save_snapshot(g, path, regime="rewired", seed=3, extra_provenance={"accepted_swaps": 9})
         head = f"# tool=recipnet/{__version__}\n# regime=rewired\n# seed=3\n# accepted_swaps=9\n"
@@ -698,7 +698,7 @@ class TestLoadAgainstReferenceLoop:
             side = "".join(f"{label},{i}\n" for i, label in enumerate(reversed(labels)))
             sidecar_path(path).write_text("external_id,dense_id\n" + side, encoding="utf-8")
         want = load_outcome(reference_load, path, False)
-        assert sorted(want[0].labels()) == sorted(labels)
+        assert sorted(want[0].external_ids) == sorted(labels)
         for chunk in CHUNK_SIZES:
             with mock.patch.object(ingest, "_CHUNK", chunk):
                 assert load_outcome(load_edge_list, path, False) == want
@@ -805,7 +805,7 @@ class TestSnapshotThroughPipe:
         assert not any(writer.is_alive() for writer in writers), "a FIFO was not read to its end"
         want = load_edge_list(files / "g.csv")
         assert out.stdout.decode().strip() == want.content_digest()
-        assert ("isolated" in want.labels()) == with_sidecar
+        assert ("isolated" in want.external_ids) == with_sidecar
 
 
 #: Floats whose repr takes each form: subnormal, exponent, long fraction, integral.
@@ -825,7 +825,7 @@ def writable_graphs(draw):
     pool = draw(st.lists(st.sampled_from(REPR_EDGE_WEIGHTS) | st.floats(5e-324, 1e308), min_size=1, max_size=4))
     weights = [draw(st.sampled_from(pool)) for _ in chosen]  # a small pool repeats weights
     try:
-        return WeightedDigraph.from_dense_arcs(v, [(a, b, w) for (a, b), w in zip(chosen, weights)], labels)
+        return digraph(v, [(a, b, w) for (a, b), w in zip(chosen, weights)], labels)
     except DomainError:  # a vertex's strength is not finite: no graph holds it
         reject()
 
@@ -850,7 +850,7 @@ class TestSaveAgainstReferenceWriter:
         pairs = [(a, b) for a in range(v) for b in range(v) if a != b]
         weights = REPR_EDGE_WEIGHTS * 3  # period 7 in batches of 8: repeats within and across batches
         arcs = [(a, b, w) for (a, b), w in zip(pairs, weights)]
-        g = WeightedDigraph.from_dense_arcs(v, arcs, tuple(WRITER_LABELS[:v]))
+        g = digraph(v, arcs, tuple(WRITER_LABELS[:v]))
         new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
         with mock.patch.object(ingest, "_BATCH", 8):
             save_snapshot(g, new)

@@ -33,7 +33,7 @@ from recipnet.metrics import (
     reciprocity_value,
 )
 
-from conftest import mutual_graphs, mutual_pairs, random_digraph, small_graphs
+from conftest import digraph, mutual_graphs, mutual_pairs, random_digraph, small_graphs
 
 # Dyad fuzz tuples: (w_ab, w_ba, extra_a, extra_b) where extra_* is strength
 # beyond the dyad arc itself.
@@ -53,19 +53,19 @@ def pair_scan(g: WeightedDigraph) -> list[tuple[int, int]]:
 
 class TestReciprocity:
     def test_two_vertex_island_is_fully_reciprocal(self):
-        g = WeightedDigraph.from_dense_arcs(2, [(0, 1, 13.0), (1, 0, 2.0)])
+        g = digraph(2, [(0, 1, 13.0), (1, 0, 2.0)])
         assert reciprocity(g, 0, 1) == 0.0
         assert g.normalized_weight(0, 1) == g.normalized_weight(1, 0) == 1.0
 
     def test_probability_ratio_threshold_values(self):
         # Ratios 1.5 and 9.0 are the class boundaries on the log scale.
-        g = WeightedDigraph.from_dense_arcs(
+        g = digraph(
             4, [(0, 1, 3.0), (0, 2, 1.0), (1, 0, 2.0), (1, 3, 2.0)]
         )
         # p_ab = 0.75, p_ba = 0.5 -> ratio 1.5
         assert reciprocity(g, 0, 1) == pytest.approx(0.405, abs=5e-3)
 
-        g9 = WeightedDigraph.from_dense_arcs(
+        g9 = digraph(
             4, [(0, 1, 9.0), (0, 2, 1.0), (1, 0, 1.0), (1, 3, 9.0)]
         )
         # p_ab = 0.9, p_ba = 0.1 -> ratio 9.0
@@ -73,7 +73,7 @@ class TestReciprocity:
 
     def test_hand_evaluated_example(self):
         # a -> b (6), a -> c (2) so p_ab = 0.75; b -> a (4) alone so p_ba = 1.
-        g = WeightedDigraph.from_dense_arcs(3, [(0, 1, 6.0), (0, 2, 2.0), (1, 0, 4.0)])
+        g = digraph(3, [(0, 1, 6.0), (0, 2, 2.0), (1, 0, 4.0)])
         r = reciprocity(g, 0, 1)
         # Independent recomputation straight from the arc list.
         arcs = list(g.arcs())
@@ -84,7 +84,7 @@ class TestReciprocity:
         assert r == pytest.approx(0.2877, abs=5e-4)
 
     def test_non_mutual_pair_raises(self):
-        g = WeightedDigraph.from_dense_arcs(2, [(0, 1, 1.0)])
+        g = digraph(2, [(0, 1, 1.0)])
         with pytest.raises(MissingArcError):
             reciprocity(g, 0, 1)
 
@@ -118,14 +118,14 @@ class TestReciprocity:
 
     def test_equal_strength_dyads_reduce_to_weight_ratio(self):
         # Both endpoints with strength 10: score collapses to |ln w_ab - ln w_ba|.
-        g = WeightedDigraph.from_dense_arcs(
+        g = digraph(
             4, [(0, 1, 6.0), (0, 2, 4.0), (1, 0, 2.0), (1, 3, 8.0)]
         )
         assert abs(reciprocity(g, 0, 1) - abs(math.log(6.0) - math.log(2.0))) <= 1e-12
 
     def test_equal_weight_dyads_reduce_to_strength_ratio(self):
         # w_ab = w_ba = 3: score collapses to |ln s_b - ln s_a|.
-        g = WeightedDigraph.from_dense_arcs(
+        g = digraph(
             4, [(0, 1, 3.0), (0, 2, 9.0), (1, 0, 3.0), (1, 3, 1.0)]
         )
         r = reciprocity(g, 0, 1)
@@ -141,7 +141,7 @@ class TestReciprocity:
             (a, b, w * c if a == target else w)
             for a, b, w in g.arcs()
         ]
-        scaled = WeightedDigraph.from_dense_arcs(g.vertex_count, arcs)
+        scaled = digraph(g.vertex_count, arcs)
         for a, b in dyads:
             before = reciprocity(g, a, b)
             after = reciprocity(scaled, a, b)
@@ -167,7 +167,7 @@ class TestReciprocity:
 
     def test_share_that_underflows_to_zero_is_scored(self):
         # p_ab = 5e-324 / 1e308 rounds to 0.0, whose log is undefined; ln w - ln s is finite.
-        g = WeightedDigraph.from_dense_arcs(3, [(0, 1, 5e-324), (1, 0, 1.0), (0, 2, 1e308), (2, 0, 1.0)])
+        g = digraph(3, [(0, 1, 5e-324), (1, 0, 1.0), (0, 2, 1e308), (2, 0, 1.0)])
         swept = dyad_scores(g)
         assert swept.p_ab.tolist() == [0.0, 1.0]
         assert swept.r_value.tolist() == [reciprocity(g, 0, 1), reciprocity(g, 0, 2)]
@@ -181,7 +181,7 @@ class TestReciprocity:
             offsets = np.concatenate((np.arange(1, k + 1), v - np.arange(k, 0, -1)))  # k each way: every arc mutual
             indptr = np.arange(0, 2 * k * v + 1, 2 * k, dtype=np.int64)
             indices = np.sort((np.arange(v)[:, None] + offsets) % v, axis=1).ravel()
-            g = WeightedDigraph(indptr, indices, np.random.default_rng(v).random(2 * k * v) + 0.5)
+            g = WeightedDigraph(indptr, indices, np.random.default_rng(v).random(2 * k * v) + 0.5, tuple(map(str, range(v))))
             tracemalloc.start()
             try:
                 assert len(dyad_scores(g).r_value) == k * v
@@ -228,7 +228,7 @@ class TestEquidispersionPrediction:
         # a has out-degree 2, b has out-degree 6, both split weight equally.
         arcs = [(0, 1, 5.0), (0, 2, 5.0), (1, 0, 2.0)]
         arcs += [(1, v, 2.0) for v in range(2, 7)]
-        g = WeightedDigraph.from_dense_arcs(7, arcs)
+        g = digraph(7, arcs)
         assert abs(reciprocity(g, 0, 1) - equidispersion_prediction(2, 6)) <= 1e-12
 
     def test_zero_degree_rejected(self):
@@ -238,19 +238,19 @@ class TestEquidispersionPrediction:
 
 class TestConcentration:
     def test_equidispersed_scores_zero(self):
-        g = WeightedDigraph.from_dense_arcs(5, [(0, v, 3.0) for v in range(1, 5)])
+        g = digraph(5, [(0, v, 3.0) for v in range(1, 5)])
         h, h_star = concentration(g, 0)
         assert h == pytest.approx(0.25, abs=1e-15)
         assert abs(h_star) <= 1e-12
 
     def test_near_total_concentration_approaches_one(self):
-        g = WeightedDigraph.from_dense_arcs(
+        g = digraph(
             6, [(0, 1, 1e9)] + [(0, v, 1e-3) for v in range(2, 6)]
         )
         assert concentration(g, 0)[1] > 0.99
 
     def test_hand_example(self):
-        g = WeightedDigraph.from_dense_arcs(
+        g = digraph(
             4, [(0, 1, 5.0), (0, 2, 3.0), (0, 3, 2.0)]
         )
         score_h, h_star = concentration(g, 0)
@@ -261,7 +261,7 @@ class TestConcentration:
         assert h_star == pytest.approx(0.07, abs=1e-12)
 
     def test_degree_below_two_rejected(self):
-        g = WeightedDigraph.from_dense_arcs(2, [(0, 1, 1.0)])
+        g = digraph(2, [(0, 1, 1.0)])
         with pytest.raises(DomainError):
             concentration(g, 0)
         with pytest.raises(DomainError):
@@ -275,7 +275,7 @@ class TestConcentration:
             return
         v = vertices[0]
         arcs = [(a, b, w * c if a == v else w) for a, b, w in g.arcs()]
-        scaled = WeightedDigraph.from_dense_arcs(g.vertex_count, arcs)
+        scaled = digraph(g.vertex_count, arcs)
         assert concentration(scaled, v)[1] == pytest.approx(
             concentration(g, v)[1], abs=1e-12
         )
@@ -293,10 +293,10 @@ class TestConcentration:
         def peak(v, k=8):
             indptr = np.arange(0, k * v + 1, k, dtype=np.int64)
             indices = np.sort((np.arange(v)[:, None] + np.arange(1, k + 1)) % v, axis=1).ravel()
-            weights = np.random.default_rng(v).random(k * v) + 0.5
+            weights, labels = np.random.default_rng(v).random(k * v) + 0.5, tuple(map(str, range(v)))
             tracemalloc.start()
             try:
-                concentration_arrays(WeightedDigraph(indptr, indices, weights))
+                concentration_arrays(WeightedDigraph(indptr, indices, weights, labels))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -339,7 +339,7 @@ class TestAssortativity:
         arcs = []
         for leaf in range(1, 5):
             arcs += [(0, leaf, 1.0), (leaf, 0, 1.0)]
-        g = WeightedDigraph.from_dense_arcs(5, arcs)
+        g = digraph(5, arcs)
         res = degree_assortativity(g)
         assert res["r"] == pytest.approx(-1.0, abs=1e-12)
         assert res["pair_count"] == 8
@@ -354,7 +354,7 @@ class TestAssortativity:
             for b in range(3, 8):
                 if a != b:
                     arcs.append((a, b, 1.0))
-        g = WeightedDigraph.from_dense_arcs(8, arcs)
+        g = digraph(8, arcs)
         res = degree_assortativity(g)
         oracle = pearson_oracle(mutual_backbone_pairs(g))
         assert res["r"] > 0
@@ -378,14 +378,14 @@ class TestAssortativity:
 
     def test_too_few_pairs_reported_as_undefined(self):
         # No mutual dyad, and a single arc: r is as undefined as at zero variance, not an invalid input.
-        no_mutual = WeightedDigraph.from_dense_arcs(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        no_mutual = digraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         with pytest.raises(UndefinedCorrelationError, match="at least two endpoint pairs"):
             degree_assortativity(no_mutual)
         with pytest.raises(UndefinedCorrelationError, match="at least two endpoint pairs"):
-            degree_assortativity(WeightedDigraph.from_dense_arcs(2, [(0, 1, 1.0)]), mutual_only=False)
+            degree_assortativity(digraph(2, [(0, 1, 1.0)]), mutual_only=False)
 
     def test_zero_variance_reported_distinctly(self):
-        g = WeightedDigraph.from_dense_arcs(4, [(0, 1, 1.0), (1, 0, 1.0), (2, 3, 1.0), (3, 2, 1.0)])
+        g = digraph(4, [(0, 1, 1.0), (1, 0, 1.0), (2, 3, 1.0), (3, 2, 1.0)])
         with pytest.raises(UndefinedCorrelationError):
             degree_assortativity(g)
 

@@ -20,7 +20,7 @@ from recipnet.nullmodels import _swap_chain, equidisperse, maslov_sneppen_rewire
 from recipnet.report import analyze, run_regime_comparison
 from recipnet.synth import DegreeSpec, SynthConfig, generate
 
-from conftest import mutual_graphs, mutual_pairs, random_digraph
+from conftest import digraph, mutual_graphs, mutual_pairs, random_digraph
 
 
 def backbone_degrees(g: WeightedDigraph) -> list[int]:
@@ -41,12 +41,12 @@ def mutual_weight_multisets(g: WeightedDigraph) -> list[Counter]:
 
 class TestEquidisperse:
     def test_integer_division(self):
-        g = WeightedDigraph.from_dense_arcs(5, [(0, v, 3.0) for v in range(1, 5)])
+        g = digraph(5, [(0, v, 3.0) for v in range(1, 5)])
         eq = equidisperse(g)
         assert all(w == 3.0 for _, _, w in eq.arcs())
 
     def test_fractional_share(self):
-        g = WeightedDigraph.from_dense_arcs(3, [(0, 1, 3.0), (0, 2, 4.0)])
+        g = digraph(3, [(0, 1, 3.0), (0, 2, 4.0)])
         eq = equidisperse(g)
         assert [w for _, _, w in eq.arcs()] == [3.5, 3.5]
 
@@ -88,7 +88,7 @@ class TestEquidisperse:
         assert eq._reverse_arcs() is g._reverse_arcs()
         assert rw_eq._reverse_arcs() is rw._reverse_arcs()
         for graph in (eq, rw, rw_eq):  # reports match those of an unshared copy
-            copy = WeightedDigraph(*(a.copy() for a in (graph._indptr, graph._indices, graph._weights)))
+            copy = WeightedDigraph(*(a.copy() for a in (graph._indptr, graph._indices, graph._weights)), graph.external_ids)
             assert analyze(graph, "x") == analyze(copy, "x")
 
 
@@ -118,7 +118,7 @@ def _path(*vertices):
     arcs = []
     for a, b in zip(vertices, vertices[1:]):
         arcs += [(a, b, 1.0), (b, a, 1.0)]
-    return WeightedDigraph.from_dense_arcs(5, arcs)
+    return digraph(5, arcs)
 
 
 class TestRewire:
@@ -153,14 +153,14 @@ class TestRewire:
             for b in range(3):
                 if a != b:
                     arcs.append((a, b, float(a + b + 1)))
-        g = WeightedDigraph.from_dense_arcs(3, arcs)
+        g = digraph(3, arcs)
         rewired, stats = maslov_sneppen_rewire(g, np.random.default_rng(5), swap_multiplier=20)
         assert stats["accepted_swaps"] == 0
         assert stats["warning"] is not None
         assert rewired is g
 
     def test_too_few_edges_rejected(self):
-        g = WeightedDigraph.from_dense_arcs(2, [(0, 1, 1.0), (1, 0, 1.0)])
+        g = digraph(2, [(0, 1, 1.0), (1, 0, 1.0)])
         with pytest.raises(DomainError):
             maslov_sneppen_rewire(g, np.random.default_rng(0))
 
@@ -217,7 +217,7 @@ class TestRewire:
 
     def test_one_way_arcs_carried_through(self):
         arcs = [(0, 1, 2.0), (1, 0, 3.0), (2, 3, 4.0), (3, 2, 5.0), (0, 4, 7.0)]
-        g = WeightedDigraph.from_dense_arcs(5, arcs)
+        g = digraph(5, arcs)
         rewired, stats = maslov_sneppen_rewire(g, np.random.default_rng(1), swap_multiplier=3)
         if stats["accepted_swaps"]:
             assert rewired.weight(0, 4) == 7.0
@@ -353,7 +353,7 @@ def _backbone(g: WeightedDigraph) -> np.ndarray:
 
 class TestReattachWeights:
     def test_two_neighbor_permutation(self):
-        orig = WeightedDigraph.from_dense_arcs(
+        orig = digraph(
             4, [(0, 1, 5.0), (1, 0, 1.0), (0, 2, 1.0), (2, 0, 2.0), (1, 3, 4.0), (3, 1, 4.0)]
         )
         # New backbone 0-1, 0-3, 1-2 keeps every mutual degree (2,2,1,1).
@@ -363,7 +363,7 @@ class TestReattachWeights:
         assert out.out_strength(0) == orig.out_strength(0)
 
     def test_equal_weights_unaffected_by_permutation(self):
-        orig = WeightedDigraph.from_dense_arcs(
+        orig = digraph(
             3, [(0, 1, 2.0), (1, 0, 2.0), (0, 2, 2.0), (2, 0, 2.0)]
         )
         out = reattach_weights(_backbone(orig), orig, np.random.default_rng(5))
@@ -382,7 +382,7 @@ class TestReattachWeights:
         ]
 
     def test_every_order_is_drawn(self):
-        orig = WeightedDigraph.from_dense_arcs(
+        orig = digraph(
             4, [(0, 1, 1.0), (1, 0, 1.0), (0, 2, 2.0), (2, 0, 1.0), (0, 3, 3.0), (3, 0, 1.0)]
         )
         orders = set()
@@ -392,13 +392,13 @@ class TestReattachWeights:
         assert len(orders) == 6
 
     def test_degree_mismatch_raises(self):
-        orig = WeightedDigraph.from_dense_arcs(4, [(0, 1, 1.0), (1, 0, 1.0)])
+        orig = digraph(4, [(0, 1, 1.0), (1, 0, 1.0)])
         with pytest.raises(IntegrityError):
             reattach_weights(np.array([(0, 1), (2, 3)]), orig, np.random.default_rng(0))
 
     @pytest.mark.parametrize("edges", [[(0, 1), (2, 7)], [(0, 1), (-1, 2)]])
     def test_endpoint_outside_the_graph_raises(self, edges):
-        orig = WeightedDigraph.from_dense_arcs(4, [(0, 1, 1.0), (1, 0, 1.0), (2, 3, 1.0), (3, 2, 1.0)])
+        orig = digraph(4, [(0, 1, 1.0), (1, 0, 1.0), (2, 3, 1.0), (3, 2, 1.0)])
         with pytest.raises(DomainError, match="outside 0..3"):
             reattach_weights(np.array(edges), orig, np.random.default_rng(0))
 

@@ -18,7 +18,7 @@ from recipnet.metrics import (
     reciprocity_value,
 )
 
-from conftest import random_digraph
+from conftest import digraph, random_digraph
 
 TOL = 1e-12
 
@@ -72,7 +72,7 @@ def float_weighted_graphs(draw, max_vertices: int = 9):
     weights = draw(
         st.lists(st.floats(min_value=1e-6, max_value=1e9), min_size=len(chosen), max_size=len(chosen)),
     )
-    return WeightedDigraph.from_dense_arcs(v, [(a, b, w) for (a, b), w in zip(chosen, weights)])
+    return digraph(v, [(a, b, w) for (a, b), w in zip(chosen, weights)])
 
 
 @given(float_weighted_graphs(), st.sampled_from([0.05, 0.1, 0.37, 1.0]))

@@ -18,7 +18,7 @@ from recipnet.report import (
 )
 from recipnet.synth import DegreeSpec, SynthConfig, generate
 
-from conftest import random_digraph
+from conftest import digraph, random_digraph
 
 
 def toy_reciprocal_graph() -> WeightedDigraph:
@@ -26,7 +26,7 @@ def toy_reciprocal_graph() -> WeightedDigraph:
     arcs = []
     for a, b in [(0, 1), (1, 2), (2, 3), (3, 0)]:
         arcs += [(a, b, 2.0), (b, a, 2.0)]
-    return WeightedDigraph.from_dense_arcs(4, arcs)
+    return digraph(4, arcs)
 
 
 #: The document path of each ``metric,value`` row of :func:`report_csv` but the
@@ -58,7 +58,7 @@ class TestAnalyze:
         assert sum(rep["reciprocity"]["class_proportions"].values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_graph_report(self):
-        g = WeightedDigraph.from_dense_arcs(3, [])
+        g = digraph(3, [])
         rep = analyze(g)
         assert rep["reciprocity"]["mean"] is None
         assert rep["census"]["mutual"] == 0
@@ -107,7 +107,7 @@ class TestSerialization:
         [
             random_digraph(random.Random(5), 25, mutual_bias=0.8),
             toy_reciprocal_graph(),  # zero degree variance: assortativity is None
-            WeightedDigraph.from_dense_arcs(3, [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 3.0)]),  # no mutual dyad
+            digraph(3, [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 3.0)]),  # no mutual dyad
         ],
         ids=["typical", "zero_degree_variance", "no_mutual_dyad"],
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import warnings
@@ -118,7 +119,11 @@ class TestGenerate:
         for seed in range(3):
             cfg = SynthConfig(vertices, spec, 0.2, 0.3, seed)
             want = _draw_degrees(cfg, np.random.default_rng(seed))
-            assert np.diff(generate(cfg)._indptr).tolist() == want.tolist()
+            # A regular spec gives every vertex one degree, so r is undefined and the target unreachable.
+            undefined = pytest.warns(UserWarning, match="target 0.2 not reached; r is undefined")
+            with undefined if spec.kind == "regular" else contextlib.nullcontext():
+                g = generate(cfg)
+            assert np.diff(g._indptr).tolist() == want.tolist()
 
     def test_unplaced_stub_pairs_are_reported(self):
         """Every shortfall against the drawn degrees is named in a warning, never lost silently."""
