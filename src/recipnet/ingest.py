@@ -17,12 +17,15 @@ parsed in array passes: an event log (a regular file, a FIFO or
 ``/dev/stdin`` alike), a snapshot and its sidecar. Labels, and the
 ``caller,callee`` tails of event lines, are looked up in one exact table of
 byte strings; snapshot weights and dense ids are parsed with ``float`` and
-``int`` on their texts. Aggregation's memory is bounded by one chunk and the
-distinct tails, not by the number of events; a load's by one chunk, the
-label table and the arc columns, each held once, not by per-arc Python
-objects. Snapshots, sidecars and the CLI's ``--records`` files are written
-by :func:`write_csv`, in batches of rows gathered from arrays: memory is
-bounded by one batch of rows plus one text per label.
+``int`` on their texts. Aggregation reads on the calling thread and parses
+each chunk on one helper thread, one chunk ahead of the label-table work,
+which stays on the calling thread; a load runs on the calling thread alone.
+Aggregation's memory is bounded by two chunks and the distinct tails, not
+by the number of events; a load's by one chunk, the label table and the arc
+columns, each held once, not by per-arc Python objects. Snapshots, sidecars
+and the CLI's ``--records`` files are written by :func:`write_csv`, in
+batches of rows gathered from arrays: memory is bounded by one batch of
+rows plus one text per label.
 
 Aggregation and a load without a sidecar assign dense ids by
 :func:`~recipnet.graph.sorted_order`, the order of the sorted labels, as
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import warnings
 from contextlib import suppress
-from itertools import chain
+from itertools import chain, pairwise
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator, Sequence
 
@@ -75,6 +78,15 @@ def _first_self_call(u: np.ndarray, c1: np.ndarray, c2: np.ndarray, stops: np.nd
     return int(same[0]) if len(same) else None
 
 
+def _parsed_chunk(data: bytes, starts: np.ndarray, stops: np.ndarray, first: int, strict: bool) -> tuple:
+    """A chunk's good tails by :func:`_prepare`, its line count and good-line count, and, if ``strict``, its bytes
+    and where its lines and commas lie, for the messages. It touches no label table."""
+    u = np.frombuffer(data, np.uint8)
+    good, c1, c2 = _event_tails(u, starts, stops)
+    where = (data, starts, stops, first, good, c1, c2) if strict else None
+    return list(_prepare(u, c1 + 1, stops[good] - c1 - 1)), len(starts), len(good), where
+
+
 def aggregate_event_file(
     path: str | Path,
     strict: bool = False,
@@ -91,16 +103,22 @@ def aggregate_event_file(
     The result is independent of line order: arc weights are sums and the
     dense ids follow the sorted labels, as :class:`~recipnet.graph.GraphBuilder` assigns them.
 
-    The file is read once, in one process, through the chunk reader of the
-    snapshot load, so a regular file, a FIFO and ``/dev/stdin`` take one
-    path. In each chunk the commas are found by one mask and counted per
-    line; a line is malformed unless it holds two, with a non-empty caller
-    and callee between and after them. The ``caller,callee`` tails of the
-    good lines are numbered in an exact label table that carries across
-    chunks and counted per id, so memory is bounded by the distinct tails
-    plus one chunk, not by the number of events. In strict mode a chunk's
-    tails new to the table are split and checked for self-calls, and the
-    chunk's first bad line raises.
+    The file is read once, on the calling thread, through the chunk reader
+    of the snapshot load, so a regular file, a FIFO and ``/dev/stdin`` take
+    one path. Each chunk is handed to one helper thread, which finds its
+    good lines and prepares their ``caller,callee`` tails (:func:`_prepare`:
+    each distinct tail once, with its head and line count) while the calling
+    thread numbers the previous chunk's tails in an exact label table that
+    carries across chunks and adds their counts. At most one chunk is in
+    flight; chunks are counted in file order, and an error, from either
+    thread, surfaces in file order. The helper ends before the call returns
+    or raises. Memory is bounded by the distinct tails plus two chunks, not
+    by the number of events.
+
+    A line is malformed unless it holds two commas, found by one mask and
+    counted per line, with a non-empty caller and callee between and after
+    them. In strict mode a chunk's tails new to the table are split and
+    checked for self-calls, and the chunk's first bad line raises.
 
     At the end the distinct tails are split at their comma one batch at a
     time and their labels numbered in a second table; the tail table is
@@ -109,31 +127,51 @@ def aggregate_event_file(
     with the dense ids of their sorted order. Each tail is one arc, its
     count exact.
     """
-    tails, counts = _LabelTable(), np.zeros(0, np.int64)
+    from concurrent.futures import Future, ThreadPoolExecutor  # here, not at module level: it loads logging
+
+    def submitted(helper: ThreadPoolExecutor, chunks: Iterator[tuple]) -> Iterator[Future]:
+        """A future per chunk, its parse on ``helper``; an error reading a chunk becomes the last future, so it waits its turn."""
+        try:
+            for chunk in chunks:
+                yield helper.submit(_parsed_chunk, *chunk, strict)
+        except Exception as exc:  # any error: it is raised, only after the chunks before it
+            failed: Future = Future()
+            failed.set_exception(exc)
+            yield failed
+
+    tails, counts = _LabelTable(), np.zeros(0, np.int64)  # counts grows geometrically; its first len(tails) are the counts
     read = malformed = 0
-    with open(path, "rb") as f:
+    with open(path, "rb") as f, ThreadPoolExecutor(1) as helper:
         header, _, chunks = _first_line(f, comments=False)
         if header != EVENT_HEADER:
             raise FormatError(f"expected header {EVENT_HEADER!r}, got {header or ''!r}")
-        for data, starts, stops, first in chunks:
-            u = np.frombuffer(data, np.uint8)
-            good, c1, c2 = _event_tails(u, starts, stops)
+        # pairwise takes the next future, so the next chunk is read and on the helper, before this one is counted
+        for parsed, _ in pairwise(chain(submitted(helper, chunks), [None])):
+            groups, lines, good_lines, where = parsed.result()
             known = len(tails)
-            ids = tails.number(u, c1 + 1, stops[good] - c1 - 1)
+            run_ids = [tails.number_prepared(n, keys, heads) for n, _, keys, heads, _ in groups]
             if strict:
+                data, starts, stops, first, good, c1, c2 = where
+                ids = np.empty(good_lines, np.int64)
+                for group_ids, (_, rows, _, _, sizes) in zip(run_ids, groups):
+                    ids[rows] = np.repeat(group_ids, sizes)
                 new, rows = np.unique(ids, return_index=True)
                 rows = np.sort(rows[new >= known])  # the first line of each tail new in this chunk, in file order
-                self_call = _first_self_call(u, c1[rows], c2[rows], stops[good[rows]])
-                bad = np.flatnonzero(np.bincount(good, minlength=len(starts)) == 0)
+                self_call = _first_self_call(np.frombuffer(data, np.uint8), c1[rows], c2[rows], stops[good[rows]])
+                bad = np.flatnonzero(np.bincount(good, minlength=lines) == 0)
                 if self_call is not None and not (len(bad) and bad[0] < good[rows[self_call]]):
                     raise FormatError(f"{path}: self-call for id {data[c1[rows[self_call]] + 1 : c2[rows[self_call]]].decode()!r}")
                 if len(bad):
                     raise FormatError(f"{path}: malformed event line {first + bad[0]}")
-            grown = np.bincount(ids, minlength=len(tails))
-            grown[: len(counts)] += counts
-            counts = grown
-            read += len(starts)
-            malformed += len(starts) - len(good)
+            if len(tails) > len(counts):
+                grown = np.zeros(max(len(tails), 2 * len(counts)), np.int64)
+                grown[: len(counts)] = counts
+                counts = grown
+            for group_ids, (*_, sizes) in zip(run_ids, groups):
+                counts[group_ids] += sizes  # a group's ids are distinct
+            read += lines
+            malformed += lines - good_lines
+    counts = counts[: len(tails)]
     ends = np.empty((2, len(tails)), np.int64)  # the caller, callee label ids of each tail id
     labels = _LabelTable()
     for n, (keys, _, ids) in chain(tails.groups.items(), tails.recent.items()):
@@ -377,6 +415,28 @@ def _inserted(group: tuple[np.ndarray, np.ndarray, np.ndarray], *new: np.ndarray
     return tuple(np.insert(column, where, values) for column, values in zip(group, new))
 
 
+def _prepare(u: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The labels ``u[start:start + length]`` grouped for :meth:`_LabelTable.number_prepared`: one group per length.
+
+    A group is ``(n, rows, keys, heads, sizes)``: its ``rows`` (indices into ``starts``) sorted by head, and by bytes
+    where distinct labels share a head, so equal labels are neighbours; its distinct labels ``keys`` as ``S{n}`` values
+    in that order, with their ``heads``; and how many rows each covers, ``sizes``. Each label is then looked up once,
+    and successive searches touch nearby entries.
+    """
+    order = np.argsort(lengths, kind="stable")
+    for rows in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1) if len(order) else []:
+        n = int(lengths[rows[0]])
+        keys = sliding_window_view(u, n)[starts[rows]].view(f"S{n}")[:, 0] if n else np.zeros(len(rows), "S1")
+        heads = _heads(keys)
+        by_head = np.argsort(heads)
+        differ = keys[by_head[1:]] != keys[by_head[:-1]]
+        if (differ & (heads[by_head[1:]] == heads[by_head[:-1]])).any():
+            by_head = np.lexsort((keys, heads))
+            differ = keys[by_head[1:]] != keys[by_head[:-1]]
+        runs = np.flatnonzero(np.append(True, differ))
+        yield n, rows[by_head], keys[by_head[runs]], heads[by_head[runs]], np.diff(runs, append=len(rows))
+
+
 class _LabelTable:
     """Label bytes -> id, exact: per byte length n, a group of the labels as ``S{n}`` values, their heads and ids.
 
@@ -395,35 +455,27 @@ class _LabelTable:
         return sum(len(ids) for _, _, ids in chain(self.groups.values(), self.recent.values()))
 
     def number(self, u: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """The id of each label ``u[start:start + length]``; labels new to the table get the next ids.
-
-        The labels are sorted by head, and by bytes where distinct labels share a head, so equal ones are neighbours and
-        each is looked up once, successive searches touch nearby entries, and the new ones come in table order.
-        """
+        """The id of each label ``u[start:start + length]``; labels new to the table get the next ids."""
         ids = np.empty(len(starts), np.int64)
-        order = np.argsort(lengths, kind="stable")
-        for rows in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1) if len(order) else []:
-            n = int(lengths[rows[0]])
-            keys = sliding_window_view(u, n)[starts[rows]].view(f"S{n}")[:, 0] if n else np.zeros(len(rows), "S1")
-            heads = _heads(keys)
-            by_head = np.argsort(heads)
-            differ = keys[by_head[1:]] != keys[by_head[:-1]]
-            if (differ & (heads[by_head[1:]] == heads[by_head[:-1]])).any():
-                by_head = np.lexsort((keys, heads))
-                differ = keys[by_head[1:]] != keys[by_head[:-1]]
-            runs = np.flatnonzero(np.append(True, differ))
-            rows, keys, heads = rows[by_head], keys[by_head[runs]], heads[by_head[runs]]
-            run_ids, todo = np.empty(len(runs), np.int64), np.arange(len(runs))
-            for group in (self.groups.get(n), self.recent.get(n)):
-                if group is not None and len(todo):
-                    at, found = _find(group, keys[todo], heads[todo])
-                    run_ids[todo[found]] = group[2][at[found]]
-                    todo = todo[~found]
-            if len(todo):
-                run_ids[todo] = np.arange(len(self), len(self) + len(todo))  # the next ids
-                self._add(n, keys[todo], heads[todo], run_ids[todo])
-            ids[rows] = np.repeat(run_ids, np.diff(runs, append=len(rows)))
+        for n, rows, keys, heads, sizes in _prepare(u, starts, lengths):
+            ids[rows] = np.repeat(self.number_prepared(n, keys, heads), sizes)
         return ids
+
+    def number_prepared(self, n: int, keys: np.ndarray, heads: np.ndarray) -> np.ndarray:
+        """The id of each of ``keys``, distinct labels of length n sorted by head then bytes, with their ``heads``.
+
+        Labels new to the table get the next ids, in table order.
+        """
+        run_ids, todo = np.empty(len(keys), np.int64), np.arange(len(keys))
+        for group in (self.groups.get(n), self.recent.get(n)):
+            if group is not None and len(todo):
+                at, found = _find(group, keys[todo], heads[todo])
+                run_ids[todo[found]] = group[2][at[found]]
+                todo = todo[~found]
+        if len(todo):
+            run_ids[todo] = np.arange(len(self), len(self) + len(todo))  # the next ids
+            self._add(n, keys[todo], heads[todo], run_ids[todo])
+        return run_ids
 
     def _add(self, n: int, *new: np.ndarray) -> None:
         """Put ``new`` labels of length n (sorted by head then bytes, their heads and ids) in the recent group."""

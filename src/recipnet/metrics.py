@@ -153,12 +153,17 @@ def concentration(g: WeightedDigraph, v: int) -> tuple[float, float]:
     so 0 means an equal split across all out-neighbors and 1 means everything
     on a single neighbor, independent of out-degree. h_star's denominator
     vanishes at out-degree 1, so degree-1 vertices are outside the domain.
+    A vertex whose out-weights are all equal gets h = 1/k and h_star = 0
+    exactly.
     """
     k = g.out_degree(v)
     if k < 2:
         raise DomainError(f"concentration needs out-degree >= 2, vertex {v} has {k}")
+    weights = [w for _, w in g.out_neighbors(v)]
+    if min(weights) == max(weights):  # an equal split, exactly: rounding in the shares must not score it
+        return 1.0 / k, 0.0
     s = g.out_strength(v)
-    h = math.fsum((w / s) * (w / s) for _, w in g.out_neighbors(v))
+    h = math.fsum((w / s) * (w / s) for w in weights)
     h_star = (h - 1.0 / k) / (1.0 - 1.0 / k)
     return h, h_star
 
@@ -170,18 +175,28 @@ def concentration_arrays(g: WeightedDigraph) -> tuple[np.ndarray, np.ndarray, np
     (``x*x``, the correctly rounded square) are made one block of arcs at a
     time into one float column, and each vertex's sum of them is correctly
     rounded, as by ``math.fsum``, in array code. No whole-graph share,
-    source or square column is built beside it.
+    source or square column is built beside it. A vertex whose out-weights
+    are all equal, found by one min and one max reduction over the rows,
+    gets h = 1/k and h_star = 0 exactly.
     """
     k = np.diff(g._indptr)
+    vertices = np.flatnonzero(k >= 2)
+    # Each row's first arc and its end, interleaved: the even reductions are the rows'. An end at the last arc is
+    # left out, as the last reduction runs to the end. Done before the squares, so no temporary of it lives beside them.
+    bounds = np.column_stack((g._indptr[vertices], g._indptr[vertices + 1])).ravel()
+    bounds = bounds[: len(bounds) - int(len(bounds) > 0 and bounds[-1] == g.arc_count)]
+    equal = np.minimum.reduceat(g._weights, bounds)[::2] == np.maximum.reduceat(g._weights, bounds)[::2]
+    del bounds
     squares = np.empty(g.arc_count)
     for lo in range(0, g.arc_count, _SUM_BLOCK):
         arcs = np.arange(lo, min(lo + _SUM_BLOCK, g.arc_count))
         shares = g._weights[arcs] / g._out_strength[np.searchsorted(g._indptr, arcs, side="right") - 1]
         squares[arcs] = shares * shares
-    vertices = np.flatnonzero(k >= 2)
     h = _row_sums(g._indptr, squares)[vertices]
     inv_k = 1.0 / k[vertices]
-    return vertices, h, (h - inv_k) / (1.0 - inv_k)
+    h_star = (h - inv_k) / (1.0 - inv_k)
+    h[equal], h_star[equal] = inv_k[equal], 0.0
+    return vertices, h, h_star
 
 
 def _moments(x: np.ndarray, y: np.ndarray) -> list[int]:

@@ -490,29 +490,29 @@ class TestExitCodes:
 PINNED_SHA256 = {
     "rw.csv": "b1b80496ddee89dd6260d17fe6dbe98335e4f711a030c3d807dae0cf1aa39446",
     "rw.vertices.csv": "2944110e7129f8608b65cd66d13dba860c592967ca6afd46390e82552a26ba01",
-    "comparison.json": "6393b378ea8989322304cfec83196441a7c9cb11dbe5ae364d6ac5e4a305e9ae",
+    "comparison.json": "36d459d3c523d35f406962f83365fb24811c04d8ce45b3ef21184061c185f389",
     "observed.graph.csv": "7e300aa3917d5dca570acbcb5f6f3d8430866cf35da1b5413084979289b79cb8",
     "observed.graph.vertices.csv": "2944110e7129f8608b65cd66d13dba860c592967ca6afd46390e82552a26ba01",
     "observed.json": "3fbc99ee490ba95a07bb6bdf98fa3dd62eeaa2e5820fe5eafe1ba937bd1268ca",
     "observed_equidispersed.graph.csv": "5acda60690d0dc40631c43dedd8fc2031a1ce1d52e7d6e9cc3d6d39750564db2",
     "observed_equidispersed.graph.vertices.csv": "2944110e7129f8608b65cd66d13dba860c592967ca6afd46390e82552a26ba01",
-    "observed_equidispersed.json": "26bb2e3aa50d9ae03cee59ff1eacb66c2529f71fcaf20dfb68f3c4dd8ac591a6",
+    "observed_equidispersed.json": "b13db699a913e2736b2459fb1f07088f93f1465fc80251614d94c1c56f8aa6a4",
     "rewired.graph.csv": "519001c8a6049d4ab7df3a7b4041f81f208c36029ac62de74c1e130c7f3655f7",
     "rewired.graph.vertices.csv": "2944110e7129f8608b65cd66d13dba860c592967ca6afd46390e82552a26ba01",
     "rewired.json": "f207510b73871338670e93e0c83026cedd6040015db7c68c8f58a45d59f83817",
     "rewired_equidispersed.graph.csv": "ed81e6c73e7075b1933b6ca8585fa4801b4dcfc601c4196035db0c996c91830c",
     "rewired_equidispersed.graph.vertices.csv": "2944110e7129f8608b65cd66d13dba860c592967ca6afd46390e82552a26ba01",
-    "rewired_equidispersed.json": "0a645bf7a735b4851b783b488a665c94f851a013bad7d684e2ef01724fc06ce6",
+    "rewired_equidispersed.json": "d572b17d8c1f54485c0685f4de3d19abb18ed47f305b21d7786c7c9d4885d369",
 }
 #: The same for `regimes --save-graphs --seed 7 --replicas 5`: seed 7 writes the
 #: files above, seeds 8 to 11 add one comparison each, replicas.json sums up.
 #: Only seed 7's graphs are kept and saved; later replicas drop theirs.
 PINNED_REPLICAS_SHA256 = {
     **{name: digest for name, digest in PINNED_SHA256.items() if not name.startswith("rw")},
-    "comparison.seed8.json": "0de0084b919c58669ab934980f10444e2ad586683067032a97b0645cf1043c76",
-    "comparison.seed9.json": "0095b2c582b7c23aa1cd5cc7689508ea7bcfc6fa28de7066b3103df72cafd701",
-    "comparison.seed10.json": "88a67f128583ba8aabcbb1a13b922f7bff15cf3aa269c07197f132b826f53888",
-    "comparison.seed11.json": "4c5c0867175523019bd3507940b321eb17f263d503f8a35d3f01a8cc73c2fd0b",
+    "comparison.seed8.json": "9485233f38a0f5751affe3a7110d820723a63350b10ca6841852399eb66d4b53",
+    "comparison.seed9.json": "e50fc6ea15b3d1059dbf586277c023840ea4e42d63c0df7a9d725aeca86d4a84",
+    "comparison.seed10.json": "1dab07a1a5dad6d0b260bd097df1af8b7202a9ce5940ec31d5dfde393870167e",
+    "comparison.seed11.json": "3307573ef6b121d7ab052682fab9b85e6a7c00ef62c1021187a148b6eafd39e6",
     "replicas.json": "4b9b993ef715cb697357ebc2ff07aeeb4b69a3679ee8424a9f07ec7123865282",
 }
 
@@ -540,9 +540,9 @@ def test_seeded_outputs_are_pinned(tmp_path, capsys):
 #: with no mutual dyad.
 PINNED_CSV_SHA256 = {
     "observed.csv": "3ecfaead9b56a7759e468c0fef8209938dfb27e32c2888e8fb934c6160a27980",
-    "observed_equidispersed.csv": "72aa714ee4db5e86279632478e7c2b3fe277869587060e3eb72d01f45f8d9f16",
+    "observed_equidispersed.csv": "c00b9b7886818efebbedd84d9a2eb48a6cda97fe223e791580db36b2dc9c676a",
     "rewired.csv": "5ff0726468a00b43c3433688106fd553732039eca00957079aa871ec13bca784",
-    "rewired_equidispersed.csv": "8d03b4f07888847e58fe3da60d02fe3d1510d16ef2d7221238a8061727677bea",
+    "rewired_equidispersed.csv": "e36b96a93c7ee6d2fc7a304143c9b9357d320b2d31fe4f98fb53310787cc2933",
     "one_way.report.csv": "e3ed01cd4ee3599c6257c3351011b338233977de7c60b08ff4a40c26da43bd97",
 }
 

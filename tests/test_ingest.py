@@ -305,6 +305,89 @@ class TestAgainstReferenceLoop:
         assert not (tmp_path / "g.csv").exists()
 
 
+class TestParseHelperLifeCycle:
+    """The chunk parse runs one chunk ahead on a helper thread: however the call ends, it raises what a chunk-by-chunk
+    run in file order meets first, it ends within a timeout, and no thread outlives it."""
+
+    ROWS = [f"{i},u{i % 11},v{i % 13}" for i in range(2000)]  # about 6 chunks of 4 KiB
+    UNDECODABLE = b"9,\xff,b\n"
+
+    @staticmethod
+    def ended(call):
+        """The result of ``call()``, or the exception it raised, run on a thread joined with a timeout."""
+        before, box = threading.active_count(), []
+
+        def run():
+            try:
+                box.append(call())
+            except Exception as exc:  # noqa: BLE001 - the test compares it
+                box.append(exc)
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive(), "the call did not end: the handoff deadlocked"
+        assert threading.active_count() == before
+        return box[0]
+
+    @classmethod
+    def whole_chunks(cls, chunks, last):
+        """Events bytes ``chunks * _CHUNK`` long that end with the line ``last``, so the next byte starts a chunk."""
+        text, size = "timestamp,caller,callee\n", chunks * ingest._CHUNK - len(last) - 1
+        for row in cls.ROWS:
+            if len(text) + len(row) + 1 > size - len("0,a,b\n"):
+                break
+            text += row + "\n"
+        text += "0" * (size - len(text) - len(",a,b\n")) + ",a,b\n"  # a filler line, its timestamp padded
+        data = (text + last + "\n").encode()
+        assert len(data) == chunks * ingest._CHUNK
+        return data
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self):
+        with mock.patch.object(ingest, "_CHUNK", 1 << 12):
+            yield
+
+    def test_normal_return(self, tmp_path):
+        path = tmp_path / "events.csv"
+        write_events(path, self.ROWS)
+        for strict in (False, True):
+            assert self.ended(lambda: aggregate_event_file(path, strict)) == reference_aggregate(path)
+
+    def test_strict_error_in_a_late_chunk_comes_before_a_bad_next_chunk(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_bytes(self.whole_chunks(2, "7,w,w") + self.UNDECODABLE + "\n".join(self.ROWS).encode())
+        got = self.ended(lambda: aggregate_event_file(path, strict=True))
+        assert isinstance(got, FormatError) and str(got) == f"{path}: self-call for id 'w'"
+        assert isinstance(self.ended(lambda: aggregate_event_file(path)), UnicodeDecodeError)
+
+    def test_decode_error_in_a_late_chunk(self, tmp_path):
+        path = tmp_path / "events.csv"
+        write_events(path, self.ROWS)
+        path.write_bytes(path.read_bytes() + self.UNDECODABLE + path.read_bytes())
+        with pytest.raises(UnicodeDecodeError):
+            reference_aggregate(path)
+        for strict in (False, True):
+            assert isinstance(self.ended(lambda: aggregate_event_file(path, strict)), UnicodeDecodeError)
+
+    @pytest.mark.parametrize("next_decodes", [True, False])
+    def test_helper_error_comes_before_the_next_chunk(self, tmp_path, monkeypatch, next_decodes):
+        path = tmp_path / "events.csv"
+        path.write_bytes(self.whole_chunks(3, "1,a,b") + (b"" if next_decodes else self.UNDECODABLE) + b"2,b,a\n")
+        failure, calls, real = RuntimeError("third chunk"), [], ingest._event_tails
+
+        def event_tails(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise failure
+            return real(*args)
+
+        monkeypatch.setattr(ingest, "_event_tails", event_tails)
+        assert self.ended(lambda: aggregate_event_file(path)) is failure
+        # A fourth chunk that decodes was handed over before the third's result was read, and was parsed.
+        assert len(calls) == (4 if next_decodes else 3)
+
+
 # One arc with all three line breaks, a malformed line, a self-call and non-ASCII labels.
 PIPED_EVENTS = (
     "timestamp,caller,callee\r\n"

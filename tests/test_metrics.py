@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recipnet.cli import main
 from recipnet.errors import DomainError, MissingArcError, UndefinedCorrelationError
 from recipnet.graph import WeightedDigraph
+from recipnet.ingest import load_edge_list
 from recipnet.metrics import (
     DyadClass,
     DyadScores,
@@ -242,6 +244,16 @@ class TestConcentration:
         h, h_star = concentration(g, 0)
         assert h == pytest.approx(0.25, abs=1e-15)
         assert abs(h_star) <= 1e-12
+
+    def test_equal_splits_score_exactly_zero_after_equidisperse(self, tmp_path, capsys):
+        # Shares w / s of equal weights need not square and sum to 1/k exactly; the scores must not show it.
+        assert main(["synth", "-o", str(tmp_path / "g.csv"), "--vertices", "200", "--seed", "1"]) == 0
+        assert main(["equidisperse", str(tmp_path / "g.csv"), "-o", str(tmp_path / "eq.csv")]) == 0
+        g = load_edge_list(tmp_path / "eq.csv")
+        vertices, h, h_star = concentration_arrays(g)
+        assert len(vertices) == 200 and h_star.tolist() == [0.0] * 200
+        assert h.tolist() == (1.0 / np.diff(g._indptr)[vertices]).tolist()
+        assert [concentration(g, v) for v in vertices.tolist()] == list(zip(h.tolist(), h_star.tolist()))
 
     def test_near_total_concentration_approaches_one(self):
         g = digraph(
