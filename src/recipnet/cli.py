@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DegenerateInputError, DomainError, FormatError, UndefinedCorrelationError
-from .ingest import aggregate_event_file, load_edge_list, save_snapshot, write_csv
+from .ingest import aggregate_event_file, load_edge_list, save_snapshot, save_snapshots, write_csv
 from .metrics import DEFAULT_BIN_WIDTH, DyadClass, concentration_arrays, degree_assortativity, dyad_scores, histogram
 from .nullmodels import DEFAULT_SWAP_MULTIPLIER, equidisperse, maslov_sneppen_rewire
 from .report import analyze, json_bytes, replicas_to_dict, report_bytes, run_regime_comparison
@@ -201,8 +201,8 @@ def _cmd_regimes(args: argparse.Namespace) -> int:
             (outdir / f"{label}.{args.format}").write_bytes(report_bytes(rep, args.format))
         (outdir / "comparison.json").write_bytes(json_bytes(first))
         if args.save_graphs:
-            for label, graph in graphs.items():
-                save_snapshot(graph, outdir / f"{label}.graph.csv", regime=label, seed=first["seed"])
+            cells = [(graph, outdir / f"{label}.graph.csv", {"regime": label, "seed": first["seed"]}) for label, graph in graphs.items()]
+            save_snapshots(cells)  # one batched pass: the cells share labels, row bounds and many weight texts
         for doc in later:
             (outdir / f"comparison.seed{doc['seed']}.json").write_bytes(json_bytes(doc))
         if args.replicas > 1:

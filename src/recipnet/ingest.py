@@ -23,9 +23,9 @@ which stays on the calling thread; a load runs on the calling thread alone.
 Aggregation's memory is bounded by two chunks and the distinct tails, not
 by the number of events; a load's by one chunk, the label table and the arc
 columns, each held once, not by per-arc Python objects. Snapshots, sidecars
-and the CLI's ``--records`` files are written by :func:`write_csv`, in
-batches of rows gathered from arrays: memory is bounded by one batch of
-rows plus one text per label.
+and the CLI's ``--records`` files are written by :func:`write_csvs`, a
+group of files in lockstep, in batches of rows gathered from arrays: memory
+is bounded by one batch of rows of each file plus one text per label.
 
 Aggregation and a load without a sidecar assign dense ids by
 :func:`~recipnet.graph.sorted_order`, the order of the sorted labels, as
@@ -35,8 +35,10 @@ as written.
 
 from __future__ import annotations
 
+import operator
 import warnings
-from contextlib import suppress
+from contextlib import ExitStack, suppress
+from functools import cache, lru_cache
 from itertools import chain, pairwise
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator, Sequence
@@ -64,7 +66,9 @@ def _event_tails(u: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> tuple[
     """
     at = np.flatnonzero(u == 44)
     first = np.searchsorted(at, starts)  # where in ``at`` each line's commas start; a header's commas lie before them
-    two = np.flatnonzero(np.searchsorted(at, stops) - first == 2)
+    # only line breaks lie between a line's stop and the next line's start, so a line's commas end where the next
+    # line's begin; the last line's end at its stop
+    two = np.flatnonzero(np.append(first[1:], np.searchsorted(at, stops[-1:])) - first == 2)
     c1, c2 = at[first[two]], at[first[two] + 1]
     ok = (c2 - c1 > 1) & (stops[two] - c2 > 1)
     return two[ok], c1[ok], c2[ok]
@@ -211,70 +215,153 @@ def save_snapshot(
     seed: int | None = None,
     extra_provenance: dict[str, object] | None = None,
 ) -> None:
-    """Write a graph snapshot plus its vertex sidecar, each with :func:`write_csv`.
+    """Write a graph snapshot plus its vertex sidecar: :func:`save_snapshots` of one graph.
 
-    Weights are written with ``repr`` so a load/save cycle is lossless. The
-    provenance header records the tool version and, when given, the regime
-    label, seed and any extra key=value pairs (e.g. swap statistics) that
-    produced the graph. A vertex label containing a comma or a line break
-    cannot be represented and raises FormatError before anything is written.
-    Each batch gathers the graph's own label strings by the arcs' source and
-    target ids; a batch's sources are found from the row pointers, so no
-    whole-graph column is made.
+    The provenance header records the tool version and, when given, the
+    regime label, seed and any extra key=value pairs (e.g. swap statistics)
+    that produced the graph; an extra key ``regime`` or ``seed`` replaces
+    that line.
     """
-    path = Path(path)
-    labels = g.external_ids
-    bad = next((s for s in labels if "," in s or "\n" in s or "\r" in s), None)
+    provenance = {key: value for key, value in (("regime", regime), ("seed", seed)) if value is not None}
+    save_snapshots([(g, path, {**provenance, **(extra_provenance or {})})])
+
+
+def save_snapshots(items: Sequence[tuple[WeightedDigraph, str | Path, dict[str, object]]]) -> None:
+    """Write each ``(graph, path, provenance)`` item's snapshot and vertex sidecar, in two :func:`write_csvs` passes.
+
+    A snapshot's header is ``# tool=recipnet/<version>``, a ``# key=value``
+    line per provenance entry in order, then ``src,dst,weight``. Weights are
+    written with ``repr`` so a load/save cycle is lossless. A vertex label
+    containing a comma or a line break cannot be represented: every label of
+    every graph is checked, and FormatError raised, before any file is opened.
+
+    The snapshots are written in one pass, then the sidecars in another, and
+    what the graphs share is made once per batch: the source-label column
+    once per distinct label tuple and row-bound array (``indptr``, compared
+    by value), the target-label column once per distinct label tuple and
+    target array, and each weight text once per distinct weight of the batch
+    across all graphs (:func:`write_csvs`). Graphs with equal label tuples
+    have equal sidecars, each batch of which is made once and written to all
+    their sidecar paths. A batch's sources are found from the row bounds, so
+    no whole-graph column is made.
+    """
+    items = [(g, Path(path), provenance) for g, path, provenance in items]
+    tuples, label_of = _distinct([g.external_ids for g, _, _ in items], operator.eq)
+    bad = next((s for labels in tuples for s in labels if "," in s or "\n" in s or "\r" in s), None)
     if bad is not None:
         raise FormatError(f"vertex label {bad!r} contains a comma or line break")
-    head = [f"# tool=recipnet/{_version}"]
-    if regime is not None:
-        head.append(f"# regime={regime}")
-    if seed is not None:
-        head.append(f"# seed={seed}")
-    head.extend(f"# {key}={value}" for key, value in (extra_provenance or {}).items())
-    head.append(GRAPH_HEADER)
-    labels = np.array(labels, dtype=object)
-    indptr, dst, w = g._indptr, g._indices, g._weights
+    texts = [np.array(labels, dtype=object) for labels in tuples]
+    bounds, row_of = _distinct([g._indptr for g, _, _ in items], np.array_equal)
+    targets, col_of = _distinct([g._indices for g, _, _ in items], np.array_equal)
 
-    def arcs(lo: int, hi: int) -> tuple[np.ndarray, ...]:
-        src = np.searchsorted(indptr, np.arange(lo, hi), side="right") - 1  # the row holding each arc
-        return labels[src], labels[dst[lo:hi]], w[lo:hi]
+    # A shared column is made by the first file of a batch that asks for it; lru_cache(1) drops it at the next batch.
+    def source_labels(labels: np.ndarray, indptr: np.ndarray) -> Callable[[int, int], np.ndarray]:
+        return lru_cache(1)(lambda lo, hi: labels[np.searchsorted(indptr, np.arange(lo, hi), side="right") - 1])
 
-    write_csv(path, "".join(line + "\n" for line in head), g.arc_count, arcs)
-    write_csv(sidecar_path(path), VERTEX_HEADER + "\n", len(labels), lambda lo, hi: (labels[lo:hi], np.arange(lo, hi)))
+    def target_labels(labels: np.ndarray, dst: np.ndarray) -> Callable[[int, int], np.ndarray]:
+        return lru_cache(1)(lambda lo, hi: labels[dst[lo:hi]])
+
+    def arcs(src: Callable, dst: Callable, w: np.ndarray) -> Callable[[int, int], tuple[np.ndarray, ...]]:
+        return lambda lo, hi: (src(lo, hi), dst(lo, hi), w[lo:hi])
+
+    def vertices(labels: np.ndarray) -> Callable[[int, int], tuple[np.ndarray, ...]]:
+        return lambda lo, hi: (labels[lo:hi], np.arange(lo, hi))
+
+    src_of = {(l, r): source_labels(texts[l], bounds[r]) for l, r in zip(label_of, row_of)}
+    dst_of = {(l, c): target_labels(texts[l], targets[c]) for l, c in zip(label_of, col_of)}
+    snapshots = []
+    for (g, path, provenance), l, r, c in zip(items, label_of, row_of, col_of):
+        head = [f"# tool=recipnet/{_version}", *(f"# {key}={value}" for key, value in provenance.items()), GRAPH_HEADER]
+        snapshots.append(([path], "".join(line + "\n" for line in head), g.arc_count, arcs(src_of[l, r], dst_of[l, c], g._weights)))
+    write_csvs(snapshots)
+    del snapshots, src_of, dst_of  # frees the last batch's shared columns before the sidecars are written
+    sidecars = [[sidecar_path(path) for (_, path, _), of in zip(items, label_of) if of == l] for l in range(len(texts))]
+    write_csvs([(paths, VERTEX_HEADER + "\n", len(labels), vertices(labels)) for paths, labels in zip(sidecars, texts)])
+
+
+def _distinct(values: Sequence, same: Callable[[object, object], bool]) -> tuple[list, list[int]]:
+    """The distinct ``values`` by ``same``, in first-seen order, and the index among them of each value."""
+    kept: list = []
+    index = []
+    for x in values:
+        at = next((i for i, y in enumerate(kept) if same(x, y)), len(kept))
+        if at == len(kept):
+            kept.append(x)
+        index.append(at)
+    return kept, index
 
 
 def write_csv(path: str | Path, head: str, n: int, rows: Callable[[int, int], Sequence[np.ndarray]]) -> None:
-    """Write ``head``, then CSV rows ``0..n-1`` of the columns ``rows(lo, hi)`` returns, ``_BATCH`` rows at a time.
+    """Write ``head``, then CSV rows ``0..n-1`` of the columns ``rows(lo, hi)`` returns: :func:`write_csvs` of one file."""
+    write_csvs([([path], head, n, rows)])
 
-    An object column holds its rows' texts. A numeric column is written as
-    ``repr`` of its values, made once per distinct bit pattern of the batch:
-    equal bits give equal texts, and ``-0.0`` stays apart from ``0.0``. The
+
+def write_csvs(files: Sequence[tuple[Sequence[str | Path], str, int, Callable[[int, int], Sequence[np.ndarray]]]]) -> None:
+    """Write a group of CSV files in lockstep, ``_BATCH`` rows of each at a time.
+
+    Each file is ``(paths, head, n, rows)``: each of its paths gets ``head``,
+    then rows ``0..n-1`` of the columns ``rows(lo, hi)`` returns. An object
+    column holds its rows' texts. A numeric column is written as ``repr`` of
+    its values, and ``repr`` runs once per batch for each distinct (dtype,
+    bit pattern) across the numeric columns of every file of the group:
+    equal bits of one dtype give equal texts, an int64 and a float64 of
+    equal bits never share one, and ``-0.0`` stays apart from ``0.0``. The
     comma before a numeric column, and the line break after a last one, are
     part of its texts; an object column gets a column of commas before it
     (unless first) and, if last, one of line breaks. A batch's columns are
-    joined row by row into one text, so no per-row Python object outlives its
-    batch.
+    joined row by row into one text per file, written to each of its paths,
+    so no per-row Python object, and no text, outlives its batch.
     """
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(head)
-        for lo in range(0, n, _BATCH):
-            hi = min(lo + _BATCH, n)
-            columns = rows(lo, hi)
-            texts = []
-            for i, col in enumerate(columns):
-                sep, end = "," if i else "", "\n" if i == len(columns) - 1 else ""
-                if col.dtype != object:
-                    bits, inverse = np.unique(col.view(f"i{col.itemsize}"), return_inverse=True)
-                    texts.append(np.array([f"{sep}{x!r}{end}" for x in bits.view(col.dtype).tolist()], dtype=object)[inverse])
-                    continue
-                if sep:
-                    texts.append(np.full(hi - lo, sep, dtype=object))
-                texts.append(col)
-                if end:
-                    texts.append(np.full(hi - lo, end, dtype=object))
-            f.write("".join(np.column_stack(texts).ravel().tolist()))
+    with ExitStack() as stack:
+        outs = [[stack.enter_context(open(p, "w", encoding="utf-8", newline="")) for p in paths] for paths, *_ in files]
+        for out, (_, head, _, _) in zip(outs, files):
+            for f in out:
+                f.write(head)
+        for lo in range(0, max((n for _, _, n, _ in files), default=0), _BATCH):
+            live = [(out, rows(lo, min(lo + _BATCH, n))) for out, (_, _, n, rows) in zip(outs, files) if lo < n]
+            for (out, _), texts in zip(live, _batch_texts([columns for _, columns in live])):
+                text = "".join(np.column_stack(texts).ravel().tolist())
+                for f in out:
+                    f.write(text)
+
+
+def _batch_texts(batch: list[Sequence[np.ndarray]]) -> list[list[np.ndarray]]:
+    """Each file's columns of one batch as the text columns to join row by row (see :func:`write_csvs`)."""
+    marks = [[("," if j else "", "\n" if j == len(columns) - 1 else "") for j in range(len(columns))] for columns in batch]
+    numeric: dict[np.dtype, list[tuple[int, int]]] = {}
+    for i, columns in enumerate(batch):
+        for j, col in enumerate(columns):
+            if col.dtype != object:
+                numeric.setdefault(col.dtype, []).append((i, j))
+    made = {}
+    for dtype, where in numeric.items():
+        parts = [batch[i][j] for i, j in where]
+        bits, inverse = np.unique(np.concatenate([col.view(f"i{dtype.itemsize}") for col in parts]), return_inverse=True)
+        values = bits.view(dtype).tolist()
+        reprs = list(map(repr, values)) if len({marks[i][j] for i, j in where}) > 1 else None  # else each repr is made in place
+        decorated: dict[tuple[str, str], np.ndarray] = {}  # the texts of every value with one separator and line end
+        for (i, j), rows in zip(where, np.split(inverse, np.cumsum([len(col) for col in parts])[:-1])):
+            sep, end = marks[i][j]
+            if (sep, end) not in decorated:
+                decorated[sep, end] = np.array(
+                    [f"{sep}{x!r}{end}" for x in values] if reprs is None else [f"{sep}{t}{end}" for t in reprs], dtype=object
+                )
+            made[i, j] = decorated[sep, end][rows]
+    constant = cache(lambda n, text: np.full(n, text, dtype=object))  # a column of commas, or of line breaks
+    texts = []
+    for i, columns in enumerate(batch):
+        texts.append([])
+        for j, col in enumerate(columns):
+            sep, end = marks[i][j]
+            if (i, j) in made:
+                texts[-1].append(made[i, j])
+                continue
+            if sep:
+                texts[-1].append(constant(len(col), sep))
+            texts[-1].append(col)
+            if end:
+                texts[-1].append(constant(len(col), end))
+    return texts
 
 
 def _raise_first_bad_vertex_line(texts: list[str], first_lineno: int, seen: set[str], path: Path) -> None:
@@ -429,12 +516,14 @@ def _prepare(u: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> Iterator
         keys = sliding_window_view(u, n)[starts[rows]].view(f"S{n}")[:, 0] if n else np.zeros(len(rows), "S1")
         heads = _heads(keys)
         by_head = np.argsort(heads)
-        differ = keys[by_head[1:]] != keys[by_head[:-1]]
-        if (differ & (heads[by_head[1:]] == heads[by_head[:-1]])).any():
+        ordered, ordered_heads = keys[by_head], heads[by_head]
+        differ = ordered[1:] != ordered[:-1]
+        if (differ & (ordered_heads[1:] == ordered_heads[:-1])).any():
             by_head = np.lexsort((keys, heads))
-            differ = keys[by_head[1:]] != keys[by_head[:-1]]
+            ordered, ordered_heads = keys[by_head], heads[by_head]
+            differ = ordered[1:] != ordered[:-1]
         runs = np.flatnonzero(np.append(True, differ))
-        yield n, rows[by_head], keys[by_head[runs]], heads[by_head[runs]], np.diff(runs, append=len(rows))
+        yield n, rows[by_head], ordered[runs], ordered_heads[runs], np.diff(runs, append=len(rows))
 
 
 class _LabelTable:

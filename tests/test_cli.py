@@ -240,6 +240,19 @@ class TestPipeline:
         saved = load_edge_list(outdir / "rewired.graph.csv")
         assert saved.arc_count == load_edge_list(synth_out).arc_count
 
+    def test_regimes_saved_graphs_are_the_cells(self, tmp_path, capsys):
+        """One batched save of every cell: equal sidecars, and each snapshot loads back as its cell's graph."""
+        g = random_digraph(random.Random(2011), 80, arc_fraction=0.06, mutual_bias=0.7)
+        save_snapshot(g, tmp_path / "g.csv")
+        outdir = tmp_path / "reg"
+        assert main(["regimes", str(tmp_path / "g.csv"), "--outdir", str(outdir), "--seed", "7", "--save-graphs"]) == EXIT_OK
+        _, cells = report.run_regime_comparison(load_edge_list(tmp_path / "g.csv"), [7])
+        assert list(cells) == [name for name, _, _ in report.CELLS]
+        sidecars = {(outdir / f"{label}.graph.vertices.csv").read_bytes() for label in cells}
+        assert len(sidecars) == 1
+        for label, cell in cells.items():
+            assert load_edge_list(outdir / f"{label}.graph.csv") == cell, label
+
     def test_regimes_replicas_summary(self, capsys, tmp_path):
         synth_out = tmp_path / "s.csv"
         main(

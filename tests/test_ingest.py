@@ -29,6 +29,7 @@ from recipnet.ingest import (
     aggregate_event_file,
     load_edge_list,
     save_snapshot,
+    save_snapshots,
     sidecar_path,
 )
 
@@ -964,26 +965,119 @@ class TestSaveAgainstReferenceWriter:
         """No per-arc Python object outlives its batch: the save's peak does not grow with the arcs.
 
         The per-line writer held whole-graph lists of sources, targets and
-        weights: about 60 bytes per extra arc here.
+        weights: about 60 bytes per extra arc here. The bound holds for one
+        graph and for a four-graph call, two topologies with two weightings
+        each, as ``regimes --save-graphs`` writes them.
         """
         v = 400
         pairs = np.array([(a, b) for a in range(v) for b in range(v) if a != b])
         weights = np.arange(1, len(pairs) + 1) / 7  # every weight distinct: the most repr texts
 
-        def peak(n):
+        def peak(n, cells):
             labels = tuple(f"u{i}" for i in range(v))
             g = WeightedDigraph.from_columns(v, pairs[:n, 0], pairs[:n, 1], weights[:n], labels)
+            turned = WeightedDigraph.from_columns(v, pairs[:n, 1], pairs[:n, 0], weights[:n][::-1], labels)
+            graphs = [g, turned, g._reweighted(weights[:n] * 3), turned._reweighted(weights[:n] / 3)][:cells]
             tracemalloc.start()
             try:
-                save_snapshot(g, tmp_path / f"g{n}.csv")
+                save_snapshots([(graph, tmp_path / f"g{n}_{k}.csv", {}) for k, graph in enumerate(graphs)])
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        with mock.patch.object(ingest, "_BATCH", 1000):
-            small, large = peak(20_000), peak(80_000)
-        per_arc = (large - small) / 60_000
-        assert per_arc < 8, f"{per_arc:.1f} B of peak memory per extra arc"
+        for cells in (1, 4):
+            with mock.patch.object(ingest, "_BATCH", 1000):
+                small, large = peak(20_000, cells), peak(80_000, cells)
+            per_arc = (large - small) / 60_000
+            assert per_arc < 8, f"{per_arc:.1f} B of peak memory per extra arc with {cells} graphs"
+
+
+@st.composite
+def snapshot_groups(draw):
+    """1-4 graphs sharing, or not, their row bounds, targets, label tuples and weights with a first graph.
+
+    Beside the first graph itself: its topology with other (often repeated)
+    weights; equal arrays and labels rebuilt as new objects; its row bounds
+    with other targets; its topology with other labels; an unrelated graph.
+    """
+    base = draw(writable_graphs())
+    v, arcs = base.vertex_count, list(base.arcs())
+    pool = [w for _, _, w in arcs] + REPR_EDGE_WEIGHTS
+    graphs = []
+    for kind in draw(st.lists(st.sampled_from(["same", "reweighted", "rebuilt", "retargeted", "relabelled", "other"]), min_size=1, max_size=4)):
+        if kind == "same":
+            graphs.append(base)
+        elif kind == "reweighted":
+            try:
+                graphs.append(base._reweighted(np.array([draw(st.sampled_from(pool)) for _ in arcs], dtype=np.float64)))
+            except DomainError:  # a vertex's strength is not finite
+                reject()
+        elif kind == "rebuilt":
+            graphs.append(digraph(v, arcs, tuple(list(base.external_ids))))
+        elif kind == "retargeted":  # the same out-degrees and row weights, each row's targets drawn anew
+            moved = []
+            for a in range(v):
+                row = [(b, w) for s, b, w in arcs if s == a]
+                targets = draw(st.permutations([b for b in range(v) if b != a]))
+                moved += [(a, b, w) for b, (_, w) in zip(targets, row)]
+            graphs.append(digraph(v, moved, base.external_ids))
+        elif kind == "relabelled":
+            graphs.append(digraph(v, arcs, tuple(f"r{i}" for i in range(v))))
+        else:
+            graphs.append(draw(writable_graphs()))
+    return graphs
+
+
+class TestSaveSnapshots:
+    @given(snapshot_groups(), st.sampled_from([1, 3, 8, ingest._BATCH]))
+    @settings(max_examples=300, deadline=None)
+    def test_same_bytes_as_one_graph_saves_and_reference_writer(self, tmp_path_factory, graphs, batch):
+        out = tmp_path_factory.mktemp("group")
+        provenance = [{"regime": f"cell{k}", "seed": k} for k in range(len(graphs))]
+        with mock.patch.object(ingest, "_BATCH", batch):
+            save_snapshots([(g, out / f"group{k}.csv", p) for k, (g, p) in enumerate(zip(graphs, provenance))])
+            for k, (g, p) in enumerate(zip(graphs, provenance)):
+                save_snapshot(g, out / f"one{k}.csv", **p)
+        for k, (g, p) in enumerate(zip(graphs, provenance)):
+            reference_save(g, out / f"ref{k}.csv", **p)
+            for name in (f"{{}}{k}.csv", f"{{}}{k}.vertices.csv"):
+                group = (out / name.format("group")).read_bytes()
+                assert group == (out / name.format("one")).read_bytes() == (out / name.format("ref")).read_bytes(), name
+
+    def test_int64_and_float64_of_equal_bits_write_their_own_texts(self, tmp_path):
+        one = np.array([1.0, -0.0, 0.0, 2.5])
+        bits = one.view(np.int64)  # the same bit patterns as int64 values
+        names = np.array(["a", "b", "c", "d"], dtype=object)
+        paths = [tmp_path / "floats.csv", tmp_path / "ints.csv", tmp_path / "both.csv"]
+        with mock.patch.object(ingest, "_BATCH", 3):
+            ingest.write_csvs([
+                ([paths[0]], "", 4, lambda lo, hi: (names[lo:hi], one[lo:hi])),
+                ([paths[1]], "", 4, lambda lo, hi: (names[lo:hi], bits[lo:hi])),
+                ([paths[2]], "", 4, lambda lo, hi: (bits[lo:hi], one[lo:hi])),
+            ])
+        floats = [repr(x) for x in one.tolist()]
+        ints = [repr(x) for x in bits.tolist()]
+        assert ints[0] == "4607182418800017408" and floats[:3] == ["1.0", "-0.0", "0.0"]
+        assert paths[0].read_text() == "".join(f"{n},{x}\n" for n, x in zip(names, floats))
+        assert paths[1].read_text() == "".join(f"{n},{k}\n" for n, k in zip(names, ints))
+        assert paths[2].read_text() == "".join(f"{k},{x}\n" for k, x in zip(ints, floats))
+
+    def test_unwritable_label_creates_no_file_of_the_group(self, tmp_path):
+        good = digraph(2, [(0, 1, 1.0)], ("a", "b"))
+        bad = digraph(2, [(0, 1, 1.0)], ("a", "b,c"))
+        paths = [tmp_path / "good.csv", tmp_path / "bad.csv"]
+        with pytest.raises(FormatError, match="'b,c'"):
+            save_snapshots([(good, paths[0], {}), (bad, paths[1], {})])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_shared_sidecar_is_written_to_each_path(self, tmp_path):
+        g = digraph(3, [(0, 1, 2.0), (1, 0, 0.5), (2, 0, 1.0)], ("x", "y", "z"))
+        cells = [g, g._reweighted(np.array([1.0, 1.0, 1.0])), digraph(3, [(0, 2, 1.0), (1, 0, 0.5), (2, 1, 2.0)], g.external_ids)]
+        save_snapshots([(cell, tmp_path / f"c{k}.csv", {"regime": f"c{k}"}) for k, cell in enumerate(cells)])
+        sidecars = {sidecar_path(tmp_path / f"c{k}.csv").read_text() for k in range(3)}
+        assert sidecars == {"external_id,dense_id\nx,0\ny,1\nz,2\n"}
+        for k, cell in enumerate(cells):
+            assert load_edge_list(tmp_path / f"c{k}.csv") == cell
 
 
 class TestHostileInput:
