@@ -164,6 +164,10 @@ class WeightedDigraph:
         than being repaired (use GraphBuilder for raw data that needs
         aggregation). ``external_ids`` are the labels in dense-id order, kept
         as a tuple; ``"0".."V-1"`` if not given.
+
+        Rows whose keys ``src * V + dst`` strictly increase are already in CSR
+        order: they are not sorted, and contiguous int64 targets and float64
+        weights are adopted as the graph's, made read-only, not copied.
         """
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
@@ -179,19 +183,24 @@ class WeightedDigraph:
                 raise DomainError(
                     f"arc ({src[i]}, {dst[i]}) with weight {weights[i]} is {problem} (V={vertex_count})"
                 )
+        del checks, bad
         keys = src * vertex_count + dst
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        repeated = keys[1:] == keys[:-1]
-        if repeated.any():  # the first repeat in input order: stable sort puts each key's first row first
-            i = int(order[1:][repeated].min())
-            raise DuplicateArcError(f"duplicate arc ({src[i]}, {dst[i]})", i)
-        del keys, repeated, checks, bad  # not live while the columns are gathered or the rows summed
+        if (keys[1:] > keys[:-1]).all():  # in key order, each key once: nothing to sort or check
+            del keys
+        else:
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            repeated = keys[1:] == keys[:-1]
+            if repeated.any():  # the first repeat in input order: stable sort puts each key's first row first
+                i = int(order[1:][repeated].min())
+                raise DuplicateArcError(f"duplicate arc ({src[i]}, {dst[i]})", i)
+            del keys, repeated  # not live while the columns are gathered or the rows summed
+            dst, weights = dst[order], weights[order]
+            del order
         indptr = np.zeros(vertex_count + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=vertex_count), out=indptr[1:])
-        dst = dst[order]
-        weights = weights[order]
-        del src, order  # nor these while the rows are summed
+        del src  # nor this while the rows are summed
+        dst, weights = np.ascontiguousarray(dst), np.ascontiguousarray(weights)
         return cls(indptr, dst, weights, tuple(map(str, range(vertex_count)) if external_ids is None else external_ids))
 
     # -- basic accessors ---------------------------------------------------

@@ -19,13 +19,17 @@ parsed in array passes: an event log (a regular file, a FIFO or
 byte strings; snapshot weights and dense ids are parsed with ``float`` and
 ``int`` on their texts. Aggregation reads on the calling thread and parses
 each chunk on one helper thread, one chunk ahead of the label-table work,
-which stays on the calling thread; a load runs on the calling thread alone.
+which stays on the calling thread. A load starts no thread: it parses a
+regular snapshot of two chunks or more in two halves, the second in one
+forked helper process that writes its arc columns and new labels back
+through a pipe (:func:`load_edge_list`), and any other input in one pass.
 Aggregation's memory is bounded by two chunks and the distinct tails, not
-by the number of events; a load's by one chunk, the label table and the arc
-columns, each held once, not by per-arc Python objects. Snapshots, sidecars
-and the CLI's ``--records`` files are written by :func:`write_csvs`, a
-group of files in lockstep, in batches of rows gathered from arrays: memory
-is bounded by one batch of rows of each file plus one text per label.
+by the number of events; a load's by a chunk per process, the label table
+and the arc columns, each held once, not by per-arc Python objects.
+Snapshots, sidecars and the CLI's ``--records`` files are written by
+:func:`write_csvs`, a group of files in lockstep, in batches of rows
+gathered from arrays: memory is bounded by one batch of rows of each file
+plus one text per label.
 
 Aggregation and a load without a sidecar assign dense ids by
 :func:`~recipnet.graph.sorted_order`, the order of the sorted labels, as
@@ -35,7 +39,12 @@ as written.
 
 from __future__ import annotations
 
+import gc
 import operator
+import os
+import signal
+import stat
+import threading
 import warnings
 from contextlib import ExitStack, suppress
 from functools import cache, lru_cache
@@ -44,7 +53,6 @@ from pathlib import Path
 from typing import BinaryIO, Callable, Iterator, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import __version__ as _version
 from .errors import DuplicateArcError, FormatError
@@ -406,14 +414,14 @@ def _line_texts(data: bytes, starts: np.ndarray, stops: np.ndarray) -> list[str]
     return [data[a:b].decode() for a, b in zip(starts.tolist(), stops.tolist())]
 
 
-def _line_chunks(f: BinaryIO) -> Iterator[tuple[bytes, np.ndarray, np.ndarray, int]]:
-    """(bytes, where each line's text starts and stops, first line number) of ``f``'s chunks of lines.
+def _line_chunks(f: BinaryIO, lineno: int = 1) -> Iterator[tuple[bytes, np.ndarray, np.ndarray, int]]:
+    """(bytes, where each line's text starts and stops, first line number) of ``f``'s chunks of lines, numbered from ``lineno``.
 
     ``f`` is read once, ``_CHUNK`` bytes at a time, and each read is cut after its last line break,
     the rest carried over. Line breaks are ``\\n``, ``\\r\\n`` and a lone ``\\r``, as a universal-newline
     reader's, so a ``\\r`` that ends a read waits for the next byte. Each chunk is checked as UTF-8.
     """
-    pending, lineno = bytearray(), 1
+    pending = bytearray()
     while True:
         block = f.read(_CHUNK)
         new = max(len(pending) - 1, 0)  # only the new bytes, and a held-back \r, may hold a cut: a long line costs no rescans
@@ -513,7 +521,10 @@ def _prepare(u: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> Iterator
     order = np.argsort(lengths, kind="stable")
     for rows in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1) if len(order) else []:
         n = int(lengths[rows[0]])
-        keys = sliding_window_view(u, n)[starts[rows]].view(f"S{n}")[:, 0] if n else np.zeros(len(rows), "S1")
+        # each n-byte window of u, a view made by the ndarray constructor: under tracemalloc, sliding_window_view (through
+        # as_strided) now and then left a 1.9 MB block allocated after the call
+        windows = np.ndarray((len(u) - n + 1, n), np.uint8, u, strides=(1, 1)) if n else None
+        keys = windows[starts[rows]].view(f"S{n}")[:, 0] if n else np.zeros(len(rows), "S1")
         heads = _heads(keys)
         by_head = np.argsort(heads)
         ordered, ordered_heads = keys[by_head], heads[by_head]
@@ -628,6 +639,159 @@ def _load_sidecar(path: Path) -> _LabelTable:
     return table
 
 
+class _ArcColumns:
+    """A snapshot body's arcs as they are parsed, in file order: source ids, target ids and weights, each a ``bytearray``
+    grown in place, so no column is ever held twice; the row after each skipped blank line; the next line's number."""
+
+    def __init__(self, next_line: int) -> None:
+        self.columns = (bytearray(), bytearray(), bytearray())
+        self.blank_before = [np.empty(0, np.int64)]
+        self.rows, self.next_line = 0, next_line
+
+    def add(self, chunks: Iterator[tuple[bytes, np.ndarray, np.ndarray, int]], table: _LabelTable, path: Path) -> None:
+        """Parse each chunk of arc lines and append its arcs, numbering their labels in ``table``; raise for its first bad line."""
+        for data, line_starts, line_stops, first in chunks:
+            u, w = np.frombuffer(data, np.uint8), None
+            starts, stops, blank = line_starts, line_stops, np.flatnonzero(line_starts == line_stops)
+            if len(blank):
+                self.blank_before.append(self.rows + blank - np.arange(len(blank)))
+                starts, stops = np.delete(starts, blank), np.delete(stops, blank)
+            if (fields := _field_bounds(u, starts, stops, 2)) is not None:
+                lo, hi = fields
+                with suppress(ValueError):  # a weight that is not a number
+                    w = np.fromiter(map(float, _texts_between(u, lo[:, 2], hi[:, 2])), np.float64, len(stops))
+                src, dst = table.number(u, lo[:, :2].T.ravel(), (hi - lo)[:, :2].T.ravel()).reshape(2, -1)
+            if w is None or ((src == dst) | ~((w > 0) & (w < np.inf))).any():
+                _raise_first_bad_arc_line(_line_texts(data, line_starts, line_stops), first, path)
+            for column, part in zip(self.columns, (src, dst, w)):
+                column += memoryview(part)  # bytes appended in place: no column is ever held twice
+            self.rows += len(stops)
+            self.next_line = first + len(line_starts)
+
+    def send(self, out: BinaryIO, table: _LabelTable, known: int) -> None:
+        """Write the row count, the columns, the blank rows and the texts of the labels of ids ``known`` on to ``out``."""
+        blanks = np.concatenate(self.blank_before)
+        new = "".join(text + "\n" for text in table.labels(np.arange(len(table)) >= known)).encode() if len(table) > known else b""
+        for part in (np.array([self.rows, len(blanks), len(new)], np.int64), *self.columns, blanks, new):
+            out.write(part)
+
+    def receive(self, pipe: BinaryIO) -> tuple[int, np.ndarray, bytes] | None:
+        """What :meth:`send` wrote, its columns read onto the ends of these: (rows, blank rows, label texts), None if cut short.
+
+        Only the columns change; the caller keeps their lengths to cut them back if the helper failed.
+        """
+        head = pipe.read(24)
+        if len(head) < 24:
+            return None
+        rows, blanks, size = np.frombuffer(head, np.int64).tolist()
+        for column in self.columns:
+            at = len(column)
+            column += bytes(8 * rows)  # grown in place by zeros, which the pipe's bytes then overwrite
+            with memoryview(column) as view, view[at:] as end:
+                if pipe.readinto(end) < 8 * rows:
+                    return None
+        rest = pipe.read(8 * blanks + size)
+        if len(rest) < 8 * blanks + size:
+            return None
+        return rows, np.frombuffer(rest, np.int64, blanks), rest[8 * blanks :]
+
+    def adopt(self, rows: int, blanks: np.ndarray, texts: bytes, table: _LabelTable, known: int) -> None:
+        """Take the ``rows`` received last as arcs: renumber the ids past ``known`` by numbering ``texts`` in ``table``."""
+        if texts:
+            u = np.frombuffer(texts, np.uint8)
+            ends = np.flatnonzero(u == 10)
+            starts = np.append(0, ends[:-1] + 1)
+            ids = np.concatenate((np.arange(known), table.number(u, starts, ends - starts)))
+            for column in self.columns[:2]:
+                tail = np.frombuffer(column, np.int64)[self.rows :]
+                for lo in range(0, len(tail), _BATCH):
+                    tail[lo : lo + _BATCH] = ids[tail[lo : lo + _BATCH]]
+                del tail  # releases the column's buffer
+        self.blank_before.append(self.rows + blanks)
+        self.rows += rows
+
+
+class _Span:
+    """The bytes ``start..stop`` of an open file, read by ``os.pread``: readers of one file share no offset."""
+
+    def __init__(self, fd: int, start: int, stop: int) -> None:
+        self.fd, self.at, self.stop = fd, start, stop
+
+    def read(self, n: int) -> bytes:
+        block = os.pread(self.fd, min(n, self.stop - self.at), self.at)
+        self.at += len(block)
+        return block
+
+
+def _split_point(f: BinaryIO) -> tuple[int, int] | None:
+    """Where a load splits ``f``'s lines between two processes, and its size; None if it does not.
+
+    It splits a regular file of at least ``2 * _CHUNK`` bytes, when ``os.fork`` exists and no other Python thread
+    runs, after the first ``\\n`` from the middle byte on, unless that is the end of the file.
+    """
+    if not hasattr(os, "fork") or threading.active_count() != 1:
+        return None
+    info = os.fstat(f.fileno())
+    if not stat.S_ISREG(info.st_mode) or info.st_size < 2 * _CHUNK:
+        return None
+    at = info.st_size // 2
+    while block := os.pread(f.fileno(), min(_CHUNK, info.st_size - at), at):
+        if (i := block.find(b"\n")) >= 0:
+            return (at + i + 1, info.st_size) if at + i + 1 < info.st_size else None
+        at += len(block)
+    return None
+
+
+def _parse_in_two(
+    arcs: _ArcColumns, chunks: Iterator[tuple], table: _LabelTable, path: Path, fd: int, split: int, size: int
+) -> None:
+    """Parse ``chunks``, the arc lines before byte ``split`` of ``fd``, here, and those after it in one forked helper.
+
+    The helper parses with the table as it was at the fork and writes its arcs, blank rows and new labels back over a
+    pipe; they are appended here after this process's own. An error here comes first in file order: the helper is
+    killed. If the helper fails in any way its lines are parsed here, so the error it met is raised here. The helper
+    is reaped before the call returns or raises.
+    """
+    known, pid, got = len(table), None, None
+    r, w = os.pipe()
+    with warnings.catch_warnings(), suppress(OSError):  # a fork that fails leaves both halves to this process
+        # Python 3.12 warns on a fork while the OS reports more than one thread, and numpy's OpenBLAS pool is one.
+        # This fork is safe: OpenBLAS has atfork handlers, the helper calls no BLAS routine and starts no thread, and
+        # it leaves by os._exit, so it runs no atexit handler and flushes no inherited buffer. (Untested on 3.12.)
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:  # the helper
+        status = 1
+        try:
+            gc.disable()  # no collection here, so no finalizer of an object inherited from the caller runs twice
+            os.close(r)
+            helper = _ArcColumns(0)
+            helper.add(_line_chunks(_Span(fd, split, size)), table, path)
+            with open(w, "wb") as out:
+                helper.send(out, table, known)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    try:
+        with open(r, "rb") as pipe:
+            arcs.add(chunks, table, path)
+            lengths = [len(column) for column in arcs.columns]
+            if pid is not None:
+                got = arcs.receive(pipe)
+                pid, status = None, os.waitpid(pid, 0)[1]
+    finally:
+        if pid is not None:  # not reaped: an error here, which comes first in file order
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if got is not None and status == 0:
+        arcs.adopt(*got, table, known)
+        return
+    for column, length in zip(arcs.columns, lengths):
+        del column[length:]
+    arcs.add(_line_chunks(_Span(fd, split, size), arcs.next_line), table, path)
+
+
 def load_edge_list(path: str | Path, strict: bool = False) -> WeightedDigraph:
     """Load a graph snapshot, honoring its sidecar when present.
 
@@ -647,6 +811,16 @@ def load_edge_list(path: str | Path, strict: bool = False) -> WeightedDigraph:
     Only a chunk whose mask fires is split into line texts and rescanned, to
     report the exact line. Memory is bounded by one chunk, the label table
     and the arc columns, each grown in place and so held once.
+
+    A regular file of at least two chunks is parsed in two halves, split
+    after a line break near its middle byte, when ``os.fork`` exists and no
+    other Python thread runs: the second half by one forked helper process,
+    which writes its columns back through a pipe onto the ends of this
+    process's, and its new labels, which are numbered here after this
+    process's own. If the helper fails, its half is parsed here, so every
+    result, error and line number is that of one pass in file order; the
+    helper never outlives the call. A FIFO, ``/dev/stdin`` on a pipe and a
+    small file take one pass on the calling process.
     """
     path = Path(path)
     side = sidecar_path(path)
@@ -660,33 +834,24 @@ def load_edge_list(path: str | Path, strict: bool = False) -> WeightedDigraph:
         except (OSError, ValueError) as exc:
             side_error = exc
     v = len(table)  # a label the sidecar lacks gets an id >= v
-    columns = (bytearray(), bytearray(), bytearray())  # src ids, dst ids, weights, each grown in place chunk by chunk
-    blank_before = [np.empty(0, np.int64)]  # row index after each skipped blank line
-    rows = 0
     with open(path, "rb") as f:
-        header, first_row, chunks = _first_line(f, comments=True)
+        split = _split_point(f)
+        header, first_row, chunks = _first_line(f if split is None else _Span(f.fileno(), 0, split[0]), comments=True)
+        if header is None and split is not None:  # only provenance lines lie before the split: one pass
+            split = None
+            header, first_row, chunks = _first_line(f, comments=True)
         if header is None:
             raise FormatError(f"{path}: missing header line")
         if header != GRAPH_HEADER:
             raise FormatError(f"expected header {GRAPH_HEADER!r}, got {header!r}")
-        for data, line_starts, line_stops, first in chunks:
-            u, w = np.frombuffer(data, np.uint8), None
-            starts, stops, blank = line_starts, line_stops, np.flatnonzero(line_starts == line_stops)
-            if len(blank):
-                blank_before.append(rows + blank - np.arange(len(blank)))
-                starts, stops = np.delete(starts, blank), np.delete(stops, blank)
-            if (fields := _field_bounds(u, starts, stops, 2)) is not None:
-                lo, hi = fields
-                with suppress(ValueError):  # a weight that is not a number
-                    w = np.fromiter(map(float, _texts_between(u, lo[:, 2], hi[:, 2])), np.float64, len(stops))
-                src, dst = table.number(u, lo[:, :2].T.ravel(), (hi - lo)[:, :2].T.ravel()).reshape(2, -1)
-            if w is None or ((src == dst) | ~((w > 0) & (w < np.inf))).any():
-                _raise_first_bad_arc_line(_line_texts(data, line_starts, line_stops), first, path)
-            for column, part in zip(columns, (src, dst, w)):
-                column += memoryview(part)  # bytes appended in place: no column is ever held twice
-            rows += len(stops)
-    src_ids, dst_ids, w_col = (np.frombuffer(column, dtype) for column, dtype in zip(columns, (np.int64, np.int64, np.float64)))
-    del columns  # each column's bytes are freed with its array
+        arcs = _ArcColumns(first_row)
+        if split is None:
+            arcs.add(chunks, table, path)
+        else:
+            _parse_in_two(arcs, chunks, table, path, f.fileno(), *split)
+    src_ids, dst_ids, w_col = (np.frombuffer(column, dtype) for column, dtype in zip(arcs.columns, (np.int64, np.int64, np.float64)))
+    blank_before, rows = arcs.blank_before, arcs.rows
+    del arcs  # each column's bytes are freed with its array
 
     if side_error is not None:
         raise side_error
@@ -710,4 +875,3 @@ def load_edge_list(path: str | Path, strict: bool = False) -> WeightedDigraph:
     src_ids, dst_ids, w_col = _summed(v, src_ids * v + dst_ids, w_col)  # rows is still the arc rows read
     warnings.warn(f"{path}: aggregated {rows - len(w_col)} duplicate arc rows", stacklevel=2)
     return WeightedDigraph.from_columns(v, src_ids, dst_ids, w_col, labels)
-

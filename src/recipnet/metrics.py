@@ -174,24 +174,25 @@ def concentration_arrays(g: WeightedDigraph) -> tuple[np.ndarray, np.ndarray, np
     Same values as :func:`concentration`: the shares and their squares
     (``x*x``, the correctly rounded square) are made one block of arcs at a
     time into one float column, and each vertex's sum of them is correctly
-    rounded, as by ``math.fsum``, in array code. No whole-graph share,
-    source or square column is built beside it. A vertex whose out-weights
-    are all equal, found by one min and one max reduction over the rows,
-    gets h = 1/k and h_star = 0 exactly.
+    rounded, as by ``math.fsum``, in array code. No whole-graph share or
+    source column is built beside it. A vertex whose out-weights are all
+    equal gets h = 1/k and h_star = 0 exactly: in the same blocks each arc's
+    weight is compared with its row's first, into one byte per arc, and one
+    reduction over the row starts finds the rows where none differs.
     """
     k = np.diff(g._indptr)
     vertices = np.flatnonzero(k >= 2)
-    # Each row's first arc and its end, interleaved: the even reductions are the rows'. An end at the last arc is
-    # left out, as the last reduction runs to the end. Done before the squares, so no temporary of it lives beside them.
-    bounds = np.column_stack((g._indptr[vertices], g._indptr[vertices + 1])).ravel()
-    bounds = bounds[: len(bounds) - int(len(bounds) > 0 and bounds[-1] == g.arc_count)]
-    equal = np.minimum.reduceat(g._weights, bounds)[::2] == np.maximum.reduceat(g._weights, bounds)[::2]
-    del bounds
-    squares = np.empty(g.arc_count)
+    squares, differs = np.empty(g.arc_count), np.empty(g.arc_count, bool)
     for lo in range(0, g.arc_count, _SUM_BLOCK):
-        arcs = np.arange(lo, min(lo + _SUM_BLOCK, g.arc_count))
-        shares = g._weights[arcs] / g._out_strength[np.searchsorted(g._indptr, arcs, side="right") - 1]
-        squares[arcs] = shares * shares
+        hi = min(lo + _SUM_BLOCK, g.arc_count)
+        rows = np.searchsorted(g._indptr, np.arange(lo, hi), side="right") - 1
+        weights = g._weights[lo:hi]
+        shares = weights / g._out_strength[rows]
+        squares[lo:hi] = shares * shares
+        differs[lo:hi] = weights != g._weights[g._indptr[rows]]
+    # A row's reduction runs on to the next such row's start, over rows of one arc, which never differs from itself.
+    equal = ~np.logical_or.reduceat(differs, g._indptr[vertices])
+    del differs
     h = _row_sums(g._indptr, squares)[vertices]
     inv_k = 1.0 / k[vertices]
     h_star = (h - inv_k) / (1.0 - inv_k)

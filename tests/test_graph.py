@@ -285,6 +285,12 @@ class TestConstruction:
         assert g1.dyad_census() == g2.dyad_census()
         assert g1.content_digest() == g2.content_digest()
 
+    def test_rows_in_key_order_are_taken_as_they_are(self):
+        src, dst, w = np.array([0, 0, 1, 2]), np.array([1, 2, 0, 1]), np.array([1.0, 2.0, 3.0, 4.0])
+        g = WeightedDigraph.from_columns(3, src, dst, w)
+        assert np.shares_memory(g._indices, dst) and np.shares_memory(g._weights, w)  # not sorted, not copied
+        assert g == WeightedDigraph.from_columns(3, src[::-1], dst[::-1], w[::-1])
+
     def test_builder_order_independent_with_labels(self):
         rows = [("x", "y", 2.0), ("y", "x", 1.0), ("z", "x", 5.0), ("x", "z", 4.0)]
         b1, b2 = GraphBuilder(), GraphBuilder()

@@ -6,6 +6,7 @@ import bisect
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import tempfile
@@ -13,6 +14,7 @@ import threading
 import tracemalloc
 import warnings
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
@@ -718,6 +720,29 @@ class TestSnapshots:
         assert loaded.weight(1, 0) == graph.weight(1, 0)
 
 
+def splits(data, chunk):
+    """Whether a load parses the snapshot bytes ``data``, read ``chunk`` bytes at a time, in two processes: when they
+    are at least two chunks long, a line starts after the first ``\\n`` from the middle byte on, and the header is
+    among the lines before it."""
+    cut = data.find(b"\n", len(data) // 2) + 1
+    if len(data) < 2 * chunk or cut in (0, len(data)):
+        return False
+    return next((line for line in data[:cut].splitlines() if not line.startswith(b"#")), None) == b"src,dst,weight"
+
+
+@contextmanager
+def counted_forks():
+    """The calls of ``os.fork`` in the block, counted by a pass-through wrapper."""
+    calls, real = [], os.fork
+
+    def fork():
+        calls.append(1)
+        return real()
+
+    with mock.patch.object(os, "fork", fork):
+        yield calls
+
+
 class TestLoadAgainstReferenceLoop:
     @given(snapshot_files(), st.sampled_from(CHUNK_SIZES))
     @settings(max_examples=400, deadline=None)
@@ -727,9 +752,10 @@ class TestLoadAgainstReferenceLoop:
         path.write_bytes(text.encode("utf-8"))
         if sidecar is not None:
             sidecar_path(path).write_bytes(sidecar.encode("utf-8"))
-        with mock.patch.object(ingest, "_CHUNK", chunk):
-            for strict in (False, True):
+        for strict in (False, True):
+            with mock.patch.object(ingest, "_CHUNK", chunk), counted_forks() as forks:
                 assert load_outcome(load_edge_list, path, strict) == load_outcome(reference_load, path, strict)
+            assert len(forks) == splits(path.read_bytes(), chunk)
 
     def test_rows_of_four_and_two_fields_are_not_read_as_two_arcs(self, tmp_path):
         path = tmp_path / "graph.csv"
@@ -858,6 +884,117 @@ class TestLoadAgainstReferenceLoop:
             assert g.arc_count == 3 * batch - 1
 
 
+class TestSplitLoadLifeCycle:
+    """A snapshot of two chunks or more is parsed in two processes: however the load ends, it gives what one pass in
+    file order gives, and no helper process outlives it."""
+
+    ROWS = [f"u{i % 37},v{i % 41},{i + 0.5}" for i in range(1500)]  # about 25 KiB: six chunks of 4 KiB
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self):
+        with mock.patch.object(ingest, "_CHUNK", 1 << 12):
+            yield
+
+    @staticmethod
+    def write(path, rows, sidecar=None):
+        path.write_text("# seed=1\nsrc,dst,weight\n" + "".join(row + "\n" for row in rows), encoding="utf-8")
+        if sidecar is not None:
+            sidecar_path(path).write_text("external_id,dense_id\n" + "".join(f"{label},{i}\n" for i, label in enumerate(sidecar)))
+        return path
+
+    @staticmethod
+    def loaded(path, strict=False):
+        """:func:`load_outcome` of a load that forked once, checked against the oracle; no child is left."""
+        with counted_forks() as forks:
+            got = load_outcome(load_edge_list, path, strict)
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert got == load_outcome(reference_load, path, strict)
+        return got
+
+    def test_normal_return_reaps_the_helper(self, tmp_path):
+        g, _, caught = self.loaded(self.write(tmp_path / "g.csv", self.ROWS))
+        assert (g.arc_count, caught) == (len(self.ROWS), [])
+
+    @pytest.mark.parametrize("half", ["first", "second"])
+    def test_error_in_either_half_is_the_oracles(self, tmp_path, half):
+        rows = list(self.ROWS)
+        rows[300 if half == "first" else 1200] = "w,w,1"  # a self-loop
+        rows[100:100] = rows[1000:1000] = [""]  # a blank line in each half shifts the later line numbers
+        got = self.loaded(self.write(tmp_path / "g.csv", rows))
+        assert got == f"{tmp_path / 'g.csv'}:{rows.index('w,w,1') + 3}: self-loop at 'w'"  # after two head lines
+
+    def test_error_in_both_halves_is_the_first(self, tmp_path):
+        rows = list(self.ROWS)
+        rows[200], rows[1200] = "a,b,-1", "w,w,1"
+        assert self.loaded(self.write(tmp_path / "g.csv", rows)) == f"{tmp_path / 'g.csv'}:203: non-positive weight -1.0"
+
+    def test_strict_duplicate_across_the_halves(self, tmp_path):
+        rows = list(self.ROWS)
+        rows[1400] = rows[10]
+        rows[700:700] = [""]
+        path = self.write(tmp_path / "g.csv", rows)
+        assert self.loaded(path, strict=True) == f"{path}:{1401 + 3}: duplicate arc 'u10' -> 'v10'"
+        assert self.loaded(path)[2] == [f"{path}: aggregated 1 duplicate arc rows"]
+
+    @pytest.mark.parametrize("how", ["raises", "is killed"])
+    def test_failed_helper_gives_the_oracles_graph(self, tmp_path, monkeypatch, how):
+        parent, real = os.getpid(), ingest._field_bounds
+
+        def field_bounds(*args):
+            if os.getpid() != parent:
+                if how == "raises":
+                    raise RuntimeError("helper failed")
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args)
+
+        monkeypatch.setattr(ingest, "_field_bounds", field_bounds)
+        path = self.write(tmp_path / "g.csv", self.ROWS)
+        assert self.loaded(path)[0].content_digest() == reference_load(path).content_digest()
+
+    @pytest.mark.parametrize("sidecar", ["none", "complete", "missing the new labels"])
+    def test_labels_new_in_the_second_half(self, tmp_path, sidecar):
+        rows = self.ROWS + [f"late{i},u{i % 37},1" for i in range(20)] + [f"v{i},late{i % 7}x,2" for i in range(30)]
+        late = [f"late{i}" for i in range(20)] + [f"late{i}x" for i in range(7)]
+        labels = [f"u{i}" for i in range(37)] + [f"v{i}" for i in range(41)]
+        table = {"none": None, "complete": labels[::-1] + late, "missing the new labels": labels}[sidecar]
+        got = self.loaded(self.write(tmp_path / "g.csv", rows, table))
+        if sidecar == "missing the new labels":
+            assert got == f"{tmp_path / 'g.csv'}: arc references id missing from sidecar"
+        else:
+            assert sorted(got[0].external_ids) == sorted(labels + late)
+
+    @pytest.mark.parametrize("where", ["provenance", "last line"])
+    def test_no_fork_without_arc_lines_on_both_sides_of_the_split(self, tmp_path, where):
+        path = tmp_path / "g.csv"
+        if where == "provenance":  # the lines before the split hold no header
+            path.write_text("".join(f"# note={i}\n" for i in range(2000)) + "src,dst,weight\n" + "".join(r + "\n" for r in self.ROWS[:9]))
+        else:  # the first line break after the middle byte ends the file
+            path.write_text("src,dst,weight\n" + "".join(r + "\n" for r in self.ROWS[:9]) + f"{'a' * 30_000},b,1\n")
+        with mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
+            assert load_outcome(load_edge_list, path, False) == load_outcome(reference_load, path, False)
+
+    def test_no_fork_while_another_thread_runs(self, tmp_path):
+        path, stop = self.write(tmp_path / "g.csv", self.ROWS), threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            with mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
+                got = load_outcome(load_edge_list, path, False)
+        finally:
+            stop.set()
+            other.join()
+        assert got == load_outcome(reference_load, path, False)
+
+    def test_split_load_warns_nothing(self, tmp_path):
+        path = self.write(tmp_path / "g.csv", self.ROWS)
+        with warnings.catch_warnings(), counted_forks() as forks:
+            warnings.simplefilter("error")
+            load_edge_list(path)
+        assert len(forks) == 1
+
+
 class TestSnapshotThroughPipe:
     """The loader reads its input once, so a snapshot and sidecar fed through FIFOs load as the same files do."""
 
@@ -879,7 +1016,9 @@ class TestSnapshotThroughPipe:
             writers.append(threading.Thread(target=(pipes / file.name).write_bytes, args=(file.read_bytes(),), daemon=True))
             writers[-1].start()
         # A loader that opened a FIFO a second time would wait for a writer: the subprocess's timeout ends it.
-        code = "import sys; from recipnet import ingest; ingest._CHUNK = 7; print(ingest.load_edge_list(sys.argv[1]).content_digest())"
+        # A FIFO is read in one pass, however many chunks it holds: a fork fails the subprocess.
+        code = "import os, sys; from recipnet import ingest; ingest._CHUNK = 7; os.fork = lambda: sys.exit('forked'); "
+        code += "print(ingest.load_edge_list(sys.argv[1]).content_digest())"
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         out = subprocess.run([sys.executable, "-c", code, str(pipes / "g.csv")], capture_output=True, env=env, timeout=60)
