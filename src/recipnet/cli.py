@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .errors import DegenerateInputError, DomainError, FormatError, UndefinedCorrelationError
 from .ingest import aggregate_event_file, load_edge_list, save_snapshot, save_snapshots, write_csv
-from .metrics import DEFAULT_BIN_WIDTH, DyadClass, concentration_arrays, degree_assortativity, dyad_scores, histogram
+from .metrics import DEFAULT_BIN_WIDTH, DyadClass, _dyads, concentration_arrays, degree_assortativity, dyad_ratings, histogram
 from .nullmodels import DEFAULT_SWAP_MULTIPLIER, equidisperse, maslov_sneppen_rewire
 from .report import analyze, json_bytes, replicas_to_dict, report_bytes, run_regime_comparison
 from .synth import DegreeSpec, SynthConfig, generate
@@ -118,17 +118,18 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 def _cmd_reciprocity(args: argparse.Namespace) -> int:
     g = load_edge_list(args.graph, strict=args.strict)
-    scores = dyad_scores(g)
-    hist = histogram(scores, args.bin_width)
+    ratings = dyad_ratings(g)
+    hist = histogram(ratings, args.bin_width)
     dyad_count = hist.pop("total")
     if not dyad_count:
         _warn_or_raise(args.strict, "graph has no mutual dyads")
     if args.records:
         labels, classes = np.array(g.external_ids, dtype=object), np.array([c.value for c in DyadClass], dtype=object)
+        sel = g._mutual_arcs()
 
         def dyads(lo: int, hi: int) -> tuple[np.ndarray, ...]:
-            a, b, *numbers, c = (col[lo:hi] for col in scores)
-            return labels[a], labels[b], *numbers, classes[c]
+            a, b, *numbers = _dyads(g, sel[lo:hi])
+            return labels[a], labels[b], *numbers, ratings.r_value[lo:hi], classes[ratings.dyad_class[lo:hi]]
 
         write_csv(args.records, "a,b,w_ab,w_ba,p_ab,p_ba,r_value,dyad_class\n", dyad_count, dyads)
     _emit(json_bytes({"dyads": dyad_count, **hist}), args.output)

@@ -31,7 +31,7 @@ from .errors import DomainError, DuplicateArcError, IntegrityError, MissingArcEr
 
 _DIGEST_TAG = b"recipnet-digest-v2\0"
 
-#: Rows (or arcs) taken together by the blockwise passes, which bounds their temporaries.
+#: Rows, arcs or dyads taken together by the blockwise passes, which bounds their temporaries.
 _SUM_BLOCK = 8192
 
 
@@ -298,38 +298,51 @@ class WeightedDigraph:
     def _reverse_arcs(self) -> np.ndarray:
         """CSR position of each arc's reverse arc, -1 where there is none.
 
-        Arc keys ``src*V + dst`` ascend in CSR order, so each reversed key is
-        found by binary search. The reversed keys are argsorted once and
-        searched in that order (for locality) one block of ``_SUM_BLOCK``
-        arcs at a time, so past the sort only the keys, their order and the
-        result span the whole graph. Computed once.
+        The reverse of a -> b is a's place among b's targets, which ascend in
+        row b, so it is found by a binary search within that row. The arcs are
+        taken one block of ``_SUM_BLOCK`` at a time, and each block's searches
+        run together as a branchless bisection (one array pass per halving of
+        the longest row searched), so past the blocks only the result spans
+        the whole graph. Computed once.
         """
         if self._reverse is None:
-            v, indices = self.vertex_count, self._indices
-            src = self._sources()
-            order = np.argsort(indices * v + src)
-            keys = src * v + indices
-            del src
-            reverse = np.empty_like(order)
-            for lo in range(0, len(order), _SUM_BLOCK):
-                arcs = order[lo : lo + _SUM_BLOCK]
-                src, dst = np.divmod(keys[arcs], v)
-                wanted = dst * v + src  # ascending
-                pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-                reverse[arcs] = np.where(keys[pos] == wanted, pos, -1)
+            indptr, indices = self._indptr, self._indices
+            n = len(indices)
+            reverse = np.empty(n, dtype=np.int64)
+            for lo in range(0, n, _SUM_BLOCK):
+                hi = min(lo + _SUM_BLOCK, n)
+                src, dst = np.searchsorted(indptr, np.arange(lo, hi), side="right") - 1, indices[lo:hi]
+                first, end = indptr[dst], indptr[dst + 1]
+                base, length = np.minimum(first, n - 1), end - first
+                for _ in range(int(length.max(initial=0)).bit_length()):  # src's place is in base .. base + length
+                    half = length >> 1
+                    probe = base + half
+                    base = np.where(indices[probe] < src, probe, base)
+                    length -= half
+                pos = np.minimum(base + (indices[base] < src), n - 1)
+                found = (first <= pos) & (pos < end) & (indices[pos] == src)
+                reverse[lo:hi] = np.where(found, pos, -1)
             self._reverse = reverse
         return self._reverse
 
+    def _mutual_arcs(self) -> np.ndarray:
+        """CSR position of the arc a -> b, a < b, of every mutual dyad, ascending, which is (a, b) order.
+
+        Arc keys ``src*V + dst`` ascend in CSR order, and ``a*V + b < b*V + a``
+        exactly when a < b, so ``reverse[i] > i`` marks these arcs; it is
+        tested one block of ``_SUM_BLOCK`` arcs at a time.
+        """
+        reverse = self._reverse_arcs()
+        blocks = [np.empty(0, dtype=np.int64)]
+        for lo in range(0, len(reverse), _SUM_BLOCK):
+            block = reverse[lo : lo + _SUM_BLOCK]
+            blocks.append(lo + np.flatnonzero(block > np.arange(lo, lo + len(block))))
+        return np.concatenate(blocks)
+
     def _mutual_ends(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(a, b, the CSR position of arc a -> b) of every mutual dyad, a < b, in (a, b) order."""
-        src = self._sources()
-        sel = np.flatnonzero((self._reverse_arcs() >= 0) & (src < self._indices))
-        return src[sel], self._indices[sel], sel
-
-    def _mutual_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(a, b, w_ab, w_ba) of every mutual dyad, a < b, in (a, b) order."""
-        a, b, sel = self._mutual_ends()
-        return a, b, self._weights[sel], self._weights[self._reverse_arcs()[sel]]
+        sel = self._mutual_arcs()
+        return np.searchsorted(self._indptr, sel, side="right") - 1, self._indices[sel], sel
 
     def dyad_census(self) -> DyadCensus:
         """Mutual/asymmetric/null counts over all unordered vertex pairs.

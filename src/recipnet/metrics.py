@@ -6,7 +6,8 @@ the closed-form score under equidispersed weights, Herfindahl-style weight
 concentration per vertex, and degree assortativity across linked dyads.
 
 Bulk sweeps work on the graph's CSR arrays: :func:`dyad_scores` scores every
-mutual dyad at once, in canonical (a, b) order, and
+mutual dyad at once, in canonical (a, b) order, :func:`dyad_ratings` gives
+only its score and class columns, scoring one block of dyads at a time, and
 :func:`concentration_arrays` every vertex of out-degree 2 or more.
 :func:`histogram` and :func:`degree_assortativity` return the JSON blocks
 that reports and the CLI print, as plain dicts. The
@@ -114,13 +115,46 @@ def _log(p: np.ndarray, w: np.ndarray, strength: np.ndarray, ends: np.ndarray) -
     return out
 
 
+def _dyads(g: WeightedDigraph, sel: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(a, b, w_ab, w_ba, p_ab, p_ba) of the mutual dyads whose arcs a -> b, a < b, are at CSR positions ``sel``."""
+    a, b = np.searchsorted(g._indptr, sel, side="right") - 1, g._indices[sel]
+    w_ab, w_ba = g._weights[sel], g._weights[g._reverse_arcs()[sel]]
+    return a, b, w_ab, w_ba, w_ab / g._out_strength[a], w_ba / g._out_strength[b]
+
+
+def _r_values(g: WeightedDigraph, *columns: np.ndarray) -> np.ndarray:
+    """The scores of the dyads whose :func:`_dyads` columns are ``columns``."""
+    a, b, w_ab, w_ba, p_ab, p_ba = columns
+    s = g._out_strength
+    return np.abs(_log(p_ab, w_ab, s, a) - _log(p_ba, w_ba, s, b))
+
+
 def dyad_scores(g: WeightedDigraph) -> DyadScores:
     """Score every mutual dyad of ``g`` at once (same values as :func:`reciprocity`)."""
-    a, b, w_ab, w_ba = g._mutual_arrays()
-    s = g._out_strength
-    p_ab, p_ba = w_ab / s[a], w_ba / s[b]
-    r = np.abs(_log(p_ab, w_ab, s, a) - _log(p_ba, w_ba, s, b))
-    return DyadScores(a, b, w_ab, w_ba, p_ab, p_ba, r, np.searchsorted(_CLASS_BOUNDS, r))
+    columns = _dyads(g, g._mutual_arcs())
+    r = _r_values(g, *columns)
+    return DyadScores(*columns, r, np.searchsorted(_CLASS_BOUNDS, r))
+
+
+class DyadRatings(NamedTuple):
+    """The ``r_value`` and ``dyad_class`` columns of :class:`DyadScores` alone."""
+
+    r_value: np.ndarray
+    dyad_class: np.ndarray
+
+
+def dyad_ratings(g: WeightedDigraph) -> DyadRatings:
+    """The ``r_value`` and ``dyad_class`` columns of :func:`dyad_scores`, by the same code.
+
+    The dyads are scored from their CSR positions one block of
+    ``_SUM_BLOCK`` at a time, so no other column of every dyad is made.
+    """
+    sel = g._mutual_arcs()
+    r = np.empty(len(sel))
+    for lo in range(0, len(sel), _SUM_BLOCK):
+        r[lo : lo + _SUM_BLOCK] = _r_values(g, *_dyads(g, sel[lo : lo + _SUM_BLOCK]))
+    del sel
+    return DyadRatings(r, np.searchsorted(_CLASS_BOUNDS, r))
 
 
 def classify(r_value: float) -> DyadClass:
@@ -171,29 +205,32 @@ def concentration(g: WeightedDigraph, v: int) -> tuple[float, float]:
 def concentration_arrays(g: WeightedDigraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(vertex, h, h_star) for every vertex with out-degree >= 2, ascending.
 
-    Same values as :func:`concentration`: the shares and their squares
-    (``x*x``, the correctly rounded square) are made one block of arcs at a
-    time into one float column, and each vertex's sum of them is correctly
-    rounded, as by ``math.fsum``, in array code. No whole-graph share or
-    source column is built beside it. A vertex whose out-weights are all
-    equal gets h = 1/k and h_star = 0 exactly: in the same blocks each arc's
-    weight is compared with its row's first, into one byte per arc, and one
-    reduction over the row starts finds the rows where none differs.
+    Same values as :func:`concentration`: the rows are taken ``_SUM_BLOCK``
+    at a time, and a block's shares, their squares (``x*x``, the correctly
+    rounded square) and each row's sum of them, correctly rounded as by
+    ``math.fsum`` in array code, are made from the block alone; rows sum on
+    their own, so blocks change no bit, and no share or square column spans
+    the graph. A vertex whose out-weights are all equal gets h = 1/k and
+    h_star = 0 exactly: each arc's weight is compared with its row's first,
+    and one reduction over the block's row starts finds the rows where none
+    differs.
     """
-    k = np.diff(g._indptr)
+    indptr, k = g._indptr, np.diff(g._indptr)
     vertices = np.flatnonzero(k >= 2)
-    squares, differs = np.empty(g.arc_count), np.empty(g.arc_count, bool)
-    for lo in range(0, g.arc_count, _SUM_BLOCK):
-        hi = min(lo + _SUM_BLOCK, g.arc_count)
-        rows = np.searchsorted(g._indptr, np.arange(lo, hi), side="right") - 1
-        weights = g._weights[lo:hi]
-        shares = weights / g._out_strength[rows]
-        squares[lo:hi] = shares * shares
-        differs[lo:hi] = weights != g._weights[g._indptr[rows]]
-    # A row's reduction runs on to the next such row's start, over rows of one arc, which never differs from itself.
-    equal = ~np.logical_or.reduceat(differs, g._indptr[vertices])
-    del differs
-    h = _row_sums(g._indptr, squares)[vertices]
+    h, equal = np.empty(len(vertices)), np.empty(len(vertices), bool)
+    done = 0  # vertices scored so far
+    for row in range(0, g.vertex_count, _SUM_BLOCK):
+        end = min(row + _SUM_BLOCK, g.vertex_count)
+        bounds = indptr[row : end + 1] - indptr[row]
+        weights = g._weights[indptr[row] : indptr[end]]
+        rows = np.repeat(np.arange(end - row), k[row:end])
+        shares = weights / g._out_strength[row:end][rows]
+        scored = np.flatnonzero(k[row:end] >= 2)
+        h[done : done + len(scored)] = _row_sums(bounds, shares * shares)[scored]
+        # A row's reduction runs on to the next such row's start, over rows of one arc, which never differs from itself.
+        differs = weights != weights[bounds[rows]]
+        equal[done : done + len(scored)] = ~np.logical_or.reduceat(differs, bounds[scored])
+        done += len(scored)
     inv_k = 1.0 / k[vertices]
     h_star = (h - inv_k) / (1.0 - inv_k)
     h[equal], h_star[equal] = inv_k[equal], 0.0
@@ -264,7 +301,7 @@ def degree_assortativity(g: WeightedDigraph, mutual_only: bool = True) -> dict[s
     return {"r": r, "pair_count": sums[0]}
 
 
-def histogram(scores: DyadScores, bin_width: float = DEFAULT_BIN_WIDTH) -> dict[str, Any]:
+def histogram(scores: DyadScores | DyadRatings, bin_width: float = DEFAULT_BIN_WIDTH) -> dict[str, Any]:
     """The histogram block of the scores: ``{"bin_width", "total", "bins", "class_proportions"}``.
 
     ``bins`` lists the non-empty bins in ascending order, each ``[i * bin_width,

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from recipnet import graph
 from recipnet.errors import DomainError, DuplicateArcError, MissingArcError
 from recipnet.graph import DyadCensus, GraphBuilder, WeightedDigraph
-from recipnet.metrics import reciprocity
+from recipnet.metrics import dyad_scores, reciprocity
 
 from conftest import digraph, random_digraph, small_graphs
 
@@ -208,7 +208,7 @@ class TestDyadCensus:
 
 def mutual_rows(g: WeightedDigraph) -> list[tuple[int, int, float, float]]:
     """The graph's mutual-dyad columns as (a, b, w_ab, w_ba) rows."""
-    return list(zip(*(col.tolist() for col in g._mutual_arrays())))
+    return list(zip(*(col.tolist() for col in dyad_scores(g)[:4])))
 
 
 class TestMutualDyads:
@@ -253,10 +253,12 @@ class TestMutualDyads:
             assert g._reverse_arcs().tolist() == want
 
     def test_reverse_arcs_hold_three_whole_graph_columns(self):
-        """Past the graph, finding the reverse arcs costs its keys, their order and the result: 24 B per arc.
+        """Past the graph, finding the reverse arcs costs the result alone: 8 B per arc.
 
-        Building every reversed-key temporary for the whole graph at once, as
-        before the blockwise search, cost 56 B per arc.
+        Searching the whole graph's sorted keys cost 16 B per arc (the keys and
+        the result) with each block's reversed keys sorted on their own, 24
+        with them argsorted at once, and 56 with every reversed-key temporary
+        built for the whole graph at once.
         """
 
         def peak(v):

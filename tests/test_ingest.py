@@ -34,6 +34,8 @@ from recipnet.ingest import (
     save_snapshots,
     sidecar_path,
 )
+from recipnet.metrics import dyad_scores
+from recipnet.report import analyze
 
 from conftest import digraph, random_digraph
 
@@ -624,7 +626,7 @@ class TestSnapshots:
         path = tmp_path / "graph.csv"
         path.write_text("src,dst,weight\n1,2,6\n2,1,4\n", encoding="utf-8")
         g = load_edge_list(path)
-        _, _, w_ab, w_ba = g._mutual_arrays()
+        _, _, w_ab, w_ba = dyad_scores(g)[:4]
         assert (w_ab.tolist(), w_ba.tolist()) == ([6.0], [4.0])
 
     def test_empty_file_with_header(self, tmp_path):
@@ -866,6 +868,39 @@ class TestLoadAgainstReferenceLoop:
             small, large = peak(20_000), peak(80_000)
         per_arc = (large - small) / 60_000
         assert per_arc < 60, f"{per_arc:.0f} B of peak memory per extra arc"
+
+    def test_analyze_memory_per_arc_stays_near_the_reverse_index(self):
+        """Past the built graph, ``analyze`` holds its reverse-arc index and little more.
+
+        Each vertex has six or seven out-arcs, two thirds of them mutual,
+        about as in the ``report`` benchmark graph. At the peak an arc costs
+        about 17 bytes: the 8-byte reverse index beside per-dyad columns,
+        the backbone's ends and their degrees in the assortativity, or the
+        scores, classes and bin indices of the histogram. With whole-graph
+        temporaries in the passes (the reversed keys and their argsort, all
+        eight score columns, a column of squared shares) it cost about 36.
+        """
+
+        def peak(v):
+            tail, every_fourth = np.arange(v), np.arange(0, v, 4)
+            offsets = np.array([-2, -1, 1, 2, 5, 7])  # 5 and 7 have no arc back
+            src = np.concatenate((np.repeat(tail, 6), every_fourth, every_fourth + 3))
+            dst = np.concatenate(((tail[:, None] + offsets).ravel() % v, every_fourth + 3, every_fourth))
+            weights = np.random.default_rng(v).random(len(src)) + 0.5
+            g = WeightedDigraph.from_columns(v, src, dst, weights, tuple(f"u{i}" for i in range(v)))
+            del src, dst, weights
+            tracemalloc.start()
+            try:
+                doc = analyze(g)
+                assert doc["census"]["mutual"] == 2 * v + v // 4 and doc["assortativity"] is not None
+                return tracemalloc.get_traced_memory()[1], g.arc_count
+            finally:
+                tracemalloc.stop()
+
+        peak(1000)  # first-call allocations are not per arc
+        (small, small_arcs), (large, large_arcs) = peak(25_000), peak(75_000)
+        per_arc = (large - small) / (large_arcs - small_arcs)
+        assert per_arc < 25, f"{per_arc:.1f} B of peak memory per extra arc"
 
     def test_strict_duplicate_beyond_first_batch_reports_its_line(self, tmp_path):
         batch = 64

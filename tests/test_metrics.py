@@ -19,7 +19,7 @@ from recipnet.graph import WeightedDigraph
 from recipnet.ingest import load_edge_list
 from recipnet.metrics import (
     DyadClass,
-    DyadScores,
+    DyadRatings,
     PARTIAL_MAX,
     RECIPROCAL_MAX,
     _moments,
@@ -300,7 +300,7 @@ class TestConcentration:
         assert swept == [(v, *concentration(g, v)) for v in vertices]
 
     def test_building_and_scoring_hold_no_python_float_per_arc(self):
-        """Past the input arrays, the graph and its scores cost the squares' 8-byte column and a few arrays per vertex."""
+        """Past the input arrays, the graph and its scores cost a few arrays per vertex and one block of squares."""
 
         def peak(v, k=8):
             indptr = np.arange(0, k * v + 1, k, dtype=np.int64)
@@ -314,8 +314,8 @@ class TestConcentration:
                 tracemalloc.stop()
 
         small, large = peak(2**13), peak(2**15)
-        # At mean degree 8 the squares are 8 B per arc and each array per vertex
-        # 1 B (about 15 B in all); a Python float per arc adds 32 B.
+        # At mean degree 8 each array per vertex is 1 B per arc (about 7 B in all;
+        # a whole-graph column of squares added 8 B); a Python float per arc adds 32 B.
         assert (large - small) / (8 * (2**15 - 2**13)) < 20
 
     def test_bounded_in_unit_interval(self):
@@ -422,7 +422,7 @@ class TestAssortativity:
 @settings(max_examples=300, deadline=None)
 def test_backbone_r_equals_the_concatenated_orientations(g):
     # The reference: both orientations of every dyad concatenated, as pairs of backbone degrees.
-    a, b, _, _ = g._mutual_arrays()
+    a, b = g._mutual_ends()[:2]
     tail, head = np.concatenate((a, b)), np.concatenate((b, a))
     degree = np.bincount(tail, minlength=g.vertex_count)
     want = _r_of(*_moments(degree[tail], degree[head]))
@@ -469,8 +469,7 @@ def test_moments_stay_exact_past_int64_in_blocks(pairs):
 def array_histogram(values: list[float], bin_width: float):
     """The histogram block of the scores ``values``, each classed by the scalar :func:`classify`."""
     classes = [list(DyadClass).index(classify(v)) for v in values]
-    scores = DyadScores(*[np.empty(0)] * 6, np.array(values, dtype=np.float64), np.array(classes, dtype=np.int64))
-    return histogram(scores, bin_width)
+    return histogram(DyadRatings(np.array(values, dtype=np.float64), np.array(classes, dtype=np.int64)), bin_width)
 
 
 def shares(hist) -> tuple[float, float, float]:
@@ -520,3 +519,4 @@ class TestDistribution:
         assert array_histogram([1.0], bin_width=2.0**-52)["bins"] == [[1.0, 1.0 + 2.0**-52, 1]]
         with pytest.raises(DomainError, match="past bin index 2\\*\\*53"):
             array_histogram([1.0], bin_width=2.0**-53)
+

@@ -15,7 +15,7 @@ from scipy.stats import chisquare
 
 from recipnet.errors import DomainError, IntegrityError
 from recipnet.graph import WeightedDigraph
-from recipnet.metrics import degree_assortativity, equidispersion_prediction, reciprocity
+from recipnet.metrics import degree_assortativity, dyad_scores, equidispersion_prediction, reciprocity
 from recipnet.nullmodels import _swap_chain, equidisperse, maslov_sneppen_rewire, reattach_weights
 from recipnet.report import analyze, run_regime_comparison
 from recipnet.synth import DegreeSpec, SynthConfig, generate
@@ -33,7 +33,7 @@ def backbone_degrees(g: WeightedDigraph) -> list[int]:
 
 def mutual_weight_multisets(g: WeightedDigraph) -> list[Counter]:
     out = [Counter() for _ in range(g.vertex_count)]
-    for a, b, w_ab, w_ba in zip(*(col.tolist() for col in g._mutual_arrays())):
+    for a, b, w_ab, w_ba in zip(*(col.tolist() for col in dyad_scores(g)[:4])):
         out[a][w_ab] += 1
         out[b][w_ba] += 1
     return out

@@ -1,24 +1,30 @@
-"""Array kernels against independent oracles: networkx, and the scalar formulas."""
+"""Array kernels against independent oracles: networkx, the scalar formulas, and brute force over a dict of arcs."""
 
 from __future__ import annotations
 
+import math
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recipnet import graph, metrics
 from recipnet.graph import WeightedDigraph
 from recipnet.metrics import (
     DyadClass,
     classify,
+    concentration_arrays,
     degree_assortativity,
+    dyad_ratings,
     dyad_scores,
     histogram,
     reciprocity_value,
 )
 
-from conftest import digraph, random_digraph
+from conftest import digraph, random_digraph, small_graphs
 
 TOL = 1e-12
 
@@ -97,3 +103,68 @@ def test_array_sweep_matches_scalar_formulas(g, bin_width):
     if scalar:
         shares = {c.value: sum(classify(r) is c for r in scalar) / len(scalar) for c in classes}
         assert hist["class_proportions"] == shares
+
+
+def brute_force(g: WeightedDigraph) -> dict[str, list]:
+    """The blockwise passes' results from a dict of arcs, ``math.log`` and ``math.fsum``."""
+    arcs = {(a, b): w for a, b, w in g.arcs()}
+    keys = sorted(arcs)
+    position = {key: i for i, key in enumerate(keys)}
+    rows: dict[int, list[float]] = {}
+    for a, b in keys:
+        rows.setdefault(a, []).append(arcs[a, b])
+    strength = {a: math.fsum(ws) for a, ws in rows.items()}
+    ends = [(a, b, position[a, b]) for a, b in keys if a < b and (b, a) in arcs]
+    r = [abs(math.log(arcs[a, b] / strength[a]) - math.log(arcs[b, a] / strength[b])) for a, b, _ in ends]
+    concentration = []
+    for v, ws in sorted(rows.items()):
+        k = len(ws)
+        if k < 2:
+            continue
+        if min(ws) == max(ws):
+            concentration.append((v, 1 / k, 0.0))
+            continue
+        h = math.fsum((w / strength[v]) * (w / strength[v]) for w in ws)
+        concentration.append((v, h, (h - 1 / k) / (1 - 1 / k)))
+    return {
+        "reverse": [position.get((b, a), -1) for a, b in keys],
+        "ends": ends,
+        "r": r,
+        "class": [0 if x <= math.log(1.5) else 1 if x <= math.log(9.0) else 2 for x in r],
+        "concentration": concentration,
+    }
+
+
+def blockwise(g: WeightedDigraph, block: int) -> dict[str, list]:
+    """:func:`brute_force`'s results from the graph's own passes, run in blocks of ``block``."""
+    with mock.patch.object(graph, "_SUM_BLOCK", block), mock.patch.object(metrics, "_SUM_BLOCK", block):
+        g = WeightedDigraph(g._indptr, g._indices, g._weights, g.external_ids)  # no reverse index yet
+        r, dyad_class = dyad_ratings(g)
+        return {
+            "reverse": g._reverse_arcs().tolist(),
+            "ends": list(zip(*(col.tolist() for col in g._mutual_ends()))),
+            "r": r.tolist(),
+            "class": dyad_class.tolist(),
+            "concentration": list(zip(*(col.tolist() for col in concentration_arrays(g)))),
+        }
+
+
+class TestBlockBoundaries:
+    """Where the blocks of the reverse index, the mutual dyads, the scores and the concentration sums fall changes nothing."""
+
+    @given(st.one_of(small_graphs(), float_weighted_graphs()), st.sampled_from([1, 3, graph._SUM_BLOCK]))
+    @settings(max_examples=200, deadline=None)
+    def test_blockwise_passes_equal_the_brute_force(self, g, block):
+        assert blockwise(g, block) == brute_force(g)
+
+    @pytest.mark.parametrize("block", [1, 3, graph._SUM_BLOCK])
+    def test_a_graph_of_exactly_one_block(self, block):
+        rng = np.random.default_rng(block)
+        v = max(3, int(math.isqrt(4 * block)))
+        a, b = np.nonzero(~np.eye(v, dtype=bool))
+        pick = rng.choice(len(a), size=block, replace=False)
+        g = digraph(v, zip(a[pick].tolist(), b[pick].tolist(), (rng.random(block) + 0.5).tolist()))
+        assert g.arc_count == block
+        want = brute_force(g)
+        assert blockwise(g, block) == want
+        assert dyad_scores(g).r_value.tolist() == want["r"]
