@@ -396,12 +396,15 @@ class WeightedDigraph:
 def sorted_order(labels: Sequence) -> tuple[list, np.ndarray]:
     """Distinct ``labels`` sorted, which is their dense-id order, and the dense id of each position of ``labels``.
 
-    This is the one rule that gives labels their dense ids.
+    This is the one rule that gives labels their dense ids. The labels are
+    ordered by ``<``, as ``sorted`` orders them, by a stable argsort of an
+    object array: no Python int is made per label.
     """
-    order = sorted(range(len(labels)), key=labels.__getitem__)
+    keys = np.fromiter(labels, object, len(labels))
+    order = np.argsort(keys, kind="stable")
     dense = np.empty(len(labels), np.int64)
     dense[order] = np.arange(len(order))
-    return [labels[i] for i in order], dense
+    return keys[order].tolist(), dense
 
 
 class GraphBuilder:

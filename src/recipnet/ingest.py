@@ -15,21 +15,12 @@ containing a comma makes the line malformed):
 Every input is read once, in chunks of bytes cut at line breaks, each
 parsed in array passes: an event log (a regular file, a FIFO or
 ``/dev/stdin`` alike), a snapshot and its sidecar. Labels, and the
-``caller,callee`` tails of event lines, are looked up in one exact table of
-byte strings; snapshot weights and dense ids are parsed with ``float`` and
-``int`` on their texts. Aggregation reads on the calling thread and parses
-each chunk on one helper thread, one chunk ahead of the label-table work,
-which stays on the calling thread. A load starts no thread: it parses a
-regular snapshot of two chunks or more in two halves, the second in one
-forked helper process that writes its arc columns and new labels back
-through a pipe (:func:`load_edge_list`), and any other input in one pass.
-Aggregation's memory is bounded by two chunks and the distinct tails, not
-by the number of events; a load's by a chunk per process, the label table
-and the arc columns, each held once, not by per-arc Python objects.
-Snapshots, sidecars and the CLI's ``--records`` files are written by
-:func:`write_csvs`, a group of files in lockstep, in batches of rows
-gathered from arrays: memory is bounded by one batch of rows of each file
-plus one text per label.
+``caller,callee`` tails of event lines, are looked up in exact tables of
+byte strings. A regular log or snapshot of two chunks or more is read in
+two halves, the second by one forked helper process (:func:`_in_two`); no
+thread is started. Memory is bounded by a chunk per process and the
+distinct tails, labels and arcs, not by the number of lines. Files are
+written by :func:`write_csvs`, in batches of rows gathered from arrays.
 
 Aggregation and a load without a sidecar assign dense ids by
 :func:`~recipnet.graph.sorted_order`, the order of the sorted labels, as
@@ -48,7 +39,7 @@ import threading
 import warnings
 from contextlib import ExitStack, suppress
 from functools import cache, lru_cache
-from itertools import chain, pairwise
+from itertools import chain
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator, Sequence
 
@@ -82,23 +73,6 @@ def _event_tails(u: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> tuple[
     return two[ok], c1[ok], c2[ok]
 
 
-def _first_self_call(u: np.ndarray, c1: np.ndarray, c2: np.ndarray, stops: np.ndarray) -> int | None:
-    """The first of the lines with commas ``c1``, ``c2`` and ends ``stops`` whose caller is its callee, or None."""
-    k = len(c1)
-    ids = _LabelTable().number(u, np.concatenate((c1 + 1, c2 + 1)), np.concatenate((c2 - c1 - 1, stops - c2 - 1)))
-    same = np.flatnonzero(ids[:k] == ids[k:])
-    return int(same[0]) if len(same) else None
-
-
-def _parsed_chunk(data: bytes, starts: np.ndarray, stops: np.ndarray, first: int, strict: bool) -> tuple:
-    """A chunk's good tails by :func:`_prepare`, its line count and good-line count, and, if ``strict``, its bytes
-    and where its lines and commas lie, for the messages. It touches no label table."""
-    u = np.frombuffer(data, np.uint8)
-    good, c1, c2 = _event_tails(u, starts, stops)
-    where = (data, starts, stops, first, good, c1, c2) if strict else None
-    return list(_prepare(u, c1 + 1, stops[good] - c1 - 1)), len(starts), len(good), where
-
-
 def aggregate_event_file(
     path: str | Path,
     strict: bool = False,
@@ -115,77 +89,68 @@ def aggregate_event_file(
     The result is independent of line order: arc weights are sums and the
     dense ids follow the sorted labels, as :class:`~recipnet.graph.GraphBuilder` assigns them.
 
-    The file is read once, on the calling thread, through the chunk reader
-    of the snapshot load, so a regular file, a FIFO and ``/dev/stdin`` take
-    one path. Each chunk is handed to one helper thread, which finds its
-    good lines and prepares their ``caller,callee`` tails (:func:`_prepare`:
-    each distinct tail once, with its head and line count) while the calling
-    thread numbers the previous chunk's tails in an exact label table that
-    carries across chunks and adds their counts. At most one chunk is in
-    flight; chunks are counted in file order, and an error, from either
-    thread, surfaces in file order. The helper ends before the call returns
-    or raises. Memory is bounded by the distinct tails plus two chunks, not
-    by the number of events.
-
-    A line is malformed unless it holds two commas, found by one mask and
-    counted per line, with a non-empty caller and callee between and after
-    them. In strict mode a chunk's tails new to the table are split and
-    checked for self-calls, and the chunk's first bad line raises.
-
-    At the end the distinct tails are split at their comma one batch at a
-    time and their labels numbered in a second table; the tail table is
-    then freed. Tails whose caller is their callee are dropped with their
-    counts, and only the labels of the kept arcs become texts and vertices,
-    with the dense ids of their sorted order. Each tail is one arc, its
-    count exact.
+    The file is read once by the chunk reader of the snapshot load and
+    counted by :func:`_count_arcs`: a regular file of two chunks or more in
+    two processes (:func:`_count_in_two`), any other input in one pass.
+    Results and errors, line numbers included, are those of one pass in file
+    order. Each process's memory is bounded by one chunk and its half's
+    distinct ``caller,callee`` tails, not by the number of events.
     """
-    from concurrent.futures import Future, ThreadPoolExecutor  # here, not at module level: it loads logging
-
-    def submitted(helper: ThreadPoolExecutor, chunks: Iterator[tuple]) -> Iterator[Future]:
-        """A future per chunk, its parse on ``helper``; an error reading a chunk becomes the last future, so it waits its turn."""
-        try:
-            for chunk in chunks:
-                yield helper.submit(_parsed_chunk, *chunk, strict)
-        except Exception as exc:  # any error: it is raised, only after the chunks before it
-            failed: Future = Future()
-            failed.set_exception(exc)
-            yield failed
-
-    tails, counts = _LabelTable(), np.zeros(0, np.int64)  # counts grows geometrically; its first len(tails) are the counts
-    read = malformed = 0
-    with open(path, "rb") as f, ThreadPoolExecutor(1) as helper:
-        header, _, chunks = _first_line(f, comments=False)
+    labels = _LabelTable()
+    with open(path, "rb") as f:
+        split = _split_point(f)
+        header, first_row, chunks = _first_line(f if split is None else _Span(f.fileno(), 0, split[0]), comments=False)
         if header != EVENT_HEADER:
             raise FormatError(f"expected header {EVENT_HEADER!r}, got {header or ''!r}")
-        # pairwise takes the next future, so the next chunk is read and on the helper, before this one is counted
-        for parsed, _ in pairwise(chain(submitted(helper, chunks), [None])):
-            groups, lines, good_lines, where = parsed.result()
-            known = len(tails)
-            run_ids = [tails.number_prepared(n, keys, heads) for n, _, keys, heads, _ in groups]
-            if strict:
-                data, starts, stops, first, good, c1, c2 = where
-                ids = np.empty(good_lines, np.int64)
-                for group_ids, (_, rows, _, _, sizes) in zip(run_ids, groups):
-                    ids[rows] = np.repeat(group_ids, sizes)
-                new, rows = np.unique(ids, return_index=True)
-                rows = np.sort(rows[new >= known])  # the first line of each tail new in this chunk, in file order
-                self_call = _first_self_call(np.frombuffer(data, np.uint8), c1[rows], c2[rows], stops[good[rows]])
-                bad = np.flatnonzero(np.bincount(good, minlength=lines) == 0)
-                if self_call is not None and not (len(bad) and bad[0] < good[rows[self_call]]):
-                    raise FormatError(f"{path}: self-call for id {data[c1[rows[self_call]] + 1 : c2[rows[self_call]]].decode()!r}")
-                if len(bad):
-                    raise FormatError(f"{path}: malformed event line {first + bad[0]}")
+        if split is None:
+            halves = [_count_arcs(chunks, path, strict, labels)]
+        else:
+            halves = _count_in_two(chunks, path, strict, labels, first_row, f.fileno(), *split)
+    used = np.zeros(len(labels), bool)
+    for src, dst, _, _ in halves:
+        used[src] = used[dst] = True
+    texts, dense = labels.sorted_order(used)
+    del labels, used, src, dst
+    read, malformed, dropped = sum(tally for *_, tally in halves).tolist()
+    keys, counts = _merged(halves, dense, len(texts))
+    src, dst = np.divmod(keys, len(texts))
+    del keys
+    g = WeightedDigraph.from_columns(len(texts), src, dst, counts.astype(np.float64), texts)
+    return g, {"events_read": read, "self_calls_dropped": dropped, "malformed_lines": malformed}
+
+
+def _count_arcs(
+    chunks: Iterator[tuple[bytes, np.ndarray, np.ndarray, int]], path: str | Path, strict: bool, labels: _LabelTable
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The arcs counted from ``chunks`` of event lines, ``(src, dst, counts, tally)``: each arc once, its ends numbered in
+    ``labels``; ``tally`` the lines read, the malformed lines and the self-calls dropped. The good lines' tails
+    (:func:`_event_tails`) are prepared (:func:`_prepare`) and numbered in a tail table that carries across chunks; in
+    strict mode a chunk's first bad line raises. At the end the distinct tails are split at their comma a batch at a
+    time, their ends numbered in ``labels``, and those whose caller is their callee dropped with their counts."""
+    tails, counts = _LabelTable(), np.zeros(0, np.int64)  # counts grows geometrically; its first len(tails) are the counts
+    read = malformed = 0
+    for data, starts, stops, first in chunks:
+        u = np.frombuffer(data, np.uint8)
+        good, c1, c2 = _event_tails(u, starts, stops)
+        self_calls = np.zeros(len(good), bool)
+        for n, rows, keys, heads, sizes in _prepare(u, c1 + 1, stops[good] - c1 - 1):
+            group_ids = tails.number_prepared(n, keys, heads)
             if len(tails) > len(counts):
-                grown = np.zeros(max(len(tails), 2 * len(counts)), np.int64)
-                grown[: len(counts)] = counts
-                counts = grown
-            for group_ids, (*_, sizes) in zip(run_ids, groups):
-                counts[group_ids] += sizes  # a group's ids are distinct
-            read += lines
-            malformed += lines - good_lines
+                counts = np.concatenate((counts, np.zeros(max(len(tails), 2 * len(counts)) - len(counts), np.int64)))
+            counts[group_ids] += sizes  # a group's ids are distinct
+            if strict and n % 2:  # a tail is a self-call when it is "x,x": its comma in the middle, its halves equal
+                b = keys.view(np.uint8).reshape(-1, n)
+                self_calls[rows] = np.repeat((b[:, n // 2] == 44) & (b[:, : n // 2] == b[:, n // 2 + 1 :]).all(axis=1), sizes)
+        if strict:
+            bad, same = np.flatnonzero(np.bincount(good, minlength=len(starts)) == 0), np.flatnonzero(self_calls)
+            if len(same) and not (len(bad) and bad[0] < good[same[0]]):
+                raise FormatError(f"{path}: self-call for id {data[c1[same[0]] + 1 : c2[same[0]]].decode()!r}")
+            if len(bad):
+                raise FormatError(f"{path}: malformed event line {first + bad[0]}")
+        read += len(starts)
+        malformed += len(starts) - len(good)
     counts = counts[: len(tails)]
     ends = np.empty((2, len(tails)), np.int64)  # the caller, callee label ids of each tail id
-    labels = _LabelTable()
     for n, (keys, _, ids) in chain(tails.groups.items(), tails.recent.items()):
         for lo in range(0, len(keys), _BATCH):
             block = keys[lo : lo + _BATCH].view(np.uint8).reshape(-1, n)
@@ -194,21 +159,50 @@ def aggregate_event_file(
             ends[:, ids[lo : lo + _BATCH]] = labels.number(block.ravel(), np.concatenate((at, at + comma + 1)), lengths).reshape(2, -1)
     del tails
     keep = ends[0] != ends[1]
-    dropped = int(counts[~keep].sum())
-    src, dst, w = ends[0, keep], ends[1, keep], counts[keep].astype(np.float64)
-    del ends, counts
-    used = np.zeros(len(labels), bool)
-    used[src] = used[dst] = True
-    texts, dense = labels.sorted_order(used)
-    del labels
-    g = WeightedDigraph.from_columns(len(texts), dense[src], dense[dst], w, texts)
-    return g, {"events_read": read, "self_calls_dropped": dropped, "malformed_lines": malformed}
+    return ends[0, keep], ends[1, keep], counts[keep], np.array([read, malformed, counts[~keep].sum()], np.int64)
 
 
-def _summed(v: int, keys: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(src, dst, weight) of arcs keyed ``src * V + dst``: each key once, its weights summed in input order."""
-    keys, inverse = np.unique(keys, return_inverse=True)
-    return (*np.divmod(keys, v), np.bincount(inverse, weights=w))  # bincount adds in input order
+def _count_in_two(
+    chunks: Iterator[tuple], path: str | Path, strict: bool, labels: _LabelTable, first_row: int, fd: int, split: int, size: int
+) -> list[tuple[np.ndarray, ...]]:
+    """The two halves' :func:`_count_arcs`: of ``chunks``, the event lines before byte ``split`` of ``fd``, here, and of
+    those after it in one forked helper (:func:`_in_two`), into tables of its own; its labels are sent back and
+    numbered in ``labels``, and its arcs renumbered. If the helper fails its lines are counted here."""
+    rest = lambda lineno: _line_chunks(_Span(fd, split, size), lineno)  # noqa: E731
+
+    def second() -> tuple:
+        own = _LabelTable()
+        return *_count_arcs(rest(1), path, strict, own), "".join(text + "\n" for text in own.labels()).encode()
+
+    first, got = _in_two(lambda: _count_arcs(chunks, path, strict, labels), second, 5)
+    if got is None:  # its lines numbered on from this half's, so the error it met is raised here
+        return [first, _count_arcs(rest(first_row + int(first[3][0])), path, strict, labels)]
+    ids = _numbered(labels, got.pop())
+    src, dst, counts, tally = (np.frombuffer(part, np.int64) for part in got)
+    return [first, (_renumbered(src, ids), _renumbered(dst, ids), counts, tally)]
+
+
+def _merged(halves: list[tuple[np.ndarray, ...]], dense: np.ndarray, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """The keys ``src * v + dst`` of the arcs ``(src, dst, counts, _)`` of ``halves``, distinct within each, ends
+    renumbered by ``dense``, in increasing order, and their counts. Each half is taken off the list and sorted in turn;
+    the second's keys are searched in the first's, counts of keys found added in place and the rest inserted."""
+
+    def sorted_half() -> tuple[np.ndarray, np.ndarray]:
+        keys, dst, counts, _ = halves.pop(0)
+        np.multiply(_renumbered(keys, dense), v, out=keys)  # src * v + dst, made in place
+        keys += _renumbered(dst, dense)
+        order = np.argsort(keys)
+        keys.sort()
+        return keys, counts[order]
+
+    keys, counts = sorted_half()
+    while halves:
+        other_keys, other_counts = sorted_half()
+        at = np.searchsorted(keys, other_keys)
+        found = np.append(keys, -1)[at] == other_keys  # past the last key lies none
+        counts[at[found]] += other_counts[found]  # the other half's arcs are distinct, so are the places they add to
+        keys, counts = np.insert(keys, at[~found], other_keys[~found]), np.insert(counts, at[~found], other_counts[~found])
+    return keys, counts
 
 
 def sidecar_path(path: str | Path) -> Path:
@@ -504,10 +498,11 @@ def _find(group: tuple[np.ndarray, np.ndarray, np.ndarray], keys: np.ndarray, he
     return at, found
 
 
-def _inserted(group: tuple[np.ndarray, np.ndarray, np.ndarray], *new: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The non-empty ``group`` with ``new`` (labels absent from it, sorted by head then bytes, their heads and ids) inserted in order."""
+def _inserted(group: list[np.ndarray], *new: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The non-empty ``group`` with ``new`` (labels absent from it, sorted by head then bytes, their heads and ids) inserted
+    in order. The group's columns are taken off its list one by one, so each is freed once the next is made."""
     where = _find(group, new[0], new[1])[0]
-    return tuple(np.insert(column, where, values) for column, values in zip(group, new))
+    return tuple(np.insert(group.pop(0), where, values) for values in new)
 
 
 def _prepare(u: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
@@ -579,11 +574,11 @@ class _LabelTable:
 
     def _add(self, n: int, *new: np.ndarray) -> None:
         """Put ``new`` labels of length n (sorted by head then bytes, their heads and ids) in the recent group."""
-        recent = _inserted(self.recent.pop(n), *new) if n in self.recent else new
+        recent = _inserted([*self.recent.pop(n)], *new) if n in self.recent else new
         if n in self.groups and 8 * len(recent[0]) <= len(self.groups[n][0]):
             self.recent[n] = recent
         else:
-            self.groups[n] = _inserted(self.groups[n], *recent) if n in self.groups else recent
+            self.groups[n] = _inserted([*self.groups.pop(n)], *recent) if n in self.groups else recent
 
     def labels(self, kept: np.ndarray | None = None) -> list[str]:
         """The labels as texts, in the order of their ids, which are 0..len - 1; only those of the ids ``kept`` (a mask) if given."""
@@ -668,48 +663,6 @@ class _ArcColumns:
             self.rows += len(stops)
             self.next_line = first + len(line_starts)
 
-    def send(self, out: BinaryIO, table: _LabelTable, known: int) -> None:
-        """Write the row count, the columns, the blank rows and the texts of the labels of ids ``known`` on to ``out``."""
-        blanks = np.concatenate(self.blank_before)
-        new = "".join(text + "\n" for text in table.labels(np.arange(len(table)) >= known)).encode() if len(table) > known else b""
-        for part in (np.array([self.rows, len(blanks), len(new)], np.int64), *self.columns, blanks, new):
-            out.write(part)
-
-    def receive(self, pipe: BinaryIO) -> tuple[int, np.ndarray, bytes] | None:
-        """What :meth:`send` wrote, its columns read onto the ends of these: (rows, blank rows, label texts), None if cut short.
-
-        Only the columns change; the caller keeps their lengths to cut them back if the helper failed.
-        """
-        head = pipe.read(24)
-        if len(head) < 24:
-            return None
-        rows, blanks, size = np.frombuffer(head, np.int64).tolist()
-        for column in self.columns:
-            at = len(column)
-            column += bytes(8 * rows)  # grown in place by zeros, which the pipe's bytes then overwrite
-            with memoryview(column) as view, view[at:] as end:
-                if pipe.readinto(end) < 8 * rows:
-                    return None
-        rest = pipe.read(8 * blanks + size)
-        if len(rest) < 8 * blanks + size:
-            return None
-        return rows, np.frombuffer(rest, np.int64, blanks), rest[8 * blanks :]
-
-    def adopt(self, rows: int, blanks: np.ndarray, texts: bytes, table: _LabelTable, known: int) -> None:
-        """Take the ``rows`` received last as arcs: renumber the ids past ``known`` by numbering ``texts`` in ``table``."""
-        if texts:
-            u = np.frombuffer(texts, np.uint8)
-            ends = np.flatnonzero(u == 10)
-            starts = np.append(0, ends[:-1] + 1)
-            ids = np.concatenate((np.arange(known), table.number(u, starts, ends - starts)))
-            for column in self.columns[:2]:
-                tail = np.frombuffer(column, np.int64)[self.rows :]
-                for lo in range(0, len(tail), _BATCH):
-                    tail[lo : lo + _BATCH] = ids[tail[lo : lo + _BATCH]]
-                del tail  # releases the column's buffer
-        self.blank_before.append(self.rows + blanks)
-        self.rows += rows
-
 
 class _Span:
     """The bytes ``start..stop`` of an open file, read by ``os.pread``: readers of one file share no offset."""
@@ -724,7 +677,7 @@ class _Span:
 
 
 def _split_point(f: BinaryIO) -> tuple[int, int] | None:
-    """Where a load splits ``f``'s lines between two processes, and its size; None if it does not.
+    """Where a load or an event count splits ``f``'s lines between two processes, and its size; None if it does not.
 
     It splits a regular file of at least ``2 * _CHUNK`` bytes, when ``os.fork`` exists and no other Python thread
     runs, after the first ``\\n`` from the middle byte on, unless that is the end of the file.
@@ -742,17 +695,13 @@ def _split_point(f: BinaryIO) -> tuple[int, int] | None:
     return None
 
 
-def _parse_in_two(
-    arcs: _ArcColumns, chunks: Iterator[tuple], table: _LabelTable, path: Path, fd: int, split: int, size: int
-) -> None:
-    """Parse ``chunks``, the arc lines before byte ``split`` of ``fd``, here, and those after it in one forked helper.
-
-    The helper parses with the table as it was at the fork and writes its arcs, blank rows and new labels back over a
-    pipe; they are appended here after this process's own. An error here comes first in file order: the helper is
-    killed. If the helper fails in any way its lines are parsed here, so the error it met is raised here. The helper
-    is reaped before the call returns or raises.
-    """
-    known, pid, got = len(table), None, None
+def _in_two(first: Callable[[], object], second: Callable[[], Sequence], n: int, *onto: bytearray) -> tuple:
+    """``first()`` here while one forked helper sends back through a pipe the ``n`` parts, arrays or bytes, that
+    ``second()`` returns: ``(what first returned, the parts as :func:`_received` reads them onto the ends of onto)``.
+    The parts are None if the helper failed in any way (a fork that fails, a helper that raises, crashes or exits
+    non-zero, a short read): the caller then does its part. An error here comes first: the helper is killed. It is
+    reaped before the call returns or raises."""
+    pid, got = None, None
     r, w = os.pipe()
     with warnings.catch_warnings(), suppress(OSError):  # a fork that fails leaves both halves to this process
         # Python 3.12 warns on a fork while the OS reports more than one thread, and numpy's OpenBLAS pool is one.
@@ -765,31 +714,87 @@ def _parse_in_two(
         try:
             gc.disable()  # no collection here, so no finalizer of an object inherited from the caller runs twice
             os.close(r)
-            helper = _ArcColumns(0)
-            helper.add(_line_chunks(_Span(fd, split, size)), table, path)
+            parts = second()
             with open(w, "wb") as out:
-                helper.send(out, table, known)
+                out.write(np.array([memoryview(part).nbytes for part in parts], np.int64))  # the lengths, then the parts
+                for part in parts:
+                    out.write(part)
             status = 0
         finally:
             os._exit(status)
     os.close(w)
     try:
         with open(r, "rb") as pipe:
-            arcs.add(chunks, table, path)
-            lengths = [len(column) for column in arcs.columns]
+            done = first()
             if pid is not None:
-                got = arcs.receive(pipe)
+                got = _received(pipe, n, *onto)
                 pid, status = None, os.waitpid(pid, 0)[1]
+                got = got if status == 0 else None
     finally:
         if pid is not None:  # not reaped: an error here, which comes first in file order
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    if got is not None and status == 0:
-        arcs.adopt(*got, table, known)
+    return done, got
+
+
+def _received(pipe: BinaryIO, n: int, *onto: bytearray) -> list[bytearray] | None:
+    """The ``n`` parts a helper of :func:`_in_two` wrote after their lengths, the first onto the ends of ``onto``,
+    grown in place; None if cut short."""
+    head = pipe.read(8 * n)
+    if len(head) < 8 * n:
+        return None
+    parts = [*onto, *(bytearray() for _ in range(n - len(onto)))]
+    for part, length in zip(parts, np.frombuffer(head, np.int64).tolist()):
+        at = len(part)
+        part += bytes(length)  # grown in place by zeros, which the pipe's bytes then overwrite
+        with memoryview(part) as view, view[at:] as end:
+            if pipe.readinto(end) < length:
+                return None
+    return parts
+
+
+def _renumbered(column: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """``column`` with each id ``i`` in it replaced by ``ids[i]``, in place, ``_BATCH`` at a time."""
+    for lo in range(0, len(column), _BATCH):
+        column[lo : lo + _BATCH] = ids[column[lo : lo + _BATCH]]
+    return column
+
+
+def _numbered(table: _LabelTable, lines: bytes | bytearray) -> np.ndarray:
+    """The ids in ``table`` of the labels of ``lines``, each ended by a line break, numbered ``_BATCH`` at a time."""
+    u = np.frombuffer(lines, np.uint8)
+    stops = np.flatnonzero(u == 10)
+    starts = np.append(0, stops[:-1] + 1)[: len(stops)]
+    batches = [slice(lo, lo + _BATCH) for lo in range(0, len(stops), _BATCH)]
+    return np.concatenate([np.empty(0, np.int64), *(table.number(u, starts[b], stops[b] - starts[b]) for b in batches)])
+
+
+def _parse_in_two(
+    arcs: _ArcColumns, chunks: Iterator[tuple], table: _LabelTable, path: Path, fd: int, split: int, size: int
+) -> None:
+    """Parse ``chunks``, the arc lines before byte ``split`` of ``fd``, here, and those after it in one forked helper
+    (:func:`_in_two`) that parses with the table as it was at the fork; its arcs, blank rows and new labels are
+    appended after this process's own. If the helper fails its lines are parsed here."""
+    known = len(table)
+
+    def second() -> tuple:
+        helper = _ArcColumns(0)
+        helper.add(_line_chunks(_Span(fd, split, size)), table, path)
+        new = "".join(text + "\n" for text in table.labels(np.arange(len(table)) >= known)).encode()
+        return *helper.columns, np.concatenate(helper.blank_before), new
+
+    _, got = _in_two(lambda: arcs.add(chunks, table, path), second, 5, *arcs.columns)
+    if got is None:
+        for column in arcs.columns:
+            del column[8 * arcs.rows :]  # what a failed helper wrote onto the columns
+        arcs.add(_line_chunks(_Span(fd, split, size), arcs.next_line), table, path)
         return
-    for column, length in zip(arcs.columns, lengths):
-        del column[length:]
-    arcs.add(_line_chunks(_Span(fd, split, size), arcs.next_line), table, path)
+    if got[4]:  # the helper's new labels: its ids past known are renumbered
+        ids = np.concatenate((np.arange(known), _numbered(table, got[4])))
+        for column in arcs.columns[:2]:
+            _renumbered(np.frombuffer(column, np.int64)[arcs.rows :], ids)  # a view, dropped at once
+    arcs.blank_before.append(arcs.rows + np.frombuffer(got[3], np.int64))
+    arcs.rows = len(arcs.columns[0]) // 8
 
 
 def load_edge_list(path: str | Path, strict: bool = False) -> WeightedDigraph:
@@ -803,24 +808,17 @@ def load_edge_list(path: str | Path, strict: bool = False) -> WeightedDigraph:
     assigned by sorting the distinct labels.
 
     The file is read once, in chunks of ``_CHUNK`` bytes cut after a line
-    break, each split, mapped and checked in array passes over its bytes:
-    line breaks and commas are found with ``np.flatnonzero``, labels looked
-    up in an exact label table (the sidecar's; without one the table grows
-    chunk by chunk and its ids are remapped to the sorted labels at the end),
-    weights parsed with ``float`` on their texts, and the checks are masks.
-    Only a chunk whose mask fires is split into line texts and rescanned, to
-    report the exact line. Memory is bounded by one chunk, the label table
-    and the arc columns, each grown in place and so held once.
+    break, each split, mapped and checked in array passes: labels are looked
+    up in an exact label table (the sidecar's, or one that grows chunk by
+    chunk, its ids remapped to the sorted labels at the end), weights parsed
+    with ``float``, and only a chunk whose masks fire is rescanned line by
+    line, to report the exact line. Memory is bounded by one chunk, the label
+    table and the arc columns, each grown in place and so held once.
 
-    A regular file of at least two chunks is parsed in two halves, split
-    after a line break near its middle byte, when ``os.fork`` exists and no
-    other Python thread runs: the second half by one forked helper process,
-    which writes its columns back through a pipe onto the ends of this
-    process's, and its new labels, which are numbered here after this
-    process's own. If the helper fails, its half is parsed here, so every
-    result, error and line number is that of one pass in file order; the
-    helper never outlives the call. A FIFO, ``/dev/stdin`` on a pipe and a
-    small file take one pass on the calling process.
+    A regular file of at least two chunks is parsed in two halves, the
+    second by one forked helper process (:func:`_parse_in_two`); a FIFO,
+    ``/dev/stdin`` on a pipe and a small file take one pass here. Every
+    result, error and line number is that of one pass in file order.
     """
     path = Path(path)
     side = sidecar_path(path)
@@ -861,7 +859,7 @@ def load_edge_list(path: str | Path, strict: bool = False) -> WeightedDigraph:
     else:  # dense ids follow the sorted labels, as the label table of recipnet.graph assigns them
         labels, dense = table.sorted_order()
         v = len(labels)
-        src_ids, dst_ids = dense[src_ids], dense[dst_ids]
+        src_ids, dst_ids = _renumbered(src_ids, dense), _renumbered(dst_ids, dense)
     del table
 
     try:
@@ -872,6 +870,7 @@ def load_edge_list(path: str | Path, strict: bool = False) -> WeightedDigraph:
         lineno = first_row + row + int(np.searchsorted(np.concatenate(blank_before), row, side="right"))
         src, dst = labels[src_ids[row]], labels[dst_ids[row]]
         raise FormatError(f"{path}:{lineno}: duplicate arc {src!r} -> {dst!r}")
-    src_ids, dst_ids, w_col = _summed(v, src_ids * v + dst_ids, w_col)  # rows is still the arc rows read
+    keys, inverse = np.unique(src_ids * v + dst_ids, return_inverse=True)  # each arc once; rows is still the rows read
+    (src_ids, dst_ids), w_col = np.divmod(keys, v), np.bincount(inverse, weights=w_col)  # summed in input order
     warnings.warn(f"{path}: aggregated {rows - len(w_col)} duplicate arc rows", stacklevel=2)
     return WeightedDigraph.from_columns(v, src_ids, dst_ids, w_col, labels)

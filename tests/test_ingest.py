@@ -295,102 +295,180 @@ class TestAgainstReferenceLoop:
         write_events(good, rows)
         write_events(bad, rows + ["7,w,w"])
         invalid.write_bytes(good.read_bytes() + b"9,\xff,b\n")
-        with (
-            mock.patch.object(ingest, "_CHUNK", 1 << 12),
-            mock.patch.object(os, "fork", side_effect=AssertionError("aggregation forked")),
-            mock.patch.object(tempfile, "tempdir", str(scratch)),
-        ):
+        with mock.patch.object(ingest, "_CHUNK", 1 << 12), mock.patch.object(tempfile, "tempdir", str(scratch)):
             assert aggregate_event_file(good) == reference_aggregate(good)
             with pytest.raises(FormatError, match="self-call for id 'w'"):
                 aggregate_event_file(bad, strict=True)
             with pytest.raises(UnicodeDecodeError):
                 aggregate_event_file(invalid)
             assert main(["ingest", str(invalid), "-o", str(tmp_path / "g.csv")]) == EXIT_VALIDATION
+        with pytest.raises(ChildProcessError):  # each count's helper process was reaped
+            os.waitpid(-1, os.WNOHANG)
         assert list(scratch.iterdir()) == []
         assert not (tmp_path / "g.csv").exists()
 
 
-class TestParseHelperLifeCycle:
-    """The chunk parse runs one chunk ahead on a helper thread: however the call ends, it raises what a chunk-by-chunk
-    run in file order meets first, it ends within a timeout, and no thread outlives it."""
+class TestSplitCountLifeCycle:
+    """An event log of two chunks or more is counted in two processes: however the count ends, it gives what one pass
+    in file order gives, and no helper process outlives it."""
 
-    ROWS = [f"{i},u{i % 11},v{i % 13}" for i in range(2000)]  # about 6 chunks of 4 KiB
+    ROWS = [f"{i},u{i % 11},v{i % 13}" for i in range(2000)]  # about 25 KiB: six chunks of 4 KiB
     UNDECODABLE = b"9,\xff,b\n"
-
-    @staticmethod
-    def ended(call):
-        """The result of ``call()``, or the exception it raised, run on a thread joined with a timeout."""
-        before, box = threading.active_count(), []
-
-        def run():
-            try:
-                box.append(call())
-            except Exception as exc:  # noqa: BLE001 - the test compares it
-                box.append(exc)
-
-        runner = threading.Thread(target=run, daemon=True)
-        runner.start()
-        runner.join(timeout=60)
-        assert not runner.is_alive(), "the call did not end: the handoff deadlocked"
-        assert threading.active_count() == before
-        return box[0]
-
-    @classmethod
-    def whole_chunks(cls, chunks, last):
-        """Events bytes ``chunks * _CHUNK`` long that end with the line ``last``, so the next byte starts a chunk."""
-        text, size = "timestamp,caller,callee\n", chunks * ingest._CHUNK - len(last) - 1
-        for row in cls.ROWS:
-            if len(text) + len(row) + 1 > size - len("0,a,b\n"):
-                break
-            text += row + "\n"
-        text += "0" * (size - len(text) - len(",a,b\n")) + ",a,b\n"  # a filler line, its timestamp padded
-        data = (text + last + "\n").encode()
-        assert len(data) == chunks * ingest._CHUNK
-        return data
 
     @pytest.fixture(autouse=True)
     def small_chunks(self):
         with mock.patch.object(ingest, "_CHUNK", 1 << 12):
             yield
 
-    def test_normal_return(self, tmp_path):
+    @staticmethod
+    def counted(path, strict=False, forks=1):
+        """:func:`outcome` of a count that forked ``forks`` times, checked against the oracle's; no child is left."""
+        with counted_forks() as calls:
+            got = outcome(aggregate_event_file, path, strict)
+        assert len(calls) == forks
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert got == outcome(reference_aggregate, path, strict)
+        return got
+
+    def test_normal_return_reaps_the_helper(self, tmp_path):
         path = tmp_path / "events.csv"
         write_events(path, self.ROWS)
         for strict in (False, True):
-            assert self.ended(lambda: aggregate_event_file(path, strict)) == reference_aggregate(path)
+            g, _, accounting = self.counted(path, strict)
+            assert (accounting["events_read"], g.arc_count) == (len(self.ROWS), 143)
 
-    def test_strict_error_in_a_late_chunk_comes_before_a_bad_next_chunk(self, tmp_path):
+    @pytest.mark.parametrize("half", ["first", "second"])
+    @pytest.mark.parametrize("bad, message", [("7,w,w", "self-call for id 'w'"), ("7,w", "malformed event line {line}")])
+    def test_error_in_either_half_is_the_oracles(self, tmp_path, half, bad, message):
+        rows, at = list(self.ROWS), 300 if half == "first" else 1700
+        rows[at] = bad
         path = tmp_path / "events.csv"
-        path.write_bytes(self.whole_chunks(2, "7,w,w") + self.UNDECODABLE + "\n".join(self.ROWS).encode())
-        got = self.ended(lambda: aggregate_event_file(path, strict=True))
-        assert isinstance(got, FormatError) and str(got) == f"{path}: self-call for id 'w'"
-        assert isinstance(self.ended(lambda: aggregate_event_file(path)), UnicodeDecodeError)
+        write_events(path, rows)
+        assert self.counted(path, strict=True) == f"{path}: " + message.format(line=at + 2)  # after the header line
+        self.counted(path)  # dropped and counted, as one pass does
 
-    def test_decode_error_in_a_late_chunk(self, tmp_path):
+    @pytest.mark.parametrize("first, second", [("oops", "7,w,w"), ("7,w,w", "oops")])
+    def test_error_in_both_halves_is_the_first(self, tmp_path, first, second):
+        rows = list(self.ROWS)
+        rows[200], rows[1500] = first, second
         path = tmp_path / "events.csv"
-        write_events(path, self.ROWS)
-        path.write_bytes(path.read_bytes() + self.UNDECODABLE + path.read_bytes())
+        write_events(path, rows)
+        want = "malformed event line 202" if first == "oops" else "self-call for id 'w'"
+        assert self.counted(path, strict=True) == f"{path}: {want}"
+
+    @pytest.mark.parametrize("first_half", ["good", "a self-call"])
+    def test_decode_error_in_the_second_half(self, tmp_path, first_half):
+        rows = list(self.ROWS)
+        if first_half == "a self-call":
+            rows[300] = "7,w,w"
+        path = tmp_path / "events.csv"
+        write_events(path, rows)
+        path.write_bytes(path.read_bytes() + self.UNDECODABLE + "\n".join(self.ROWS[:200]).encode())
         with pytest.raises(UnicodeDecodeError):
             reference_aggregate(path)
         for strict in (False, True):
-            assert isinstance(self.ended(lambda: aggregate_event_file(path, strict)), UnicodeDecodeError)
+            if strict and first_half == "a self-call":  # an error in the first half comes first
+                assert self.counted(path, strict) == f"{path}: self-call for id 'w'"
+                continue
+            with counted_forks() as forks, pytest.raises(UnicodeDecodeError):
+                aggregate_event_file(path, strict)
+            assert len(forks) == 1
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.parametrize("next_decodes", [True, False])
-    def test_helper_error_comes_before_the_next_chunk(self, tmp_path, monkeypatch, next_decodes):
-        path = tmp_path / "events.csv"
-        path.write_bytes(self.whole_chunks(3, "1,a,b") + (b"" if next_decodes else self.UNDECODABLE) + b"2,b,a\n")
-        failure, calls, real = RuntimeError("third chunk"), [], ingest._event_tails
+    @pytest.mark.parametrize("how", ["raises", "is killed"])
+    def test_failed_helper_gives_the_oracles_graph(self, tmp_path, monkeypatch, how):
+        parent, real = os.getpid(), ingest._event_tails
 
         def event_tails(*args):
-            calls.append(1)
-            if len(calls) == 3:
-                raise failure
+            if os.getpid() != parent:
+                if how == "raises":
+                    raise RuntimeError("helper failed")
+                os.kill(os.getpid(), signal.SIGKILL)
             return real(*args)
 
         monkeypatch.setattr(ingest, "_event_tails", event_tails)
-        assert self.ended(lambda: aggregate_event_file(path)) is failure
-        # A fourth chunk that decodes was handed over before the third's result was read, and was parsed.
-        assert len(calls) == (4 if next_decodes else 3)
+        rows = list(self.ROWS)
+        rows[1500], rows[1600] = "7,w,w", "oops"  # counted again here, their lines numbered on from the first half's
+        path = tmp_path / "events.csv"
+        write_events(path, rows)
+        self.counted(path)
+        assert self.counted(path, strict=True) == f"{path}: self-call for id 'w'"
+
+    def test_labels_new_in_the_second_half(self, tmp_path):
+        late = [f"{i},late{i},u{i % 11}" for i in range(20)] + [f"{i},v{i % 13},late{i % 7}x" for i in range(30)]
+        lone = [f"{i},lone{i % 3},lone{i % 3}" for i in range(30)]  # labels of self-calls only: no vertex
+        path = tmp_path / "events.csv"
+        write_events(path, self.ROWS + late + lone)
+        g, labels, accounting = self.counted(path)
+        assert {f"late{i}" for i in range(20)} | {f"late{i}x" for i in range(7)} <= set(labels)
+        assert not any(label.startswith("lone") for label in labels)
+        assert accounting["self_calls_dropped"] == 30
+
+    @pytest.mark.parametrize("where", ["small file", "last line"])
+    def test_no_fork_without_lines_on_both_sides_of_the_split(self, tmp_path, where):
+        path = tmp_path / "events.csv"
+        if where == "small file":  # less than two chunks
+            write_events(path, self.ROWS[:100])
+        else:  # the first line break after the middle byte ends the file
+            write_events(path, self.ROWS[:9] + [f"0,{'a' * 30_000},b"])
+        self.counted(path, forks=0)
+
+    def test_no_fork_for_a_fifo(self, tmp_path):
+        path, fifo = tmp_path / "events.csv", tmp_path / "events.fifo"
+        write_events(path, self.ROWS)
+        os.mkfifo(fifo)
+        writer = subprocess.Popen(["sh", "-c", 'cat "$0" > "$1"', str(path), str(fifo)])  # a process: no thread runs
+        try:
+            with counted_forks() as forks:
+                got = outcome(aggregate_event_file, fifo, False)
+        finally:
+            writer.wait()
+        assert len(forks) == 0
+        assert got[0] == reference_aggregate(path)[0]
+
+    def test_no_fork_while_another_thread_runs(self, tmp_path):
+        path, stop = tmp_path / "events.csv", threading.Event()
+        write_events(path, self.ROWS)
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            self.counted(path, forks=0)
+        finally:
+            stop.set()
+            other.join()
+
+    def test_parent_peak_is_below_the_one_pass_peak(self, tmp_path):
+        """The parent's traced peak on a split log stays below a one-pass count's of the same file.
+
+        Each half's tail table holds its own lines' distinct tails, and the
+        halves' arcs are merged by a sort of each and a search of one in the
+        other: the parent's peak measured 0.83 of one pass's. A merge by
+        ``np.unique`` over the concatenated keys, a temporary that spans the
+        union of both halves' arcs, measured 1.00.
+        """
+        rng = np.random.default_rng(5)
+        src = rng.integers(0, 20_000, 60_000)
+        dst = (src + 1 + rng.integers(0, 19_999, 60_000)) % 20_000
+        path = tmp_path / "events.csv"
+        write_events(path, [f"{i},u{src[j]},u{dst[j]}" for i, j in enumerate(rng.integers(0, 60_000, 100_000).tolist())])
+
+        def peak(one_pass):
+            split_point = (lambda f: None) if one_pass else ingest._split_point
+            with mock.patch.object(ingest, "_CHUNK", 1 << 14), mock.patch.object(ingest, "_split_point", split_point):
+                with counted_forks() as forks:
+                    tracemalloc.start()
+                    try:
+                        g, _ = aggregate_event_file(path)
+                        return tracemalloc.get_traced_memory()[1], g, len(forks)
+                    finally:
+                        tracemalloc.stop()
+
+        peak(False)  # first-call allocations are not the count's
+        (split, g, forks), (one_pass, want, no_forks) = peak(False), peak(True)
+        assert (g, forks, no_forks) == (want, 1, 0)
+        assert split < 0.92 * one_pass, f"split peak {split} B vs one pass {one_pass} B"
 
 
 # One arc with all three line breaks, a malformed line, a self-call and non-ASCII labels.
