@@ -792,7 +792,7 @@ def _parse_in_two(
     if got[4]:  # the helper's new labels: its ids past known are renumbered
         ids = np.concatenate((np.arange(known), _numbered(table, got[4])))
         for column in arcs.columns[:2]:
-            _renumbered(np.frombuffer(column, np.int64)[arcs.rows :], ids)  # a view, dropped at once
+            _renumbered(np.frombuffer(column, np.int64)[arcs.rows :], ids)
     arcs.blank_before.append(arcs.rows + np.frombuffer(got[3], np.int64))
     arcs.rows = len(arcs.columns[0]) // 8
 
