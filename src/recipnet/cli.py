@@ -22,8 +22,8 @@ import numpy as np
 
 from . import __version__
 from .errors import DegenerateInputError, DomainError, FormatError, UndefinedCorrelationError
-from .ingest import aggregate_event_file, load_edge_list, save_snapshot, save_snapshots, write_csv
-from .metrics import DEFAULT_BIN_WIDTH, DyadClass, _dyads, concentration_arrays, degree_assortativity, dyad_ratings, histogram
+from .ingest import aggregate_event_file, load_edge_list, save_snapshot, save_snapshots, write_csvs
+from .metrics import DEFAULT_BIN_WIDTH, DyadClass, _classes, _dyads, concentration_arrays, degree_assortativity, dyad_r_values, histogram
 from .nullmodels import DEFAULT_SWAP_MULTIPLIER, equidisperse, maslov_sneppen_rewire
 from .report import analyze, json_bytes, replicas_to_dict, report_bytes, run_regime_comparison
 from .synth import DegreeSpec, SynthConfig, generate
@@ -118,8 +118,8 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 def _cmd_reciprocity(args: argparse.Namespace) -> int:
     g = load_edge_list(args.graph, strict=args.strict)
-    ratings = dyad_ratings(g)
-    hist = histogram(ratings, args.bin_width)
+    r = dyad_r_values(g)
+    hist = histogram(r, args.bin_width)
     dyad_count = hist.pop("total")
     if not dyad_count:
         _warn_or_raise(args.strict, "graph has no mutual dyads")
@@ -129,9 +129,9 @@ def _cmd_reciprocity(args: argparse.Namespace) -> int:
 
         def dyads(lo: int, hi: int) -> tuple[np.ndarray, ...]:
             a, b, *numbers = _dyads(g, sel[lo:hi])
-            return labels[a], labels[b], *numbers, ratings.r_value[lo:hi], classes[ratings.dyad_class[lo:hi]]
+            return labels[a], labels[b], *numbers, r[lo:hi], classes[_classes(r[lo:hi])]
 
-        write_csv(args.records, "a,b,w_ab,w_ba,p_ab,p_ba,r_value,dyad_class\n", dyad_count, dyads)
+        write_csvs([([args.records], "a,b,w_ab,w_ba,p_ab,p_ba,r_value,dyad_class\n", dyad_count, dyads)])
     _emit(json_bytes({"dyads": dyad_count, **hist}), args.output)
     return EXIT_OK
 
@@ -143,12 +143,11 @@ def _cmd_concentration(args: argparse.Namespace) -> int:
         _warn_or_raise(args.strict, "no vertices with out-degree >= 2")
     if args.records:
         labels, degree = np.array(g.external_ids, dtype=object), np.diff(g._indptr)
-        write_csv(
-            args.records,
-            "vertex,out_degree,h,h_star\n",
-            len(vertices),
-            lambda lo, hi: (labels[vertices[lo:hi]], degree[vertices[lo:hi]], h[lo:hi], h_star[lo:hi]),
-        )
+
+        def rows(lo: int, hi: int) -> tuple[np.ndarray, ...]:
+            return labels[vertices[lo:hi]], degree[vertices[lo:hi]], h[lo:hi], h_star[lo:hi]
+
+        write_csvs([([args.records], "vertex,out_degree,h,h_star\n", len(vertices), rows)])
     mean_h_star = (sum(h_star.tolist()) / len(vertices)) if len(vertices) else None
     _emit(json_bytes({"vertices_scored": len(vertices), "mean_h_star": mean_h_star}), args.output)
     return EXIT_OK

@@ -339,10 +339,10 @@ class WeightedDigraph:
             blocks.append(lo + np.flatnonzero(block > np.arange(lo, lo + len(block))))
         return np.concatenate(blocks)
 
-    def _mutual_ends(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(a, b, the CSR position of arc a -> b) of every mutual dyad, a < b, in (a, b) order."""
+    def _mutual_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """(a, b) of every mutual dyad, a < b, in (a, b) order."""
         sel = self._mutual_arcs()
-        return np.searchsorted(self._indptr, sel, side="right") - 1, self._indices[sel], sel
+        return np.searchsorted(self._indptr, sel, side="right") - 1, self._indices[sel]
 
     def dyad_census(self) -> DyadCensus:
         """Mutual/asymmetric/null counts over all unordered vertex pairs.

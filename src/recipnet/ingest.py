@@ -53,7 +53,7 @@ EVENT_HEADER = "timestamp,caller,callee"
 GRAPH_HEADER = "src,dst,weight"
 VERTEX_HEADER = "external_id,dense_id"
 
-_BATCH = 1 << 13  # lines or texts per C-level pass: CSV rows written (write_csv), counted tails split
+_BATCH = 1 << 13  # lines or texts per C-level pass: CSV rows written (write_csvs), counted tails split
 _CHUNK = 1 << 19  # bytes per array pass when an event log, a snapshot or a sidecar is read
 
 
@@ -291,11 +291,6 @@ def _distinct(values: Sequence, same: Callable[[object, object], bool]) -> tuple
             kept.append(x)
         index.append(at)
     return kept, index
-
-
-def write_csv(path: str | Path, head: str, n: int, rows: Callable[[int, int], Sequence[np.ndarray]]) -> None:
-    """Write ``head``, then CSV rows ``0..n-1`` of the columns ``rows(lo, hi)`` returns: :func:`write_csvs` of one file."""
-    write_csvs([([path], head, n, rows)])
 
 
 def write_csvs(files: Sequence[tuple[Sequence[str | Path], str, int, Callable[[int, int], Sequence[np.ndarray]]]]) -> None:
@@ -706,7 +701,7 @@ def _in_two(first: Callable[[], object], second: Callable[[], Sequence], n: int,
     with warnings.catch_warnings(), suppress(OSError):  # a fork that fails leaves both halves to this process
         # Python 3.12 warns on a fork while the OS reports more than one thread, and numpy's OpenBLAS pool is one.
         # This fork is safe: OpenBLAS has atfork handlers, the helper calls no BLAS routine and starts no thread, and
-        # it leaves by os._exit, so it runs no atexit handler and flushes no inherited buffer. (Untested on 3.12.)
+        # it leaves by os._exit, so it runs no atexit handler and flushes no inherited buffer. (Run on 3.12 only in CI.)
         warnings.simplefilter("ignore", DeprecationWarning)
         pid = os.fork()
     if pid == 0:  # the helper

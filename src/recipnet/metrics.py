@@ -6,11 +6,13 @@ the closed-form score under equidispersed weights, Herfindahl-style weight
 concentration per vertex, and degree assortativity across linked dyads.
 
 Bulk sweeps work on the graph's CSR arrays: :func:`dyad_scores` scores every
-mutual dyad at once, in canonical (a, b) order, :func:`dyad_ratings` gives
-only its score and class columns, scoring one block of dyads at a time, and
-:func:`concentration_arrays` every vertex of out-degree 2 or more.
-:func:`histogram` and :func:`degree_assortativity` return the JSON blocks
-that reports and the CLI print, as plain dicts. The
+mutual dyad at once, in canonical (a, b) order, :func:`dyad_r_values` gives
+only its score column, scoring one block of dyads at a time, and
+:func:`concentration_arrays` every vertex of out-degree 2 or more. A dyad's
+class is a function of its score alone, so every array of classes is derived
+from a score column by one rule. :func:`histogram` (of a score column) and
+:func:`degree_assortativity` return the JSON blocks that reports and the CLI
+print, as plain dicts. The
 scalar functions (:func:`reciprocity`, :func:`concentration`) return plain
 values and are the reference the sweeps are tested against; logs go through
 ``math.log`` (a share that underflows to 0.0 as ln w - ln s) and squares are
@@ -45,10 +47,12 @@ class DyadClass(Enum):
     NON_RECIPROCAL = "non_reciprocal"
 
 
-#: Array code of each class: its position in DyadClass, which searchsorted
-#: on the two boundaries reproduces.
-_CLASSES = tuple(DyadClass)
 _CLASS_BOUNDS = np.array([RECIPROCAL_MAX, PARTIAL_MAX])
+
+
+def _classes(r: np.ndarray) -> np.ndarray:
+    """The array code of each score's class: its position in :class:`DyadClass`, boundaries to the lower class."""
+    return np.searchsorted(_CLASS_BOUNDS, r)
 
 
 def reciprocity_value(w_ab: float, w_ba: float, s_a: float, s_b: float) -> float:
@@ -133,18 +137,11 @@ def dyad_scores(g: WeightedDigraph) -> DyadScores:
     """Score every mutual dyad of ``g`` at once (same values as :func:`reciprocity`)."""
     columns = _dyads(g, g._mutual_arcs())
     r = _r_values(g, *columns)
-    return DyadScores(*columns, r, np.searchsorted(_CLASS_BOUNDS, r))
+    return DyadScores(*columns, r, _classes(r))
 
 
-class DyadRatings(NamedTuple):
-    """The ``r_value`` and ``dyad_class`` columns of :class:`DyadScores` alone."""
-
-    r_value: np.ndarray
-    dyad_class: np.ndarray
-
-
-def dyad_ratings(g: WeightedDigraph) -> DyadRatings:
-    """The ``r_value`` and ``dyad_class`` columns of :func:`dyad_scores`, by the same code.
+def dyad_r_values(g: WeightedDigraph) -> np.ndarray:
+    """The ``r_value`` column of :func:`dyad_scores`, by the same code.
 
     The dyads are scored from their CSR positions one block of
     ``_SUM_BLOCK`` at a time, so no other column of every dyad is made.
@@ -154,7 +151,7 @@ def dyad_ratings(g: WeightedDigraph) -> DyadRatings:
     for lo in range(0, len(sel), _SUM_BLOCK):
         r[lo : lo + _SUM_BLOCK] = _r_values(g, *_dyads(g, sel[lo : lo + _SUM_BLOCK]))
     del sel
-    return DyadRatings(r, np.searchsorted(_CLASS_BOUNDS, r))
+    return r
 
 
 def classify(r_value: float) -> DyadClass:
@@ -287,7 +284,7 @@ def degree_assortativity(g: WeightedDigraph, mutual_only: bool = True) -> dict[s
     """
     v = g.vertex_count
     if mutual_only:
-        sums = _backbone_moments(*g._mutual_ends()[:2], v)[1]  # both orientations: r is endpoint-symmetric
+        sums = _backbone_moments(*g._mutual_ends(), v)[1]  # both orientations: r is endpoint-symmetric
     else:
         tail, head = g._sources(), g._indices
         # Undirected neighbors: every out-neighbor, plus the in-neighbors with no arc back.
@@ -301,8 +298,8 @@ def degree_assortativity(g: WeightedDigraph, mutual_only: bool = True) -> dict[s
     return {"r": r, "pair_count": sums[0]}
 
 
-def histogram(scores: DyadScores | DyadRatings, bin_width: float = DEFAULT_BIN_WIDTH) -> dict[str, Any]:
-    """The histogram block of the scores: ``{"bin_width", "total", "bins", "class_proportions"}``.
+def histogram(r: np.ndarray, bin_width: float = DEFAULT_BIN_WIDTH) -> dict[str, Any]:
+    """The histogram block of the score column ``r``: ``{"bin_width", "total", "bins", "class_proportions"}``.
 
     ``bins`` lists the non-empty bins in ascending order, each ``[i * bin_width,
     (i + 1) * bin_width, count]`` for the half-open interval it covers, so one
@@ -313,14 +310,14 @@ def histogram(scores: DyadScores | DyadRatings, bin_width: float = DEFAULT_BIN_W
     """
     if not (bin_width > 0 and math.isfinite(bin_width)):
         raise DomainError(f"bin width must be finite and positive, got {bin_width}")
-    r, n = scores.r_value, len(scores.r_value)
+    n = len(r)
     if n and r.max() // bin_width >= 2**53:
         raise DomainError(f"bin width {bin_width} puts the largest score {float(r.max())!r} past bin index 2**53")
     index, counts = np.unique((r // bin_width).astype(np.int64), return_counts=True)
-    by_class = np.bincount(scores.dyad_class, minlength=len(_CLASSES)).tolist()
+    by_class = np.bincount(_classes(r), minlength=len(DyadClass)).tolist()
     return {
         "bin_width": bin_width,
         "total": n,
         "bins": [[i * bin_width, (i + 1) * bin_width, c] for i, c in zip(index.tolist(), counts.tolist())],
-        "class_proportions": {cls.value: c / n if n else 0.0 for cls, c in zip(_CLASSES, by_class)},
+        "class_proportions": {cls.value: c / n if n else 0.0 for cls, c in zip(DyadClass, by_class)},
     }

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__ as _version
 from .errors import UndefinedCorrelationError
 from .graph import WeightedDigraph
-from .metrics import DEFAULT_BIN_WIDTH, concentration_arrays, degree_assortativity, dyad_ratings, histogram
+from .metrics import DEFAULT_BIN_WIDTH, concentration_arrays, degree_assortativity, dyad_r_values, histogram
 from .nullmodels import DEFAULT_SWAP_MULTIPLIER, equidisperse, maslov_sneppen_rewire
 
 SCHEMA_VERSION = 3  # 2: input_digest is content digest v2 (binary CSR encoding); 3: only non-empty histogram bins
@@ -50,12 +50,11 @@ def analyze(
     bin_width: float = DEFAULT_BIN_WIDTH,
 ) -> dict[str, Any]:
     """Run the full per-network measurement sweep on the graph's arrays; return the report's JSON document."""
-    ratings = dyad_ratings(g)
-    hist = histogram(ratings, bin_width)
+    r = dyad_r_values(g)
+    hist = histogram(r, bin_width)
     shares = hist.pop("class_proportions")  # reported in the reciprocity block
-    r = ratings.r_value
     mean_r, median_r = (float(r.mean()), float(np.median(r))) if len(r) else (None, None)
-    del ratings, r  # no score column is live during the assortativity and concentration passes
+    del r  # no score column is live during the assortativity and concentration passes
     try:
         assort: dict[str, Any] | None = degree_assortativity(g, mutual_only=True)
     except UndefinedCorrelationError:  # too few pairs or zero degree variance: report the rest without r

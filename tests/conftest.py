@@ -38,7 +38,7 @@ def random_digraph(
 
 def mutual_pairs(g: WeightedDigraph) -> list[tuple[int, int]]:
     """Every mutual dyad's ends (a, b), a < b, in (a, b) order."""
-    a, b = g._mutual_ends()[:2]
+    a, b = g._mutual_ends()
     return list(zip(a.tolist(), b.tolist()))
 
 

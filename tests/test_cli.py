@@ -16,11 +16,11 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from recipnet import cli, ingest, report
+from recipnet import cli, graph, ingest, metrics, report
 from recipnet.cli import EXIT_DEGENERATE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from recipnet.graph import GraphBuilder
 from recipnet.ingest import aggregate_event_file, load_edge_list, save_snapshot
-from recipnet.metrics import classify, concentration, degree_assortativity, reciprocity_value
+from recipnet.metrics import DyadClass, classify, concentration, degree_assortativity, reciprocity_value
 from recipnet.nullmodels import maslov_sneppen_rewire
 
 from conftest import digraph, random_digraph
@@ -70,6 +70,19 @@ def run_json(capsys, argv):
     return code, json.loads(captured.out)
 
 
+def reciprocity_rows(g) -> list[str]:
+    """The lines of ``reciprocity --records`` on ``g``, header first, from the scalar functions."""
+    labels = g.external_ids
+    rows = ["a,b,w_ab,w_ba,p_ab,p_ba,r_value,dyad_class"]
+    for a in range(g.vertex_count):
+        for b in range(a + 1, g.vertex_count):
+            if g.has_arc(a, b) and g.has_arc(b, a):
+                w_ab, w_ba, s_a, s_b = g.weight(a, b), g.weight(b, a), g.out_strength(a), g.out_strength(b)
+                r = reciprocity_value(w_ab, w_ba, s_a, s_b)
+                rows.append(f"{labels[a]},{labels[b]},{w_ab!r},{w_ba!r},{w_ab / s_a!r},{w_ba / s_b!r},{r!r},{classify(r).value}")
+    return rows
+
+
 class TestPipeline:
     def test_ingest_reports_stats(self, capsys, events_file, tmp_path):
         out = tmp_path / "g.csv"
@@ -115,18 +128,25 @@ class TestPipeline:
         with mock.patch.object(ingest, "_BATCH", batch):
             code, payload = run_json(capsys, ["reciprocity", str(path), "--records", str(records)])
         assert code == EXIT_OK
-        labels = g.external_ids
-        want = ["a,b,w_ab,w_ba,p_ab,p_ba,r_value,dyad_class"]
-        for a in range(g.vertex_count):
-            for b in range(a + 1, g.vertex_count):
-                if g.has_arc(a, b) and g.has_arc(b, a):
-                    w_ab, w_ba, s_a, s_b = g.weight(a, b), g.weight(b, a), g.out_strength(a), g.out_strength(b)
-                    r = reciprocity_value(w_ab, w_ba, s_a, s_b)
-                    want.append(
-                        f"{labels[a]},{labels[b]},{w_ab!r},{w_ba!r},{w_ab / s_a!r},{w_ba / s_b!r},{r!r},{classify(r).value}"
-                    )
+        want = reciprocity_rows(g)
         assert records.read_text().splitlines() == want
         assert payload["dyads"] == len(want) - 1 > 10
+
+    @pytest.mark.parametrize("batch", [2, 7])
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_reciprocity_records_classes_from_blocks_that_miss_the_batches(self, labelled_graph, tmp_path, block, batch):
+        """Each batch of rows takes its classes from its slice of a score column scored in blocks of another size."""
+        g, path = labelled_graph
+        records = tmp_path / "records.csv"
+        with (
+            mock.patch.object(graph, "_SUM_BLOCK", block),
+            mock.patch.object(metrics, "_SUM_BLOCK", block),
+            mock.patch.object(ingest, "_BATCH", batch),
+        ):
+            assert main(["reciprocity", str(path), "--records", str(records), "-o", str(tmp_path / "hist.json")]) == EXIT_OK
+        want = reciprocity_rows(g)
+        assert records.read_text().splitlines() == want
+        assert {row.rsplit(",", 1)[1] for row in want[1:]} == {c.value for c in DyadClass}
 
     @pytest.mark.parametrize("batch", RECORD_BATCHES)
     def test_concentration_records_rows_match_the_scalar_reference(self, capsys, labelled_graph, tmp_path, batch):
@@ -465,6 +485,19 @@ class TestExitCodes:
         assert "swap multiplier must be a positive integer" in capsys.readouterr().err
         assert not (tmp_path / "rw.csv").exists()
         assert not (tmp_path / "reg").exists()
+
+    def test_rewire_that_did_nothing_saves_the_input_unless_strict(self, graph_file, tmp_path, capsys):
+        # graph_file is a mutual triangle: every swap is rejected.
+        out = tmp_path / "rw.csv"
+        assert main(["rewire", str(graph_file), "-o", str(out)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == "warning: no acceptable swap found; graph returned unchanged\n"
+        assert json.loads(captured.out)["accepted_swaps"] == 0
+        assert load_edge_list(out) == load_edge_list(graph_file)
+        strict = tmp_path / "strict.csv"
+        assert main(["rewire", str(graph_file), "-o", str(strict), "--strict"]) == EXIT_DEGENERATE
+        assert capsys.readouterr().err == "error: no acceptable swap found; graph returned unchanged\n"
+        assert not strict.exists()
 
     def test_regimes_strict_escalates_rewire_that_did_nothing(self, graph_file, tmp_path, capsys):
         # graph_file is a mutual triangle: every swap is rejected.

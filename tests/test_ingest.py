@@ -781,6 +781,22 @@ class TestSnapshots:
         with pytest.raises(FormatError):
             load_edge_list(path)
 
+    @pytest.mark.parametrize("text", ["", "# tool=recipnet/0.0\n# seed=1\n"], ids=["empty", "provenance_only"])
+    def test_snapshot_without_header_line_is_validation_error(self, tmp_path, capsys, text):
+        path = tmp_path / "graph.csv"
+        path.write_text(text, encoding="utf-8")
+        assert main(["census", str(path)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {path}: missing header line\n"
+
+    def test_sidecar_header_mismatch_names_the_sidecar(self, tmp_path, capsys):
+        path = tmp_path / "graph.csv"
+        path.write_text("src,dst,weight\na,b,1\n", encoding="utf-8")
+        side = sidecar_path(path)
+        side.write_text("label,id\na,0\nb,1\n", encoding="utf-8")
+        assert main(["census", str(path)]) == EXIT_VALIDATION
+        want = f"error: expected header 'external_id,dense_id' in {side}, got 'label,id'\n"
+        assert capsys.readouterr().err == want
+
     def test_sidecar_must_be_contiguous(self, tmp_path):
         path = tmp_path / "graph.csv"
         path.write_text("src,dst,weight\na,b,1\n", encoding="utf-8")
@@ -954,7 +970,7 @@ class TestLoadAgainstReferenceLoop:
         about as in the ``report`` benchmark graph. At the peak an arc costs
         about 17 bytes: the 8-byte reverse index beside per-dyad columns,
         the backbone's ends and their degrees in the assortativity, or the
-        scores, classes and bin indices of the histogram. With whole-graph
+        scores and their bin indices or classes in the histogram. With whole-graph
         temporaries in the passes (the reversed keys and their argsort, all
         eight score columns, a column of squared shares) it cost about 36.
         """
@@ -1207,7 +1223,7 @@ class TestSaveAgainstReferenceWriter:
         path = tmp_path / "rows.csv"
         for order in ((names, x, k), (x, k, names)):  # an object column first and last
             with mock.patch.object(ingest, "_BATCH", 4):
-                ingest.write_csv(path, "head\n", len(x), lambda lo, hi: [col[lo:hi] for col in order])
+                ingest.write_csvs([([path], "head\n", len(x), lambda lo, hi: [col[lo:hi] for col in order])])
             rows = zip(*(col.tolist() for col in order))
             want = "head\n" + "".join(",".join(v if isinstance(v, str) else repr(v) for v in row) + "\n" for row in rows)
             assert path.read_text(encoding="utf-8") == want

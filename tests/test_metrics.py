@@ -19,7 +19,6 @@ from recipnet.graph import WeightedDigraph
 from recipnet.ingest import load_edge_list
 from recipnet.metrics import (
     DyadClass,
-    DyadRatings,
     PARTIAL_MAX,
     RECIPROCAL_MAX,
     _moments,
@@ -84,6 +83,19 @@ class TestReciprocity:
         expected = abs(math.log(6.0 / s_a) - math.log(4.0 / s_b))
         assert r == expected
         assert r == pytest.approx(0.2877, abs=5e-4)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0.0, 1.0, 1.0, 1.0), "dyad weights must be strictly positive"),
+            ((1.0, -2.0, 3.0, 3.0), "dyad weights must be strictly positive"),
+            ((2.0, 1.0, 1.5, 1.0), "vertex strength cannot be smaller than the arc weight"),
+            ((1.0, 2.0, 1.0, 1.5), "vertex strength cannot be smaller than the arc weight"),
+        ],
+    )
+    def test_value_outside_the_domain_raises(self, args, message):
+        with pytest.raises(DomainError, match=message):
+            reciprocity_value(*args)
 
     def test_non_mutual_pair_raises(self):
         g = digraph(2, [(0, 1, 1.0)])
@@ -422,7 +434,7 @@ class TestAssortativity:
 @settings(max_examples=300, deadline=None)
 def test_backbone_r_equals_the_concatenated_orientations(g):
     # The reference: both orientations of every dyad concatenated, as pairs of backbone degrees.
-    a, b = g._mutual_ends()[:2]
+    a, b = g._mutual_ends()
     tail, head = np.concatenate((a, b)), np.concatenate((b, a))
     degree = np.bincount(tail, minlength=g.vertex_count)
     want = _r_of(*_moments(degree[tail], degree[head]))
@@ -467,9 +479,11 @@ def test_moments_stay_exact_past_int64_in_blocks(pairs):
 
 
 def array_histogram(values: list[float], bin_width: float):
-    """The histogram block of the scores ``values``, each classed by the scalar :func:`classify`."""
-    classes = [list(DyadClass).index(classify(v)) for v in values]
-    return histogram(DyadRatings(np.array(values, dtype=np.float64), np.array(classes, dtype=np.int64)), bin_width)
+    """The histogram block of the scores ``values``, whose class shares are those the scalar :func:`classify` gives."""
+    hist = histogram(np.array(values, dtype=np.float64), bin_width)
+    classes = Counter(classify(v) for v in values)
+    assert hist["class_proportions"] == {cls.value: classes[cls] / len(values) if values else 0.0 for cls in DyadClass}
+    return hist
 
 
 def shares(hist) -> tuple[float, float, float]:

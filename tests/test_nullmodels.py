@@ -347,7 +347,7 @@ class TestSwapRound:
 
 def _backbone(g: WeightedDigraph) -> np.ndarray:
     """The graph's mutual dyads as the swap kernel's (m, 2) edge array."""
-    a, b = g._mutual_ends()[:2]
+    a, b = g._mutual_ends()
     return np.column_stack((a, b))
 
 

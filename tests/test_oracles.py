@@ -18,7 +18,7 @@ from recipnet.metrics import (
     classify,
     concentration_arrays,
     degree_assortativity,
-    dyad_ratings,
+    dyad_r_values,
     dyad_scores,
     histogram,
     reciprocity_value,
@@ -97,7 +97,7 @@ def test_array_sweep_matches_scalar_formulas(g, bin_width):
     counts = [0] * (1 + max((int(r // bin_width) for r in scalar), default=-1))
     for r in scalar:
         counts[int(r // bin_width)] += 1
-    hist = histogram(scores, bin_width)
+    hist = histogram(scores.r_value, bin_width)
     assert hist["bins"] == [[i * bin_width, (i + 1) * bin_width, c] for i, c in enumerate(counts) if c]
     assert hist["total"] == len(scalar) == g.dyad_census().mutual
     if scalar:
@@ -139,12 +139,12 @@ def blockwise(g: WeightedDigraph, block: int) -> dict[str, list]:
     """:func:`brute_force`'s results from the graph's own passes, run in blocks of ``block``."""
     with mock.patch.object(graph, "_SUM_BLOCK", block), mock.patch.object(metrics, "_SUM_BLOCK", block):
         g = WeightedDigraph(g._indptr, g._indices, g._weights, g.external_ids)  # no reverse index yet
-        r, dyad_class = dyad_ratings(g)
+        r = dyad_r_values(g)
         return {
             "reverse": g._reverse_arcs().tolist(),
-            "ends": list(zip(*(col.tolist() for col in g._mutual_ends()))),
+            "ends": list(zip(*(col.tolist() for col in (*g._mutual_ends(), g._mutual_arcs())))),
             "r": r.tolist(),
-            "class": dyad_class.tolist(),
+            "class": metrics._classes(r).tolist(),
             "concentration": list(zip(*(col.tolist() for col in concentration_arrays(g)))),
         }
 
