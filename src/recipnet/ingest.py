@@ -12,15 +12,15 @@ containing a comma makes the line malformed):
   with header ``external_id,dense_id`` pins the dense-id mapping, including
   isolated vertices.
 
-Every input is read once, in chunks of bytes cut at line breaks, each
-parsed in array passes: an event log (a regular file, a FIFO or
-``/dev/stdin`` alike), a snapshot and its sidecar. Labels, and the
-``caller,callee`` tails of event lines, are looked up in exact tables of
-byte strings. A regular log or snapshot of two chunks or more is read in
-two halves, the second by one forked helper process (:func:`_in_two`); no
-thread is started. Memory is bounded by a chunk per process and the
-distinct tails, labels and arcs, not by the number of lines. Files are
-written by :func:`write_csvs`, in batches of rows gathered from arrays.
+Every input is read in chunks of bytes cut at line breaks, each parsed in
+array passes: an event log (a regular file, a FIFO or ``/dev/stdin``
+alike), a snapshot and its sidecar. Labels, and the ``caller,callee`` tails
+of event lines, are looked up in exact tables of byte strings. A regular
+log or snapshot of two chunks or more is read in two halves, the second by
+one forked helper process (:func:`_in_two`), and again whole in one pass if
+the helper fails; no thread is started. Memory is bounded by a chunk per
+process and the distinct tails, labels and arcs, not by the number of
+lines. Files are written by :func:`write_csvs`, in batches of array rows.
 
 Aggregation and a load without a sidecar assign dense ids by
 :func:`~recipnet.graph.sorted_order`, the order of the sorted labels, as
@@ -89,23 +89,29 @@ def aggregate_event_file(
     The result is independent of line order: arc weights are sums and the
     dense ids follow the sorted labels, as :class:`~recipnet.graph.GraphBuilder` assigns them.
 
-    The file is read once by the chunk reader of the snapshot load and
-    counted by :func:`_count_arcs`: a regular file of two chunks or more in
-    two processes (:func:`_count_in_two`), any other input in one pass.
-    Results and errors, line numbers included, are those of one pass in file
-    order. Each process's memory is bounded by one chunk and its half's
-    distinct ``caller,callee`` tails, not by the number of events.
+    The file is read by the chunk reader of the snapshot load and counted by
+    :func:`_count_arcs`: a regular file of two chunks or more in two halves,
+    the second by one forked helper (:func:`_in_two`), any other input in
+    one pass, as is the whole file again if the helper fails. Results and
+    errors, line numbers included, are those of one pass in file order. Each
+    process's memory is bounded by one chunk and its half's distinct
+    ``caller,callee`` tails, not by the number of events.
     """
-    labels = _LabelTable()
+    labels, halves = _LabelTable(), None
+    count = lambda chunks: _count_arcs(chunks, path, strict, labels)  # noqa: E731
     with open(path, "rb") as f:
-        split = _split_point(f)
-        header, first_row, chunks = _first_line(f if split is None else _Span(f.fileno(), 0, split[0]), comments=False)
-        if header != EVENT_HEADER:
-            raise FormatError(f"expected header {EVENT_HEADER!r}, got {header or ''!r}")
-        if split is None:
-            halves = [_count_arcs(chunks, path, strict, labels)]
-        else:
-            halves = _count_in_two(chunks, path, strict, labels, first_row, f.fileno(), *split)
+        if (split := _split_point(f)) is not None:
+            header, _, chunks = _first_line(_Span(f.fileno(), 0, split[0]), comments=False)
+            if header == EVENT_HEADER:  # else the one pass below raises for it
+                rest = _Span(f.fileno(), *split)
+                first, got = _in_two(lambda: count(chunks), lambda: count(_line_chunks(rest)), 4, labels)
+                halves = None if got is None else [first, tuple(np.frombuffer(part, np.int64) for part in got)]
+                del first, got  # held here, both halves would outlive their merge
+        if halves is None:
+            header, _, chunks = _first_line(f, comments=False)
+            if header != EVENT_HEADER:
+                raise FormatError(f"expected header {EVENT_HEADER!r}, got {header or ''!r}")
+            halves = [count(chunks)]
     used = np.zeros(len(labels), bool)
     for src, dst, _, _ in halves:
         used[src] = used[dst] = True
@@ -160,26 +166,6 @@ def _count_arcs(
     del tails
     keep = ends[0] != ends[1]
     return ends[0, keep], ends[1, keep], counts[keep], np.array([read, malformed, counts[~keep].sum()], np.int64)
-
-
-def _count_in_two(
-    chunks: Iterator[tuple], path: str | Path, strict: bool, labels: _LabelTable, first_row: int, fd: int, split: int, size: int
-) -> list[tuple[np.ndarray, ...]]:
-    """The two halves' :func:`_count_arcs`: of ``chunks``, the event lines before byte ``split`` of ``fd``, here, and of
-    those after it in one forked helper (:func:`_in_two`), into tables of its own; its labels are sent back and
-    numbered in ``labels``, and its arcs renumbered. If the helper fails its lines are counted here."""
-    rest = lambda lineno: _line_chunks(_Span(fd, split, size), lineno)  # noqa: E731
-
-    def second() -> tuple:
-        own = _LabelTable()
-        return *_count_arcs(rest(1), path, strict, own), "".join(text + "\n" for text in own.labels()).encode()
-
-    first, got = _in_two(lambda: _count_arcs(chunks, path, strict, labels), second, 5)
-    if got is None:  # its lines numbered on from this half's, so the error it met is raised here
-        return [first, _count_arcs(rest(first_row + int(first[3][0])), path, strict, labels)]
-    ids = _numbered(labels, got.pop())
-    src, dst, counts, tally = (np.frombuffer(part, np.int64) for part in got)
-    return [first, (_renumbered(src, ids), _renumbered(dst, ids), counts, tally)]
 
 
 def _merged(halves: list[tuple[np.ndarray, ...]], dense: np.ndarray, v: int) -> tuple[np.ndarray, np.ndarray]:
@@ -403,14 +389,14 @@ def _line_texts(data: bytes, starts: np.ndarray, stops: np.ndarray) -> list[str]
     return [data[a:b].decode() for a, b in zip(starts.tolist(), stops.tolist())]
 
 
-def _line_chunks(f: BinaryIO, lineno: int = 1) -> Iterator[tuple[bytes, np.ndarray, np.ndarray, int]]:
-    """(bytes, where each line's text starts and stops, first line number) of ``f``'s chunks of lines, numbered from ``lineno``.
+def _line_chunks(f: BinaryIO) -> Iterator[tuple[bytes, np.ndarray, np.ndarray, int]]:
+    """(bytes, where each line's text starts and stops, first line number) of ``f``'s chunks of lines, numbered from 1.
 
     ``f`` is read once, ``_CHUNK`` bytes at a time, and each read is cut after its last line break,
     the rest carried over. Line breaks are ``\\n``, ``\\r\\n`` and a lone ``\\r``, as a universal-newline
     reader's, so a ``\\r`` that ends a read waits for the next byte. Each chunk is checked as UTF-8.
     """
-    pending = bytearray()
+    pending, lineno = bytearray(), 1
     while True:
         block = f.read(_CHUNK)
         new = max(len(pending) - 1, 0)  # only the new bytes, and a held-back \r, may hold a cut: a long line costs no rescans
@@ -631,12 +617,12 @@ def _load_sidecar(path: Path) -> _LabelTable:
 
 class _ArcColumns:
     """A snapshot body's arcs as they are parsed, in file order: source ids, target ids and weights, each a ``bytearray``
-    grown in place, so no column is ever held twice; the row after each skipped blank line; the next line's number."""
+    grown in place, so no column is ever held twice; the row after each skipped blank line."""
 
-    def __init__(self, next_line: int) -> None:
+    def __init__(self) -> None:
         self.columns = (bytearray(), bytearray(), bytearray())
         self.blank_before = [np.empty(0, np.int64)]
-        self.rows, self.next_line = 0, next_line
+        self.rows = 0
 
     def add(self, chunks: Iterator[tuple[bytes, np.ndarray, np.ndarray, int]], table: _LabelTable, path: Path) -> None:
         """Parse each chunk of arc lines and append its arcs, numbering their labels in ``table``; raise for its first bad line."""
@@ -656,7 +642,6 @@ class _ArcColumns:
             for column, part in zip(self.columns, (src, dst, w)):
                 column += memoryview(part)  # bytes appended in place: no column is ever held twice
             self.rows += len(stops)
-            self.next_line = first + len(line_starts)
 
 
 class _Span:
@@ -690,15 +675,19 @@ def _split_point(f: BinaryIO) -> tuple[int, int] | None:
     return None
 
 
-def _in_two(first: Callable[[], object], second: Callable[[], Sequence], n: int, *onto: bytearray) -> tuple:
-    """``first()`` here while one forked helper sends back through a pipe the ``n`` parts, arrays or bytes, that
-    ``second()`` returns: ``(what first returned, the parts as :func:`_received` reads them onto the ends of onto)``.
-    The parts are None if the helper failed in any way (a fork that fails, a helper that raises, crashes or exits
-    non-zero, a short read): the caller then does its part. An error here comes first: the helper is killed. It is
-    reaped before the call returns or raises."""
-    pid, got = None, None
+def _in_two(first: Callable[[], object], second: Callable[[], Sequence], n: int, table: _LabelTable, *onto: bytearray) -> tuple:
+    """``first()`` here while one forked helper runs ``second()`` on ``table`` as it was at the fork: ``(what first
+    returned, the n parts, arrays or bytes, that second returned)``; ``(None, None)`` if the fork fails.
+
+    The helper sends the parts back through a pipe, then the labels it added to ``table``. Here the parts are read
+    onto the ends of ``onto`` (:func:`_received`), the helper's labels numbered in ``table`` after first's, and its
+    ids in parts 0 and 1, int64 columns, renumbered in place. The parts are None if the helper failed in any way (a
+    fork that fails, a helper that raises, crashes or exits non-zero, a short read): the caller then reads its whole
+    input again in one pass, into ``table`` as first left it, so every result and error is one pass's. An error here
+    comes first: the helper is killed. It is reaped before the call returns or raises."""
+    known, pid, done, got = len(table), None, None, None
     r, w = os.pipe()
-    with warnings.catch_warnings(), suppress(OSError):  # a fork that fails leaves both halves to this process
+    with warnings.catch_warnings(), suppress(OSError):  # a fork that fails leaves pid None
         # Python 3.12 warns on a fork while the OS reports more than one thread, and numpy's OpenBLAS pool is one.
         # This fork is safe: OpenBLAS has atfork handlers, the helper calls no BLAS routine and starts no thread, and
         # it leaves by os._exit, so it runs no atexit handler and flushes no inherited buffer. (Run on 3.12 only in CI.)
@@ -709,7 +698,7 @@ def _in_two(first: Callable[[], object], second: Callable[[], Sequence], n: int,
         try:
             gc.disable()  # no collection here, so no finalizer of an object inherited from the caller runs twice
             os.close(r)
-            parts = second()
+            parts = (*second(), "".join(text + "\n" for text in table.labels(np.arange(len(table)) >= known)).encode())
             with open(w, "wb") as out:
                 out.write(np.array([memoryview(part).nbytes for part in parts], np.int64))  # the lengths, then the parts
                 for part in parts:
@@ -720,16 +709,23 @@ def _in_two(first: Callable[[], object], second: Callable[[], Sequence], n: int,
     os.close(w)
     try:
         with open(r, "rb") as pipe:
-            done = first()
-            if pid is not None:
-                got = _received(pipe, n, *onto)
+            if pid is not None:  # else the fork failed, and the caller reads its input in one pass
+                done = first()
+                starts = [len(part) // 8 for part in onto] + [0, 0]  # where the helper's ids begin in parts 0 and 1
+                got = _received(pipe, n + 1, *onto)
                 pid, status = None, os.waitpid(pid, 0)[1]
-                got = got if status == 0 else None
     finally:
         if pid is not None:  # not reaped: an error here, which comes first in file order
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return done, got
+    if got is None or status != 0:
+        return done, None
+    *parts, new = got
+    if new:
+        ids = np.concatenate((np.arange(known), _numbered(table, new)))
+        for part, start in zip(parts[:2], starts):
+            _renumbered(np.frombuffer(part, np.int64)[start:], ids)
+    return done, parts
 
 
 def _received(pipe: BinaryIO, n: int, *onto: bytearray) -> list[bytearray] | None:
@@ -764,34 +760,6 @@ def _numbered(table: _LabelTable, lines: bytes | bytearray) -> np.ndarray:
     return np.concatenate([np.empty(0, np.int64), *(table.number(u, starts[b], stops[b] - starts[b]) for b in batches)])
 
 
-def _parse_in_two(
-    arcs: _ArcColumns, chunks: Iterator[tuple], table: _LabelTable, path: Path, fd: int, split: int, size: int
-) -> None:
-    """Parse ``chunks``, the arc lines before byte ``split`` of ``fd``, here, and those after it in one forked helper
-    (:func:`_in_two`) that parses with the table as it was at the fork; its arcs, blank rows and new labels are
-    appended after this process's own. If the helper fails its lines are parsed here."""
-    known = len(table)
-
-    def second() -> tuple:
-        helper = _ArcColumns(0)
-        helper.add(_line_chunks(_Span(fd, split, size)), table, path)
-        new = "".join(text + "\n" for text in table.labels(np.arange(len(table)) >= known)).encode()
-        return *helper.columns, np.concatenate(helper.blank_before), new
-
-    _, got = _in_two(lambda: arcs.add(chunks, table, path), second, 5, *arcs.columns)
-    if got is None:
-        for column in arcs.columns:
-            del column[8 * arcs.rows :]  # what a failed helper wrote onto the columns
-        arcs.add(_line_chunks(_Span(fd, split, size), arcs.next_line), table, path)
-        return
-    if got[4]:  # the helper's new labels: its ids past known are renumbered
-        ids = np.concatenate((np.arange(known), _numbered(table, got[4])))
-        for column in arcs.columns[:2]:
-            _renumbered(np.frombuffer(column, np.int64)[arcs.rows :], ids)
-    arcs.blank_before.append(arcs.rows + np.frombuffer(got[3], np.int64))
-    arcs.rows = len(arcs.columns[0]) // 8
-
-
 def load_edge_list(path: str | Path, strict: bool = False) -> WeightedDigraph:
     """Load a graph snapshot, honoring its sidecar when present.
 
@@ -802,7 +770,7 @@ def load_edge_list(path: str | Path, strict: bool = False) -> WeightedDigraph:
     first offending line in file order. Without a sidecar, dense ids are
     assigned by sorting the distinct labels.
 
-    The file is read once, in chunks of ``_CHUNK`` bytes cut after a line
+    The file is read in chunks of ``_CHUNK`` bytes cut after a line
     break, each split, mapped and checked in array passes: labels are looked
     up in an exact label table (the sidecar's, or one that grows chunk by
     chunk, its ids remapped to the sorted labels at the end), weights parsed
@@ -811,9 +779,10 @@ def load_edge_list(path: str | Path, strict: bool = False) -> WeightedDigraph:
     table and the arc columns, each grown in place and so held once.
 
     A regular file of at least two chunks is parsed in two halves, the
-    second by one forked helper process (:func:`_parse_in_two`); a FIFO,
-    ``/dev/stdin`` on a pipe and a small file take one pass here. Every
-    result, error and line number is that of one pass in file order.
+    second by one forked helper process (:func:`_in_two`); a FIFO,
+    ``/dev/stdin`` on a pipe and a small file take one pass here, as does
+    the whole file again if the helper fails. Every result, error and line
+    number is that of one pass in file order.
     """
     path = Path(path)
     side = sidecar_path(path)
@@ -826,22 +795,32 @@ def load_edge_list(path: str | Path, strict: bool = False) -> WeightedDigraph:
             labels = table.labels()  # made before the arc columns, while memory is low
         except (OSError, ValueError) as exc:
             side_error = exc
-    v = len(table)  # a label the sidecar lacks gets an id >= v
+    v, arcs = len(table), None  # a label the sidecar lacks gets an id >= v
     with open(path, "rb") as f:
-        split = _split_point(f)
-        header, first_row, chunks = _first_line(f if split is None else _Span(f.fileno(), 0, split[0]), comments=True)
-        if header is None and split is not None:  # only provenance lines lie before the split: one pass
-            split = None
+        if (split := _split_point(f)) is not None:
+            header, first_row, chunks = _first_line(_Span(f.fileno(), 0, split[0]), comments=True)
+            if header == GRAPH_HEADER:  # else only provenance lines lie before the split, or the one pass below raises
+                arcs, rest = _ArcColumns(), _Span(f.fileno(), *split)
+
+                def second() -> tuple:
+                    helper = _ArcColumns()
+                    helper.add(_line_chunks(rest), table, path)
+                    return *helper.columns, np.concatenate(helper.blank_before)
+
+                _, got = _in_two(lambda: arcs.add(chunks, table, path), second, 4, table, *arcs.columns)
+                if got is None:
+                    arcs = None
+                else:
+                    arcs.blank_before.append(arcs.rows + np.frombuffer(got[3], np.int64))
+                    arcs.rows = len(arcs.columns[0]) // 8
+        if arcs is None:
             header, first_row, chunks = _first_line(f, comments=True)
-        if header is None:
-            raise FormatError(f"{path}: missing header line")
-        if header != GRAPH_HEADER:
-            raise FormatError(f"expected header {GRAPH_HEADER!r}, got {header!r}")
-        arcs = _ArcColumns(first_row)
-        if split is None:
+            if header is None:
+                raise FormatError(f"{path}: missing header line")
+            if header != GRAPH_HEADER:
+                raise FormatError(f"expected header {GRAPH_HEADER!r}, got {header!r}")
+            arcs = _ArcColumns()
             arcs.add(chunks, table, path)
-        else:
-            _parse_in_two(arcs, chunks, table, path, f.fileno(), *split)
     src_ids, dst_ids, w_col = (np.frombuffer(column, dtype) for column, dtype in zip(arcs.columns, (np.int64, np.int64, np.float64)))
     blank_before, rows = arcs.blank_before, arcs.rows
     del arcs  # each column's bytes are freed with its array

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import bisect
+import errno
 import json
 import os
 import random
@@ -390,11 +391,24 @@ class TestSplitCountLifeCycle:
 
         monkeypatch.setattr(ingest, "_event_tails", event_tails)
         rows = list(self.ROWS)
-        rows[1500], rows[1600] = "7,w,w", "oops"  # counted again here, their lines numbered on from the first half's
+        rows[1500], rows[1600] = "7,w,w", "oops"  # met again when the whole log is counted here in one pass
         path = tmp_path / "events.csv"
         write_events(path, rows)
         self.counted(path)
         assert self.counted(path, strict=True) == f"{path}: self-call for id 'w'"
+
+    def test_failed_fork_gives_the_oracles_results(self, tmp_path):
+        rows = list(self.ROWS)
+        rows[1700] = "oops"  # in the second half
+        path = tmp_path / "events.csv"
+        write_events(path, rows)
+        with mock.patch.object(os, "fork", side_effect=OSError(errno.EAGAIN, "fork failed")) as fork:
+            got = [outcome(aggregate_event_file, path, strict) for strict in (False, True)]
+        assert fork.call_count == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert got == [outcome(reference_aggregate, path, strict) for strict in (False, True)]
+        assert got[1] == f"{path}: malformed event line 1702"
 
     def test_labels_new_in_the_second_half(self, tmp_path):
         late = [f"{i},late{i},u{i % 11}" for i in range(20)] + [f"{i},v{i % 13},late{i % 7}x" for i in range(30)]
@@ -1081,6 +1095,22 @@ class TestSplitLoadLifeCycle:
         monkeypatch.setattr(ingest, "_field_bounds", field_bounds)
         path = self.write(tmp_path / "g.csv", self.ROWS)
         assert self.loaded(path)[0].content_digest() == reference_load(path).content_digest()
+
+    def test_failed_fork_gives_the_oracles_results(self, tmp_path):
+        rows = list(self.ROWS)
+        rows[1400] = rows[10]  # a duplicate in the second half
+        rows[100:100] = [""]  # a blank line in the first half shifts the later line numbers
+        duplicate = self.write(tmp_path / "g.csv", rows)
+        rows[1300] = "w,w,1"  # a self-loop in the second half
+        self_loop = self.write(tmp_path / "h.csv", rows)
+        runs = [(duplicate, False), (duplicate, True), (self_loop, False)]
+        with mock.patch.object(os, "fork", side_effect=OSError(errno.EAGAIN, "fork failed")) as fork:
+            got = [load_outcome(load_edge_list, path, strict) for path, strict in runs]
+        assert fork.call_count == len(runs)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert got == [load_outcome(reference_load, path, strict) for path, strict in runs]
+        assert got[1:] == [f"{duplicate}:{1401 + 3}: duplicate arc 'u10' -> 'v10'", f"{self_loop}:{1300 + 3}: self-loop at 'w'"]
 
     @pytest.mark.parametrize("sidecar", ["none", "complete", "missing the new labels"])
     def test_labels_new_in_the_second_half(self, tmp_path, sidecar):
